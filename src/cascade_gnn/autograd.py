@@ -4,6 +4,11 @@ Each op records a closure that routes the output gradient to its inputs;
 ``Tensor.backward()`` replays the tape in reverse topological order.
 Gradients accumulate on leaves until ``zero_grad`` is called, so one
 forward tape supports exactly one backward pass.
+
+Training and scoring no longer run on the tape: they use the array
+passes in ``nn`` with hand-written backwards.  The tape is their
+reference; the tests check that those passes reproduce its losses and
+gradients bit for bit.
 """
 from __future__ import annotations
 

@@ -135,6 +135,8 @@ def prepare_graph(graph: PropagationGraph, schema: FeatureSchema,
 
 def _forward_tensors(features: Tensor, edges: EdgeArrays,
                      params: ModelParams) -> tuple[Tensor, Tensor]:
+    """The network on the autograd tape: the reference that ``loss_and_grads``
+    reproduces bit for bit."""
     h1 = ag.selu(nn.gat_forward(features, edges, params.gc1))
     pooled = nn.mean_pool_channels(h1, 2)
     h2 = ag.selu(nn.gat_forward(pooled, edges, params.gc2))
@@ -144,6 +146,58 @@ def _forward_tensors(features: Tensor, edges: EdgeArrays,
     return scores, h2
 
 
+def _network_forward(features: np.ndarray, edges: EdgeArrays, params: ModelParams):
+    """The network on arrays; returns (scores (1, 2), node embeddings, cache)."""
+    gc1, gc2 = params.gc1, params.gc2
+    out1, gat1 = nn.gat_layer(features, edges, gc1.weight.data, gc1.attn.data, gc1.bias.data)
+    h1, selu1 = nn.selu(out1)
+    out2, gat2 = nn.gat_layer(nn.pair_pool(h1), edges, gc2.weight.data, gc2.attn.data,
+                              gc2.bias.data)
+    h2, selu2 = nn.selu(out2)
+    readout = nn.mean_pool(h2)
+    pre_fc1 = nn.fc(readout, params.fc1_w.data, params.fc1_b.data)
+    fc1, selu3 = nn.selu(pre_fc1)
+    scores = nn.fc(fc1, params.fc2_w.data, params.fc2_b.data)
+    cache = (gat1, selu1, gat2, selu2, readout, pre_fc1, selu3, fc1)
+    return scores, h2, cache
+
+
+def loss_and_grads(sample: PreparedGraph, params: ModelParams
+                   ) -> tuple[float, dict[str, np.ndarray] | None]:
+    """Hinge loss of one sample and the gradient of every parameter, keyed
+    as ``ModelParams.named()``.
+
+    The gradient is None when the hinge is inactive: it is then exactly
+    zero, so no backward pass runs.  A zero loss over a non-finite forward
+    pass raises ``NumericError``, as the tape's NaN gradient would.
+    """
+    edges = sample.edges
+    scores, h2, cache = _network_forward(sample.features, edges, params)
+    gat1, selu1, gat2, selu2, readout, pre_fc1, selu3, fc1 = cache
+    loss, g_scores = nn.hinge(scores, sample.label)
+    if g_scores is None:
+        # the tape multiplies its zero gradient by the activations, and
+        # 0 * inf is NaN, which amsgrad_step rejects: keep rejecting it
+        activations = (gat1.wh, gat1.alpha, gat2.h, gat2.wh, gat2.alpha, h2, readout,
+                       pre_fc1, scores)
+        if not all(np.isfinite(a).all() for a in activations):
+            raise NumericError("non-finite activation in a zero-loss forward pass")
+        return loss, None
+    g_fc1, g_fc2_w, g_fc2_b = nn.fc_backward(g_scores, fc1, params.fc2_w.data)
+    g_readout, g_fc1_w, g_fc1_b = nn.fc_backward(nn.selu_backward(g_fc1, selu3), readout,
+                                                 params.fc1_w.data)
+    g_out2 = nn.selu_backward(nn.mean_pool_backward(g_readout, h2.shape[0]), selu2)
+    g_pooled, (g2_w, g2_a, g2_b) = nn.gat_layer_backward(g_out2, edges, gat2)
+    g_out1 = nn.selu_backward(nn.pair_pool_backward(g_pooled), selu1)
+    _, (g1_w, g1_a, g1_b) = nn.gat_layer_backward(g_out1, edges, gat1, input_grad=False)
+    return loss, {
+        "gc1.weight": g1_w, "gc1.attn": g1_a, "gc1.bias": g1_b,
+        "gc2.weight": g2_w, "gc2.attn": g2_a, "gc2.bias": g2_b,
+        "fc1.weight": g_fc1_w, "fc1.bias": g_fc1_b,
+        "fc2.weight": g_fc2_w, "fc2.bias": g_fc2_b,
+    }
+
+
 def forward(sample: PreparedGraph | PropagationGraph, params: ModelParams,
             schema: FeatureSchema | None = None):
     """Run the network; returns (scores, probabilities, node_embeddings)."""
@@ -151,14 +205,21 @@ def forward(sample: PreparedGraph | PropagationGraph, params: ModelParams,
         if schema is None:
             raise ValueError("schema required when passing a PropagationGraph")
         sample = prepare_graph(sample, schema)
-    scores_t, h2 = _forward_tensors(Tensor(sample.features), sample.edges, params)
-    scores = scores_t.data.reshape(2)
-    return scores, nn.softmax(scores), h2.data
+    scores, h2, _ = _network_forward(sample.features, sample.edges, params)
+    scores = scores.reshape(2)
+    return scores, nn.softmax(scores), h2
 
 
 def fake_score(scores: np.ndarray) -> float:
-    """Ranking score for the positive (fake) class."""
-    return float(scores[1] - scores[0])
+    """Ranking score for the positive (fake) class.
+
+    A diverged network can overflow its scores; that raises ``NumericError``
+    here, so every validation and test scorer reports it the same way.
+    """
+    score = float(scores[1] - scores[0])
+    if not np.isfinite(score):
+        raise NumericError(f"non-finite score {score} (class scores {scores[0]}, {scores[1]})")
+    return score
 
 
 @dataclass
@@ -192,8 +253,8 @@ def train(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
         raise ValueError("empty training set")
     if params is None:
         params = init_params(config)
-    named = params.named()
-    arrays = {k: t.data for k, t in named.items()}
+    arrays = {k: t.data for k, t in params.named().items()}
+    zero_grads = {k: np.zeros_like(a) for k, a in arrays.items()}
     state = OptimizerState(learning_rate=config.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 11)))
 
@@ -205,17 +266,11 @@ def train(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
 
     for it in range(1, config.iterations + 1):
         sample = train_set[rng.integers(len(train_set))]
-        scores, _ = _forward_tensors(Tensor(sample.features), sample.edges, params)
-        loss = nn.hinge_loss(scores, sample.label)
-        value = loss.item()
-        if not np.isfinite(value):
+        loss, grads = loss_and_grads(sample, params)
+        if not np.isfinite(loss):
             raise NumericError(f"non-finite loss at iteration {it}")
-        loss_trace.append(value)
-        params.zero_grad()
-        loss.backward()
-        grads = {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                 for k, t in named.items()}
-        amsgrad_step(arrays, grads, state)
+        loss_trace.append(loss)
+        amsgrad_step(arrays, zero_grads if grads is None else grads, state)
 
         if it % VALIDATION_EVERY == 0 or it == config.iterations:
             auc = _validation_auc(val_set, params)
@@ -270,18 +325,57 @@ def save_checkpoint(path, params: ModelParams, state: OptimizerState | None = No
         json.dump(doc, fh)
 
 
-def load_checkpoint(path, config: ModelConfig) -> tuple[ModelParams, OptimizerState | None, int | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a recognized checkpoint: {path}")
+class CheckpointError(ValueError):
+    """A checkpoint file that is foreign or does not fit the run."""
+
+
+def load_checkpoint(path, config: ModelConfig, scope: str | None = None
+                    ) -> tuple[ModelParams, OptimizerState | None, int | None]:
+    """Read a checkpoint into parameters shaped by ``config``.
+
+    A given ``scope`` must match the one the checkpoint's ``meta`` records,
+    if it records one.  Any misfit raises ``CheckpointError`` naming the
+    file and the field.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise CheckpointError(f"not a recognized checkpoint: {path} ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+        found = doc.get("format") if isinstance(doc, dict) else None
+        raise CheckpointError(f"not a recognized checkpoint: {path} (field 'format' is "
+                              f"{found!r}, expected {CHECKPOINT_FORMAT!r})")
+    meta = doc.get("meta") or {}
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"checkpoint {path}: field 'meta' is not a mapping")
+    recorded = meta.get("scope")
+    if scope is not None and recorded is not None and recorded != scope:
+        raise CheckpointError(f"checkpoint {path}: meta field 'scope' is {recorded!r}, "
+                              f"but this run uses {scope!r}")
+    stored = doc.get("params")
+    if not isinstance(stored, dict):
+        raise CheckpointError(f"checkpoint {path}: field 'params' is missing or not a mapping")
     params = init_params(config)
     for k, t in params.named().items():
-        entry = doc["params"][k]
-        arr = np.asarray(entry["data"]).reshape(entry["shape"])
-        if arr.shape != t.data.shape:
-            raise ValueError(f"checkpoint parameter {k!r} has shape {arr.shape}, "
-                             f"expected {t.data.shape}")
-        t.data[...] = arr
-    state = OptimizerState.from_dict(doc["optimizer"]) if doc.get("optimizer") else None
+        entry = stored.get(k)
+        if entry is None:
+            raise CheckpointError(f"checkpoint {path}: parameter {k!r} is missing")
+        try:
+            shape = tuple(entry["shape"])
+            values = np.asarray(entry["data"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint {path}: parameter {k!r} is malformed "
+                                  f"({type(exc).__name__}: {exc})") from None
+        if shape != t.data.shape or values.size != t.data.size:
+            raise CheckpointError(f"checkpoint {path}: parameter {k!r} has shape {shape} "
+                                  f"and {values.size} values, expected {t.data.shape}")
+        t.data[...] = values.reshape(shape)
+    state = None
+    if doc.get("optimizer"):
+        try:
+            state = OptimizerState.from_dict(doc["optimizer"])
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint {path}: field 'optimizer' is malformed "
+                                  f"({type(exc).__name__}: {exc})") from None
     return params, state, doc.get("seed")

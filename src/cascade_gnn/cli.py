@@ -15,8 +15,8 @@ import click
 import numpy as np
 
 from . import dataio
-from .classifier import (ModelConfig, fake_score, forward, load_checkpoint,
-                         save_checkpoint, train, user_embeddings)
+from .classifier import (CheckpointError, ModelConfig, fake_score, forward,
+                         load_checkpoint, save_checkpoint, train, user_embeddings)
 from .dataio import DatasetNotFoundError, cascades_by_url, load_dataset
 from .evalharness import (DEFAULT_MIN_CASCADE_SIZE, aging_protocol,
                           backward_feature_selection, build_samples,
@@ -377,7 +377,10 @@ def export_embeddings(config_path, seed, dataset_dir, out_dir, scope, hours,
     d = float(_parse_hours_range(hours)[-1])
     if not os.path.isfile(checkpoint_path):
         raise DatasetNotFoundError(f"missing checkpoint: {checkpoint_path}")
-    params, _, _ = load_checkpoint(checkpoint_path, mc)
+    try:
+        params, _, _ = load_checkpoint(checkpoint_path, mc, scope=scope)
+    except CheckpointError as exc:
+        raise UsageFailure(str(exc))
     by_url = cascades_by_url(cascades)
     graphs = []
     for story in sorted(stories, key=lambda s: s.url_id):

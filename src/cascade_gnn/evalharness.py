@@ -236,9 +236,12 @@ def diffusion_sweep(stories, cascades, social, schema, config: ModelConfig,
 
     points = []
     for d in d_values:
-        samples = build_samples(stories, cascades, social, schema, scope,
-                                hours=float(d), min_cascade_size=min_cascade_size,
-                                active_groups=active_groups)
+        if float(d) == DEFAULT_DIFFUSION_HOURS:
+            samples = base
+        else:
+            samples = build_samples(stories, cascades, social, schema, scope,
+                                    hours=float(d), min_cascade_size=min_cascade_size,
+                                    active_groups=active_groups)
         retained = sum(s.features.shape[0] for s in samples)
         cv = cross_validate(samples, plan, config, jobs=jobs)
         points.append(SweepPoint(hours=float(d), mean_auc=cv.mean_auc,
@@ -348,12 +351,13 @@ def aging_protocol(stories, cascades, social, schema, config: ModelConfig,
         te = [s for s in samples if s.url_id in set(plan.test_urls)]
         return tr, va, te
 
+    diffused, source_only = (build_samples(stories, cascades, social, schema, scope,
+                                           hours=h, min_cascade_size=min_cascade_size,
+                                           active_groups=active_groups)
+                             for h in (hours, 0.0))
     models = {}
     tests = {}
-    for label, h in (("diffused", hours), ("source_only", 0.0)):
-        samples = build_samples(stories, cascades, social, schema, scope, hours=h,
-                                min_cascade_size=min_cascade_size,
-                                active_groups=active_groups)
+    for label, samples in (("diffused", diffused), ("source_only", source_only)):
         tr, va, te = split(samples)
         if not tr or not te:
             raise ValueError("temporal split left an empty train or test set")
@@ -362,11 +366,8 @@ def aging_protocol(stories, cascades, social, schema, config: ModelConfig,
                         for s in te}
 
     cv_plan = make_folds(stories, seed=config.seed)
-    cv_samples = build_samples(stories, cascades, social, schema, scope, hours=hours,
-                               min_cascade_size=min_cascade_size,
-                               active_groups=active_groups)
-    cv = cross_validate(cv_samples, cv_plan, config, jobs=jobs)
-    key_url = {s.key: s.url_id for s in cv_samples}
+    cv = cross_validate(diffused, cv_plan, config, jobs=jobs)
+    key_url = {s.key: s.url_id for s in diffused}
 
     train_dates = [first_seen[u] for u in plan.train_urls + plan.val_urls]
     train_mean = float(np.mean(train_dates))

@@ -19,6 +19,9 @@ def roc_auc(scores, labels) -> tuple[list[tuple[float, float]], float]:
     labels = np.asarray(labels).astype(bool)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be 1-D and the same length")
+    if np.isnan(scores).any():
+        # NaN equals no threshold, so the sweep below would never advance
+        raise ValueError("ROC needs scores that are not NaN")
     pos = int(labels.sum())
     neg = int(labels.size - pos)
     if pos == 0 or neg == 0:

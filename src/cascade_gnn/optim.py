@@ -20,6 +20,9 @@ class OptimizerState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     v_hat: dict[str, np.ndarray] = field(default_factory=dict)
+    # two work arrays per parameter, so a step allocates nothing
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -57,14 +60,27 @@ def amsgrad_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for parameter {name!r}")
     state.step_count += 1
+    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
     for name, theta in params.items():
         g = grads[name]
-        m = state.m.setdefault(name, np.zeros_like(theta))
-        v = state.v.setdefault(name, np.zeros_like(theta))
-        v_hat = state.v_hat.setdefault(name, np.zeros_like(theta))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        if name not in state.m:
+            state.m[name] = np.zeros_like(theta)
+            state.v[name] = np.zeros_like(theta)
+            state.v_hat[name] = np.zeros_like(theta)
+        m, v, v_hat = state.m[name], state.v[name], state.v_hat[name]
+        if name not in state.scratch:
+            state.scratch[name] = (np.empty_like(theta), np.empty_like(theta))
+        num, den = state.scratch[name]
+        # the same operations, in the same order, as the expressions above
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=num)
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=num)
+        num *= g
+        v += num
         np.maximum(v_hat, v, out=v_hat)
-        theta -= state.learning_rate * m / (np.sqrt(v_hat) + state.eps)
+        np.sqrt(v_hat, out=den)
+        den += eps
+        np.multiply(m, lr, out=num)
+        num /= den
+        theta -= num

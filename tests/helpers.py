@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from cascade_gnn.classifier import PreparedGraph
+from cascade_gnn.features import FEATURE_GROUPS, FeatureSchema, FeatureSlice
+from cascade_gnn.nn import build_edge_arrays
 from cascade_gnn.types import (CascadeRecord, EMBEDDING_DIM, SocialGraph,
                                Tweet, UrlStory, User)
 
@@ -47,6 +50,30 @@ def make_social(user_specs, follows):
 
 def make_story(url_id, label, cascade_ids, first_seen=0.0):
     return UrlStory(url_id, label, first_seen, tuple(cascade_ids))
+
+
+# -- tiny networks -------------------------------------------------------------
+
+def tiny_schema(width_per_group=3) -> FeatureSchema:
+    slices, pos = [], 0
+    for g in FEATURE_GROUPS:
+        slices.append(FeatureSlice(f"{g}_block", g, pos, pos + width_per_group))
+        pos += width_per_group
+    return FeatureSchema(tuple(slices))
+
+
+def random_graph_sample(rng, n_nodes, schema, label=None):
+    feats = rng.normal(size=(n_nodes, schema.width))
+    edges = []
+    for i in range(n_nodes):
+        for j in range(i + 1, n_nodes):
+            if rng.random() < 0.5:
+                flags = tuple(bool(rng.integers(0, 2)) for _ in range(4))
+                if not any(flags):
+                    flags = (True, False, False, False)
+                edges.append((i, j, flags))
+    return PreparedGraph("g", "u", feats, build_edge_arrays(n_nodes, edges),
+                         int(label if label is not None else rng.integers(0, 2)))
 
 
 # -- numeric oracles -----------------------------------------------------------

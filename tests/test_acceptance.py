@@ -18,8 +18,7 @@ from cascade_gnn.classifier import (ModelConfig, _forward_tensors, forward,
 from cascade_gnn.cli import main as cli_main
 from cascade_gnn.evalharness import (backward_feature_selection, build_samples,
                                      cross_validate, make_folds)
-from cascade_gnn.features import (FEATURE_GROUPS, FeatureSchema, FeatureSlice,
-                                  default_schema)
+from cascade_gnn.features import FEATURE_GROUPS, default_schema
 from cascade_gnn.metrics import roc_auc
 from cascade_gnn.nn import build_edge_arrays, hinge_loss
 from cascade_gnn.optim import OptimizerState, amsgrad_step
@@ -29,32 +28,10 @@ from cascade_gnn.synthgen import (PLANTED_SIGNAL_GROUPS, GenConfig,
                                   summary_stats)
 
 from helpers import (central_difference_grads, make_cascade,
-                     pairwise_auc_oracle, relative_error)
+                     pairwise_auc_oracle, random_graph_sample, relative_error,
+                     tiny_schema)
 
 SCHEMA = default_schema()
-
-
-def tiny_schema(width_per_group=3) -> FeatureSchema:
-    slices, pos = [], 0
-    for g in FEATURE_GROUPS:
-        slices.append(FeatureSlice(f"{g}_block", g, pos, pos + width_per_group))
-        pos += width_per_group
-    return FeatureSchema(tuple(slices))
-
-
-def random_graph_sample(rng, n_nodes, schema, label=None):
-    feats = rng.normal(size=(n_nodes, schema.width))
-    edges = []
-    for i in range(n_nodes):
-        for j in range(i + 1, n_nodes):
-            if rng.random() < 0.5:
-                flags = tuple(bool(rng.integers(0, 2)) for _ in range(4))
-                if not any(flags):
-                    flags = (True, False, False, False)
-                edges.append((i, j, flags))
-    from cascade_gnn.classifier import PreparedGraph
-    return PreparedGraph("g", "u", feats, build_edge_arrays(n_nodes, edges),
-                         int(label if label is not None else rng.integers(0, 2)))
 
 
 @pytest.fixture(scope="module")

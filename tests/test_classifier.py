@@ -1,14 +1,16 @@
 """Network assembly, training loop, masking, checkpoints."""
+import json
+
 import numpy as np
 import pytest
 
-from cascade_gnn.classifier import (ModelConfig, apply_feature_mask, fake_score,
+from cascade_gnn.classifier import (CheckpointError, ModelConfig, apply_feature_mask, fake_score,
                                     forward, init_params, load_checkpoint,
                                     mask_columns, prepare_graph, save_checkpoint,
                                     train, user_embeddings)
 from cascade_gnn.features import FEATURE_GROUPS, default_schema
 from cascade_gnn.nn import hinge_loss
-from cascade_gnn.optim import OptimizerState, amsgrad_step
+from cascade_gnn.optim import NumericError, OptimizerState, amsgrad_step
 from cascade_gnn.propagation import build_propagation_graph
 from cascade_gnn.types import SocialGraph
 from cascade_gnn.autograd import Tensor
@@ -228,6 +230,39 @@ class TestCheckpoint:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
             load_checkpoint(path, small_config())
+
+    @pytest.mark.parametrize("field, mangle", [
+        ("'params'", lambda doc: doc.update(params=[])),
+        ("'meta'", lambda doc: doc.update(meta=["url_wise"])),
+        ("'gc1.weight'", lambda doc: doc["params"].update({"gc1.weight": [1.0]})),
+        ("'gc1.weight'", lambda doc: doc["params"]["gc1.weight"].pop("shape")),
+        ("'gc1.weight'", lambda doc: doc["params"]["gc1.weight"].update(data="x")),
+        ("'optimizer'", lambda doc: doc.update(optimizer={"m": {}})),
+        ("'optimizer'", lambda doc: doc.update(optimizer=[1, 2])),
+    ])
+    def test_malformed_field_names_file_and_field(self, tmp_path, field, mangle):
+        config = small_config()
+        path = tmp_path / "mangled.json"
+        save_checkpoint(path, init_params(config), OptimizerState())
+        doc = json.loads(path.read_text())
+        mangle(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=f"mangled.json.*{field}"):
+            load_checkpoint(path, config)
+
+    def test_non_json_file_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(CheckpointError, match="binary.json"):
+            load_checkpoint(path, small_config())
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_fake_score_rejects_non_finite_scores():
+    assert fake_score(np.array([0.25, 1.0])) == 0.75
+    for scores in ([np.inf, np.inf], [np.nan, 0.0], [-np.inf, 1.0]):
+        with pytest.raises(NumericError, match="non-finite score"):
+            fake_score(np.array(scores))
 
 
 class TestUserEmbeddings:

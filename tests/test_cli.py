@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from cascade_gnn.classifier import ModelConfig, init_params, save_checkpoint
 from cascade_gnn.cli import main
+from cascade_gnn.features import default_schema
 
 GEN_ARGS = ["--users", "150", "--urls", "12", "--mean-cascades", "3"]
 FIXTURE_ARGS = ["--users", "200", "--urls", "30", "--mean-cascades", "3",
@@ -80,6 +82,28 @@ class TestCv:
         assert "content" not in groups
         assert "user_profile" in groups
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_overflow_exits_three(self, dataset_dir, tmp_path, capsys):
+        # the diverged network scores NaN, whose hinge loss is zero: the
+        # zero-loss step must still report the failure
+        code = main(["cv", "--dataset", str(dataset_dir), "--out", str(tmp_path / "nf"),
+                     "--lr", "1e300", "--iterations", "20", "--jobs", "1", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "numeric failure" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_validation_score_exits_three(self, dataset_dir, tmp_path, capsys):
+        # the one training step overflows the parameters; validation, which
+        # runs after the last step, is the first to see them and scores NaN
+        code = main(["cv", "--dataset", str(dataset_dir), "--out", str(tmp_path / "nv"),
+                     "--lr", "1e300", "--iterations", "1", "--jobs", "1", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "numeric failure: non-finite score" in err and "Traceback" not in err
+
     def test_missing_dataset_exits_two(self, tmp_path):
         code = main(["cv", "--dataset", str(tmp_path / "nope"), "--out",
                      str(tmp_path / "o"), "--seed", "1"] + FAST)
@@ -143,6 +167,47 @@ class TestTrainAndExport:
         assert lines[1].split(",")[:2] == ["user_id", "credibility"]
         assert len(lines[1].split(",")) == 2 + 64
         assert len(lines) > 2
+
+    def export_with(self, dataset_dir, tmp_path, checkpoint, capsys, scope="url"):
+        code = main(["export-embeddings", "--dataset", str(dataset_dir),
+                     "--out", str(tmp_path / "e"), "--checkpoint", str(checkpoint),
+                     "--scope", scope, "--seed", "1"] + FAST)
+        return code, capsys.readouterr().err
+
+    def test_foreign_checkpoint_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"format": "something-else"}')
+        code, err = self.export_with(dataset_dir, tmp_path, path, capsys)
+        assert code == 1
+        assert "bad.json" in err and "'format'" in err
+
+    def test_wrong_shape_checkpoint_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        path = tmp_path / "narrow.json"
+        config = ModelConfig(schema=default_schema(), hidden=8, fc1=4)
+        save_checkpoint(path, init_params(config), meta={"scope": "url_wise"})
+        code, err = self.export_with(dataset_dir, tmp_path, path, capsys)
+        assert code == 1
+        assert "narrow.json" in err and "'gc1.weight'" in err
+
+    def test_malformed_checkpoint_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        path = tmp_path / "mangled.json"
+        save_checkpoint(path, init_params(ModelConfig(schema=default_schema())))
+        doc = json.loads(path.read_text())
+        doc["params"]["gc1.weight"] = {"data": []}
+        path.write_text(json.dumps(doc))
+        code, err = self.export_with(dataset_dir, tmp_path, path, capsys)
+        assert code == 1
+        assert "mangled.json" in err and "'gc1.weight'" in err and "Traceback" not in err
+
+    def test_checkpoint_of_other_scope_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        path = tmp_path / "cascade.json"
+        save_checkpoint(path, init_params(ModelConfig(schema=default_schema())),
+                        meta={"scope": "cascade_wise", "hours": 24.0})
+        code, err = self.export_with(dataset_dir, tmp_path, path, capsys)
+        assert code == 1
+        assert "cascade.json" in err and "'scope'" in err
+        code, _ = self.export_with(dataset_dir, tmp_path, path, capsys, scope="cascade")
+        assert code == 0
 
     def test_missing_checkpoint_exits_two(self, dataset_dir, tmp_path):
         code = main(["export-embeddings", "--dataset", str(dataset_dir),

@@ -30,6 +30,16 @@ def test_single_class_rejected():
         roc_auc([0.1, 0.2], [1, 1])
 
 
+def test_nan_score_rejected():
+    with pytest.raises(ValueError):
+        roc_auc([0.1, float("nan"), 0.3], [1, 0, 1])
+
+
+def test_infinite_scores_are_ranked():
+    _, auc = roc_auc([float("inf"), 0.0, float("-inf")], [1, 0, 0])
+    assert auc == 1.0
+
+
 def test_complement_symmetry_tie_free():
     rng = np.random.default_rng(0)
     for _ in range(50):

@@ -68,3 +68,29 @@ def test_state_roundtrip():
     assert clone.step_count == state.step_count
     np.testing.assert_array_equal(clone.m["w"], state.m["w"])
     np.testing.assert_array_equal(clone.v_hat["w"], state.v_hat["w"])
+
+
+def test_matches_the_plain_update_expressions_bit_for_bit():
+    # amsgrad_step works in preallocated buffers; the values must be those
+    # of the docstring's expressions evaluated with temporaries
+    rng = np.random.default_rng(2)
+    shapes = {"w": (7, 5), "a": (12, 1), "b": (1, 5)}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    ref = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    v_hat = {k: np.zeros(s) for k, s in shapes.items()}
+    state = OptimizerState(learning_rate=1e-2)
+    for step in range(300):
+        grads = {k: rng.normal(size=s) * rng.exponential() * (step % 3 != 0)
+                 for k, s in shapes.items()}
+        amsgrad_step(params, grads, state)
+        for k, g in grads.items():
+            m[k] = state.beta1 * m[k] + (1.0 - state.beta1) * g
+            v[k] = state.beta2 * v[k] + (1.0 - state.beta2) * g * g
+            v_hat[k] = np.maximum(v_hat[k], v[k])
+            ref[k] = ref[k] - state.learning_rate * m[k] / (np.sqrt(v_hat[k]) + state.eps)
+    for k in shapes:
+        assert np.array_equal(params[k], ref[k])
+        assert np.array_equal(state.m[k], m[k])
+        assert np.array_equal(state.v_hat[k], v_hat[k])
