@@ -8,7 +8,7 @@ the two scores with AMSGrad and mini-batches of one graph.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,13 +114,6 @@ def mask_columns(features: np.ndarray, schema: FeatureSchema,
     return out
 
 
-def apply_feature_mask(graph: PropagationGraph, schema: FeatureSchema,
-                       active_groups) -> PropagationGraph:
-    """Zero the node-feature slices of inactive groups; topology is untouched."""
-    masked = mask_columns(graph.node_features, schema, active_groups)
-    return replace(graph, node_features=masked)
-
-
 def prepare_graph(graph: PropagationGraph, schema: FeatureSchema,
                   active_groups=FEATURE_GROUPS, key: str | None = None,
                   url_id: str = "") -> PreparedGraph:
@@ -198,13 +191,8 @@ def loss_and_grads(sample: PreparedGraph, params: ModelParams
     }
 
 
-def forward(sample: PreparedGraph | PropagationGraph, params: ModelParams,
-            schema: FeatureSchema | None = None):
+def forward(sample: PreparedGraph, params: ModelParams):
     """Run the network; returns (scores, probabilities, node_embeddings)."""
-    if isinstance(sample, PropagationGraph):
-        if schema is None:
-            raise ValueError("schema required when passing a PropagationGraph")
-        sample = prepare_graph(sample, schema)
     scores, h2, _ = _network_forward(sample.features, sample.edges, params)
     scores = scores.reshape(2)
     return scores, nn.softmax(scores), h2
@@ -264,22 +252,25 @@ def train(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
     best_iteration = 0
     best_arrays = None
 
-    for it in range(1, config.iterations + 1):
-        sample = train_set[rng.integers(len(train_set))]
-        loss, grads = loss_and_grads(sample, params)
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite loss at iteration {it}")
-        loss_trace.append(loss)
-        amsgrad_step(arrays, zero_grads if grads is None else grads, state)
+    # every loss, gradient and score is checked for finiteness, which turns
+    # an overflow into NumericError: numpy's warnings would only repeat it
+    with np.errstate(all="ignore"):
+        for it in range(1, config.iterations + 1):
+            sample = train_set[rng.integers(len(train_set))]
+            loss, grads = loss_and_grads(sample, params)
+            if not np.isfinite(loss):
+                raise NumericError(f"non-finite loss at iteration {it}")
+            loss_trace.append(loss)
+            amsgrad_step(arrays, zero_grads if grads is None else grads, state)
 
-        if it % VALIDATION_EVERY == 0 or it == config.iterations:
-            auc = _validation_auc(val_set, params)
-            if auc is not None:
-                val_trace.append((it, auc))
-                if auc > best_auc:
-                    best_auc = auc
-                    best_iteration = it
-                    best_arrays = params.copy_arrays()
+            if it % VALIDATION_EVERY == 0 or it == config.iterations:
+                auc = _validation_auc(val_set, params)
+                if auc is not None:
+                    val_trace.append((it, auc))
+                    if auc > best_auc:
+                        best_auc = auc
+                        best_iteration = it
+                        best_arrays = params.copy_arrays()
 
     if best_arrays is not None:
         params.load_arrays(best_arrays)
@@ -297,12 +288,8 @@ def user_embeddings(graphs, params: ModelParams, schema: FeatureSchema,
         sample = prepare_graph(graph, schema, active_groups)
         _, _, emb = forward(sample, params)
         for author, row in zip(graph.node_authors, emb):
-            if author in sums:
-                sums[author] += row
-                counts[author] += 1
-            else:
-                sums[author] = row.copy()
-                counts[author] = 1
+            sums[author] = sums[author] + row if author in sums else row
+            counts[author] = counts.get(author, 0) + 1
     return {u: sums[u] / counts[u] for u in sums}
 
 

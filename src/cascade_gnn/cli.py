@@ -1,12 +1,17 @@
 """Command-line interface: one executable, one subcommand per pipeline stage.
 
 Parameters resolve as: explicit flag > JSON config file (--config) >
-CASCADE_GNN_SEED (seed only) > built-in default.  Exit codes: 0 success,
-1 usage error, 2 missing/unreadable dataset, 3 numeric failure.
+CASCADE_GNN_SEED (seed only) > built-in default.  Every command reads its
+config file and seed through ``_config_and_seed``; the six experiment
+commands get the rest of their parameters, and the dataset, as one ``Run``.
+Exit codes: 0 success, 1 usage error (a bad value names its flag or config
+key), 2 missing/unreadable dataset or a malformed dataset line (named by
+file and line), 3 numeric failure.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -15,22 +20,22 @@ import click
 import numpy as np
 
 from . import dataio
-from .classifier import (CheckpointError, ModelConfig, fake_score, forward,
-                         load_checkpoint, save_checkpoint, train, user_embeddings)
-from .dataio import DatasetNotFoundError, cascades_by_url, load_dataset
-from .evalharness import (DEFAULT_MIN_CASCADE_SIZE, aging_protocol,
+from .classifier import (DEFAULT_ITERATIONS, CheckpointError, ModelConfig,
+                         load_checkpoint, save_checkpoint, user_embeddings)
+from .dataio import DatasetFormatError, DatasetNotFoundError, cascades_by_url, load_dataset
+from .evalharness import (DEFAULT_MIN_CASCADE_SIZE, aging_protocol, auc_or_none,
                           backward_feature_selection, build_samples,
                           cross_validate, default_active_groups,
                           diffusion_sweep, estimate_diameter,
-                          fold_label_fractions, fr_layout, mad_mmd, make_folds)
-from .features import FEATURE_GROUPS, default_schema
-from .metrics import roc_auc
+                          fold_label_fractions, fr_layout, mad_mmd, make_folds,
+                          propagation_graphs, split_by_url, train_and_score)
+from .features import FEATURE_GROUPS, FeatureSchema, default_schema
 from .optim import NumericError
-from .propagation import build_propagation_graph, credibility_scores, truncate
+from .propagation import credibility_scores
 from .reports import write_csv, write_json_report
 from .synthgen import (GenConfig, generate_dataset, generate_social_graph,
                        summary_stats)
-from .types import SCOPE_CASCADE, SCOPE_URL
+from .types import SCOPE_CASCADE, SCOPE_URL, CascadeRecord, SocialGraph, UrlStory
 
 SEED_ENV_VAR = "CASCADE_GNN_SEED"
 
@@ -49,77 +54,128 @@ def _load_config_file(path):
     return doc
 
 
-def _resolve(flag_value, file_config: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    if key in file_config:
-        return file_config[key]
-    return default
+def _cast(value, cast, source: str):
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageFailure(f"{source}: {exc}") from None
 
 
-def _resolve_seed(flag_value, file_config: dict, default: int) -> int:
+def _resolve(flag_value, file_config: dict, key: str, default, cast=None, flag=None):
+    """The flag's value, else the config file's ``key``, else ``default``.
+    A value that ``cast`` rejects is a usage error naming the flag or key."""
     if flag_value is not None:
-        return flag_value
-    if "seed" in file_config:
-        return int(file_config["seed"])
+        value, source = flag_value, flag
+    elif key in file_config:
+        value, source = file_config[key], f"config key {key!r}"
+    else:
+        value, source = default, "default"
+    return value if cast is None else _cast(value, cast, source)
+
+
+def _config_and_seed(config_path, seed, default_seed: int = 0) -> tuple[dict, int]:
+    """The --config file's settings, and the seed from the flag, the config
+    file, CASCADE_GNN_SEED or ``default_seed``, in that order."""
+    file_config = _load_config_file(config_path)
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return default
+    if seed is None and "seed" not in file_config and env is not None:
+        return file_config, _cast(env, int, SEED_ENV_VAR)
+    return file_config, _resolve(seed, file_config, "seed", default_seed, int, "--seed")
 
 
-def _parse_hours_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise UsageFailure(f"empty hours range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+def _parse_hours(text) -> tuple[int, ...]:
+    """Whole hours: 'd', or the inclusive range 'a..b'."""
+    text = str(text)
+    lo, sep, hi = text.partition("..")
+    try:
+        lo = int(lo)
+        hi = int(hi) if sep else lo
+    except ValueError:
+        raise ValueError(f"{text!r} is not a whole hour or an 'a..b' range") from None
+    if lo < 0:
+        raise ValueError(f"{text!r}: hours must be non-negative")
+    if hi < lo:
+        raise ValueError(f"empty hours range {text!r}")
+    return tuple(range(lo, hi + 1))
 
 
-def _parse_groups(text):
-    if text is None:
-        return None
-    groups = tuple(g.strip() for g in text.split(",") if g.strip())
+def _positive_int(value) -> int:
+    number = int(value)
+    if number <= 0:
+        raise ValueError(f"must be positive, got {number}")
+    return number
+
+
+def _feature_groups(value) -> tuple[str, ...]:
+    """Active feature groups, comma-separated (flag) or a list (config file)."""
+    if isinstance(value, str):
+        value = [g.strip() for g in value.split(",") if g.strip()]
+    groups = tuple(value)
     unknown = set(groups) - set(FEATURE_GROUPS)
     if unknown:
-        raise UsageFailure(f"unknown feature groups: {sorted(unknown)}; "
-                           f"choose from {', '.join(FEATURE_GROUPS)}")
+        raise ValueError(f"unknown feature groups: {sorted(unknown)}; "
+                         f"choose from {', '.join(FEATURE_GROUPS)}")
+    if not groups:
+        raise ValueError("no feature group given")
     return groups
 
 
-def _load_dataset_or_fail(dataset_dir):
-    try:
-        return load_dataset(dataset_dir)
-    except DatasetNotFoundError:
-        raise
-    except FileNotFoundError as exc:
-        raise DatasetNotFoundError(str(exc))
+@dataclasses.dataclass(frozen=True)
+class Run:
+    """An experiment command's resolved parameters and its loaded dataset."""
+
+    file_config: dict
+    scope: str
+    hours: tuple[int, ...]
+    min_cascade_size: int
+    jobs: int
+    social: SocialGraph
+    stories: list[UrlStory]
+    cascades: list[CascadeRecord]
+    schema: FeatureSchema
+    model: ModelConfig
+
+    @property
+    def last_hour(self) -> float:
+        """The diffusion cap of every command but ``sweep``."""
+        return float(self.hours[-1])
+
+    def samples(self):
+        return build_samples(self.stories, self.cascades, self.social, self.schema,
+                             self.scope, hours=self.last_hour,
+                             min_cascade_size=self.min_cascade_size,
+                             active_groups=self.model.active_groups)
+
+    def echo(self, command: str, **fields) -> dict:
+        """Config echo for report hashing; filesystem paths stay out so the
+        hash depends only on the experiment parameters."""
+        model = {f.name: getattr(self.model, f.name)
+                 for f in dataclasses.fields(self.model) if f.name != "schema"}
+        return {"command": command, "scope": self.scope, "hours": self.last_hour,
+                "min_cascade_size": self.min_cascade_size, "model": model,
+                "seed": self.model.seed, **fields}
 
 
-def _model_config(schema, file_config, scope, seed, iterations, lr, groups):
-    iters_default = 25_000 if scope == SCOPE_URL else 50_000
-    iterations = _resolve(iterations, file_config, "iterations", iters_default)
-    lr = _resolve(lr, file_config, "learning_rate", 5e-4)
-    groups = _parse_groups(groups) or tuple(
-        file_config.get("active_groups", default_active_groups(scope)))
-    return ModelConfig(schema=schema, learning_rate=float(lr),
-                       iterations=int(iterations), seed=int(seed),
-                       active_groups=groups)
-
-
-def _experiment_echo(**kwargs):
-    """Config echo for report hashing; filesystem paths stay out so the
-    hash depends only on the experiment parameters."""
-    echo = {}
-    for key, value in sorted(kwargs.items()):
-        if isinstance(value, ModelConfig):
-            echo[key] = {f.name: getattr(value, f.name)
-                         for f in dataclasses.fields(value) if f.name != "schema"}
-        else:
-            echo[key] = value
-    return echo
+def _resolve_run(config_path, seed, dataset_dir, scope, hours, min_cascade_size,
+                 iterations, lr, groups, jobs, default_hours) -> Run:
+    """Resolve every parameter, then load the dataset."""
+    fc, seed = _config_and_seed(config_path, seed)
+    scope = SCOPE_URL if scope == "url" else SCOPE_CASCADE
+    schema = default_schema()
+    model = ModelConfig(
+        schema=schema, seed=seed,
+        iterations=_resolve(iterations, fc, "iterations", DEFAULT_ITERATIONS[scope],
+                            _positive_int, "--iterations"),
+        learning_rate=_resolve(lr, fc, "learning_rate", 5e-4, float, "--lr"),
+        active_groups=_resolve(groups, fc, "active_groups", default_active_groups(scope),
+                               _feature_groups, "--groups"))
+    hours = _resolve(hours, fc, "hours", default_hours, _parse_hours, "--hours")
+    min_size = _resolve(min_cascade_size, fc, "min_cascade_size",
+                        DEFAULT_MIN_CASCADE_SIZE if scope == SCOPE_CASCADE else 1,
+                        int, "--min-cascade-size")
+    jobs = _resolve(jobs, fc, "jobs", os.cpu_count() or 1, int, "--jobs")
+    social, stories, cascades = load_dataset(dataset_dir)
+    return Run(fc, scope, hours, min_size, jobs, social, stories, cascades, schema, model)
 
 
 common_options = [
@@ -153,23 +209,13 @@ def cli():
 def generate(config_path, seed, out_dir, urls, users, mean_cascades, fake_fraction,
              horizon_days):
     """Write a seeded synthetic dataset plus its statistics report."""
-    fc = _load_config_file(config_path)
-    overrides = {
-        "seed": _resolve_seed(seed, fc, GenConfig.seed),
-        "num_urls": _resolve(urls, fc, "num_urls", GenConfig.num_urls),
-        "num_users": _resolve(users, fc, "num_users", GenConfig.num_users),
-        "mean_cascades_per_url": _resolve(mean_cascades, fc, "mean_cascades_per_url",
-                                          GenConfig.mean_cascades_per_url),
-        "fake_fraction": _resolve(fake_fraction, fc, "fake_fraction", GenConfig.fake_fraction),
-        "time_horizon_days": _resolve(horizon_days, fc, "time_horizon_days",
-                                      GenConfig.time_horizon_days),
-    }
-    gen_fields = {f.name for f in dataclasses.fields(GenConfig)}
-    for key, value in fc.items():
-        if key in gen_fields and key not in overrides:
-            overrides[key] = value
+    fc, seed = _config_and_seed(config_path, seed, GenConfig.seed)
+    flags = {"num_urls": urls, "num_users": users, "mean_cascades_per_url": mean_cascades,
+             "fake_fraction": fake_fraction, "time_horizon_days": horizon_days}
+    settings = {f.name: fc[f.name] for f in dataclasses.fields(GenConfig) if f.name in fc}
+    settings.update({k: v for k, v in flags.items() if v is not None}, seed=seed)
     try:
-        cfg = GenConfig(**{k: v for k, v in overrides.items()})
+        cfg = GenConfig(**settings)
     except (TypeError, ValueError) as exc:
         raise UsageFailure(str(exc))
     social = generate_social_graph(cfg)
@@ -198,36 +244,27 @@ experiment_options = common_options + [
 ]
 
 
-def _experiment_setup(config_path, seed, dataset_dir, scope, hours, min_cascade_size,
-                      iterations, lr, groups, jobs, default_hours="24"):
-    fc = _load_config_file(config_path)
-    scope = SCOPE_URL if scope == "url" else SCOPE_CASCADE
-    seed = _resolve_seed(seed, fc, 0)
-    hours = str(_resolve(hours, fc, "hours", default_hours))
-    min_size = int(_resolve(min_cascade_size, fc, "min_cascade_size",
-                            DEFAULT_MIN_CASCADE_SIZE if scope == SCOPE_CASCADE else 1))
-    jobs = int(_resolve(jobs, fc, "jobs", os.cpu_count() or 1))
-    social, stories, cascades = _load_dataset_or_fail(dataset_dir)
-    schema = default_schema()
-    mc = _model_config(schema, fc, scope, seed, iterations, lr, groups)
-    return fc, scope, hours, min_size, jobs, social, stories, cascades, schema, mc
+def experiment_command(name=None, default_hours="24"):
+    """Register an experiment command: it takes ``experiment_options`` and
+    its own, and is called with the resolved ``Run``, ``out_dir`` and its
+    own options."""
+    def register(fn):
+        @functools.wraps(fn)
+        def command(config_path, seed, dataset_dir, scope, hours, min_cascade_size,
+                    iterations, lr, groups, jobs, **own):
+            fn(_resolve_run(config_path, seed, dataset_dir, scope, hours, min_cascade_size,
+                            iterations, lr, groups, jobs, default_hours), **own)
+        return cli.command(name)(add_options(experiment_options)(command))
+    return register
 
 
-@cli.command()
-@add_options(experiment_options)
-def cv(config_path, seed, dataset_dir, out_dir, scope, hours, min_cascade_size,
-       iterations, lr, groups, jobs):
+@experiment_command()
+def cv(run: Run, out_dir):
     """Grouped 5-fold cross-validation; writes report.json and roc.csv."""
-    (fc, scope, hours, min_size, jobs, social, stories, cascades,
-     schema, mc) = _experiment_setup(config_path, seed, dataset_dir, scope, hours,
-                                     min_cascade_size, iterations, lr, groups, jobs)
-    d = float(_parse_hours_range(hours)[-1])
-    samples = build_samples(stories, cascades, social, schema, scope, hours=d,
-                            min_cascade_size=min_size, active_groups=mc.active_groups)
-    plan = make_folds(stories, seed=mc.seed)
-    result = cross_validate(samples, plan, mc, jobs=jobs)
-    echo = _experiment_echo(command="cv", scope=scope, hours=d, min_cascade_size=min_size,
-                            model=mc, seed=mc.seed)
+    samples = run.samples()
+    plan = make_folds(run.stories, seed=run.model.seed)
+    result = cross_validate(samples, plan, run.model, jobs=run.jobs)
+    echo = run.echo("cv")
     payload = {
         "n_samples": len(samples),
         "fold_aucs": result.fold_aucs,
@@ -235,59 +272,46 @@ def cv(config_path, seed, dataset_dir, out_dir, scope, hours, min_cascade_size,
         "mean_auc": result.mean_auc,
         "std_auc": result.std_auc,
         "pooled_auc": result.pooled_auc,
-        "fold_fake_fractions": fold_label_fractions(plan, stories),
+        "fold_fake_fractions": fold_label_fractions(plan, run.stories),
     }
     write_json_report(os.path.join(out_dir, "report.json"), payload, echo)
     write_csv(os.path.join(out_dir, "roc.csv"), ["fpr", "tpr"],
               result.pooled_roc, echo)
-    click.echo(f"cv {scope} at {d}h: mean AUC {result.mean_auc:.4f} "
+    click.echo(f"cv {run.scope} at {run.last_hour}h: mean AUC {result.mean_auc:.4f} "
                f"± {result.std_auc:.4f} over {plan.k} folds")
 
 
-@cli.command()
-@add_options(experiment_options)
-def sweep(config_path, seed, dataset_dir, out_dir, scope, hours, min_cascade_size,
-          iterations, lr, groups, jobs):
+@experiment_command(default_hours="0..24")
+def sweep(run: Run, out_dir):
     """Diffusion-time sweep; writes auc_vs_hours.csv and report.json."""
-    (fc, scope, hours, min_size, jobs, social, stories, cascades,
-     schema, mc) = _experiment_setup(config_path, seed, dataset_dir, scope, hours,
-                                     min_cascade_size, iterations, lr, groups, jobs,
-                                     default_hours="0..24")
-    d_values = _parse_hours_range(hours)
-    result = diffusion_sweep(stories, cascades, social, schema, mc, scope,
-                             d_values=d_values, min_cascade_size=min_size,
-                             jobs=jobs, active_groups=mc.active_groups)
-    echo = _experiment_echo(command="sweep", scope=scope, hours=d_values,
-                            min_cascade_size=min_size, model=mc, seed=mc.seed)
+    result = diffusion_sweep(run.stories, run.cascades, run.social, run.schema, run.model,
+                             run.scope, d_values=run.hours,
+                             min_cascade_size=run.min_cascade_size, jobs=run.jobs,
+                             active_groups=run.model.active_groups)
+    echo = run.echo("sweep", hours=run.hours)
     rows = [(p.hours, p.mean_auc, p.std_auc, p.coverage) for p in result.points]
     write_csv(os.path.join(out_dir, "auc_vs_hours.csv"),
               ["hours", "mean_auc", "std_auc", "coverage"], rows, echo)
     write_json_report(os.path.join(out_dir, "report.json"),
                       {"points": result.points}, echo)
-    click.echo(f"sweep {scope}: {len(rows)} points, "
+    click.echo(f"sweep {run.scope}: {len(rows)} points, "
                f"AUC {rows[0][1]:.3f} -> {rows[-1][1]:.3f}")
 
 
-@cli.command()
-@add_options(experiment_options)
+@experiment_command()
 @click.option("--window-frac", type=float, default=None)
 @click.option("--min-gap-days", type=float, default=None)
-def aging(config_path, seed, dataset_dir, out_dir, scope, hours, min_cascade_size,
-          iterations, lr, groups, jobs, window_frac, min_gap_days):
+def aging(run: Run, out_dir, window_frac, min_gap_days):
     """Train on the past, evaluate future windows; writes aging.csv."""
-    (fc, scope, hours, min_size, jobs, social, stories, cascades,
-     schema, mc) = _experiment_setup(config_path, seed, dataset_dir, scope, hours,
-                                     min_cascade_size, iterations, lr, groups, jobs)
-    d = float(_parse_hours_range(hours)[-1])
-    wf = float(_resolve(window_frac, fc, "window_frac", 0.25))
-    gap = float(_resolve(min_gap_days, fc, "min_gap_days", 14.0))
-    result = aging_protocol(stories, cascades, social, schema, mc, scope, hours=d,
-                            min_cascade_size=min_size, window_frac=wf,
-                            min_gap_days=gap, jobs=jobs,
-                            active_groups=mc.active_groups)
-    echo = _experiment_echo(command="aging", scope=scope, hours=d,
-                            min_cascade_size=min_size, window_frac=wf,
-                            min_gap_days=gap, model=mc, seed=mc.seed)
+    wf = _resolve(window_frac, run.file_config, "window_frac", 0.25, float, "--window-frac")
+    gap = _resolve(min_gap_days, run.file_config, "min_gap_days", 14.0, float,
+                   "--min-gap-days")
+    result = aging_protocol(run.stories, run.cascades, run.social, run.schema, run.model,
+                            run.scope, hours=run.last_hour,
+                            min_cascade_size=run.min_cascade_size, window_frac=wf,
+                            min_gap_days=gap, jobs=run.jobs,
+                            active_groups=run.model.active_groups)
+    echo = run.echo("aging", window_frac=wf, min_gap_days=gap)
     rows = [(w.start, w.stop, w.mean_date, w.days_from_train, w.iou_with_prev,
              w.auc_diffused, w.auc_source_only, w.auc_cv_reference)
             for w in result.windows]
@@ -297,23 +321,17 @@ def aging(config_path, seed, dataset_dir, out_dir, scope, hours, min_cascade_siz
     write_json_report(os.path.join(out_dir, "report.json"),
                       {"windows": result.windows, "mean_iou": result.mean_iou,
                        "train_mean_date": result.train_mean_date}, echo)
-    click.echo(f"aging {scope}: {len(rows)} windows, mean IoU "
+    click.echo(f"aging {run.scope}: {len(rows)} windows, mean IoU "
                f"{result.mean_iou if result.mean_iou is not None else 'n/a'}")
 
 
-@cli.command()
-@add_options(experiment_options)
-def ablate(config_path, seed, dataset_dir, out_dir, scope, hours, min_cascade_size,
-           iterations, lr, groups, jobs):
+@experiment_command()
+def ablate(run: Run, out_dir):
     """Backward feature selection over the four groups; writes ablation.csv."""
-    (fc, scope, hours, min_size, jobs, social, stories, cascades,
-     schema, mc) = _experiment_setup(config_path, seed, dataset_dir, scope, hours,
-                                     min_cascade_size, iterations, lr, groups, jobs)
-    d = float(_parse_hours_range(hours)[-1])
-    result = backward_feature_selection(stories, cascades, social, schema, mc,
-                                        scope, hours=d, min_cascade_size=min_size)
-    echo = _experiment_echo(command="ablate", scope=scope, hours=d,
-                            min_cascade_size=min_size, model=mc, seed=mc.seed)
+    result = backward_feature_selection(run.stories, run.cascades, run.social, run.schema,
+                                        run.model, run.scope, hours=run.last_hour,
+                                        min_cascade_size=run.min_cascade_size)
+    echo = run.echo("ablate")
     rows = [(len(l.active_groups), "|".join(l.active_groups), l.val_auc, l.test_auc)
             for l in result.levels]
     write_csv(os.path.join(out_dir, "ablation.csv"),
@@ -325,33 +343,17 @@ def ablate(config_path, seed, dataset_dir, out_dir, scope, hours, min_cascade_si
                + ", ".join(result.importance_order))
 
 
-@cli.command("train")
-@add_options(experiment_options)
-def train_cmd(config_path, seed, dataset_dir, out_dir, scope, hours, min_cascade_size,
-              iterations, lr, groups, jobs):
+@experiment_command("train")
+def train_cmd(run: Run, out_dir):
     """Train one model on fold round 0; writes checkpoint.json."""
-    (fc, scope, hours, min_size, jobs, social, stories, cascades,
-     schema, mc) = _experiment_setup(config_path, seed, dataset_dir, scope, hours,
-                                     min_cascade_size, iterations, lr, groups, jobs)
-    d = float(_parse_hours_range(hours)[-1])
-    samples = build_samples(stories, cascades, social, schema, scope, hours=d,
-                            min_cascade_size=min_size, active_groups=mc.active_groups)
-    plan = make_folds(stories, seed=mc.seed)
-    train_ids, val_ids, test_ids = plan.round(0)
-    tr = [s for s in samples if s.url_id in train_ids]
-    va = [s for s in samples if s.url_id in val_ids]
-    te = [s for s in samples if s.url_id in test_ids]
-    result = train(tr, va, mc)
-    test_auc = None
-    if len({s.label for s in te}) == 2:
-        scores = [fake_score(forward(s, result.params)[0]) for s in te]
-        test_auc = roc_auc(scores, [s.label for s in te])[1]
-    echo = _experiment_echo(command="train", scope=scope, hours=d,
-                            min_cascade_size=min_size, model=mc, seed=mc.seed)
+    plan = make_folds(run.stories, seed=run.model.seed)
+    tr, va, te = split_by_url(run.samples(), *plan.round(0))
+    result, scores = train_and_score(tr, va, te, run.model)
+    test_auc = auc_or_none(scores, [s.label for s in te])
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, "checkpoint.json"), result.params,
-                    result.opt_state, seed=mc.seed,
-                    meta={"scope": scope, "hours": d})
+                    result.opt_state, seed=run.model.seed,
+                    meta={"scope": run.scope, "hours": run.last_hour})
     write_json_report(os.path.join(out_dir, "report.json"), {
         "train_size": len(tr), "val_size": len(va), "test_size": len(te),
         "best_iteration": result.best_iteration,
@@ -359,43 +361,29 @@ def train_cmd(config_path, seed, dataset_dir, out_dir, scope, hours, min_cascade
         "test_auc": test_auc,
         "final_loss_mean_100": float(np.mean(result.loss_trace[-100:])),
         "val_auc_trace": result.val_auc_trace,
-    }, echo)
-    click.echo(f"trained {scope} at {d}h: best val AUC "
+    }, run.echo("train"))
+    click.echo(f"trained {run.scope} at {run.last_hour}h: best val AUC "
                f"{result.best_val_auc if result.best_val_auc is not None else 'n/a'}, "
                f"test AUC {test_auc if test_auc is not None else 'n/a'}")
 
 
-@cli.command("export-embeddings")
-@add_options(experiment_options)
+@experiment_command("export-embeddings")
 @click.option("--checkpoint", "checkpoint_path", type=click.Path(), required=True)
-def export_embeddings(config_path, seed, dataset_dir, out_dir, scope, hours,
-                      min_cascade_size, iterations, lr, groups, jobs, checkpoint_path):
+def export_embeddings(run: Run, out_dir, checkpoint_path):
     """Per-user mean convolution embeddings + credibility; embeddings.csv."""
-    (fc, scope, hours, min_size, jobs, social, stories, cascades,
-     schema, mc) = _experiment_setup(config_path, seed, dataset_dir, scope, hours,
-                                     min_cascade_size, iterations, lr, groups, jobs)
-    d = float(_parse_hours_range(hours)[-1])
     if not os.path.isfile(checkpoint_path):
         raise DatasetNotFoundError(f"missing checkpoint: {checkpoint_path}")
     try:
-        params, _, _ = load_checkpoint(checkpoint_path, mc, scope=scope)
+        params, _, _ = load_checkpoint(checkpoint_path, run.model, scope=run.scope)
     except CheckpointError as exc:
         raise UsageFailure(str(exc))
-    by_url = cascades_by_url(cascades)
-    graphs = []
-    for story in sorted(stories, key=lambda s: s.url_id):
-        full = sorted(by_url.get(story.url_id, []), key=lambda c: c.cascade_id)
-        if not full:
-            continue
-        kept = truncate(full, d, reference="story")
-        if kept:
-            graphs.append(build_propagation_graph(story, kept, social, SCOPE_URL,
-                                                  schema, diffusion_window_hours=d))
-    embeddings = user_embeddings(graphs, params, schema, mc.active_groups)
-    credibility = credibility_scores(stories, by_url)
-    echo = _experiment_echo(command="export-embeddings", scope=scope, hours=d,
-                            model=mc, seed=mc.seed)
-    header = ["user_id", "credibility"] + [f"e{k:02d}" for k in range(mc.hidden)]
+    graphs = (graph for _, _, graph in propagation_graphs(
+        run.stories, run.cascades, run.social, run.schema, SCOPE_URL, hours=run.last_hour))
+    embeddings = user_embeddings(graphs, params, run.schema, run.model.active_groups)
+    credibility = credibility_scores(run.stories, cascades_by_url(run.cascades))
+    echo = run.echo("export-embeddings")
+    del echo["min_cascade_size"]  # the export builds url-wise graphs, whatever the scope
+    header = ["user_id", "credibility"] + [f"e{k:02d}" for k in range(run.model.hidden)]
     rows = [(uid, credibility[uid], *embeddings[uid].tolist())
             for uid in sorted(embeddings) if uid in credibility]
     write_csv(os.path.join(out_dir, "embeddings.csv"), header, rows, echo)
@@ -409,17 +397,15 @@ def export_embeddings(config_path, seed, dataset_dir, out_dir, scope, hours,
 @click.option("--iterations", type=int, default=None)
 def layout(config_path, seed, dataset_dir, out_dir, iterations):
     """Force-directed social-graph layout with credibility; layout.csv."""
-    fc = _load_config_file(config_path)
-    seed = _resolve_seed(seed, fc, 0)
-    iters = int(_resolve(iterations, fc, "layout_iterations", 60))
-    social, stories, cascades = _load_dataset_or_fail(dataset_dir)
+    fc, seed = _config_and_seed(config_path, seed)
+    iters = _resolve(iterations, fc, "layout_iterations", 60, int, "--iterations")
+    social, stories, cascades = load_dataset(dataset_dir)
     positions = fr_layout(social, iterations=iters, seed=seed)
     credibility = credibility_scores(stories, cascades_by_url(cascades))
-    echo = _experiment_echo(command="layout", iterations=iters, seed=seed)
     rows = [(uid, positions[uid][0], positions[uid][1], credibility.get(uid))
             for uid in sorted(positions)]
-    write_csv(os.path.join(out_dir, "layout.csv"),
-              ["user_id", "x", "y", "credibility"], rows, echo)
+    write_csv(os.path.join(out_dir, "layout.csv"), ["user_id", "x", "y", "credibility"],
+              rows, {"command": "layout", "iterations": iters, "seed": seed})
     click.echo(f"layout of {len(rows)} users written")
 
 
@@ -431,9 +417,8 @@ def layout(config_path, seed, dataset_dir, out_dir, iterations):
               help="Also compute MAD/MMD over this many URL and cascade samples.")
 def stats(config_path, seed, dataset_dir, out_dir, mad_samples):
     """Dataset statistics report (cascade sizes, label ratio, coverage)."""
-    fc = _load_config_file(config_path)
-    seed = _resolve_seed(seed, fc, 0)
-    social, stories, cascades = _load_dataset_or_fail(dataset_dir)
+    _, seed = _config_and_seed(config_path, seed)
+    social, stories, cascades = load_dataset(dataset_dir)
     st = summary_stats(stories, cascades)
     payload = {"stats": st, "num_follows": len(social.follows)}
     if mad_samples:
@@ -452,9 +437,9 @@ def stats(config_path, seed, dataset_dir, out_dir, mad_samples):
         url_mm = mad_mmd(url_samples, social, unreachable_cap=cap)
         cas_mm = mad_mmd(cas_samples, social, unreachable_cap=cap)
         payload["mad_mmd"] = {"url": url_mm, "cascade": cas_mm}
-    echo = _experiment_echo(command="stats", seed=seed, mad_samples=mad_samples)
     if out_dir:
-        write_json_report(os.path.join(out_dir, "stats.json"), payload, echo)
+        write_json_report(os.path.join(out_dir, "stats.json"), payload,
+                          {"command": "stats", "seed": seed, "mad_samples": mad_samples})
     click.echo(f"urls={st.num_urls} cascades={st.num_cascades} "
                f"fake={st.fake_fraction:.4f} mean_size={st.mean_cascade_size:.3f} "
                f"coverage7h={st.coverage_by_hour[7.0]:.4f}")
@@ -477,10 +462,8 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except DatasetNotFoundError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, DatasetFormatError) as exc:
+        # DatasetNotFoundError is an OSError
         click.echo(f"error: {exc}", err=True)
         return 2
     except NumericError as exc:

@@ -7,6 +7,7 @@ write; everything else round-trips exactly.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -22,6 +23,16 @@ URLS_FILE = "urls.jsonl"
 
 class DatasetNotFoundError(FileNotFoundError):
     pass
+
+
+class DatasetFormatError(ValueError):
+    """A dataset record that cannot be read, named by file and 1-based line."""
+
+    def __init__(self, path, line: int, reason: str):
+        super().__init__(f"{path}, line {line}: {reason}")
+        self.path = path
+        self.line = line
+        self.reason = reason
 
 
 def _round_vec(vec: np.ndarray) -> list[float]:
@@ -97,41 +108,84 @@ def _require(path):
     return path
 
 
+def _require_fields(rec, fields) -> None:
+    if not isinstance(rec, dict):
+        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+    missing = [f for f in fields if f not in rec]
+    if missing:
+        raise ValueError(f"missing field {missing[0]!r}")
+
+
+def _records(path, build):
+    """``build(record)`` for each line of a JSONL file; anything a line
+    cannot be built from raises ``DatasetFormatError`` naming the line."""
+    out = []
+    with open(_require(path), "r", encoding="utf-8") as fh:
+        for line, text in enumerate(fh, 1):
+            try:
+                out.append(build(json.loads(text)))
+            except (TypeError, ValueError) as exc:
+                raise DatasetFormatError(path, line, str(exc)) from None
+    return out
+
+
+_USER_FIELDS = tuple(f.name for f in dataclasses.fields(User))
+_TWEET_FIELDS = tuple(f.name for f in dataclasses.fields(Tweet) if f.name != "cascade_id")
+
+
+def _user(rec) -> User:
+    _require_fields(rec, _USER_FIELDS)
+    rec["description_embedding"] = np.asarray(rec["description_embedding"])
+    return User(**rec)
+
+
+def _cascade(rec) -> CascadeRecord:
+    _require_fields(rec, ("cascade_id", "url_id", "tweets"))
+    tweets = []
+    for k, tr in enumerate(rec["tweets"]):
+        try:
+            _require_fields(tr, _TWEET_FIELDS)
+        except ValueError as exc:
+            raise ValueError(f"tweet {k}: {exc}") from None
+        tr["text_embedding"] = np.asarray(tr["text_embedding"])
+        tr["hashtag_embedding"] = np.asarray(tr["hashtag_embedding"])
+        tweets.append(Tweet(cascade_id=rec["cascade_id"], **tr))
+    return CascadeRecord(rec["cascade_id"], rec["url_id"], tuple(tweets))
+
+
+def _story(rec) -> UrlStory:
+    _require_fields(rec, ("url_id", "label", "first_seen", "cascade_ids"))
+    return UrlStory(rec["url_id"], rec["label"], rec["first_seen"], tuple(rec["cascade_ids"]))
+
+
 def load_dataset(dirpath) -> tuple[SocialGraph, list[UrlStory], list[CascadeRecord]]:
-    users = {}
-    with open(_require(os.path.join(dirpath, USERS_FILE)), "r", encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            rec["description_embedding"] = np.asarray(rec["description_embedding"])
-            users[rec["user_id"]] = User(**rec)
+    """Read a dataset directory.  A record that cannot be read raises
+    ``DatasetFormatError`` with its file and line."""
+    users = {u.user_id: u for u in _records(os.path.join(dirpath, USERS_FILE), _user)}
 
     follows = set()
-    with open(_require(os.path.join(dirpath, FOLLOWS_FILE)), "r", encoding="utf-8", newline="") as fh:
+    path = os.path.join(dirpath, FOLLOWS_FILE)
+    with open(_require(path), "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["follower_id", "followee_id"]:
-            raise ValueError(f"unexpected follows.csv header: {header}")
+            raise DatasetFormatError(path, 1, f"unexpected header {header}")
         for row in reader:
-            follows.add((row[0], row[1]))
+            if len(row) != 2:
+                reason = f"expected 2 fields, got {len(row)}"
+            elif row[0] == row[1]:
+                reason = f"self-follow {row[0]!r}"
+            elif row[0] not in users or row[1] not in users:
+                unknown = row[0] if row[0] not in users else row[1]
+                reason = f"unknown user {unknown!r}"
+            else:
+                follows.add((row[0], row[1]))
+                continue
+            raise DatasetFormatError(path, reader.line_num, reason)
     social = SocialGraph(users=users, follows=frozenset(follows))
 
-    cascades = []
-    with open(_require(os.path.join(dirpath, CASCADES_FILE)), "r", encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            tweets = []
-            for tr in rec["tweets"]:
-                tr["text_embedding"] = np.asarray(tr["text_embedding"])
-                tr["hashtag_embedding"] = np.asarray(tr["hashtag_embedding"])
-                tweets.append(Tweet(cascade_id=rec["cascade_id"], **tr))
-            cascades.append(CascadeRecord(rec["cascade_id"], rec["url_id"], tuple(tweets)))
-
-    stories = []
-    with open(_require(os.path.join(dirpath, URLS_FILE)), "r", encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            stories.append(UrlStory(rec["url_id"], rec["label"], rec["first_seen"],
-                                    tuple(rec["cascade_ids"])))
+    cascades = _records(os.path.join(dirpath, CASCADES_FILE), _cascade)
+    stories = _records(os.path.join(dirpath, URLS_FILE), _story)
     return social, stories, cascades
 
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classifier import (ModelConfig, PreparedGraph, fake_score, forward,
+from .classifier import (ModelConfig, PreparedGraph, TrainResult, fake_score, forward,
                          mask_columns, prepare_graph, train)
+from .dataio import cascades_by_url
 from .features import FEATURE_GROUPS, GROUP_CONTENT, FeatureSchema
 from .metrics import roc_auc
 from .propagation import build_propagation_graph, truncate
@@ -81,55 +82,68 @@ def filter_min_cascade_size(cascades: list[CascadeRecord],
 
 # -- sample construction ------------------------------------------------------
 
-def build_samples(stories: list[UrlStory], cascades: list[CascadeRecord],
-                  social: SocialGraph, schema: FeatureSchema, scope: str,
-                  hours: float = DEFAULT_DIFFUSION_HOURS,
-                  min_cascade_size: int = 1,
-                  active_groups=None) -> list[PreparedGraph]:
-    """Propagation-graph samples at the given diffusion time.
+def propagation_graphs(stories: list[UrlStory], cascades: list[CascadeRecord],
+                       social: SocialGraph, schema: FeatureSchema, scope: str,
+                       hours: float = DEFAULT_DIFFUSION_HOURS, min_cascade_size: int = 1):
+    """Yield ``(key, url_id, graph)`` for every sample at the given diffusion
+    time, in sample order: stories by URL, cascades by ID.
 
     Cascade eligibility (the minimum-size filter) is decided on the full
     cascades; truncation to ``hours`` happens afterwards.  URL-wise
     truncation is measured from the story's first tweet, cascade-wise
     from each cascade's own source.
     """
-    if active_groups is None:
-        active_groups = default_active_groups(scope)
-    by_url: dict[str, list[CascadeRecord]] = {}
-    for cas in cascades:
-        by_url.setdefault(cas.url_id, []).append(cas)
-
-    samples: list[PreparedGraph] = []
+    by_url = cascades_by_url(cascades)
     for story in sorted(stories, key=lambda s: s.url_id):
         full = sorted(by_url.get(story.url_id, []), key=lambda c: c.cascade_id)
         if not full:
             continue
         if scope == SCOPE_URL:
             kept = truncate(full, hours, reference="story")
-            if not kept:
-                continue
-            graph = build_propagation_graph(story, kept, social, SCOPE_URL, schema,
-                                            diffusion_window_hours=hours)
-            samples.append(prepare_graph(graph, schema, active_groups,
-                                         key=story.url_id, url_id=story.url_id))
+            if kept:
+                yield story.url_id, story.url_id, build_propagation_graph(
+                    story, kept, social, SCOPE_URL, schema, diffusion_window_hours=hours)
         elif scope == SCOPE_CASCADE:
-            eligible = filter_min_cascade_size(full, min_cascade_size)
-            for cas in eligible:
+            for cas in filter_min_cascade_size(full, min_cascade_size):
                 kept = truncate([cas], hours, reference="cascade")
-                graph = build_propagation_graph(story, kept, social, SCOPE_CASCADE, schema,
-                                                diffusion_window_hours=hours)
-                samples.append(prepare_graph(graph, schema, active_groups,
-                                             key=cas.cascade_id, url_id=story.url_id))
+                yield cas.cascade_id, story.url_id, build_propagation_graph(
+                    story, kept, social, SCOPE_CASCADE, schema, diffusion_window_hours=hours)
         else:
             raise ValueError(f"unknown scope {scope!r}")
-    return samples
 
 
-def remask_samples(samples: list[PreparedGraph], base_features: dict[str, np.ndarray],
-                   schema: FeatureSchema, active_groups) -> list[PreparedGraph]:
-    """Apply a different group mask to already-built samples."""
-    return [replace(s, features=mask_columns(base_features[s.key], schema, active_groups))
-            for s in samples]
+def build_samples(stories: list[UrlStory], cascades: list[CascadeRecord],
+                  social: SocialGraph, schema: FeatureSchema, scope: str,
+                  hours: float = DEFAULT_DIFFUSION_HOURS,
+                  min_cascade_size: int = 1,
+                  active_groups=None) -> list[PreparedGraph]:
+    """The ``propagation_graphs`` samples, masked to ``active_groups``."""
+    if active_groups is None:
+        active_groups = default_active_groups(scope)
+    return [prepare_graph(graph, schema, active_groups, key=key, url_id=url_id)
+            for key, url_id, graph in propagation_graphs(stories, cascades, social, schema,
+                                                         scope, hours, min_cascade_size)]
+
+
+def split_by_url(samples: list[PreparedGraph], *url_sets) -> tuple[list[PreparedGraph], ...]:
+    """One list per URL set: the samples whose URL is in it, in sample order."""
+    return tuple([s for s in samples if s.url_id in urls] for urls in url_sets)
+
+
+def train_and_score(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
+                    test_set: list[PreparedGraph], config: ModelConfig
+                    ) -> tuple[TrainResult, list[float]]:
+    """Train one model and return it with the fake score of every test sample."""
+    result = train(train_set, val_set, config)
+    with np.errstate(all="ignore"):  # fake_score rejects a non-finite score
+        return result, [fake_score(forward(s, result.params)[0]) for s in test_set]
+
+
+def auc_or_none(scores: list[float], labels: list[int]) -> float | None:
+    """ROC AUC, or None when the labels hold a single class."""
+    if len(set(labels)) < 2:
+        return None
+    return roc_auc(scores, labels)[1]
 
 
 # -- cross-validation ---------------------------------------------------------
@@ -147,9 +161,8 @@ class CvResult:
 
 def _run_cv_round(payload) -> tuple[int, list[tuple[str, float, int]], float | None]:
     r, train_set, val_set, test_set, config = payload
-    result = train(train_set, val_set, config)
-    scored = [(s.key, fake_score(forward(s, result.params)[0]), s.label) for s in test_set]
-    return r, scored, result.best_val_auc
+    result, scores = train_and_score(train_set, val_set, test_set, config)
+    return r, [(s.key, sc, s.label) for s, sc in zip(test_set, scores)], result.best_val_auc
 
 
 def _run_jobs(payloads, jobs: int):
@@ -164,10 +177,7 @@ def cross_validate(samples: list[PreparedGraph], plan: FoldPlan,
     """Grouped k-fold CV: all samples of a URL stay in that URL's fold."""
     payloads = []
     for r in range(plan.k):
-        train_ids, val_ids, test_ids = plan.round(r)
-        train_set = [s for s in samples if s.url_id in train_ids]
-        val_set = [s for s in samples if s.url_id in val_ids]
-        test_set = [s for s in samples if s.url_id in test_ids]
+        train_set, val_set, test_set = split_by_url(samples, *plan.round(r))
         if not train_set or not test_set:
             raise ValueError(f"round {r} has an empty train or test set")
         cfg_r = replace(config, seed=config.seed + r)
@@ -179,7 +189,7 @@ def cross_validate(samples: list[PreparedGraph], plan: FoldPlan,
     for r, scored, val_auc in sorted(_run_jobs(payloads, jobs)):
         fold_scores = [x[1] for x in scored]
         fold_labels = [x[2] for x in scored]
-        fold_aucs.append(_safe_auc(fold_scores, fold_labels))
+        fold_aucs.append(auc_or_none(fold_scores, fold_labels))
         fold_val.append(val_auc)
         for key, sc, lab in scored:
             scores[key] = (sc, lab)
@@ -325,12 +335,6 @@ def make_aging_plan(stories: list[UrlStory], window_frac: float = 0.25,
                      windows=tuple(windows))
 
 
-def _safe_auc(scores: list[float], labels: list[int]) -> float | None:
-    if len(set(labels)) < 2:
-        return None
-    return roc_auc(scores, labels)[1]
-
-
 def aging_protocol(stories, cascades, social, schema, config: ModelConfig,
                    scope: str, hours: float = DEFAULT_DIFFUSION_HOURS,
                    min_cascade_size: int = 1, window_frac: float = 0.25,
@@ -344,30 +348,21 @@ def aging_protocol(stories, cascades, social, schema, config: ModelConfig,
     plan = make_aging_plan(stories, window_frac=window_frac,
                            min_gap_days=min_gap_days, seed=config.seed)
     first_seen = {s.url_id: s.first_seen for s in stories}
-
-    def split(samples):
-        tr = [s for s in samples if s.url_id in set(plan.train_urls)]
-        va = [s for s in samples if s.url_id in set(plan.val_urls)]
-        te = [s for s in samples if s.url_id in set(plan.test_urls)]
-        return tr, va, te
-
+    url_sets = [set(urls) for urls in (plan.train_urls, plan.val_urls, plan.test_urls)]
     diffused, source_only = (build_samples(stories, cascades, social, schema, scope,
                                            hours=h, min_cascade_size=min_cascade_size,
                                            active_groups=active_groups)
                              for h in (hours, 0.0))
-    models = {}
-    tests = {}
+    scores = {}  # series -> sample key -> (fake score, label)
     for label, samples in (("diffused", diffused), ("source_only", source_only)):
-        tr, va, te = split(samples)
+        tr, va, te = split_by_url(samples, *url_sets)
         if not tr or not te:
             raise ValueError("temporal split left an empty train or test set")
-        models[label] = train(tr, va, config)
-        tests[label] = {s.key: (fake_score(forward(s, models[label].params)[0]), s.label, s.url_id)
-                        for s in te}
-
+        _, test_scores = train_and_score(tr, va, te, config)
+        scores[label] = {s.key: (sc, s.label) for s, sc in zip(te, test_scores)}
     cv_plan = make_folds(stories, seed=config.seed)
-    cv = cross_validate(diffused, cv_plan, config, jobs=jobs)
-    key_url = {s.key: s.url_id for s in diffused}
+    scores["cv"] = cross_validate(diffused, cv_plan, config, jobs=jobs).scores
+    key_url = {s.key: s.url_id for s in diffused + source_only}
 
     train_dates = [first_seen[u] for u in plan.train_urls + plan.val_urls]
     train_mean = float(np.mean(train_dates))
@@ -386,13 +381,9 @@ def aging_protocol(stories, cascades, social, schema, config: ModelConfig,
         prev_range = (a, b)
 
         series = {}
-        for label in ("diffused", "source_only"):
-            items = [(sc, lab) for sc, lab, url in tests[label].values() if url in urls]
-            series[label] = _safe_auc([x[0] for x in items], [x[1] for x in items])
-        cv_items = [(sc, lab) for key, (sc, lab) in cv.scores.items()
-                    if key_url[key] in urls]
-        series["cv"] = _safe_auc([x[0] for x in cv_items], [x[1] for x in cv_items])
-
+        for label, scored in scores.items():
+            items = [v for key, v in scored.items() if key_url[key] in urls]
+            series[label] = auc_or_none([sc for sc, _ in items], [lab for _, lab in items])
         windows.append(AgingWindow(
             start=a, stop=b, mean_date=mean_date,
             days_from_train=(mean_date - train_mean) / 86400.0,
@@ -435,19 +426,13 @@ def backward_feature_selection(stories, cascades, social, schema,
     plan = make_folds(stories, seed=config.seed)
     base = build_samples(stories, cascades, social, schema, scope, hours=hours,
                          min_cascade_size=min_cascade_size, active_groups=FEATURE_GROUPS)
-    base_features = {s.key: s.features for s in base}
-    train_ids, val_ids, test_ids = plan.round(0)
 
     def evaluate(active: tuple[str, ...], seed_shift: int):
-        samples = remask_samples(base, base_features, schema, active)
-        tr = [s for s in samples if s.url_id in train_ids]
-        va = [s for s in samples if s.url_id in val_ids]
-        te = [s for s in samples if s.url_id in test_ids]
-        result = train(tr, va, replace(config, seed=config.seed + seed_shift,
-                                       active_groups=active))
-        te_scores = [fake_score(forward(s, result.params)[0]) for s in te]
-        te_labels = [s.label for s in te]
-        return result.best_val_auc, _safe_auc(te_scores, te_labels)
+        samples = [replace(s, features=mask_columns(s.features, schema, active)) for s in base]
+        tr, va, te = split_by_url(samples, *plan.round(0))
+        result, scores = train_and_score(tr, va, te, replace(
+            config, seed=config.seed + seed_shift, active_groups=active))
+        return result.best_val_auc, auc_or_none(scores, [s.label for s in te])
 
     active = tuple(g for g in FEATURE_GROUPS if g in groups)
     levels = []

@@ -223,7 +223,3 @@ class PropagationGraph:
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    @property
-    def feature_width(self) -> int:
-        return self.node_features.shape[1]

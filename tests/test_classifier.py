@@ -4,10 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from cascade_gnn.classifier import (CheckpointError, ModelConfig, apply_feature_mask, fake_score,
-                                    forward, init_params, load_checkpoint,
-                                    mask_columns, prepare_graph, save_checkpoint,
-                                    train, user_embeddings)
+from cascade_gnn.classifier import (CheckpointError, ModelConfig, fake_score, forward,
+                                    init_params, load_checkpoint, mask_columns,
+                                    prepare_graph, save_checkpoint, train, user_embeddings)
 from cascade_gnn.features import FEATURE_GROUPS, default_schema
 from cascade_gnn.nn import hinge_loss
 from cascade_gnn.optim import NumericError, OptimizerState, amsgrad_step
@@ -48,7 +47,7 @@ class TestForward:
     def test_single_node_graph_runs(self):
         g = tiny_graph(n_users=1)
         params = init_params(small_config())
-        scores, probs, emb = forward(g, params, SCHEMA)
+        scores, probs, emb = forward(prepare_graph(g, SCHEMA), params)
         assert scores.shape == (2,) and np.isfinite(scores).all()
         assert emb.shape == (1, 8)
 
@@ -57,7 +56,7 @@ class TestForward:
         for seed in range(100):
             g = tiny_graph(n_users=int(np.random.default_rng(seed).integers(1, 5)),
                            seed=seed)
-            _, probs, _ = forward(g, params, SCHEMA)
+            _, probs, _ = forward(prepare_graph(g, SCHEMA), params)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_node_permutation_leaves_scores(self):
@@ -71,7 +70,7 @@ class TestForward:
         story = make_story("url0", "fake_news", ["c0"])
         g = build_propagation_graph(story, [cas], social, "cascade_wise", SCHEMA)
         params = init_params(small_config(seed=5))
-        base, _, _ = forward(g, params, SCHEMA)
+        base, _, _ = forward(prepare_graph(g, SCHEMA), params)
 
         for k in range(10):
             perm = np.random.default_rng(k).permutation(g.num_nodes)
@@ -104,19 +103,18 @@ class TestForward:
 class TestMasking:
     def test_all_groups_active_is_identity(self):
         g = tiny_graph()
-        masked = apply_feature_mask(g, SCHEMA, FEATURE_GROUPS)
-        assert (masked.node_features == g.node_features).all()
-        assert masked.edges == g.edges
+        masked = mask_columns(g.node_features, SCHEMA, FEATURE_GROUPS)
+        assert (masked == g.node_features).all()
 
     def test_content_masked_zeroes_400_columns(self):
         g = tiny_graph(seed=7)
         active = tuple(gr for gr in FEATURE_GROUPS if gr != "content")
-        masked = apply_feature_mask(g, SCHEMA, active)
+        masked = mask_columns(g.node_features, SCHEMA, active)
         cols = SCHEMA.group_columns("content")
         assert cols.size == 400
-        assert (masked.node_features[:, cols] == 0).all()
+        assert (masked[:, cols] == 0).all()
         others = np.setdiff1d(np.arange(SCHEMA.width), cols)
-        assert (masked.node_features[:, others] == g.node_features[:, others]).all()
+        assert (masked[:, others] == g.node_features[:, others]).all()
 
     def test_masked_features_get_zero_gradient(self):
         g = tiny_graph(label="fake_news", seed=9)
@@ -272,8 +270,8 @@ class TestUserEmbeddings:
         params = init_params(small_config())
         table = user_embeddings([g1, g2], params, SCHEMA)
         assert set(table) == set(g1.node_authors) | set(g2.node_authors)
-        _, _, emb1 = forward(g1, params, SCHEMA)
-        _, _, emb2 = forward(g2, params, SCHEMA)
+        _, _, emb1 = forward(prepare_graph(g1, SCHEMA), params)
+        _, _, emb2 = forward(prepare_graph(g2, SCHEMA), params)
         manual = {}
         counts = {}
         for authors, emb in ((g1.node_authors, emb1), (g2.node_authors, emb2)):

@@ -1,6 +1,10 @@
 """CLI subcommands: flows, file outputs, exit codes, determinism."""
 import filecmp
 import json
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +16,7 @@ GEN_ARGS = ["--users", "150", "--urls", "12", "--mean-cascades", "3"]
 FIXTURE_ARGS = ["--users", "200", "--urls", "30", "--mean-cascades", "3",
                 "--fake-fraction", "0.3"]
 FAST = ["--iterations", "40", "--jobs", "1"]
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +87,6 @@ class TestCv:
         assert "content" not in groups
         assert "user_profile" in groups
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_overflow_exits_three(self, dataset_dir, tmp_path, capsys):
         # the diverged network scores NaN, whose hinge loss is zero: the
         # zero-loss step must still report the failure
@@ -93,8 +96,6 @@ class TestCv:
         assert code == 3
         assert "numeric failure" in err and "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_nan_validation_score_exits_three(self, dataset_dir, tmp_path, capsys):
         # the one training step overflows the parameters; validation, which
         # runs after the last step, is the first to see them and scores NaN
@@ -103,6 +104,20 @@ class TestCv:
         err = capsys.readouterr().err
         assert code == 3
         assert "numeric failure: non-finite score" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_numeric_failure_is_one_stderr_line(self, dataset_dir, tmp_path, jobs):
+        # a fresh interpreter, so numpy's warnings would reach stderr
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC_DIR] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from cascade_gnn.cli import entrypoint; entrypoint()",
+             "cv", "--dataset", str(dataset_dir), "--out", str(tmp_path / "nf"),
+             "--lr", "1e300", "--iterations", "20", "--jobs", jobs, "--seed", "1"],
+            capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure: "), proc.stderr
 
     def test_missing_dataset_exits_two(self, tmp_path):
         code = main(["cv", "--dataset", str(tmp_path / "nope"), "--out",
@@ -267,3 +282,129 @@ class TestUsageAndSeeds:
                      "--users", "60", "--urls", "2", "--mean-cascades", "1"]) == 0
         urls = (out / "urls.jsonl").read_text().strip().splitlines()
         assert len(urls) == 2  # flag overrode the config file
+
+    @pytest.mark.parametrize("args, config, named", [
+        (["--hours", "abc"], None, "--hours"),
+        (["--hours", "-5"], None, "--hours"),
+        (["--hours", "3..x"], None, "--hours"),
+        (["--iterations", "0"], None, "--iterations"),
+        ([], {"jobs": "x"}, "config key 'jobs'"),
+        ([], {"hours": 12.5}, "config key 'hours'"),
+        ([], {"active_groups": ["bogus"]}, "config key 'active_groups'"),
+        ([], {"seed": "s"}, "config key 'seed'"),
+    ])
+    def test_bad_value_is_one_error_line(self, dataset_dir, tmp_path, capsys,
+                                         args, config, named):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            args = args + ["--config", str(path)]
+        # every value is rejected before the dataset loads or a model trains
+        code = main(["cv", "--dataset", str(dataset_dir), "--out", str(tmp_path / "o")] + args)
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+
+    def test_bad_env_seed_is_usage_error(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CASCADE_GNN_SEED", "abc")
+        code = main(["layout", "--dataset", str(dataset_dir), "--out", str(tmp_path / "l"),
+                     "--iterations", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: CASCADE_GNN_SEED") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("small") / "ds"
+    assert main(["generate", "--seed", "5", "--out", str(path)] + GEN_ARGS) == 0
+    return path
+
+
+def _edit_jsonl(edit):
+    def corrupt(lines):
+        rec = json.loads(lines[2])
+        edit(rec)
+        lines[2] = json.dumps(rec)
+    return corrupt
+
+
+def _edit_follow(make_row):
+    def corrupt(lines):
+        lines[2] = make_row(*lines[2].split(","))
+    return corrupt
+
+
+class TestDatasetFormat:
+    """A malformed record exits 2 naming its file and line (line 3 here)."""
+
+    @pytest.mark.parametrize("name, corrupt, reason", [
+        ("urls.jsonl", _edit_jsonl(lambda r: r.update(label="satire")), "'satire'"),
+        ("users.jsonl", _edit_jsonl(lambda r: r.pop("lang")), "missing field 'lang'"),
+        ("cascades.jsonl", _edit_jsonl(lambda r: r.pop("url_id")), "missing field 'url_id'"),
+        ("cascades.jsonl", _edit_jsonl(lambda r: r["tweets"][0].pop("author")),
+         "tweet 0: missing field 'author'"),
+        ("follows.csv", _edit_follow(lambda a, b: f"{a},nobody"), "unknown user 'nobody'"),
+        ("follows.csv", _edit_follow(lambda a, b: f"{a},{a}"), "self-follow"),
+    ])
+    def test_bad_record_exits_two(self, small_dataset, tmp_path, capsys, name, corrupt,
+                                  reason):
+        data = tmp_path / "ds"
+        shutil.copytree(small_dataset, data)
+        lines = (data / name).read_text().splitlines()
+        corrupt(lines)
+        (data / name).write_text("\n".join(lines) + "\n")
+        code = main(["stats", "--dataset", str(data)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{data / name}, line 3: " in err and reason in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+# The config_hash of each command's report on the CLI fixture, recorded
+# before the experiment commands' set-up was merged into one path.  The hash
+# covers only the resolved parameters, so it is the same on every machine.
+PINNED_HASHES = {
+    "cv 0": "3e3b2aa4cdb1e218",
+    "cv 1": "009e116c4a2cc777",
+    "sweep 2": "c0828cca88565ac1",
+    "aging 3": "f17ee539a7bec1b9",
+    "ablate 4": "2489641cafbd21ed",
+    "train 5": "17f69de0420b5f2c",
+    "export-embeddings 6": "a850779df73590e9",
+    "layout 7": "147073d53887cdd1",
+    "stats 8": "2142bc429d5a68cb",
+    "stats 9": "4cea2d92c5b143e8",
+}
+
+
+def _report_hash(path):
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)["config_hash"]
+    return text.splitlines()[0].removeprefix("# config_hash=")
+
+
+def test_config_hashes_are_pinned(dataset_dir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"learning_rate": 0.001, "hours": 12, "jobs": 1}))
+    fast = ["--seed", "3", "--iterations", "5", "--jobs", "1"]
+    runs = [
+        ("cv", ["--scope", "cascade", "--min-cascade-size", "2"] + fast, "report.json"),
+        ("cv", ["--config", str(cfg), "--seed", "4", "--iterations", "5"], "roc.csv"),
+        ("sweep", ["--hours", "23..24"] + fast, "auc_vs_hours.csv"),
+        ("aging", ["--window-frac", "0.3"] + fast, "report.json"),
+        ("ablate", ["--lr", "0.002", "--iterations", "3", "--seed", "3"], "ablation.csv"),
+        ("train", fast, "report.json"),
+        ("export-embeddings", ["--checkpoint", str(tmp_path / "5" / "checkpoint.json"),
+                               "--hours", "12"] + fast, "embeddings.csv"),
+        ("layout", ["--iterations", "2", "--seed", "2"], "layout.csv"),
+        ("stats", ["--seed", "2"], "stats.json"),
+        ("stats", ["--mad-samples", "3"], "stats.json"),
+    ]
+    hashes = {}
+    for k, (command, args, report) in enumerate(runs):
+        out = tmp_path / str(k)
+        assert main([command, "--dataset", str(dataset_dir), "--out", str(out)] + args) == 0
+        hashes[f"{command} {k}"] = _report_hash(out / report)
+    assert hashes == PINNED_HASHES
