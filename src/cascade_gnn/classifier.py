@@ -7,8 +7,9 @@ the two scores with AMSGrad and mini-batches of one graph.
 """
 from __future__ import annotations
 
+import bisect
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,7 +17,8 @@ from . import autograd as ag
 from . import nn
 from .autograd import Tensor
 from .features import FEATURE_GROUPS, FeatureSchema
-from .metrics import roc_auc
+# roc_auc stays a module global: perfbench/traced.py times it through this module
+from .metrics import auc_or_none, roc_auc  # noqa: F401
 from .nn import EdgeArrays, GatParams, build_edge_arrays
 from .optim import NumericError, OptimizerState, amsgrad_step
 from .types import LABEL_FAKE, PropagationGraph
@@ -96,13 +98,28 @@ def init_params(config: ModelConfig) -> ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class PreparedGraph:
-    """One training/eval sample: masked features plus directed edge arrays."""
+    """One training/eval sample: masked features, directed edge arrays, node times and authors."""
 
     key: str
     url_id: str
     features: np.ndarray
     edges: EdgeArrays
     label: int  # 0 true, 1 fake
+    times: tuple[float, ...] = ()
+    authors: tuple[str, ...] = ()
+
+    def prefix(self, hours: float) -> PreparedGraph:
+        """The sample cut ``hours`` after ``times[0]``, the time ``truncate`` measures
+        from: nodes are in time order, so the cut is a node prefix and equals
+        a fresh build at ``hours``."""
+        n = bisect.bisect_right(self.times, self.times[0] + hours * 3600.0)
+        if n == len(self.times):
+            return self
+        e = self.edges
+        keep = (e.src < n) & (e.dst < n)
+        return replace(self, features=self.features[:n],
+                       edges=EdgeArrays(e.src[keep], e.dst[keep], e.flags[keep], n),
+                       times=self.times[:n], authors=self.authors[:n])
 
 
 def mask_columns(features: np.ndarray, schema: FeatureSchema,
@@ -123,6 +140,8 @@ def prepare_graph(graph: PropagationGraph, schema: FeatureSchema,
         features=mask_columns(graph.node_features, schema, active_groups),
         edges=build_edge_arrays(graph.num_nodes, graph.edges),
         label=int(graph.label == LABEL_FAKE),
+        times=graph.node_times,
+        authors=graph.node_authors,
     )
 
 
@@ -221,11 +240,8 @@ class TrainResult:
 
 
 def _validation_auc(val: list[PreparedGraph], params: ModelParams) -> float | None:
-    labels = [s.label for s in val]
-    if len(set(labels)) < 2:
-        return None
-    scores = [fake_score(forward(s, params)[0]) for s in val]
-    return roc_auc(scores, labels)[1]
+    return auc_or_none((fake_score(forward(s, params)[0]) for s in val),
+                       [s.label for s in val])
 
 
 def train(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
@@ -278,16 +294,14 @@ def train(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
     return TrainResult(params, loss_trace, val_trace, config.iterations, None, state)
 
 
-def user_embeddings(graphs, params: ModelParams, schema: FeatureSchema,
-                    active_groups=FEATURE_GROUPS) -> dict[str, np.ndarray]:
+def user_embeddings(samples: list[PreparedGraph], params: ModelParams) -> dict[str, np.ndarray]:
     """Mean of each user's node embeddings (last convolution output)
-    across all given propagation graphs."""
+    across all given samples."""
     sums: dict[str, np.ndarray] = {}
     counts: dict[str, int] = {}
-    for graph in graphs:
-        sample = prepare_graph(graph, schema, active_groups)
+    for sample in samples:
         _, _, emb = forward(sample, params)
-        for author, row in zip(graph.node_authors, emb):
+        for author, row in zip(sample.authors, emb):
             sums[author] = sums[author] + row if author in sums else row
             counts[author] = counts.get(author, 0) + 1
     return {u: sums[u] / counts[u] for u in sums}

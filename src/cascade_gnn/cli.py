@@ -5,8 +5,9 @@ CASCADE_GNN_SEED (seed only) > built-in default.  Every command reads its
 config file and seed through ``_config_and_seed``; the six experiment
 commands get the rest of their parameters, and the dataset, as one ``Run``.
 Exit codes: 0 success, 1 usage error (a bad value names its flag or config
-key), 2 missing/unreadable dataset or a malformed dataset line (named by
-file and line), 3 numeric failure.
+key) or data that an experiment protocol cannot run on, 2 missing/unreadable
+dataset or a malformed or inconsistent dataset line (named by file and
+line), 3 numeric failure.
 """
 from __future__ import annotations
 
@@ -23,13 +24,14 @@ from . import dataio
 from .classifier import (DEFAULT_ITERATIONS, CheckpointError, ModelConfig,
                          load_checkpoint, save_checkpoint, user_embeddings)
 from .dataio import DatasetFormatError, DatasetNotFoundError, cascades_by_url, load_dataset
-from .evalharness import (DEFAULT_MIN_CASCADE_SIZE, aging_protocol, auc_or_none,
+from .evalharness import (DEFAULT_MIN_CASCADE_SIZE, ProtocolError, aging_protocol,
                           backward_feature_selection, build_samples,
                           cross_validate, default_active_groups,
                           diffusion_sweep, estimate_diameter,
                           fold_label_fractions, fr_layout, mad_mmd, make_folds,
-                          propagation_graphs, split_by_url, train_and_score)
+                          split_by_url, train_and_score)
 from .features import FEATURE_GROUPS, FeatureSchema, default_schema
+from .metrics import auc_or_none
 from .optim import NumericError
 from .propagation import credibility_scores
 from .reports import write_csv, write_json_report
@@ -103,6 +105,13 @@ def _positive_int(value) -> int:
     number = int(value)
     if number <= 0:
         raise ValueError(f"must be positive, got {number}")
+    return number
+
+
+def _fraction(value) -> float:
+    number = float(value)
+    if not 0.0 < number <= 1.0:
+        raise ValueError(f"must be in (0, 1], got {number}")
     return number
 
 
@@ -303,7 +312,8 @@ def sweep(run: Run, out_dir):
 @click.option("--min-gap-days", type=float, default=None)
 def aging(run: Run, out_dir, window_frac, min_gap_days):
     """Train on the past, evaluate future windows; writes aging.csv."""
-    wf = _resolve(window_frac, run.file_config, "window_frac", 0.25, float, "--window-frac")
+    wf = _resolve(window_frac, run.file_config, "window_frac", 0.25, _fraction,
+                  "--window-frac")
     gap = _resolve(min_gap_days, run.file_config, "min_gap_days", 14.0, float,
                    "--min-gap-days")
     result = aging_protocol(run.stories, run.cascades, run.social, run.schema, run.model,
@@ -377,9 +387,9 @@ def export_embeddings(run: Run, out_dir, checkpoint_path):
         params, _, _ = load_checkpoint(checkpoint_path, run.model, scope=run.scope)
     except CheckpointError as exc:
         raise UsageFailure(str(exc))
-    graphs = (graph for _, _, graph in propagation_graphs(
-        run.stories, run.cascades, run.social, run.schema, SCOPE_URL, hours=run.last_hour))
-    embeddings = user_embeddings(graphs, params, run.schema, run.model.active_groups)
+    samples = build_samples(run.stories, run.cascades, run.social, run.schema, SCOPE_URL,
+                            hours=run.last_hour, active_groups=run.model.active_groups)
+    embeddings = user_embeddings(samples, params)
     credibility = credibility_scores(run.stories, cascades_by_url(run.cascades))
     echo = run.echo("export-embeddings")
     del echo["min_cascade_size"]  # the export builds url-wise graphs, whatever the scope
@@ -398,7 +408,7 @@ def export_embeddings(run: Run, out_dir, checkpoint_path):
 def layout(config_path, seed, dataset_dir, out_dir, iterations):
     """Force-directed social-graph layout with credibility; layout.csv."""
     fc, seed = _config_and_seed(config_path, seed)
-    iters = _resolve(iterations, fc, "layout_iterations", 60, int, "--iterations")
+    iters = _resolve(iterations, fc, "layout_iterations", 60, _positive_int, "--iterations")
     social, stories, cascades = load_dataset(dataset_dir)
     positions = fr_layout(social, iterations=iters, seed=seed)
     credibility = credibility_scores(stories, cascades_by_url(cascades))
@@ -418,6 +428,8 @@ def layout(config_path, seed, dataset_dir, out_dir, iterations):
 def stats(config_path, seed, dataset_dir, out_dir, mad_samples):
     """Dataset statistics report (cascade sizes, label ratio, coverage)."""
     _, seed = _config_and_seed(config_path, seed)
+    if mad_samples is not None and (mad_samples < 0 or mad_samples == 1):
+        raise UsageFailure(f"--mad-samples: must be 0 (skip) or at least 2, got {mad_samples}")
     social, stories, cascades = load_dataset(dataset_dir)
     st = summary_stats(stories, cascades)
     payload = {"stats": st, "num_follows": len(social.follows)}
@@ -451,6 +463,9 @@ def main(argv=None) -> int:
         return 0
     except UsageFailure as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
+        return 1
+    except ProtocolError as exc:
+        click.echo(f"error: {exc}", err=True)
         return 1
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)

@@ -116,16 +116,21 @@ def _require_fields(rec, fields) -> None:
         raise ValueError(f"missing field {missing[0]!r}")
 
 
-def _records(path, build):
-    """``build(record)`` for each line of a JSONL file; anything a line
-    cannot be built from raises ``DatasetFormatError`` naming the line."""
-    out = []
+def _records(path, build, id_field: str) -> dict:
+    """``build(record)`` for each line of a JSONL file, keyed by its
+    ``id_field`` in file order, with the line number; a line that cannot be
+    built from, or that repeats an ID, raises ``DatasetFormatError``."""
+    out = {}
     with open(_require(path), "r", encoding="utf-8") as fh:
         for line, text in enumerate(fh, 1):
             try:
-                out.append(build(json.loads(text)))
+                rec = build(json.loads(text))
             except (TypeError, ValueError) as exc:
                 raise DatasetFormatError(path, line, str(exc)) from None
+            key = getattr(rec, id_field)
+            if key in out:
+                raise DatasetFormatError(path, line, f"duplicate {id_field} {key!r}")
+            out[key] = (line, rec)
     return out
 
 
@@ -159,9 +164,12 @@ def _story(rec) -> UrlStory:
 
 
 def load_dataset(dirpath) -> tuple[SocialGraph, list[UrlStory], list[CascadeRecord]]:
-    """Read a dataset directory.  A record that cannot be read raises
-    ``DatasetFormatError`` with its file and line."""
-    users = {u.user_id: u for u in _records(os.path.join(dirpath, USERS_FILE), _user)}
+    """Read a dataset directory.  A record that cannot be read, a repeated
+    user, cascade, tweet or URL ID, a tweet by an unknown user, a cascade
+    of an unknown story and a story whose ``cascade_ids`` disagree with the
+    cascades raise ``DatasetFormatError`` with the file and line."""
+    users = {uid: u for uid, (_, u) in
+             _records(os.path.join(dirpath, USERS_FILE), _user, "user_id").items()}
 
     follows = set()
     path = os.path.join(dirpath, FOLLOWS_FILE)
@@ -184,9 +192,32 @@ def load_dataset(dirpath) -> tuple[SocialGraph, list[UrlStory], list[CascadeReco
             raise DatasetFormatError(path, reader.line_num, reason)
     social = SocialGraph(users=users, follows=frozenset(follows))
 
-    cascades = _records(os.path.join(dirpath, CASCADES_FILE), _cascade)
-    stories = _records(os.path.join(dirpath, URLS_FILE), _story)
-    return social, stories, cascades
+    cas_path, url_path = os.path.join(dirpath, CASCADES_FILE), os.path.join(dirpath, URLS_FILE)
+    cascades = _records(cas_path, _cascade, "cascade_id")
+    stories = _records(url_path, _story, "url_id")
+    tweet_ids: set[str] = set()
+    cascade_ids: dict[str, set[str]] = {}  # url_id -> its cascades
+    for line, cas in cascades.values():
+        for t in cas.tweets:
+            if t.tweet_id in tweet_ids:
+                raise DatasetFormatError(cas_path, line, f"duplicate tweet_id {t.tweet_id!r}")
+            if t.author not in users:
+                raise DatasetFormatError(cas_path, line, f"tweet {t.tweet_id!r}: unknown "
+                                         f"author {t.author!r}")
+            tweet_ids.add(t.tweet_id)
+        if cas.url_id not in stories:
+            raise DatasetFormatError(cas_path, line, f"url_id {cas.url_id!r} names no story")
+        cascade_ids.setdefault(cas.url_id, set()).add(cas.cascade_id)
+    for url_id, (line, story) in stories.items():
+        listed = story.cascade_ids
+        odd = sorted(set(listed) ^ cascade_ids.get(url_id, set()))
+        if odd:
+            raise DatasetFormatError(url_path, line, f"cascade_ids and {CASCADES_FILE} "
+                                     f"disagree on cascade {odd[0]!r}")
+        if len(set(listed)) != len(listed):
+            raise DatasetFormatError(url_path, line, "cascade_ids lists a cascade twice")
+    return (social, [story for _, story in stories.values()],
+            [cas for _, cas in cascades.values()])
 
 
 def cascades_by_url(cascades: list[CascadeRecord]) -> dict[str, list[CascadeRecord]]:

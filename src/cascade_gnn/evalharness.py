@@ -18,13 +18,17 @@ from .classifier import (ModelConfig, PreparedGraph, TrainResult, fake_score, fo
                          mask_columns, prepare_graph, train)
 from .dataio import cascades_by_url
 from .features import FEATURE_GROUPS, GROUP_CONTENT, FeatureSchema
-from .metrics import roc_auc
+from .metrics import auc_or_none, roc_auc
 from .propagation import build_propagation_graph, truncate
 from .types import (CascadeRecord, SCOPE_CASCADE, SCOPE_URL, SocialGraph,
                     UrlStory)
 
 DEFAULT_MIN_CASCADE_SIZE = 6
 DEFAULT_DIFFUSION_HOURS = 24.0
+
+
+class ProtocolError(ValueError):
+    """The data does not meet a precondition of an experiment protocol."""
 
 
 def default_active_groups(scope: str) -> tuple[str, ...]:
@@ -62,7 +66,7 @@ class FoldPlan:
 def make_folds(stories: list[UrlStory], k: int = 5, seed: int = 0) -> FoldPlan:
     """Shuffle URLs with the seed and partition into k near-equal folds."""
     if len(stories) < k:
-        raise ValueError(f"need at least {k} URLs, got {len(stories)}")
+        raise ProtocolError(f"need at least {k} URLs, got {len(stories)}")
     ids = sorted(s.url_id for s in stories)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 23)))
     rng.shuffle(ids)
@@ -82,47 +86,39 @@ def filter_min_cascade_size(cascades: list[CascadeRecord],
 
 # -- sample construction ------------------------------------------------------
 
-def propagation_graphs(stories: list[UrlStory], cascades: list[CascadeRecord],
-                       social: SocialGraph, schema: FeatureSchema, scope: str,
-                       hours: float = DEFAULT_DIFFUSION_HOURS, min_cascade_size: int = 1):
-    """Yield ``(key, url_id, graph)`` for every sample at the given diffusion
-    time, in sample order: stories by URL, cascades by ID.
-
-    Cascade eligibility (the minimum-size filter) is decided on the full
-    cascades; truncation to ``hours`` happens afterwards.  URL-wise
-    truncation is measured from the story's first tweet, cascade-wise
-    from each cascade's own source.
-    """
-    by_url = cascades_by_url(cascades)
-    for story in sorted(stories, key=lambda s: s.url_id):
-        full = sorted(by_url.get(story.url_id, []), key=lambda c: c.cascade_id)
-        if not full:
-            continue
-        if scope == SCOPE_URL:
-            kept = truncate(full, hours, reference="story")
-            if kept:
-                yield story.url_id, story.url_id, build_propagation_graph(
-                    story, kept, social, SCOPE_URL, schema, diffusion_window_hours=hours)
-        elif scope == SCOPE_CASCADE:
-            for cas in filter_min_cascade_size(full, min_cascade_size):
-                kept = truncate([cas], hours, reference="cascade")
-                yield cas.cascade_id, story.url_id, build_propagation_graph(
-                    story, kept, social, SCOPE_CASCADE, schema, diffusion_window_hours=hours)
-        else:
-            raise ValueError(f"unknown scope {scope!r}")
-
-
 def build_samples(stories: list[UrlStory], cascades: list[CascadeRecord],
                   social: SocialGraph, schema: FeatureSchema, scope: str,
                   hours: float = DEFAULT_DIFFUSION_HOURS,
                   min_cascade_size: int = 1,
                   active_groups=None) -> list[PreparedGraph]:
-    """The ``propagation_graphs`` samples, masked to ``active_groups``."""
+    """Every sample at the given diffusion time, masked to ``active_groups``,
+    in sample order: stories by URL, cascades by ID.
+
+    Cascade eligibility (the minimum-size filter) is decided on the full
+    cascades; truncation to ``hours`` happens afterwards.  URL-wise
+    truncation is measured from the story's first tweet, cascade-wise
+    from each cascade's own source.  A sample's ``prefix(d)`` for any
+    ``d <= hours`` equals the sample built at ``d``.
+    """
+    if scope not in (SCOPE_URL, SCOPE_CASCADE):
+        raise ValueError(f"unknown scope {scope!r}")
     if active_groups is None:
         active_groups = default_active_groups(scope)
-    return [prepare_graph(graph, schema, active_groups, key=key, url_id=url_id)
-            for key, url_id, graph in propagation_graphs(stories, cascades, social, schema,
-                                                         scope, hours, min_cascade_size)]
+    by_url = cascades_by_url(cascades)
+    samples = []
+    for story in sorted(stories, key=lambda s: s.url_id):
+        full = sorted(by_url.get(story.url_id, []), key=lambda c: c.cascade_id)
+        if scope == SCOPE_URL:
+            groups = [(story.url_id, truncate(full, hours, reference="story"))]
+        else:
+            groups = [(cas.cascade_id, truncate([cas], hours, reference="cascade"))
+                      for cas in filter_min_cascade_size(full, min_cascade_size)]
+        for key, kept in groups:
+            if kept:
+                graph = build_propagation_graph(story, kept, social, scope, schema)
+                samples.append(prepare_graph(graph, schema, active_groups, key=key,
+                                             url_id=story.url_id))
+    return samples
 
 
 def split_by_url(samples: list[PreparedGraph], *url_sets) -> tuple[list[PreparedGraph], ...]:
@@ -137,13 +133,6 @@ def train_and_score(train_set: list[PreparedGraph], val_set: list[PreparedGraph]
     result = train(train_set, val_set, config)
     with np.errstate(all="ignore"):  # fake_score rejects a non-finite score
         return result, [fake_score(forward(s, result.params)[0]) for s in test_set]
-
-
-def auc_or_none(scores: list[float], labels: list[int]) -> float | None:
-    """ROC AUC, or None when the labels hold a single class."""
-    if len(set(labels)) < 2:
-        return None
-    return roc_auc(scores, labels)[1]
 
 
 # -- cross-validation ---------------------------------------------------------
@@ -179,7 +168,7 @@ def cross_validate(samples: list[PreparedGraph], plan: FoldPlan,
     for r in range(plan.k):
         train_set, val_set, test_set = split_by_url(samples, *plan.round(r))
         if not train_set or not test_set:
-            raise ValueError(f"round {r} has an empty train or test set")
+            raise ProtocolError(f"round {r} has no train or test sample; lower --min-cascade-size")
         cfg_r = replace(config, seed=config.seed + r)
         payloads.append((r, train_set, val_set, test_set, cfg_r))
 
@@ -195,7 +184,7 @@ def cross_validate(samples: list[PreparedGraph], plan: FoldPlan,
             scores[key] = (sc, lab)
     defined = [a for a in fold_aucs if a is not None]
     if not defined:
-        raise ValueError("every fold's test set was single-class; AUC undefined")
+        raise ProtocolError("every fold's test set was single-class; AUC undefined")
     all_scores = [v[0] for v in scores.values()]
     all_labels = [v[1] for v in scores.values()]
     pooled_roc, pooled_auc = roc_auc(all_scores, all_labels)
@@ -228,7 +217,8 @@ def diffusion_sweep(stories, cascades, social, schema, config: ModelConfig,
                     scope: str, d_values=None, min_cascade_size: int = 1,
                     plan: FoldPlan | None = None, jobs: int = 1,
                     active_groups=None) -> SweepResult:
-    """Truncate, train and cross-validate separately for each diffusion time.
+    """Train and cross-validate separately for each diffusion time, on samples
+    built once at the latest hour (24 h at least) and cut to each d by ``prefix``.
 
     One fold plan is shared across all d values so the AUC series is
     comparable point to point.
@@ -238,21 +228,15 @@ def diffusion_sweep(stories, cascades, social, schema, config: ModelConfig,
     if plan is None:
         plan = make_folds(stories, seed=config.seed)
     base = build_samples(stories, cascades, social, schema, scope,
-                         hours=DEFAULT_DIFFUSION_HOURS,
+                         hours=float(max([DEFAULT_DIFFUSION_HOURS, *d_values])),
                          min_cascade_size=min_cascade_size,
                          active_groups=active_groups)
-    base_nodes = {s.key: s.features.shape[0] for s in base}
-    total_24h = sum(base_nodes.values())
+    total_24h = sum(len(s.prefix(DEFAULT_DIFFUSION_HOURS).times) for s in base)
 
     points = []
     for d in d_values:
-        if float(d) == DEFAULT_DIFFUSION_HOURS:
-            samples = base
-        else:
-            samples = build_samples(stories, cascades, social, schema, scope,
-                                    hours=float(d), min_cascade_size=min_cascade_size,
-                                    active_groups=active_groups)
-        retained = sum(s.features.shape[0] for s in samples)
+        samples = [s.prefix(d) for s in base]
+        retained = sum(len(s.times) for s in samples)
         cv = cross_validate(samples, plan, config, jobs=jobs)
         points.append(SweepPoint(hours=float(d), mean_auc=cv.mean_auc,
                                  std_auc=cv.std_auc,
@@ -275,9 +259,10 @@ class AgingPlan:
         n = len(self.test_urls)
         for a, b in self.windows:
             if not (0 <= a < b <= n):
-                raise ValueError(f"window ({a}, {b}) out of range")
+                raise ProtocolError(f"window ({a}, {b}) out of range of {n} test URLs")
             if (b - a) < 0.2 * n:
-                raise ValueError(f"window ({a}, {b}) smaller than 20% of the test set")
+                raise ProtocolError(f"window ({a}, {b}) under 20% of {n} test URLs; "
+                                    "raise --window-frac")
 
 
 @dataclass
@@ -309,7 +294,7 @@ def make_aging_plan(stories: list[UrlStory], window_frac: float = 0.25,
     n = len(ordered)
     n_test = n - int(round(0.8 * n))
     if n_test < 5:
-        raise ValueError("test span too short to build aging windows")
+        raise ProtocolError(f"test span of {n_test} URLs too short to build aging windows")
     past, future = ordered[:n - n_test], ordered[n - n_test:]
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 31)))
@@ -349,20 +334,20 @@ def aging_protocol(stories, cascades, social, schema, config: ModelConfig,
                            min_gap_days=min_gap_days, seed=config.seed)
     first_seen = {s.url_id: s.first_seen for s in stories}
     url_sets = [set(urls) for urls in (plan.train_urls, plan.val_urls, plan.test_urls)]
-    diffused, source_only = (build_samples(stories, cascades, social, schema, scope,
-                                           hours=h, min_cascade_size=min_cascade_size,
-                                           active_groups=active_groups)
-                             for h in (hours, 0.0))
+    diffused = build_samples(stories, cascades, social, schema, scope, hours=hours,
+                             min_cascade_size=min_cascade_size, active_groups=active_groups)
     scores = {}  # series -> sample key -> (fake score, label)
-    for label, samples in (("diffused", diffused), ("source_only", source_only)):
+    for label, samples in (("diffused", diffused),
+                           ("source_only", [s.prefix(0.0) for s in diffused])):
         tr, va, te = split_by_url(samples, *url_sets)
         if not tr or not te:
-            raise ValueError("temporal split left an empty train or test set")
+            raise ProtocolError("temporal split left no train or test sample; "
+                                "lower --min-cascade-size")
         _, test_scores = train_and_score(tr, va, te, config)
         scores[label] = {s.key: (sc, s.label) for s, sc in zip(te, test_scores)}
     cv_plan = make_folds(stories, seed=config.seed)
     scores["cv"] = cross_validate(diffused, cv_plan, config, jobs=jobs).scores
-    key_url = {s.key: s.url_id for s in diffused + source_only}
+    key_url = {s.key: s.url_id for s in diffused}
 
     train_dates = [first_seen[u] for u in plan.train_urls + plan.val_urls]
     train_mean = float(np.mean(train_dates))
@@ -518,7 +503,7 @@ def mad_mmd(samples: list[list[str]], social: SocialGraph,
             continue
         kept.append(users)
     if len(kept) < 2:
-        raise ValueError("need at least two non-empty samples")
+        raise ProtocolError("need at least two non-empty samples")
     if unreachable_cap is None:
         unreachable_cap = estimate_diameter(social) + 1
     adj = _undirected_adjacency(social)

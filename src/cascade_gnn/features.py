@@ -166,13 +166,6 @@ def encode_node_features(tweet: Tweet, user: User, cascade_root_time: float,
     return out
 
 
-def encode_edge_features(i_follows_j: bool, j_follows_i: bool,
-                         spread_i_to_j: bool, spread_j_to_i: bool) -> np.ndarray:
-    """4-vector of relation memberships in the fixed flag order."""
-    return np.array([float(i_follows_j), float(j_follows_i),
-                     float(spread_i_to_j), float(spread_j_to_i)])
-
-
 def load_word_vectors(path) -> dict[str, np.ndarray]:
     """Read a plain-text word-vector file: ``token v1 ... v200`` per line."""
     table = {}

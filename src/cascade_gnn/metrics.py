@@ -48,3 +48,14 @@ def roc_auc(scores, labels) -> tuple[list[tuple[float, float]], float]:
         points.append((fpr, tpr))
         k = j
     return points, auc
+
+
+def auc_or_none(scores, labels) -> float | None:
+    """ROC AUC, or None when the labels hold a single class.
+
+    ``scores`` may be an iterator: it is consumed only when the AUC is
+    defined, so a caller can skip scoring a single-class set.
+    """
+    if len(set(labels)) < 2:
+        return None
+    return roc_auc(list(scores), labels)[1]

@@ -9,8 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from .features import FeatureSchema, encode_node_features
-from .types import (CascadeRecord, PropagationGraph, SCOPE_CASCADE, SCOPE_URL,
-                    SocialGraph, SpreadingTree, Tweet, UrlStory)
+from .types import (FLAG_I_FOLLOWS_J, FLAG_J_FOLLOWS_I, FLAG_SPREAD_I_TO_J, CascadeRecord,
+                    PropagationGraph, SCOPE_CASCADE, SCOPE_URL, SocialGraph, SpreadingTree,
+                    Tweet, UrlStory)
 
 
 def estimate_spreading_tree(cascade: CascadeRecord, social: SocialGraph) -> SpreadingTree:
@@ -107,14 +108,15 @@ def credibility_scores(stories, cascades_by_url) -> dict[str, float]:
 
 
 def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
-                            social: SocialGraph, scope: str, schema: FeatureSchema,
-                            diffusion_window_hours: float = 24.0) -> PropagationGraph:
+                            social: SocialGraph, scope: str,
+                            schema: FeatureSchema) -> PropagationGraph:
     """Tweets as nodes; an edge wherever any of the four relations holds.
 
     ``scope="url_wise"`` takes all given cascades of the story,
     ``scope="cascade_wise"`` exactly one.  Spreading flags come from the
     per-cascade spreading trees, follow flags from the social graph; each
-    unordered pair is stored once with merged flags.
+    unordered pair is stored once with merged flags.  Tweet IDs must be
+    unique across the given cascades.
     """
     if scope == SCOPE_CASCADE and len(cascades) != 1:
         raise ValueError("cascade_wise scope requires exactly one cascade")
@@ -133,7 +135,10 @@ def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
                 raise KeyError(f"tweet {t.tweet_id!r} references unknown user {t.author!r}")
             entries.append((t, cas))
     entries.sort(key=lambda e: (e[0].timestamp, e[0].tweet_id))
-    index = {t.tweet_id: k for k, (t, _) in enumerate(entries)}
+    index: dict[str, int] = {}
+    for k, (t, _) in enumerate(entries):
+        if index.setdefault(t.tweet_id, k) != k:
+            raise ValueError(f"duplicate tweet id {t.tweet_id!r} in story {story.url_id!r}")
 
     spread: set[tuple[int, int]] = set()
     for cas in sorted(cascades, key=lambda c: c.cascade_id):
@@ -152,15 +157,15 @@ def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
         rec[(pos ^ 1) if swap else pos] = True
 
     for a, b in spread:
-        flag(a, b, 2)  # spread_i_to_j with i=a, j=b
+        flag(a, b, FLAG_SPREAD_I_TO_J)  # with i=a, j=b
     authors = [t.author for t, _ in entries]
     n = len(entries)
     for i in range(n):
         for j in range(i + 1, n):
             if social.follows_pair(authors[i], authors[j]):
-                flag(i, j, 0)
+                flag(i, j, FLAG_I_FOLLOWS_J)
             if social.follows_pair(authors[j], authors[i]):
-                flag(i, j, 1)
+                flag(i, j, FLAG_J_FOLLOWS_I)
 
     feats = np.empty((n, schema.width))
     root_time = {cas.cascade_id: cas.source.timestamp for cas in cascades}
@@ -175,6 +180,6 @@ def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
         edges=edges,
         label=story.label,
         scope=scope,
-        diffusion_window_hours=diffusion_window_hours,
+        node_times=tuple(t.timestamp for t, _ in entries),
         node_authors=tuple(authors),
     )

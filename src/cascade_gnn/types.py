@@ -185,7 +185,8 @@ class PropagationGraph:
 
     ``edges`` holds each unordered node pair at most once as
     ``(i, j, (i_follows_j, j_follows_i, spread_i_to_j, spread_j_to_i))``
-    with ``i < j`` by node index.
+    with ``i < j`` by node index.  ``node_times`` and ``node_authors`` give
+    each node's timestamp and author, in node order.
     """
 
     nodes: tuple[str, ...]
@@ -193,7 +194,7 @@ class PropagationGraph:
     edges: tuple[tuple[int, int, tuple[bool, bool, bool, bool]], ...]
     label: str
     scope: str
-    diffusion_window_hours: float
+    node_times: tuple[float, ...] = field(default=())
     node_authors: tuple[str, ...] = field(default=())
 
     def __post_init__(self):

@@ -268,7 +268,7 @@ class TestUserEmbeddings:
         g1 = tiny_graph(seed=1)
         g2 = tiny_graph(seed=2)
         params = init_params(small_config())
-        table = user_embeddings([g1, g2], params, SCHEMA)
+        table = user_embeddings([prepare_graph(g1, SCHEMA), prepare_graph(g2, SCHEMA)], params)
         assert set(table) == set(g1.node_authors) | set(g2.node_authors)
         _, _, emb1 = forward(prepare_graph(g1, SCHEMA), params)
         _, _, emb2 = forward(prepare_graph(g2, SCHEMA), params)

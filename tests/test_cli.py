@@ -284,23 +284,37 @@ class TestUsageAndSeeds:
         assert len(urls) == 2  # flag overrode the config file
 
     @pytest.mark.parametrize("args, config, named", [
-        (["--hours", "abc"], None, "--hours"),
-        (["--hours", "-5"], None, "--hours"),
-        (["--hours", "3..x"], None, "--hours"),
-        (["--iterations", "0"], None, "--iterations"),
-        ([], {"jobs": "x"}, "config key 'jobs'"),
-        ([], {"hours": 12.5}, "config key 'hours'"),
-        ([], {"active_groups": ["bogus"]}, "config key 'active_groups'"),
-        ([], {"seed": "s"}, "config key 'seed'"),
+        (["cv", "--hours", "abc"], None, "--hours"),
+        (["cv", "--hours", "-5"], None, "--hours"),
+        (["cv", "--hours", "3..x"], None, "--hours"),
+        (["cv", "--iterations", "0"], None, "--iterations"),
+        (["cv"], {"jobs": "x"}, "config key 'jobs'"),
+        (["cv"], {"hours": 12.5}, "config key 'hours'"),
+        (["cv"], {"active_groups": ["bogus"]}, "config key 'active_groups'"),
+        (["cv"], {"seed": "s"}, "config key 'seed'"),
+        (["stats", "--mad-samples", "-2"], None, "--mad-samples"),
+        (["stats", "--mad-samples", "1"], None, "--mad-samples"),
+        (["layout", "--iterations", "-3"], None, "--iterations"),
+        (["layout", "--iterations", "0"], None, "--iterations"),
+        (["layout"], {"layout_iterations": 0}, "config key 'layout_iterations'"),
+        (["aging", "--window-frac", "2"], None, "--window-frac"),
+        (["aging", "--window-frac", "0"], None, "--window-frac"),
+        (["aging"], {"window_frac": 1.5}, "config key 'window_frac'"),
+        # data-dependent: a window under 20% of this dataset's 6 test URLs,
+        # and cascade-wise folds left empty by the size filter
+        (["aging", "--window-frac", "0.1"], None, "--window-frac"),
+        (["cv", "--scope", "cascade", "--min-cascade-size", "9"], None, "--min-cascade-size"),
     ])
     def test_bad_value_is_one_error_line(self, dataset_dir, tmp_path, capsys,
                                          args, config, named):
+        command, *args = args
         if config is not None:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(config))
             args = args + ["--config", str(path)]
-        # every value is rejected before the dataset loads or a model trains
-        code = main(["cv", "--dataset", str(dataset_dir), "--out", str(tmp_path / "o")] + args)
+        # every value is rejected before a model trains
+        code = main([command, "--dataset", str(dataset_dir), "--out", str(tmp_path / "o")]
+                    + args)
         lines = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
@@ -329,6 +343,16 @@ def _edit_jsonl(edit):
     return corrupt
 
 
+def _repeat_id(holder, field):
+    """Give line 3's record the ID ``field`` of line 1's, both found in the
+    part of the record that ``holder`` picks."""
+    def corrupt(lines):
+        first, rec = json.loads(lines[0]), json.loads(lines[2])
+        holder(rec)[field] = holder(first)[field]
+        lines[2] = json.dumps(rec)
+    return corrupt
+
+
 def _edit_follow(make_row):
     def corrupt(lines):
         lines[2] = make_row(*lines[2].split(","))
@@ -346,6 +370,21 @@ class TestDatasetFormat:
          "tweet 0: missing field 'author'"),
         ("follows.csv", _edit_follow(lambda a, b: f"{a},nobody"), "unknown user 'nobody'"),
         ("follows.csv", _edit_follow(lambda a, b: f"{a},{a}"), "self-follow"),
+        ("users.jsonl", _repeat_id(lambda r: r, "user_id"), "duplicate user_id"),
+        ("cascades.jsonl", _repeat_id(lambda r: r, "cascade_id"), "duplicate cascade_id"),
+        ("cascades.jsonl", _repeat_id(lambda r: r["tweets"][0], "tweet_id"),
+         "duplicate tweet_id"),
+        ("urls.jsonl", _repeat_id(lambda r: r, "url_id"), "duplicate url_id"),
+        ("cascades.jsonl", _edit_jsonl(lambda r: r["tweets"][0].update(author="ghost")),
+         "unknown author 'ghost'"),
+        ("cascades.jsonl", _edit_jsonl(lambda r: r.update(url_id="nowhere")),
+         "url_id 'nowhere' names no story"),
+        ("urls.jsonl", _edit_jsonl(lambda r: r["cascade_ids"].append("c-bogus")),
+         "disagree on cascade 'c-bogus'"),
+        ("urls.jsonl", _edit_jsonl(lambda r: r["cascade_ids"].pop()),
+         "disagree on cascade 'c00002_0006'"),
+        ("urls.jsonl", _edit_jsonl(lambda r: r["cascade_ids"].append(r["cascade_ids"][0])),
+         "cascade_ids lists a cascade twice"),
     ])
     def test_bad_record_exits_two(self, small_dataset, tmp_path, capsys, name, corrupt,
                                   reason):

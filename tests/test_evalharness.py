@@ -120,6 +120,53 @@ class TestCrossValidate:
         assert a.scores == b.scores
 
 
+def assert_same_sample(cut, fresh):
+    assert (cut.key, cut.url_id, cut.label) == (fresh.key, fresh.url_id, fresh.label)
+    assert (cut.times, cut.authors) == (fresh.times, fresh.authors)
+    assert np.array_equal(cut.features, fresh.features)
+    for name in ("src", "dst", "flags", "num_nodes"):
+        assert np.array_equal(getattr(cut.edges, name), getattr(fresh.edges, name)), name
+
+
+class TestPrefix:
+    """A sample cut to d hours by ``prefix`` is the sample built at d."""
+
+    @pytest.mark.parametrize("scope", ["url_wise", "cascade_wise"])
+    def test_prefix_equals_fresh_build(self, world, scope):
+        _, social, stories, cascades = world
+        base = build_samples(stories, cascades, social, SCHEMA, scope, hours=24.0)
+        cut_nodes = 0
+        for d in range(25):
+            fresh = build_samples(stories, cascades, social, SCHEMA, scope, hours=float(d))
+            assert len(fresh) == len(base)
+            for sample, built in zip(base, fresh):
+                assert_same_sample(sample.prefix(d), built)
+                cut_nodes += len(sample.times) - len(built.times)
+        assert cut_nodes > 0  # the world has tweets after its earliest cut-offs
+
+    def test_ties_at_and_around_the_cut(self):
+        # url-wise t0 = 1000; the 2 h cut is at 8200: two tweets sit exactly
+        # on it, two share a time just before it and two just after it.
+        # Cascade-wise, c1's 2 h cut (2800 + 7200) falls on two tweets too.
+        social = make_social({u: k for k, u in enumerate("ABCDEFGHIJ")},
+                             {("C", "A"), ("D", "A"), ("E", "C"), ("F", "B"), ("G", "E"),
+                              ("H", "A"), ("I", "F"), ("J", "G")})
+        cascades = [make_cascade([("A", 1000), ("C", 8199), ("D", 8199), ("E", 8200),
+                                  ("G", 8201)], "c0"),
+                    make_cascade([("B", 2800), ("F", 8200), ("H", 8201), ("I", 10000),
+                                  ("J", 10000)], "c1")]
+        stories = [make_story("url0", "fake_news", ["c0", "c1"])]
+        for scope in ("url_wise", "cascade_wise"):
+            base = build_samples(stories, cascades, social, SCHEMA, scope, hours=24.0)
+            for d in (0, 1, 2, 2.5, 3, 24):
+                fresh = build_samples(stories, cascades, social, SCHEMA, scope, hours=d)
+                assert len(fresh) == len(base)
+                for sample, built in zip(base, fresh):
+                    assert_same_sample(sample.prefix(d), built)
+        url_sample = build_samples(stories, cascades, social, SCHEMA, "url_wise")[0]
+        assert url_sample.prefix(2).authors == ("A", "B", "C", "D", "E", "F")
+
+
 class TestDiffusionSweep:
     def test_sweep_nested_coverage_and_structure(self, world):
         _, social, stories, cascades = world

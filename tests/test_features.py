@@ -1,10 +1,10 @@
-"""Feature schema layout and node/edge encoders."""
+"""Feature schema layout and node encoders."""
 import numpy as np
 import pytest
 
 from cascade_gnn.features import (FEATURE_GROUPS, default_schema, embed_tokens,
-                                  encode_edge_features, encode_node_features,
-                                  load_word_vectors, stable_hash_bin)
+                                  encode_node_features, load_word_vectors,
+                                  stable_hash_bin)
 
 from helpers import make_tweet, make_user
 
@@ -84,20 +84,6 @@ class TestNodeEncoding:
         a = encode_node_features(tweet, user, 0.0, SCHEMA)
         b = encode_node_features(tweet, user, 0.0, SCHEMA)
         assert (a == b).all()
-
-
-class TestEdgeEncoding:
-    def test_mutual_follow_no_spread(self):
-        np.testing.assert_array_equal(encode_edge_features(True, True, False, False),
-                                      [1.0, 1.0, 0.0, 0.0])
-
-    def test_spread_without_follow(self):
-        np.testing.assert_array_equal(encode_edge_features(False, False, True, False),
-                                      [0.0, 0.0, 1.0, 0.0])
-
-    def test_reverse_follow_and_spread(self):
-        np.testing.assert_array_equal(encode_edge_features(False, True, False, True),
-                                      [0.0, 1.0, 0.0, 1.0])
 
 
 class TestWordVectors:
