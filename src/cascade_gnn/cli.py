@@ -108,6 +108,13 @@ def _positive_int(value) -> int:
     return number
 
 
+def _non_negative(value) -> float:
+    number = float(value)
+    if not number >= 0.0:
+        raise ValueError(f"must be non-negative, got {number}")
+    return number
+
+
 def _fraction(value) -> float:
     number = float(value)
     if not 0.0 < number <= 1.0:
@@ -181,8 +188,8 @@ def _resolve_run(config_path, seed, dataset_dir, scope, hours, min_cascade_size,
     hours = _resolve(hours, fc, "hours", default_hours, _parse_hours, "--hours")
     min_size = _resolve(min_cascade_size, fc, "min_cascade_size",
                         DEFAULT_MIN_CASCADE_SIZE if scope == SCOPE_CASCADE else 1,
-                        int, "--min-cascade-size")
-    jobs = _resolve(jobs, fc, "jobs", os.cpu_count() or 1, int, "--jobs")
+                        _positive_int, "--min-cascade-size")
+    jobs = _resolve(jobs, fc, "jobs", os.cpu_count() or 1, _positive_int, "--jobs")
     social, stories, cascades = load_dataset(dataset_dir)
     return Run(fc, scope, hours, min_size, jobs, social, stories, cascades, schema, model)
 
@@ -314,7 +321,7 @@ def aging(run: Run, out_dir, window_frac, min_gap_days):
     """Train on the past, evaluate future windows; writes aging.csv."""
     wf = _resolve(window_frac, run.file_config, "window_frac", 0.25, _fraction,
                   "--window-frac")
-    gap = _resolve(min_gap_days, run.file_config, "min_gap_days", 14.0, float,
+    gap = _resolve(min_gap_days, run.file_config, "min_gap_days", 14.0, _non_negative,
                    "--min-gap-days")
     result = aging_protocol(run.stories, run.cascades, run.social, run.schema, run.model,
                             run.scope, hours=run.last_hour,

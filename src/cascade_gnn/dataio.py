@@ -108,12 +108,29 @@ def _require(path):
     return path
 
 
-def _require_fields(rec, fields) -> None:
+# The JSON types a field of each annotation of the record types may hold;
+# the first one names the field's kind in an error.
+_JSON_TYPES = {"str": (str,), "bool": (bool,), "int": (int,), "float": (float, int),
+               "np.ndarray": (list,), "tuple[str, ...]": (list,), "tuple[Tweet, ...]": (list,)}
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "an integer", float: "a number", type(None): "null"}
+
+
+def _fields(cls, skip=()) -> dict:
+    """Field name -> allowed JSON types, for the fields of a record type."""
+    return {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+def _require_fields(rec, fields: dict) -> None:
     if not isinstance(rec, dict):
-        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+        raise ValueError(f"expected a JSON object, got {_JSON_NAMES[type(rec)]}")
     missing = [f for f in fields if f not in rec]
     if missing:
         raise ValueError(f"missing field {missing[0]!r}")
+    for name, types in fields.items():
+        if type(rec[name]) not in types:
+            raise ValueError(f"field {name!r} must be {_JSON_NAMES[types[0]]}, "
+                             f"got {_JSON_NAMES[type(rec[name])]}")
 
 
 def _records(path, build, id_field: str) -> dict:
@@ -134,8 +151,10 @@ def _records(path, build, id_field: str) -> dict:
     return out
 
 
-_USER_FIELDS = tuple(f.name for f in dataclasses.fields(User))
-_TWEET_FIELDS = tuple(f.name for f in dataclasses.fields(Tweet) if f.name != "cascade_id")
+_USER_FIELDS = _fields(User)
+_TWEET_FIELDS = _fields(Tweet, skip=("cascade_id",))
+_CASCADE_FIELDS = _fields(CascadeRecord)
+_STORY_FIELDS = _fields(UrlStory)
 
 
 def _user(rec) -> User:
@@ -145,7 +164,7 @@ def _user(rec) -> User:
 
 
 def _cascade(rec) -> CascadeRecord:
-    _require_fields(rec, ("cascade_id", "url_id", "tweets"))
+    _require_fields(rec, _CASCADE_FIELDS)
     tweets = []
     for k, tr in enumerate(rec["tweets"]):
         try:
@@ -159,13 +178,14 @@ def _cascade(rec) -> CascadeRecord:
 
 
 def _story(rec) -> UrlStory:
-    _require_fields(rec, ("url_id", "label", "first_seen", "cascade_ids"))
+    _require_fields(rec, _STORY_FIELDS)
     return UrlStory(rec["url_id"], rec["label"], rec["first_seen"], tuple(rec["cascade_ids"]))
 
 
 def load_dataset(dirpath) -> tuple[SocialGraph, list[UrlStory], list[CascadeRecord]]:
-    """Read a dataset directory.  A record that cannot be read, a repeated
-    user, cascade, tweet or URL ID, a tweet by an unknown user, a cascade
+    """Read a dataset directory.  A record that cannot be read (a field
+    missing or of the wrong JSON type included), a repeated user, cascade,
+    tweet or URL ID or follow row, a tweet by an unknown user, a cascade
     of an unknown story and a story whose ``cascade_ids`` disagree with the
     cascades raise ``DatasetFormatError`` with the file and line."""
     users = {uid: u for uid, (_, u) in
@@ -186,6 +206,8 @@ def load_dataset(dirpath) -> tuple[SocialGraph, list[UrlStory], list[CascadeReco
             elif row[0] not in users or row[1] not in users:
                 unknown = row[0] if row[0] not in users else row[1]
                 reason = f"unknown user {unknown!r}"
+            elif (row[0], row[1]) in follows:
+                reason = f"duplicate follow {row[0]!r} -> {row[1]!r}"
             else:
                 follows.add((row[0], row[1]))
                 continue

@@ -544,9 +544,21 @@ def mad_mmd(samples: list[list[str]], social: SocialGraph,
 def fr_layout(social: SocialGraph, iterations: int = 60, seed: int = 0,
               area: float = 1.0) -> dict[str, tuple[float, float]]:
     """Standard force-directed layout: repulsion k^2/d, attraction d^2/k,
-    linearly cooled displacement cap, seeded uniform init."""
+    linearly cooled displacement cap, seeded uniform init.
+
+    Repulsion is exact O(n^2), computed for a block of users i at a time
+    in four (n, block) buffers of about 2 MB together, allocated once.  The
+    buffers are laid out (j, i): reducing a C-order array over axis 0 adds
+    the j terms one after another, in the order the unblocked
+    ``(i, j, 2).sum(axis=1)`` adds them, so positions are bit-identical to
+    that formula.  A block of one user would make axis 0 the contiguous
+    axis, which numpy sums pairwise, changing the bits; so a last block of
+    one user also takes the user before it, whose forces it does not add
+    again."""
     ids = sorted(social.users)
     n = len(ids)
+    if n == 0:
+        raise ProtocolError("the dataset has no users to lay out")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 47)))
     pos = rng.random((n, 2)) * np.sqrt(area)
     if n == 1:
@@ -558,15 +570,29 @@ def fr_layout(social: SocialGraph, iterations: int = 60, seed: int = 0,
     dt = temp / (iterations + 1)
     eps = 1e-12
 
+    x, y = pos[:, 0], pos[:, 1]
+    block = min(n, max(2, 65536 // n))
+    buffers = np.empty((4, n, block))
+    sums = np.empty(block)
     for _ in range(iterations):
         disp = np.zeros_like(pos)
-        # repulsion in row blocks to bound memory on large graphs
-        block = max(1, int(4e6) // max(n, 1))
         for lo in range(0, n, block):
             hi = min(n, lo + block)
-            delta = pos[lo:hi, None, :] - pos[None, :, :]
-            dist = np.sqrt((delta * delta).sum(axis=2)) + eps
-            disp[lo:hi] += (delta / dist[:, :, None] * (k * k / dist)[:, :, None]).sum(axis=1)
+            start = min(lo, hi - 2)
+            dx, dy, norm, ratio = buffers[:, :, :hi - start]
+            np.subtract(x[start:hi], x[:, None], out=dx)
+            np.subtract(y[start:hi], y[:, None], out=dy)
+            np.multiply(dx, dx, out=norm)
+            np.multiply(dy, dy, out=ratio)
+            norm += ratio
+            np.sqrt(norm, out=norm)
+            norm += eps
+            np.divide(k * k, norm, out=ratio)
+            for term, column in ((dx, 0), (dy, 1)):
+                term /= norm
+                term *= ratio
+                total = term.sum(axis=0, out=sums[:hi - start])
+                disp[lo:hi, column] += total[lo - start:]
         if edges.size:
             delta = pos[edges[:, 0]] - pos[edges[:, 1]]
             dist = np.sqrt((delta * delta).sum(axis=1)) + eps

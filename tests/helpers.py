@@ -149,3 +149,42 @@ def pairwise_auc_oracle(scores, labels):
             elif p == q:
                 ties += 1
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def reference_fr_layout(social: SocialGraph, iterations: int = 60, seed: int = 0,
+                        area: float = 1.0) -> dict[str, tuple[float, float]]:
+    """The unblocked Fruchterman-Reingold layout that ``fr_layout`` replaced:
+    (i, j, 2) pair arrays, allocated afresh each iteration."""
+    ids = sorted(social.users)
+    n = len(ids)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 47)))
+    pos = rng.random((n, 2)) * np.sqrt(area)
+    if n == 1:
+        return {ids[0]: (float(pos[0, 0]), float(pos[0, 1]))}
+    index = {u: i for i, u in enumerate(ids)}
+    edges = np.array([[index[a], index[b]] for a, b in sorted(social.follows)], dtype=np.intp)
+    k = np.sqrt(area / n)
+    temp = 0.1 * np.sqrt(area)
+    dt = temp / (iterations + 1)
+    eps = 1e-12
+
+    for _ in range(iterations):
+        disp = np.zeros_like(pos)
+        # repulsion in row blocks to bound memory on large graphs
+        block = max(1, int(4e6) // max(n, 1))
+        for lo in range(0, n, block):
+            hi = min(n, lo + block)
+            delta = pos[lo:hi, None, :] - pos[None, :, :]
+            dist = np.sqrt((delta * delta).sum(axis=2)) + eps
+            disp[lo:hi] += (delta / dist[:, :, None] * (k * k / dist)[:, :, None]).sum(axis=1)
+        if edges.size:
+            delta = pos[edges[:, 0]] - pos[edges[:, 1]]
+            dist = np.sqrt((delta * delta).sum(axis=1)) + eps
+            force = (dist * dist / k) / dist
+            pull = delta * force[:, None]
+            np.add.at(disp, edges[:, 0], -pull)
+            np.add.at(disp, edges[:, 1], pull)
+        length = np.sqrt((disp * disp).sum(axis=1)) + eps
+        pos += disp / length[:, None] * np.minimum(length, temp)[:, None]
+        temp = max(temp - dt, 0.0)
+    return {u: (float(pos[i, 0]), float(pos[i, 1])) for u, i in index.items()}

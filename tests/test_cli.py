@@ -1,12 +1,17 @@
 """CLI subcommands: flows, file outputs, exit codes, determinism."""
+import contextlib
 import filecmp
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascade_gnn.classifier import ModelConfig, init_params, save_checkpoint
 from cascade_gnn.cli import main
@@ -250,6 +255,18 @@ class TestLayoutAndStats:
         assert "mad_mmd" in doc
         assert doc["mad_mmd"]["url"]["mad"] >= 0.0
 
+    def test_layout_of_no_users_is_one_error_line(self, tmp_path, capsys):
+        data = tmp_path / "empty"
+        data.mkdir()
+        for name in ("users.jsonl", "cascades.jsonl", "urls.jsonl"):
+            (data / name).write_text("")
+        (data / "follows.csv").write_text("follower_id,followee_id\n")
+        code = main(["layout", "--dataset", str(data), "--out", str(tmp_path / "o"),
+                     "--iterations", "3"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the dataset has no users to lay out"]
+
 
 class TestUsageAndSeeds:
     def test_unknown_command_is_usage_error(self):
@@ -304,6 +321,15 @@ class TestUsageAndSeeds:
         # and cascade-wise folds left empty by the size filter
         (["aging", "--window-frac", "0.1"], None, "--window-frac"),
         (["cv", "--scope", "cascade", "--min-cascade-size", "9"], None, "--min-cascade-size"),
+        # counts and a gap out of range (one iteration keeps a missed check short)
+        (["cv", "--jobs", "0", "--iterations", "1"], None, "--jobs"),
+        (["cv", "--jobs", "-2", "--iterations", "1"], None, "--jobs"),
+        (["cv", "--iterations", "1"], {"jobs": 0}, "config key 'jobs'"),
+        (["cv", "--min-cascade-size", "-3", "--iterations", "1"], None, "--min-cascade-size"),
+        (["cv", "--min-cascade-size", "0", "--iterations", "1"], None, "--min-cascade-size"),
+        (["cv", "--iterations", "1"], {"min_cascade_size": 0}, "config key 'min_cascade_size'"),
+        (["aging", "--min-gap-days", "-1", "--iterations", "1"], None, "--min-gap-days"),
+        (["aging", "--iterations", "1"], {"min_gap_days": -0.5}, "config key 'min_gap_days'"),
     ])
     def test_bad_value_is_one_error_line(self, dataset_dir, tmp_path, capsys,
                                          args, config, named):
@@ -398,6 +424,100 @@ class TestDatasetFormat:
         assert code == 2
         assert f"{data / name}, line 3: " in err and reason in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "ds"
+    assert main(["generate", "--seed", "3", "--out", str(path), "--users", "60",
+                 "--urls", "3", "--mean-cascades", "2"]) == 0
+    return path
+
+
+# One value of each JSON kind: a retyped field gets one of another kind.
+JSON_VALUES = (None, True, 7, 2.5, "x", [], {})
+
+
+def _kind(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+def _holder(rec, data):
+    """The record itself, or for a cascade the record or one of its tweets."""
+    return data.draw(st.sampled_from([rec] + rec.get("tweets", [])))
+
+
+def _drop(lines, k, data):
+    if not lines[k].startswith("{"):  # a follows.csv line
+        fields = lines[k].split(",")
+        del fields[data.draw(st.integers(0, len(fields) - 1))]
+        lines[k] = ",".join(fields)
+        return
+    rec = json.loads(lines[k])
+    holder = _holder(rec, data)
+    del holder[data.draw(st.sampled_from(sorted(holder)))]
+    lines[k] = json.dumps(rec)
+
+
+def _retype(lines, k, data):
+    if not lines[k].startswith("{"):
+        fields = lines[k].split(",")
+        fields[data.draw(st.integers(0, len(fields) - 1))] = str(
+            data.draw(st.sampled_from(JSON_VALUES)))
+        lines[k] = ",".join(fields)
+        return
+    rec = json.loads(lines[k])
+    holder = _holder(rec, data)
+    key = data.draw(st.sampled_from(sorted(holder)))
+    holder[key] = data.draw(st.sampled_from(
+        [v for v in JSON_VALUES if _kind(v) != _kind(holder[key])]))
+    lines[k] = json.dumps(rec)
+
+
+def _truncate(lines, k, data):
+    lines[k] = lines[k][:data.draw(st.integers(0, len(lines[k]) - 1))]
+
+
+def _repeat(lines, k, data):
+    """Give line k the ID of another line: the whole line, in follows.csv."""
+    j = data.draw(st.sampled_from([i for i in range(len(lines)) if i != k]))
+    if not lines[k].startswith("{"):
+        lines[k] = lines[j]
+        return
+    rec, other = json.loads(lines[k]), json.loads(lines[j])
+    if "tweets" in rec and data.draw(st.booleans()):
+        data.draw(st.sampled_from(rec["tweets"]))["tweet_id"] = other["tweets"][0]["tweet_id"]
+    else:
+        id_field = next(f for f in ("user_id", "cascade_id", "url_id") if f in rec)
+        rec[id_field] = other[id_field]
+    lines[k] = json.dumps(rec)
+
+
+class TestDatasetFuzz:
+    """Any one corrupted line or field of a dataset exits 2 with one error
+    line naming the file and line, never a traceback."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_dataset_exits_two(self, tiny_dataset, data):
+        name = data.draw(st.sampled_from(["users.jsonl", "follows.csv", "cascades.jsonl",
+                                          "urls.jsonl"]))
+        corrupt = data.draw(st.sampled_from([_drop, _retype, _truncate, _repeat]))
+        with tempfile.TemporaryDirectory() as tmp:
+            copy = os.path.join(tmp, "ds")
+            shutil.copytree(tiny_dataset, copy)
+            path = os.path.join(copy, name)
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            corrupt(lines, data.draw(st.integers(0, len(lines) - 1)), data)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["stats", "--dataset", copy])
+        assert code == 2
+        assert err.getvalue().startswith(f"error: {path}, line ")
+        assert len(err.getvalue().splitlines()) == 1
 
 
 # The config_hash of each command's report on the CLI fixture, recorded

@@ -12,7 +12,7 @@ from cascade_gnn.evalharness import (aging_protocol, backward_feature_selection,
 from cascade_gnn.features import default_schema
 from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_graph
 
-from helpers import make_cascade, make_social, make_story
+from helpers import make_cascade, make_social, make_story, reference_fr_layout
 
 SCHEMA = default_schema()
 
@@ -371,3 +371,17 @@ class TestFrLayout:
                              {(f"u{i}", f"u{(i+1) % 6}") for i in range(6)})
         assert fr_layout(social, 40, seed=3) == fr_layout(social, 40, seed=3)
         assert fr_layout(social, 40, seed=3) != fr_layout(social, 40, seed=4)
+
+    # One repulsion block covers up to 256 users (65536 // n rows); 255-257
+    # straddle that size (257 without follows), and at 571 users the last
+    # block would be one row wide, which the layout widens to two.
+    @pytest.mark.parametrize("n, follows_per_user", [
+        (1, 0), (2, 1), (3, 2), (255, 3), (256, 3), (257, 0), (571, 3),
+    ])
+    def test_equals_unblocked_reference(self, n, follows_per_user):
+        rng = np.random.default_rng(n)
+        ids = [f"u{i:04d}" for i in range(n)]
+        pairs = rng.integers(0, n, size=(follows_per_user * n, 2))
+        social = make_social({u: 0 for u in ids},
+                             {(ids[a], ids[b]) for a, b in pairs if a != b})
+        assert fr_layout(social, 60, seed=n) == reference_fr_layout(social, 60, seed=n)
