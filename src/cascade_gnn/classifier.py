@@ -245,7 +245,7 @@ def _validation_auc(val: list[PreparedGraph], params: ModelParams) -> float | No
 
 
 def train(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
-          config: ModelConfig, params: ModelParams | None = None) -> TrainResult:
+          config: ModelConfig) -> TrainResult:
     """Single-graph AMSGrad steps with uniform sampling.
 
     Validation AUC is evaluated every 500 iterations (and at the end);
@@ -255,8 +255,7 @@ def train(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
     """
     if not train_set:
         raise ValueError("empty training set")
-    if params is None:
-        params = init_params(config)
+    params = init_params(config)
     arrays = {k: t.data for k, t in params.named().items()}
     zero_grads = {k: np.zeros_like(a) for k, a in arrays.items()}
     state = OptimizerState(learning_rate=config.learning_rate)
@@ -335,8 +334,9 @@ def load_checkpoint(path, config: ModelConfig, scope: str | None = None
     """Read a checkpoint into parameters shaped by ``config``.
 
     A given ``scope`` must match the one the checkpoint's ``meta`` records,
-    if it records one.  Any misfit raises ``CheckpointError`` naming the
-    file and the field.
+    if it records one, and ``config.active_groups`` must be the set of
+    feature groups it records, if it records them.  Any misfit raises
+    ``CheckpointError`` naming the file and the field.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -354,6 +354,11 @@ def load_checkpoint(path, config: ModelConfig, scope: str | None = None
     if scope is not None and recorded is not None and recorded != scope:
         raise CheckpointError(f"checkpoint {path}: meta field 'scope' is {recorded!r}, "
                               f"but this run uses {scope!r}")
+    groups = meta.get("active_groups")
+    if groups is not None and (not isinstance(groups, list)
+                               or set(map(str, groups)) != set(config.active_groups)):
+        raise CheckpointError(f"checkpoint {path}: meta field 'active_groups' is {groups!r}, "
+                              f"but this run uses {list(config.active_groups)!r}")
     stored = doc.get("params")
     if not isinstance(stored, dict):
         raise CheckpointError(f"checkpoint {path}: field 'params' is missing or not a mapping")

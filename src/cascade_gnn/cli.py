@@ -300,16 +300,16 @@ def cv(run: Run, out_dir):
 @experiment_command(default_hours="0..24")
 def sweep(run: Run, out_dir):
     """Diffusion-time sweep; writes auc_vs_hours.csv and report.json."""
-    result = diffusion_sweep(run.stories, run.cascades, run.social, run.schema, run.model,
+    points = diffusion_sweep(run.stories, run.cascades, run.social, run.schema, run.model,
                              run.scope, d_values=run.hours,
                              min_cascade_size=run.min_cascade_size, jobs=run.jobs,
                              active_groups=run.model.active_groups)
     echo = run.echo("sweep", hours=run.hours)
-    rows = [(p.hours, p.mean_auc, p.std_auc, p.coverage) for p in result.points]
+    rows = [(p.hours, p.mean_auc, p.std_auc, p.coverage) for p in points]
     write_csv(os.path.join(out_dir, "auc_vs_hours.csv"),
               ["hours", "mean_auc", "std_auc", "coverage"], rows, echo)
     write_json_report(os.path.join(out_dir, "report.json"),
-                      {"points": result.points}, echo)
+                      {"points": points}, echo)
     click.echo(f"sweep {run.scope}: {len(rows)} points, "
                f"AUC {rows[0][1]:.3f} -> {rows[-1][1]:.3f}")
 
@@ -370,7 +370,8 @@ def train_cmd(run: Run, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, "checkpoint.json"), result.params,
                     result.opt_state, seed=run.model.seed,
-                    meta={"scope": run.scope, "hours": run.last_hour})
+                    meta={"scope": run.scope, "hours": run.last_hour,
+                          "active_groups": list(run.model.active_groups)})
     write_json_report(os.path.join(out_dir, "report.json"), {
         "train_size": len(tr), "val_size": len(va), "test_size": len(te),
         "best_iteration": result.best_iteration,
@@ -438,6 +439,8 @@ def stats(config_path, seed, dataset_dir, out_dir, mad_samples):
     if mad_samples is not None and (mad_samples < 0 or mad_samples == 1):
         raise UsageFailure(f"--mad-samples: must be 0 (skip) or at least 2, got {mad_samples}")
     social, stories, cascades = load_dataset(dataset_dir)
+    if not cascades:
+        raise ProtocolError("the dataset has no cascades to summarize")
     st = summary_stats(stories, cascades)
     payload = {"stats": st, "num_follows": len(social.follows)}
     if mad_samples:
@@ -495,3 +498,7 @@ def main(argv=None) -> int:
 
 def entrypoint():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

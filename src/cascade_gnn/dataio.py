@@ -39,39 +39,13 @@ def _round_vec(vec: np.ndarray) -> list[float]:
     return [float(f"{x:.7g}") for x in vec]
 
 
-def _user_record(u: User) -> dict:
-    return {
-        "user_id": u.user_id,
-        "geo_enabled": u.geo_enabled,
-        "background_picture": u.background_picture,
-        "default_profile": u.default_profile,
-        "default_profile_image": u.default_profile_image,
-        "verified": u.verified,
-        "lang": u.lang,
-        "description_embedding": _round_vec(u.description_embedding),
-        "statuses_count": u.statuses_count,
-        "favourites_count": u.favourites_count,
-        "listed_count": u.listed_count,
-        "followers_count": u.followers_count,
-        "friends_count": u.friends_count,
-        "created_at": u.created_at,
-    }
-
-
-def _tweet_record(t: Tweet) -> dict:
-    return {
-        "tweet_id": t.tweet_id,
-        "author": t.author,
-        "timestamp": t.timestamp,
-        "is_source": t.is_source,
-        "retweeted_reply_count": t.retweeted_reply_count,
-        "retweeted_quote_count": t.retweeted_quote_count,
-        "retweeted_favorite_count": t.retweeted_favorite_count,
-        "retweeted_retweet_count": t.retweeted_retweet_count,
-        "source_device": t.source_device,
-        "text_embedding": _round_vec(t.text_embedding),
-        "hashtag_embedding": _round_vec(t.hashtag_embedding),
-    }
+def _record(obj, fields: dict) -> dict:
+    """The on-disk record of ``obj``: its ``fields``, in order, with embeddings rounded."""
+    rec = {name: getattr(obj, name) for name in fields}
+    for name, value in rec.items():
+        if isinstance(value, np.ndarray):
+            rec[name] = _round_vec(value)
+    return rec
 
 
 def write_dataset(dirpath, social: SocialGraph, stories: list[UrlStory],
@@ -80,7 +54,7 @@ def write_dataset(dirpath, social: SocialGraph, stories: list[UrlStory],
 
     with open(os.path.join(dirpath, USERS_FILE), "w", encoding="utf-8") as fh:
         for uid in sorted(social.users):
-            fh.write(json.dumps(_user_record(social.users[uid])) + "\n")
+            fh.write(json.dumps(_record(social.users[uid], _USER_FIELDS)) + "\n")
 
     with open(os.path.join(dirpath, FOLLOWS_FILE), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -90,16 +64,13 @@ def write_dataset(dirpath, social: SocialGraph, stories: list[UrlStory],
 
     with open(os.path.join(dirpath, CASCADES_FILE), "w", encoding="utf-8") as fh:
         for cas in sorted(cascades, key=lambda c: c.cascade_id):
-            rec = {"cascade_id": cas.cascade_id, "url_id": cas.url_id,
-                   "tweets": [_tweet_record(t) for t in cas.tweets]}
+            rec = _record(cas, _CASCADE_FIELDS)
+            rec["tweets"] = [_record(t, _TWEET_FIELDS) for t in cas.tweets]
             fh.write(json.dumps(rec) + "\n")
 
     with open(os.path.join(dirpath, URLS_FILE), "w", encoding="utf-8") as fh:
         for story in sorted(stories, key=lambda s: s.url_id):
-            rec = {"url_id": story.url_id, "label": story.label,
-                   "first_seen": story.first_seen,
-                   "cascade_ids": list(story.cascade_ids)}
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(json.dumps(_record(story, _STORY_FIELDS)) + "\n")
 
 
 def _require(path):
@@ -133,6 +104,17 @@ def _require_fields(rec, fields: dict) -> None:
                              f"got {_JSON_NAMES[type(rec[name])]}")
 
 
+def _embedding(rec, name: str) -> np.ndarray:
+    """Field ``name`` of ``rec`` as a float64 array; a component that is not a
+    JSON number raises (numpy would parse ``"0.5"`` and ``true`` as numbers)."""
+    values = rec[name]
+    if not set(map(type, values)) <= {float, int}:
+        k, bad = next((k, v) for k, v in enumerate(values) if type(v) not in (float, int))
+        raise ValueError(f"field {name!r} component {k} must be a number, "
+                         f"got {_JSON_NAMES[type(bad)]}")
+    return np.asarray(values, dtype=np.float64)
+
+
 def _records(path, build, id_field: str) -> dict:
     """``build(record)`` for each line of a JSONL file, keyed by its
     ``id_field`` in file order, with the line number; a line that cannot be
@@ -159,7 +141,7 @@ _STORY_FIELDS = _fields(UrlStory)
 
 def _user(rec) -> User:
     _require_fields(rec, _USER_FIELDS)
-    rec["description_embedding"] = np.asarray(rec["description_embedding"])
+    rec["description_embedding"] = _embedding(rec, "description_embedding")
     return User(**rec)
 
 
@@ -169,10 +151,10 @@ def _cascade(rec) -> CascadeRecord:
     for k, tr in enumerate(rec["tweets"]):
         try:
             _require_fields(tr, _TWEET_FIELDS)
+            tr["text_embedding"] = _embedding(tr, "text_embedding")
+            tr["hashtag_embedding"] = _embedding(tr, "hashtag_embedding")
         except ValueError as exc:
             raise ValueError(f"tweet {k}: {exc}") from None
-        tr["text_embedding"] = np.asarray(tr["text_embedding"])
-        tr["hashtag_embedding"] = np.asarray(tr["hashtag_embedding"])
         tweets.append(Tweet(cascade_id=rec["cascade_id"], **tr))
     return CascadeRecord(rec["cascade_id"], rec["url_id"], tuple(tweets))
 
@@ -184,10 +166,11 @@ def _story(rec) -> UrlStory:
 
 def load_dataset(dirpath) -> tuple[SocialGraph, list[UrlStory], list[CascadeRecord]]:
     """Read a dataset directory.  A record that cannot be read (a field
-    missing or of the wrong JSON type included), a repeated user, cascade,
-    tweet or URL ID or follow row, a tweet by an unknown user, a cascade
-    of an unknown story and a story whose ``cascade_ids`` disagree with the
-    cascades raise ``DatasetFormatError`` with the file and line."""
+    missing or of the wrong JSON type, or an embedding component that is not
+    a number, included), a repeated user, cascade, tweet or URL ID or follow
+    row, a tweet by an unknown user, a cascade of an unknown story and a
+    story whose ``cascade_ids`` disagree with the cascades raise
+    ``DatasetFormatError`` with the file and line."""
     users = {uid: u for uid, (_, u) in
              _records(os.path.join(dirpath, USERS_FILE), _user, "user_id").items()}
 

@@ -207,26 +207,16 @@ class SweepPoint:
     coverage: float  # tweets retained / tweets at 24 h over the sample set
 
 
-@dataclass
-class SweepResult:
-    points: list[SweepPoint]
-    scope: str
-
-
 def diffusion_sweep(stories, cascades, social, schema, config: ModelConfig,
-                    scope: str, d_values=None, min_cascade_size: int = 1,
-                    plan: FoldPlan | None = None, jobs: int = 1,
-                    active_groups=None) -> SweepResult:
+                    scope: str, d_values, min_cascade_size: int = 1, jobs: int = 1,
+                    active_groups=None) -> list[SweepPoint]:
     """Train and cross-validate separately for each diffusion time, on samples
     built once at the latest hour (24 h at least) and cut to each d by ``prefix``.
 
     One fold plan is shared across all d values so the AUC series is
     comparable point to point.
     """
-    if d_values is None:
-        d_values = list(range(0, 25))
-    if plan is None:
-        plan = make_folds(stories, seed=config.seed)
+    plan = make_folds(stories, seed=config.seed)
     base = build_samples(stories, cascades, social, schema, scope,
                          hours=float(max([DEFAULT_DIFFUSION_HOURS, *d_values])),
                          min_cascade_size=min_cascade_size,
@@ -241,7 +231,7 @@ def diffusion_sweep(stories, cascades, social, schema, config: ModelConfig,
         points.append(SweepPoint(hours=float(d), mean_auc=cv.mean_auc,
                                  std_auc=cv.std_auc,
                                  coverage=retained / total_24h if total_24h else 0.0))
-    return SweepResult(points=points, scope=scope)
+    return points
 
 
 # -- aging --------------------------------------------------------------------
@@ -279,15 +269,13 @@ class AgingWindow:
 
 @dataclass
 class AgingResult:
-    plan: AgingPlan
     windows: list[AgingWindow]
     mean_iou: float | None
     train_mean_date: float
 
 
 def make_aging_plan(stories: list[UrlStory], window_frac: float = 0.25,
-                    min_gap_days: float = 14.0, val_frac: float = 0.25,
-                    seed: int = 0) -> AgingPlan:
+                    min_gap_days: float = 14.0, seed: int = 0) -> AgingPlan:
     """Past 80% of URLs train/validate, future 20% test, windows >= 20%
     of the test set with consecutive mean dates >= ``min_gap_days`` apart."""
     ordered = sorted(stories, key=lambda s: (s.first_seen, s.url_id))
@@ -300,7 +288,7 @@ def make_aging_plan(stories: list[UrlStory], window_frac: float = 0.25,
     rng = np.random.default_rng(np.random.SeedSequence((seed, 31)))
     past_ids = [s.url_id for s in past]
     rng.shuffle(past_ids)
-    n_val = max(1, int(round(val_frac * len(past_ids))))
+    n_val = max(1, int(round(0.25 * len(past_ids))))
     val_urls = tuple(sorted(past_ids[:n_val]))
     train_urls = tuple(sorted(past_ids[n_val:]))
 
@@ -377,7 +365,7 @@ def aging_protocol(stories, cascades, social, schema, config: ModelConfig,
             auc_source_only=series["source_only"],
             auc_cv_reference=series["cv"],
         ))
-    return AgingResult(plan=plan, windows=windows,
+    return AgingResult(windows=windows,
                        mean_iou=float(np.mean(ious)) if ious else None,
                        train_mean_date=train_mean)
 
@@ -401,8 +389,7 @@ class AblationResult:
 def backward_feature_selection(stories, cascades, social, schema,
                                config: ModelConfig, scope: str,
                                hours: float = DEFAULT_DIFFUSION_HOURS,
-                               min_cascade_size: int = 1,
-                               groups: tuple[str, ...] = FEATURE_GROUPS) -> AblationResult:
+                               min_cascade_size: int = 1) -> AblationResult:
     """Iteratively drop the group whose removal hurts validation AUC least.
 
     Uses round 0 of the fold plan: selection on the validation fold, the
@@ -419,7 +406,7 @@ def backward_feature_selection(stories, cascades, social, schema,
             config, seed=config.seed + seed_shift, active_groups=active))
         return result.best_val_auc, auc_or_none(scores, [s.label for s in te])
 
-    active = tuple(g for g in FEATURE_GROUPS if g in groups)
+    active = FEATURE_GROUPS
     levels = []
     removal_order: list[str] = []
     val_auc, test_auc = evaluate(active, 0)
@@ -541,10 +528,10 @@ def mad_mmd(samples: list[list[str]], social: SocialGraph,
 
 # -- Fruchterman-Reingold layout ------------------------------------------------
 
-def fr_layout(social: SocialGraph, iterations: int = 60, seed: int = 0,
-              area: float = 1.0) -> dict[str, tuple[float, float]]:
+def fr_layout(social: SocialGraph, iterations: int = 60,
+              seed: int = 0) -> dict[str, tuple[float, float]]:
     """Standard force-directed layout: repulsion k^2/d, attraction d^2/k,
-    linearly cooled displacement cap, seeded uniform init.
+    linearly cooled displacement cap, seeded uniform init in the unit square.
 
     Repulsion is exact O(n^2), computed for a block of users i at a time
     in four (n, block) buffers of about 2 MB together, allocated once.  The
@@ -560,13 +547,13 @@ def fr_layout(social: SocialGraph, iterations: int = 60, seed: int = 0,
     if n == 0:
         raise ProtocolError("the dataset has no users to lay out")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 47)))
-    pos = rng.random((n, 2)) * np.sqrt(area)
+    pos = rng.random((n, 2))
     if n == 1:
         return {ids[0]: (float(pos[0, 0]), float(pos[0, 1]))}
     index = {u: i for i, u in enumerate(ids)}
     edges = np.array([[index[a], index[b]] for a, b in sorted(social.follows)], dtype=np.intp)
-    k = np.sqrt(area / n)
-    temp = 0.1 * np.sqrt(area)
+    k = np.sqrt(1.0 / n)
+    temp = 0.1
     dt = temp / (iterations + 1)
     eps = 1e-12
 

@@ -34,10 +34,6 @@ class FeatureSlice:
     start: int
     stop: int
 
-    @property
-    def width(self) -> int:
-        return self.stop - self.start
-
 
 @dataclass(frozen=True, eq=False)
 class FeatureSchema:
@@ -73,9 +69,6 @@ class FeatureSchema:
             if s.group == group:
                 cols.extend(range(s.start, s.stop))
         return np.asarray(cols, dtype=np.intp)
-
-    def group_width(self, group: str) -> int:
-        return sum(s.width for s in self.slices if s.group == group)
 
 
 def _layout(spec: list[tuple[str, str, int]]) -> tuple[FeatureSlice, ...]:

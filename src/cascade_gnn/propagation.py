@@ -10,8 +10,8 @@ import numpy as np
 
 from .features import FeatureSchema, encode_node_features
 from .types import (FLAG_I_FOLLOWS_J, FLAG_J_FOLLOWS_I, FLAG_SPREAD_I_TO_J, CascadeRecord,
-                    PropagationGraph, SCOPE_CASCADE, SCOPE_URL, SocialGraph, SpreadingTree,
-                    Tweet, UrlStory)
+                    PropagationGraph, SCOPE_CASCADE, SCOPE_URL, SCOPES, SocialGraph,
+                    SpreadingTree, Tweet, UrlStory)
 
 
 def estimate_spreading_tree(cascade: CascadeRecord, social: SocialGraph) -> SpreadingTree:
@@ -118,6 +118,8 @@ def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
     unordered pair is stored once with merged flags.  Tweet IDs must be
     unique across the given cascades.
     """
+    if scope not in SCOPES:
+        raise ValueError(f"scope must be one of {SCOPES}")
     if scope == SCOPE_CASCADE and len(cascades) != 1:
         raise ValueError("cascade_wise scope requires exactly one cascade")
     if scope == SCOPE_URL:
@@ -179,7 +181,6 @@ def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
         node_features=feats,
         edges=edges,
         label=story.label,
-        scope=scope,
         node_times=tuple(t.timestamp for t, _ in entries),
         node_authors=tuple(authors),
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import load_word_vectors
+from .features import embed_tokens, load_word_vectors
 from .types import (CascadeRecord, EMBEDDING_DIM, LABEL_FAKE, LABEL_TRUE,
                     SocialGraph, Tweet, UrlStory, User)
 
@@ -141,7 +141,7 @@ class _EmbeddingSampler:
         if self.mode == "load_file":
             k = int(rng.integers(5, 13))
             picks = rng.choice(len(self.tokens), size=min(k, len(self.tokens)), replace=False)
-            vec = np.mean([self.table[self.tokens[i]] for i in picks], axis=0)
+            vec = embed_tokens([self.tokens[i] for i in picks], self.table)
             norm = np.linalg.norm(vec)
             return vec / norm if norm > 0 else vec
         return self.dictionary[int(rng.integers(self.DICT_SIZE))]
@@ -261,11 +261,6 @@ def _cascade_size_probs(cfg: GenConfig) -> np.ndarray:
     k = np.arange(1, cfg.max_cascade_size + 1, dtype=np.float64)
     w = k ** (-cfg.cascade_size_tail_exponent)
     return w / w.sum()
-
-
-def expected_cascade_size(cfg: GenConfig) -> float:
-    p = _cascade_size_probs(cfg)
-    return float((np.arange(1, cfg.max_cascade_size + 1) * p).sum())
 
 
 def _followers_adjacency(cfg: GenConfig, social: SocialGraph) -> list[np.ndarray]:
@@ -410,9 +405,6 @@ class SummaryStats:
     url_cumulative_share: tuple[float, ...]  # cascades held by top-k URLs, k = 1..num_urls
     coverage_by_hour: dict[float, float]     # mean per-cascade first-day coverage
 
-    def share_at_rank(self, k: int) -> float:
-        return self.url_cumulative_share[k - 1]
-
 
 COVERAGE_HOURS = (1.0, 3.0, 7.0, 15.0, 24.0)
 
@@ -457,11 +449,3 @@ def summary_stats(stories: list[UrlStory], cascades: list[CascadeRecord]) -> Sum
         coverage_by_hour=coverage,
     )
 
-
-def cross_community_edge_fraction(cfg: GenConfig, social: SocialGraph) -> float:
-    """Fraction of follow pairs whose endpoints sit in different communities."""
-    comm = community_assignments(cfg)
-    if not social.follows:
-        return 0.0
-    cross = sum(1 for a, b in social.follows if comm[int(a[1:])] != comm[int(b[1:])])
-    return cross / len(social.follows)

@@ -193,7 +193,6 @@ class PropagationGraph:
     node_features: np.ndarray
     edges: tuple[tuple[int, int, tuple[bool, bool, bool, bool]], ...]
     label: str
-    scope: str
     node_times: tuple[float, ...] = field(default=())
     node_authors: tuple[str, ...] = field(default=())
 
@@ -204,8 +203,6 @@ class PropagationGraph:
         if not np.isfinite(feats).all():
             raise ValueError("node_features contains non-finite values")
         object.__setattr__(self, "node_features", feats)
-        if self.scope not in SCOPES:
-            raise ValueError(f"scope must be one of {SCOPES}")
         seen = set()
         n = len(self.nodes)
         for i, j, flags in self.edges:

@@ -24,6 +24,21 @@ FAST = ["--iterations", "40", "--jobs", "1"]
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def _child_env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC_DIR] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def _empty_dataset(path):
+    """A well-formed dataset with no users, follows, cascades or stories."""
+    path.mkdir()
+    for name in ("users.jsonl", "cascades.jsonl", "urls.jsonl"):
+        (path / name).write_text("")
+    (path / "follows.csv").write_text("follower_id,followee_id\n")
+    return path
+
+
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "ds"
@@ -113,13 +128,11 @@ class TestCv:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_numeric_failure_is_one_stderr_line(self, dataset_dir, tmp_path, jobs):
         # a fresh interpreter, so numpy's warnings would reach stderr
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [SRC_DIR] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         proc = subprocess.run(
             [sys.executable, "-c", "from cascade_gnn.cli import entrypoint; entrypoint()",
              "cv", "--dataset", str(dataset_dir), "--out", str(tmp_path / "nf"),
              "--lr", "1e300", "--iterations", "20", "--jobs", jobs, "--seed", "1"],
-            capture_output=True, text=True, env=env, timeout=600)
+            capture_output=True, text=True, env=_child_env(), timeout=600)
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric failure: "), proc.stderr
@@ -229,6 +242,27 @@ class TestTrainAndExport:
         code, _ = self.export_with(dataset_dir, tmp_path, path, capsys, scope="cascade")
         assert code == 0
 
+    def test_checkpoint_of_other_groups_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        model = tmp_path / "model"
+        assert main(["train", "--dataset", str(dataset_dir), "--out", str(model),
+                     "--seed", "1"] + FAST) == 0
+        checkpoint = model / "checkpoint.json"
+        meta = json.loads(checkpoint.read_text())["meta"]
+        assert meta["active_groups"] == ["user_profile", "user_activity",
+                                         "network_spreading", "content"]
+
+        def export(groups):
+            return main(["export-embeddings", "--dataset", str(dataset_dir),
+                         "--out", str(tmp_path / "e"), "--checkpoint", str(checkpoint),
+                         "--groups", groups, "--seed", "1"] + FAST)
+
+        assert export("content") == 1
+        err = capsys.readouterr().err
+        assert "checkpoint.json" in err and "'active_groups'" in err
+        assert len(err.splitlines()) == 1
+        # the groups are compared as a set
+        assert export("content,network_spreading,user_activity,user_profile") == 0
+
     def test_missing_checkpoint_exits_two(self, dataset_dir, tmp_path):
         code = main(["export-embeddings", "--dataset", str(dataset_dir),
                      "--out", str(tmp_path / "e"), "--checkpoint",
@@ -256,16 +290,20 @@ class TestLayoutAndStats:
         assert doc["mad_mmd"]["url"]["mad"] >= 0.0
 
     def test_layout_of_no_users_is_one_error_line(self, tmp_path, capsys):
-        data = tmp_path / "empty"
-        data.mkdir()
-        for name in ("users.jsonl", "cascades.jsonl", "urls.jsonl"):
-            (data / name).write_text("")
-        (data / "follows.csv").write_text("follower_id,followee_id\n")
+        data = _empty_dataset(tmp_path / "empty")
         code = main(["layout", "--dataset", str(data), "--out", str(tmp_path / "o"),
                      "--iterations", "3"])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: the dataset has no users to lay out"]
+
+    def test_stats_of_no_cascades_is_one_error_line(self, tmp_path, capsys):
+        data = _empty_dataset(tmp_path / "empty")
+        code = main(["stats", "--dataset", str(data), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the dataset has no cascades to summarize"]
+        assert not (tmp_path / "o").exists()
 
 
 class TestUsageAndSeeds:
@@ -279,6 +317,14 @@ class TestUsageAndSeeds:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_module_runs_the_cli(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cascade_gnn.cli", "stats", "--dataset",
+             str(tmp_path / "missing")],
+            capture_output=True, text=True, env=_child_env(), timeout=600)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: missing dataset file: "), proc.stderr
 
     def test_env_seed_is_last_resort(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CASCADE_GNN_SEED", "99")
@@ -411,6 +457,11 @@ class TestDatasetFormat:
          "disagree on cascade 'c00002_0006'"),
         ("urls.jsonl", _edit_jsonl(lambda r: r["cascade_ids"].append(r["cascade_ids"][0])),
          "cascade_ids lists a cascade twice"),
+        ("users.jsonl", _edit_jsonl(lambda r: r["description_embedding"].__setitem__(5, True)),
+         "field 'description_embedding' component 5 must be a number, got a boolean"),
+        ("cascades.jsonl",
+         _edit_jsonl(lambda r: r["tweets"][0]["text_embedding"].__setitem__(0, "0.5")),
+         "tweet 0: field 'text_embedding' component 0 must be a number, got a string"),
     ])
     def test_bad_record_exits_two(self, small_dataset, tmp_path, capsys, name, corrupt,
                                   reason):
@@ -478,6 +529,17 @@ def _truncate(lines, k, data):
     lines[k] = lines[k][:data.draw(st.integers(0, len(lines[k]) - 1))]
 
 
+def _recomponent(lines, k, data):
+    """Swap one embedding component for a string, a boolean or null."""
+    rec = json.loads(lines[k])
+    holder = data.draw(st.sampled_from([rec] if "user_id" in rec else rec["tweets"]))
+    vec = holder[data.draw(st.sampled_from([f for f in sorted(holder)
+                                            if f.endswith("_embedding")]))]
+    vec[data.draw(st.integers(0, len(vec) - 1))] = data.draw(
+        st.sampled_from(["0.5", "x", True, False, None]))
+    lines[k] = json.dumps(rec)
+
+
 def _repeat(lines, k, data):
     """Give line k the ID of another line: the whole line, in follows.csv."""
     j = data.draw(st.sampled_from([i for i in range(len(lines)) if i != k]))
@@ -500,9 +562,12 @@ class TestDatasetFuzz:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_corrupted_dataset_exits_two(self, tiny_dataset, data):
-        name = data.draw(st.sampled_from(["users.jsonl", "follows.csv", "cascades.jsonl",
-                                          "urls.jsonl"]))
-        corrupt = data.draw(st.sampled_from([_drop, _retype, _truncate, _repeat]))
+        corrupt = data.draw(st.sampled_from([_drop, _retype, _truncate, _repeat,
+                                             _recomponent]))
+        # only users and tweets hold embeddings
+        name = data.draw(st.sampled_from(
+            ["users.jsonl", "cascades.jsonl"] if corrupt is _recomponent else
+            ["users.jsonl", "follows.csv", "cascades.jsonl", "urls.jsonl"]))
         with tempfile.TemporaryDirectory() as tmp:
             copy = os.path.join(tmp, "ds")
             shutil.copytree(tiny_dataset, copy)

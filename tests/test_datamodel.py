@@ -255,6 +255,13 @@ class TestBuildPropagationGraph:
         with pytest.raises(ValueError, match="duplicate tweet id 'c0_t1'"):
             build_propagation_graph(story, [c0, c1], social, SCOPE_URL, SCHEMA)
 
+    def test_unknown_scope_rejected(self):
+        social = make_social({"A": 1}, set())
+        c0 = make_cascade([("A", 0)], "c0", "url0")
+        story = make_story("url0", "true_news", ["c0"])
+        with pytest.raises(ValueError, match="scope must be one of"):
+            build_propagation_graph(story, [c0], social, "story_wise", SCHEMA)
+
     def test_cascade_scope_needs_exactly_one(self):
         social = make_social({"A": 1}, set())
         c0 = make_cascade([("A", 0)], "c0", "url0")

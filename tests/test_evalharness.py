@@ -170,22 +170,23 @@ class TestPrefix:
 class TestDiffusionSweep:
     def test_sweep_nested_coverage_and_structure(self, world):
         _, social, stories, cascades = world
-        result = diffusion_sweep(stories, cascades, social, SCHEMA, fast_config(),
+        points = diffusion_sweep(stories, cascades, social, SCHEMA, fast_config(),
                                  "url_wise", d_values=[0, 3, 24], jobs=2)
-        hours = [p.hours for p in result.points]
+        hours = [p.hours for p in points]
         assert hours == [0.0, 3.0, 24.0]
-        coverages = [p.coverage for p in result.points]
+        coverages = [p.coverage for p in points]
         assert coverages[0] <= coverages[1] <= coverages[2]
         assert coverages[2] == pytest.approx(1.0)
 
     def test_full_window_equals_base_experiment(self, world):
         _, social, stories, cascades = world
+        # the sweep's own plan: folds drawn with the config's seed (0)
         plan = make_folds(stories, seed=0)
         samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
         base = cross_validate(samples, plan, fast_config(), jobs=1)
-        sweep = diffusion_sweep(stories, cascades, social, SCHEMA, fast_config(),
-                                "url_wise", d_values=[24], plan=plan, jobs=1)
-        assert sweep.points[0].mean_auc == pytest.approx(base.mean_auc)
+        points = diffusion_sweep(stories, cascades, social, SCHEMA, fast_config(),
+                                 "url_wise", d_values=[24], jobs=1)
+        assert points[0].mean_auc == pytest.approx(base.mean_auc)
 
 
 class TestAging:

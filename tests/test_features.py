@@ -16,10 +16,10 @@ class TestSchemaLayout:
         assert SCHEMA.width == 633
 
     def test_group_widths(self):
-        assert SCHEMA.group_width("user_profile") == 214
-        assert SCHEMA.group_width("user_activity") == 3
-        assert SCHEMA.group_width("network_spreading") == 16
-        assert SCHEMA.group_width("content") == 400
+        assert SCHEMA.group_columns("user_profile").size == 214
+        assert SCHEMA.group_columns("user_activity").size == 3
+        assert SCHEMA.group_columns("network_spreading").size == 16
+        assert SCHEMA.group_columns("content").size == 400
 
     def test_slices_disjoint_and_cover(self):
         cols = np.concatenate([SCHEMA.group_columns(g) for g in FEATURE_GROUPS])

@@ -8,12 +8,25 @@ import numpy as np
 import pytest
 
 from cascade_gnn.propagation import estimate_spreading_tree
-from cascade_gnn.synthgen import (GenConfig, cross_community_edge_fraction,
-                                  expected_cascade_size, generate_dataset,
-                                  generate_social_graph, summary_stats)
-from cascade_gnn.types import CascadeRecord, UrlStory
+from cascade_gnn.synthgen import (GenConfig, _cascade_size_probs, community_assignments,
+                                  generate_dataset, generate_social_graph, summary_stats)
+from cascade_gnn.types import CascadeRecord, SocialGraph, UrlStory
 
 SMALL = GenConfig(num_users=800, num_urls=40, mean_cascades_per_url=6.0)
+
+
+def expected_cascade_size(cfg: GenConfig) -> float:
+    p = _cascade_size_probs(cfg)
+    return float((np.arange(1, cfg.max_cascade_size + 1) * p).sum())
+
+
+def cross_community_edge_fraction(cfg: GenConfig, social: SocialGraph) -> float:
+    """Fraction of follow pairs whose endpoints sit in different communities."""
+    comm = community_assignments(cfg)
+    if not social.follows:
+        return 0.0
+    cross = sum(1 for a, b in social.follows if comm[int(a[1:])] != comm[int(b[1:])])
+    return cross / len(social.follows)
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +172,7 @@ class TestSummaryStats:
         ranked = sorted(per_url.values(), reverse=True)
         k = min(15, len(ranked))
         expected = sum(ranked[:k]) / len(cascades)
-        assert stats.share_at_rank(k) == pytest.approx(expected)
+        assert stats.url_cumulative_share[k - 1] == pytest.approx(expected)
         assert stats.url_cumulative_share[-1] == pytest.approx(1.0)
 
     def test_coverage_between_zero_and_one(self, small_world):
