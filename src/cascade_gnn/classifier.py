@@ -16,6 +16,7 @@ import numpy as np
 from . import autograd as ag
 from . import nn
 from .autograd import Tensor
+from .dataio import _embedding
 from .features import FEATURE_GROUPS, FeatureSchema
 # roc_auc stays a module global: perfbench/traced.py times it through this module
 from .metrics import auc_or_none, roc_auc  # noqa: F401
@@ -335,8 +336,9 @@ def load_checkpoint(path, config: ModelConfig, scope: str | None = None
 
     A given ``scope`` must match the one the checkpoint's ``meta`` records,
     if it records one, and ``config.active_groups`` must be the set of
-    feature groups it records, if it records them.  Any misfit raises
-    ``CheckpointError`` naming the file and the field.
+    feature groups it records, if it records them.  Every parameter value
+    must be a finite JSON number.  Any misfit raises ``CheckpointError``
+    naming the file and the field.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -369,10 +371,12 @@ def load_checkpoint(path, config: ModelConfig, scope: str | None = None
             raise CheckpointError(f"checkpoint {path}: parameter {k!r} is missing")
         try:
             shape = tuple(entry["shape"])
-            values = np.asarray(entry["data"], dtype=np.float64)
+            values = _embedding(entry, "data")
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"checkpoint {path}: parameter {k!r} is malformed "
                                   f"({type(exc).__name__}: {exc})") from None
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"checkpoint {path}: parameter {k!r} has a non-finite value")
         if shape != t.data.shape or values.size != t.data.size:
             raise CheckpointError(f"checkpoint {path}: parameter {k!r} has shape {shape} "
                                   f"and {values.size} values, expected {t.data.shape}")

@@ -30,7 +30,7 @@ from .evalharness import (DEFAULT_MIN_CASCADE_SIZE, ProtocolError, aging_protoco
                           diffusion_sweep, estimate_diameter,
                           fold_label_fractions, fr_layout, mad_mmd, make_folds,
                           split_by_url, train_and_score)
-from .features import FEATURE_GROUPS, FeatureSchema, default_schema
+from .features import FEATURE_GROUPS, default_schema
 from .metrics import auc_or_none
 from .optim import NumericError
 from .propagation import credibility_scores
@@ -148,7 +148,6 @@ class Run:
     social: SocialGraph
     stories: list[UrlStory]
     cascades: list[CascadeRecord]
-    schema: FeatureSchema
     model: ModelConfig
 
     @property
@@ -157,7 +156,7 @@ class Run:
         return float(self.hours[-1])
 
     def samples(self):
-        return build_samples(self.stories, self.cascades, self.social, self.schema,
+        return build_samples(self.stories, self.cascades, self.social, self.model.schema,
                              self.scope, hours=self.last_hour,
                              min_cascade_size=self.min_cascade_size,
                              active_groups=self.model.active_groups)
@@ -177,9 +176,8 @@ def _resolve_run(config_path, seed, dataset_dir, scope, hours, min_cascade_size,
     """Resolve every parameter, then load the dataset."""
     fc, seed = _config_and_seed(config_path, seed)
     scope = SCOPE_URL if scope == "url" else SCOPE_CASCADE
-    schema = default_schema()
     model = ModelConfig(
-        schema=schema, seed=seed,
+        schema=default_schema(), seed=seed,
         iterations=_resolve(iterations, fc, "iterations", DEFAULT_ITERATIONS[scope],
                             _positive_int, "--iterations"),
         learning_rate=_resolve(lr, fc, "learning_rate", 5e-4, float, "--lr"),
@@ -191,7 +189,7 @@ def _resolve_run(config_path, seed, dataset_dir, scope, hours, min_cascade_size,
                         _positive_int, "--min-cascade-size")
     jobs = _resolve(jobs, fc, "jobs", os.cpu_count() or 1, _positive_int, "--jobs")
     social, stories, cascades = load_dataset(dataset_dir)
-    return Run(fc, scope, hours, min_size, jobs, social, stories, cascades, schema, model)
+    return Run(fc, scope, hours, min_size, jobs, social, stories, cascades, model)
 
 
 common_options = [
@@ -300,10 +298,9 @@ def cv(run: Run, out_dir):
 @experiment_command(default_hours="0..24")
 def sweep(run: Run, out_dir):
     """Diffusion-time sweep; writes auc_vs_hours.csv and report.json."""
-    points = diffusion_sweep(run.stories, run.cascades, run.social, run.schema, run.model,
+    points = diffusion_sweep(run.stories, run.cascades, run.social, run.model,
                              run.scope, d_values=run.hours,
-                             min_cascade_size=run.min_cascade_size, jobs=run.jobs,
-                             active_groups=run.model.active_groups)
+                             min_cascade_size=run.min_cascade_size, jobs=run.jobs)
     echo = run.echo("sweep", hours=run.hours)
     rows = [(p.hours, p.mean_auc, p.std_auc, p.coverage) for p in points]
     write_csv(os.path.join(out_dir, "auc_vs_hours.csv"),
@@ -323,11 +320,10 @@ def aging(run: Run, out_dir, window_frac, min_gap_days):
                   "--window-frac")
     gap = _resolve(min_gap_days, run.file_config, "min_gap_days", 14.0, _non_negative,
                    "--min-gap-days")
-    result = aging_protocol(run.stories, run.cascades, run.social, run.schema, run.model,
+    result = aging_protocol(run.stories, run.cascades, run.social, run.model,
                             run.scope, hours=run.last_hour,
                             min_cascade_size=run.min_cascade_size, window_frac=wf,
-                            min_gap_days=gap, jobs=run.jobs,
-                            active_groups=run.model.active_groups)
+                            min_gap_days=gap, jobs=run.jobs)
     echo = run.echo("aging", window_frac=wf, min_gap_days=gap)
     rows = [(w.start, w.stop, w.mean_date, w.days_from_train, w.iou_with_prev,
              w.auc_diffused, w.auc_source_only, w.auc_cv_reference)
@@ -345,8 +341,9 @@ def aging(run: Run, out_dir, window_frac, min_gap_days):
 @experiment_command()
 def ablate(run: Run, out_dir):
     """Backward feature selection over the four groups; writes ablation.csv."""
-    result = backward_feature_selection(run.stories, run.cascades, run.social, run.schema,
-                                        run.model, run.scope, hours=run.last_hour,
+    result = backward_feature_selection(run.stories, run.cascades, run.social,
+                                        run.model.schema, run.model, run.scope,
+                                        hours=run.last_hour,
                                         min_cascade_size=run.min_cascade_size)
     echo = run.echo("ablate")
     rows = [(len(l.active_groups), "|".join(l.active_groups), l.val_auc, l.test_auc)
@@ -395,8 +392,9 @@ def export_embeddings(run: Run, out_dir, checkpoint_path):
         params, _, _ = load_checkpoint(checkpoint_path, run.model, scope=run.scope)
     except CheckpointError as exc:
         raise UsageFailure(str(exc))
-    samples = build_samples(run.stories, run.cascades, run.social, run.schema, SCOPE_URL,
-                            hours=run.last_hour, active_groups=run.model.active_groups)
+    samples = build_samples(run.stories, run.cascades, run.social, run.model.schema,
+                            SCOPE_URL, hours=run.last_hour,
+                            active_groups=run.model.active_groups)
     embeddings = user_embeddings(samples, params)
     credibility = credibility_scores(run.stories, cascades_by_url(run.cascades))
     echo = run.echo("export-embeddings")

@@ -207,20 +207,21 @@ class SweepPoint:
     coverage: float  # tweets retained / tweets at 24 h over the sample set
 
 
-def diffusion_sweep(stories, cascades, social, schema, config: ModelConfig,
-                    scope: str, d_values, min_cascade_size: int = 1, jobs: int = 1,
-                    active_groups=None) -> list[SweepPoint]:
+def diffusion_sweep(stories, cascades, social, config: ModelConfig,
+                    scope: str, d_values, min_cascade_size: int = 1,
+                    jobs: int = 1) -> list[SweepPoint]:
     """Train and cross-validate separately for each diffusion time, on samples
     built once at the latest hour (24 h at least) and cut to each d by ``prefix``.
+    The samples take ``config``'s schema and active groups.
 
     One fold plan is shared across all d values so the AUC series is
     comparable point to point.
     """
     plan = make_folds(stories, seed=config.seed)
-    base = build_samples(stories, cascades, social, schema, scope,
+    base = build_samples(stories, cascades, social, config.schema, scope,
                          hours=float(max([DEFAULT_DIFFUSION_HOURS, *d_values])),
                          min_cascade_size=min_cascade_size,
-                         active_groups=active_groups)
+                         active_groups=config.active_groups)
     total_24h = sum(len(s.prefix(DEFAULT_DIFFUSION_HOURS).times) for s in base)
 
     points = []
@@ -308,12 +309,12 @@ def make_aging_plan(stories: list[UrlStory], window_frac: float = 0.25,
                      windows=tuple(windows))
 
 
-def aging_protocol(stories, cascades, social, schema, config: ModelConfig,
+def aging_protocol(stories, cascades, social, config: ModelConfig,
                    scope: str, hours: float = DEFAULT_DIFFUSION_HOURS,
                    min_cascade_size: int = 1, window_frac: float = 0.25,
-                   min_gap_days: float = 14.0, jobs: int = 1,
-                   active_groups=None) -> AgingResult:
-    """Train on the past, evaluate windows of the future.
+                   min_gap_days: float = 14.0, jobs: int = 1) -> AgingResult:
+    """Train on the past, evaluate windows of the future, on samples with
+    ``config``'s schema and active groups.
 
     Each window reports the diffused model, the source-only (0 h) model,
     and the uniformly sampled cross-validation reference scores.
@@ -322,8 +323,9 @@ def aging_protocol(stories, cascades, social, schema, config: ModelConfig,
                            min_gap_days=min_gap_days, seed=config.seed)
     first_seen = {s.url_id: s.first_seen for s in stories}
     url_sets = [set(urls) for urls in (plan.train_urls, plan.val_urls, plan.test_urls)]
-    diffused = build_samples(stories, cascades, social, schema, scope, hours=hours,
-                             min_cascade_size=min_cascade_size, active_groups=active_groups)
+    diffused = build_samples(stories, cascades, social, config.schema, scope, hours=hours,
+                             min_cascade_size=min_cascade_size,
+                             active_groups=config.active_groups)
     scores = {}  # series -> sample key -> (fake score, label)
     for label, samples in (("diffused", diffused),
                            ("source_only", [s.prefix(0.0) for s in diffused])):
@@ -438,30 +440,35 @@ def _undirected_adjacency(social: SocialGraph) -> dict[str, list[str]]:
     return adj
 
 
+def _hop_distances(adj: dict[str, list[str]], sources, targets=(),
+                  cap: int | None = None) -> dict[str, int]:
+    """Breadth-first hop distance from the nearest source to each node it
+    reaches.  The search ends once every target is reached, or when the
+    next node to expand lies ``cap`` or more hops out."""
+    dist = {u: 0 for u in sources}
+    q = deque(dist)
+    left = set(targets) - dist.keys()
+    while q and (left or not targets):
+        u = q.popleft()
+        if cap is not None and dist[u] >= cap:
+            break
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                left.discard(v)
+                q.append(v)
+    return dist
+
+
 def estimate_diameter(social: SocialGraph) -> int:
-    """Double-BFS lower bound on the follow graph diameter."""
+    """Double-BFS lower bound on the follow graph diameter; the second
+    search starts from the farthest node with the smallest user ID."""
     adj = _undirected_adjacency(social)
     if not adj:
         return 0
-
-    def bfs_far(start):
-        dist = {start: 0}
-        q = deque([start])
-        far, fd = start, 0
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    if dist[v] > fd:
-                        far, fd = v, dist[v]
-                    q.append(v)
-        return far, fd
-
-    start = min(adj)
-    far, _ = bfs_far(start)
-    _, diameter = bfs_far(far)
-    return diameter
+    dist = _hop_distances(adj, [min(adj)])
+    far = min(dist, key=lambda u: (-dist[u], u))
+    return max(_hop_distances(adj, [far]).values())
 
 
 @dataclass
@@ -498,24 +505,8 @@ def mad_mmd(samples: list[list[str]], social: SocialGraph,
     per_sample_mean = []
     per_sample_min = []
     for t, users in enumerate(kept):
-        sources = set()
-        for o, other in enumerate(kept):
-            if o != t:
-                sources.update(other)
-        dist = {u: 0 for u in sources}
-        q = deque(sources)
-        targets = set(users)
-        found = {u for u in targets if u in dist}
-        while q and len(found) < len(targets):
-            u = q.popleft()
-            if dist[u] >= unreachable_cap:
-                break
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    if v in targets:
-                        found.add(v)
-                    q.append(v)
+        sources = {u for o, other in enumerate(kept) if o != t for u in other}
+        dist = _hop_distances(adj, sources, users, unreachable_cap)
         ds = [min(dist.get(u, unreachable_cap), unreachable_cap) for u in users]
         per_sample_mean.append(float(np.mean(ds)))
         per_sample_min.append(float(np.min(ds)))

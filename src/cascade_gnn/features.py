@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import DatasetFormatError
 from .types import EMBEDDING_DIM, Tweet, User
 
 GROUP_USER_PROFILE = "user_profile"
@@ -56,12 +57,6 @@ class FeatureSchema:
     @property
     def width(self) -> int:
         return self.slices[-1].stop
-
-    def slice(self, name: str) -> FeatureSlice:
-        for s in self.slices:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
     def group_columns(self, group: str) -> np.ndarray:
         cols = []
@@ -125,34 +120,33 @@ def encode_node_features(tweet: Tweet, user: User, cascade_root_time: float,
     tweet time, and the tweet's delay from its cascade root to
     log(1 + seconds/3600).  Embedding slices are copied verbatim.
     """
+    values = {
+        "geo_enabled": float(user.geo_enabled),
+        "background_picture": float(user.background_picture),
+        "default_profile": float(user.default_profile),
+        "default_profile_image": float(user.default_profile_image),
+        "verified": float(user.verified),
+        "lang": _one_hot(user.lang, HASH_BINS),
+        "description_embedding": user.description_embedding,
+        "account_age_years": max(0.0, tweet.timestamp - user.created_at) / SECONDS_PER_YEAR,
+        "statuses_count": np.log1p(user.statuses_count),
+        "favourites_count": np.log1p(user.favourites_count),
+        "listed_count": np.log1p(user.listed_count),
+        "followers_count": np.log1p(user.followers_count),
+        "friends_count": np.log1p(user.friends_count),
+        "is_source": float(tweet.is_source),
+        "time_delta": np.log1p(max(0.0, tweet.timestamp - cascade_root_time) / SECONDS_PER_HOUR),
+        "retweeted_reply_count": np.log1p(tweet.retweeted_reply_count),
+        "retweeted_quote_count": np.log1p(tweet.retweeted_quote_count),
+        "retweeted_favorite_count": np.log1p(tweet.retweeted_favorite_count),
+        "retweeted_retweet_count": np.log1p(tweet.retweeted_retweet_count),
+        "source_device": _one_hot(tweet.source_device, HASH_BINS),
+        "text_embedding": tweet.text_embedding,
+        "hashtag_embedding": tweet.hashtag_embedding,
+    }
     out = np.zeros(schema.width)
-
-    def put(name, value):
-        s = schema.slice(name)
-        out[s.start:s.stop] = value
-
-    put("geo_enabled", float(user.geo_enabled))
-    put("background_picture", float(user.background_picture))
-    put("default_profile", float(user.default_profile))
-    put("default_profile_image", float(user.default_profile_image))
-    put("verified", float(user.verified))
-    put("lang", _one_hot(user.lang, HASH_BINS))
-    put("description_embedding", user.description_embedding)
-    put("account_age_years", max(0.0, tweet.timestamp - user.created_at) / SECONDS_PER_YEAR)
-    put("statuses_count", np.log1p(user.statuses_count))
-    put("favourites_count", np.log1p(user.favourites_count))
-    put("listed_count", np.log1p(user.listed_count))
-    put("followers_count", np.log1p(user.followers_count))
-    put("friends_count", np.log1p(user.friends_count))
-    put("is_source", float(tweet.is_source))
-    put("time_delta", np.log1p(max(0.0, tweet.timestamp - cascade_root_time) / SECONDS_PER_HOUR))
-    put("retweeted_reply_count", np.log1p(tweet.retweeted_reply_count))
-    put("retweeted_quote_count", np.log1p(tweet.retweeted_quote_count))
-    put("retweeted_favorite_count", np.log1p(tweet.retweeted_favorite_count))
-    put("retweeted_retweet_count", np.log1p(tweet.retweeted_retweet_count))
-    put("source_device", _one_hot(tweet.source_device, HASH_BINS))
-    put("text_embedding", tweet.text_embedding)
-    put("hashtag_embedding", tweet.hashtag_embedding)
+    for s in schema.slices:
+        out[s.start:s.stop] = values[s.name]
 
     if not np.isfinite(out).all():
         raise ValueError("encoded node features contain non-finite values")
@@ -160,15 +154,25 @@ def encode_node_features(tweet: Tweet, user: User, cascade_root_time: float,
 
 
 def load_word_vectors(path) -> dict[str, np.ndarray]:
-    """Read a plain-text word-vector file: ``token v1 ... v200`` per line."""
+    """Read a plain-text word-vector file: ``token v1 ... v200`` per line.
+    A line of another width or with a value that is not a finite number,
+    and a file without vectors, raise ``DatasetFormatError``."""
     table = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.rstrip("\n").split(" ")
+        for line, text in enumerate(fh, 1):
+            parts = text.rstrip("\n").split(" ")
             if len(parts) != EMBEDDING_DIM + 1:
-                raise ValueError(f"expected token plus {EMBEDDING_DIM} values, "
-                                 f"got {len(parts)} fields")
-            table[parts[0]] = np.array([float(x) for x in parts[1:]])
+                raise DatasetFormatError(path, line, f"expected token plus {EMBEDDING_DIM} "
+                                                     f"values, got {len(parts)} fields")
+            try:
+                vec = np.array([float(x) for x in parts[1:]])
+            except ValueError as exc:
+                raise DatasetFormatError(path, line, str(exc)) from None
+            if not np.isfinite(vec).all():
+                raise DatasetFormatError(path, line, f"token {parts[0]!r} has a non-finite value")
+            table[parts[0]] = vec
+    if not table:
+        raise DatasetFormatError(path, 1, "no word vectors")
     return table
 
 

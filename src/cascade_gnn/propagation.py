@@ -9,9 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .features import FeatureSchema, encode_node_features
-from .types import (FLAG_I_FOLLOWS_J, FLAG_J_FOLLOWS_I, FLAG_SPREAD_I_TO_J, CascadeRecord,
-                    PropagationGraph, SCOPE_CASCADE, SCOPE_URL, SCOPES, SocialGraph,
-                    SpreadingTree, Tweet, UrlStory)
+from .types import (CascadeRecord, PropagationGraph, SCOPE_CASCADE, SCOPE_URL, SCOPES,
+                    SocialGraph, SpreadingTree, Tweet, UrlStory)
 
 
 def estimate_spreading_tree(cascade: CascadeRecord, social: SocialGraph) -> SpreadingTree:
@@ -142,32 +141,19 @@ def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
         if index.setdefault(t.tweet_id, k) != k:
             raise ValueError(f"duplicate tweet id {t.tweet_id!r} in story {story.url_id!r}")
 
-    spread: set[tuple[int, int]] = set()
-    for cas in sorted(cascades, key=lambda c: c.cascade_id):
-        tree = estimate_spreading_tree(cas, social)
-        for p, c in tree.spread_pairs():
-            spread.add((index[p], index[c]))
+    spread = {(index[p], index[c]) for cas in cascades
+              for p, c in estimate_spreading_tree(cas, social).spread_pairs()}
 
-    flags: dict[tuple[int, int], list[bool]] = {}
-
-    def flag(i, j, pos):
-        if i == j:
-            return
-        key, swap = ((i, j), False) if i < j else ((j, i), True)
-        rec = flags.setdefault(key, [False, False, False, False])
-        # swapping endpoints swaps the members of each directed flag pair
-        rec[(pos ^ 1) if swap else pos] = True
-
-    for a, b in spread:
-        flag(a, b, FLAG_SPREAD_I_TO_J)  # with i=a, j=b
     authors = [t.author for t, _ in entries]
     n = len(entries)
+    edges = []
     for i in range(n):
         for j in range(i + 1, n):
-            if social.follows_pair(authors[i], authors[j]):
-                flag(i, j, FLAG_I_FOLLOWS_J)
-            if social.follows_pair(authors[j], authors[i]):
-                flag(i, j, FLAG_J_FOLLOWS_I)
+            flags = (social.follows_pair(authors[i], authors[j]),
+                     social.follows_pair(authors[j], authors[i]),
+                     (i, j) in spread, (j, i) in spread)
+            if any(flags):
+                edges.append((i, j, flags))
 
     feats = np.empty((n, schema.width))
     root_time = {cas.cascade_id: cas.source.timestamp for cas in cascades}
@@ -175,11 +161,10 @@ def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
         feats[k] = encode_node_features(t, social.users[t.author],
                                         root_time[cas.cascade_id], schema)
 
-    edges = tuple((i, j, tuple(f)) for (i, j), f in sorted(flags.items()))
     return PropagationGraph(
         nodes=tuple(t.tweet_id for t, _ in entries),
         node_features=feats,
-        edges=edges,
+        edges=tuple(edges),
         label=story.label,
         node_times=tuple(t.timestamp for t, _ in entries),
         node_authors=tuple(authors),

@@ -172,13 +172,6 @@ class SpreadingTree:
         return {(p, c) for c, p in self.parent.items()}
 
 
-# Edge relation flags, fixed order: the remaining code indexes into this.
-FLAG_I_FOLLOWS_J = 0
-FLAG_J_FOLLOWS_I = 1
-FLAG_SPREAD_I_TO_J = 2
-FLAG_SPREAD_J_TO_I = 3
-
-
 @dataclass(frozen=True, eq=False)
 class PropagationGraph:
     """Tweet-level graph: nodes, feature matrix, and 4-flag relation edges.

@@ -235,6 +235,10 @@ class TestCheckpoint:
         ("'gc1.weight'", lambda doc: doc["params"].update({"gc1.weight": [1.0]})),
         ("'gc1.weight'", lambda doc: doc["params"]["gc1.weight"].pop("shape")),
         ("'gc1.weight'", lambda doc: doc["params"]["gc1.weight"].update(data="x")),
+        ("'gc1.weight'", lambda doc: doc["params"]["gc1.weight"]["data"].__setitem__(0, "0.5")),
+        ("'gc1.weight'", lambda doc: doc["params"]["gc1.weight"]["data"].__setitem__(0, True)),
+        ("'gc1.weight'", lambda doc: doc["params"]["gc1.weight"]["data"].__setitem__(
+            0, float("nan"))),
         ("'optimizer'", lambda doc: doc.update(optimizer={"m": {}})),
         ("'optimizer'", lambda doc: doc.update(optimizer=[1, 2])),
     ])

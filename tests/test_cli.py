@@ -68,6 +68,27 @@ class TestGenerate:
         assert doc["stats"]["fake_fraction"] == pytest.approx(0.3)  # round(30 * 0.3)
         assert "config_hash" in doc
 
+    @pytest.mark.parametrize("text, reason", [
+        ("tok 1 2 3\n", "line 1: expected token plus 200 values, got 4 fields"),
+        ("ok" + " 0" * 200 + "\ntok x" + " 0" * 199 + "\n",
+         "line 2: could not convert string to float: 'x'"),
+        ("tok nan" + " 0" * 199 + "\n", "line 1: token 'tok' has a non-finite value"),
+        ("", "no word vectors"),
+    ], ids=["width", "not-a-number", "nan", "empty"])
+    def test_bad_word_vector_file_exits_two(self, tmp_path, capsys, text, reason):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"embedding_mode": "load_file",
+                                   "embedding_file": str(vectors)}))
+        code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d"),
+                     "--users", "30", "--urls", "2", "--mean-cascades", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {vectors}") and reason in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "d").exists()
+
     def test_bad_config_is_usage_error(self, tmp_path):
         code = main(["generate", "--out", str(tmp_path / "x"), "--urls", "5",
                      "--fake-fraction", "1.5"])
@@ -288,6 +309,24 @@ class TestLayoutAndStats:
         doc = json.loads((out / "stats.json").read_text())
         assert "mad_mmd" in doc
         assert doc["mad_mmd"]["url"]["mad"] >= 0.0
+
+    def test_stats_independent_of_string_hashing(self, tmp_path):
+        # under string-hash seeds 0 and 2 the follow set iterates in orders
+        # that reach different farthest users first on this world
+        data = tmp_path / "ds"
+        assert main(["generate", "--seed", "3", "--users", "40", "--urls", "8",
+                     "--mean-cascades", "2", "--fake-fraction", "0.3",
+                     "--out", str(data)]) == 0
+        reports = []
+        for hash_seed in ("0", "2"):
+            out = tmp_path / hash_seed
+            subprocess.run(
+                [sys.executable, "-m", "cascade_gnn.cli", "stats", "--dataset", str(data),
+                 "--out", str(out), "--mad-samples", "4", "--seed", "5"],
+                check=True, capture_output=True,
+                env=dict(_child_env(), PYTHONHASHSEED=hash_seed), timeout=600)
+            reports.append((out / "stats.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_layout_of_no_users_is_one_error_line(self, tmp_path, capsys):
         data = _empty_dataset(tmp_path / "empty")

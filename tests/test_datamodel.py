@@ -225,6 +225,17 @@ class TestBuildPropagationGraph:
                     expected[(a, b)] = fl
         assert {(i, j): f for i, j, f in g.edges} == expected
 
+    def test_retweet_sorted_before_its_parent(self):
+        # same timestamp: the retweet's ID sorts first, so it is node 0 and
+        # its parent node 1, and the spreading link runs from j to i
+        social = make_social({"A": 1, "B": 1}, {("B", "A")})
+        cas = CascadeRecord("c0", "url0", (make_tweet("z_src", "A", 5, is_source=True),
+                                           make_tweet("a_rt", "B", 5)))
+        story = make_story("url0", "true_news", ["c0"])
+        g = build_propagation_graph(story, [cas], social, SCOPE_CASCADE, SCHEMA)
+        assert g.nodes == ("a_rt", "z_src")
+        assert g.edges == ((0, 1, (True, False, False, True)),)
+
     def test_cascade_order_independence(self):
         users = {f"u{i}": i for i in range(5)}
         follows = {("u1", "u0"), ("u3", "u2"), ("u4", "u0")}

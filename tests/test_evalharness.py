@@ -170,7 +170,7 @@ class TestPrefix:
 class TestDiffusionSweep:
     def test_sweep_nested_coverage_and_structure(self, world):
         _, social, stories, cascades = world
-        points = diffusion_sweep(stories, cascades, social, SCHEMA, fast_config(),
+        points = diffusion_sweep(stories, cascades, social, fast_config(),
                                  "url_wise", d_values=[0, 3, 24], jobs=2)
         hours = [p.hours for p in points]
         assert hours == [0.0, 3.0, 24.0]
@@ -184,7 +184,7 @@ class TestDiffusionSweep:
         plan = make_folds(stories, seed=0)
         samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
         base = cross_validate(samples, plan, fast_config(), jobs=1)
-        points = diffusion_sweep(stories, cascades, social, SCHEMA, fast_config(),
+        points = diffusion_sweep(stories, cascades, social, fast_config(),
                                  "url_wise", d_values=[24], jobs=1)
         assert points[0].mean_auc == pytest.approx(base.mean_auc)
 
@@ -219,7 +219,7 @@ class TestAging:
 
     def test_protocol_reports_three_series(self, world):
         _, social, stories, cascades = world
-        result = aging_protocol(stories, cascades, social, SCHEMA, fast_config(),
+        result = aging_protocol(stories, cascades, social, fast_config(),
                                 "url_wise", hours=24.0, jobs=2)
         assert len(result.windows) >= 1
         w = result.windows[0]
@@ -330,6 +330,46 @@ class TestMadMmd:
             mins.append(min(ds))
         assert res.mad == pytest.approx(np.mean(means))
         assert res.mmd == pytest.approx(np.mean(mins))
+
+    def test_random_graphs_match_all_pairs_oracle(self):
+        # oracle: all-pairs BFS, each user's distance to the nearest user of
+        # another sample clipped at the cap (unreachable counts as the cap)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            users = [f"u{i}" for i in range(n)]
+            follows = {(users[a], users[b]) for a, b in rng.integers(0, n, size=(n, 2))
+                       if a != b}
+            social = make_social(dict.fromkeys(users, 0), follows)
+            samples = [[users[k] for k in sorted(set(rng.integers(0, n, size=3)))]
+                       for _ in range(int(rng.integers(2, 5)))]
+            cap = None if rng.random() < 0.5 else int(rng.integers(1, 6))
+            res = mad_mmd(samples, social, unreachable_cap=cap)
+
+            hops = np.full((n, n), np.inf)
+            for src in range(n):
+                hops[src, src], frontier, d = 0, [src], 0
+                while frontier:
+                    d += 1
+                    frontier = [v for u in frontier for v in range(n)
+                                if hops[src, v] == np.inf and
+                                ((users[u], users[v]) in follows or
+                                 (users[v], users[u]) in follows)]
+                    hops[src, frontier] = d
+            diameter = int(hops[np.isfinite(hops)].max())
+            assert 0 <= estimate_diameter(social) <= diameter
+            if cap is None:
+                cap = estimate_diameter(social) + 1
+            index = {u: i for i, u in enumerate(users)}
+            means, mins = [], []
+            for t, sample in enumerate(samples):
+                others = [index[u] for o, s in enumerate(samples) if o != t for u in s]
+                ds = [min(hops[index[u], others].min(), cap) for u in sample]
+                means.append(np.mean(ds))
+                mins.append(min(ds))
+            assert res.unreachable_cap == cap
+            assert res.mad == pytest.approx(np.mean(means))
+            assert res.mmd == pytest.approx(np.mean(mins))
 
     def test_cascades_more_dispersed_than_urls(self):
         # directional reproduction: single-cascade samples sit farther from

@@ -37,7 +37,7 @@ class TestNodeEncoding:
         return encode_node_features(tweet, user, root_time, SCHEMA)
 
     def slot(self, vec, name):
-        s = SCHEMA.slice(name)
+        s = next(s for s in SCHEMA.slices if s.name == name)
         return vec[s.start:s.stop]
 
     def test_boolean_and_zero_count_slots(self):
