@@ -50,9 +50,12 @@ def _load_config_file(path):
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise UsageFailure(f"--config {path}: {exc}") from None
     if not isinstance(doc, dict):
-        raise UsageFailure("config file must hold a JSON object")
+        raise UsageFailure(f"--config {path}: must hold a JSON object")
     return doc
 
 
@@ -105,6 +108,13 @@ def _positive_int(value) -> int:
     number = int(value)
     if number <= 0:
         raise ValueError(f"must be positive, got {number}")
+    return number
+
+
+def _positive_finite(value) -> float:
+    number = float(value)
+    if not 0.0 < number < float("inf"):
+        raise ValueError(f"must be a positive finite number, got {number}")
     return number
 
 
@@ -180,7 +190,7 @@ def _resolve_run(config_path, seed, dataset_dir, scope, hours, min_cascade_size,
         schema=default_schema(), seed=seed,
         iterations=_resolve(iterations, fc, "iterations", DEFAULT_ITERATIONS[scope],
                             _positive_int, "--iterations"),
-        learning_rate=_resolve(lr, fc, "learning_rate", 5e-4, float, "--lr"),
+        learning_rate=_resolve(lr, fc, "learning_rate", 5e-4, _positive_finite, "--lr"),
         active_groups=_resolve(groups, fc, "active_groups", default_active_groups(scope),
                                _feature_groups, "--groups"))
     hours = _resolve(hours, fc, "hours", default_hours, _parse_hours, "--hours")
@@ -344,7 +354,8 @@ def ablate(run: Run, out_dir):
     result = backward_feature_selection(run.stories, run.cascades, run.social,
                                         run.model.schema, run.model, run.scope,
                                         hours=run.last_hour,
-                                        min_cascade_size=run.min_cascade_size)
+                                        min_cascade_size=run.min_cascade_size,
+                                        jobs=run.jobs)
     echo = run.echo("ablate")
     rows = [(len(l.active_groups), "|".join(l.active_groups), l.val_auc, l.test_auc)
             for l in result.levels]
@@ -485,7 +496,7 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except (OSError, json.JSONDecodeError, DatasetFormatError) as exc:
+    except (OSError, DatasetFormatError) as exc:
         # DatasetNotFoundError is an OSError
         click.echo(f"error: {exc}", err=True)
         return 2

@@ -35,6 +35,22 @@ class DatasetFormatError(ValueError):
         self.reason = reason
 
 
+def text_lines(path, newline=None):
+    """The lines of a UTF-8 text file, split as ``open`` splits them with
+    ``newline``.  A byte that is not UTF-8 is read as an escape, so the line
+    that holds it, not the end of a read buffer, raises ``DatasetFormatError``
+    with its number."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        for line, text in enumerate(fh, 1):
+            if not text.isascii():
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise DatasetFormatError(path, line, f"character {exc.start + 1} is a byte "
+                                                         "that is not UTF-8") from None
+            yield text
+
+
 def _round_vec(vec: np.ndarray) -> list[float]:
     return [float(f"{x:.7g}") for x in vec]
 
@@ -120,16 +136,15 @@ def _records(path, build, id_field: str) -> dict:
     ``id_field`` in file order, with the line number; a line that cannot be
     built from, or that repeats an ID, raises ``DatasetFormatError``."""
     out = {}
-    with open(_require(path), "r", encoding="utf-8") as fh:
-        for line, text in enumerate(fh, 1):
-            try:
-                rec = build(json.loads(text))
-            except (TypeError, ValueError) as exc:
-                raise DatasetFormatError(path, line, str(exc)) from None
-            key = getattr(rec, id_field)
-            if key in out:
-                raise DatasetFormatError(path, line, f"duplicate {id_field} {key!r}")
-            out[key] = (line, rec)
+    for line, text in enumerate(text_lines(_require(path)), 1):
+        try:
+            rec = build(json.loads(text))
+        except (TypeError, ValueError) as exc:
+            raise DatasetFormatError(path, line, str(exc)) from None
+        key = getattr(rec, id_field)
+        if key in out:
+            raise DatasetFormatError(path, line, f"duplicate {id_field} {key!r}")
+        out[key] = (line, rec)
     return out
 
 
@@ -165,19 +180,19 @@ def _story(rec) -> UrlStory:
 
 
 def load_dataset(dirpath) -> tuple[SocialGraph, list[UrlStory], list[CascadeRecord]]:
-    """Read a dataset directory.  A record that cannot be read (a field
-    missing or of the wrong JSON type, or an embedding component that is not
-    a number, included), a repeated user, cascade, tweet or URL ID or follow
-    row, a tweet by an unknown user, a cascade of an unknown story and a
-    story whose ``cascade_ids`` disagree with the cascades raise
-    ``DatasetFormatError`` with the file and line."""
+    """Read a dataset directory.  A record that cannot be read (a line that
+    is not UTF-8, a field missing or of the wrong JSON type, or an embedding
+    component that is not a number, included), a repeated user, cascade,
+    tweet or URL ID or follow row, a tweet by an unknown user, a cascade of
+    an unknown story and a story whose ``cascade_ids`` disagree with the
+    cascades raise ``DatasetFormatError`` with the file and line."""
     users = {uid: u for uid, (_, u) in
              _records(os.path.join(dirpath, USERS_FILE), _user, "user_id").items()}
 
     follows = set()
     path = os.path.join(dirpath, FOLLOWS_FILE)
-    with open(_require(path), "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(text_lines(_require(path), newline=""))
+    try:
         header = next(reader, None)
         if header != ["follower_id", "followee_id"]:
             raise DatasetFormatError(path, 1, f"unexpected header {header}")
@@ -195,6 +210,8 @@ def load_dataset(dirpath) -> tuple[SocialGraph, list[UrlStory], list[CascadeReco
                 follows.add((row[0], row[1]))
                 continue
             raise DatasetFormatError(path, reader.line_num, reason)
+    except csv.Error as exc:  # a field over csv's size limit
+        raise DatasetFormatError(path, reader.line_num, str(exc)) from None
     social = SocialGraph(users=users, follows=frozenset(follows))
 
     cas_path, url_path = os.path.join(dirpath, CASCADES_FILE), os.path.join(dirpath, URLS_FILE)

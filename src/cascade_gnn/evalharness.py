@@ -2,8 +2,8 @@
 aging windows, backward feature selection, sample-distance analysis and
 force-directed layout export.
 
-All protocols are seed-deterministic; fold/sweep workers run in parallel
-when ``jobs > 1`` and results merge in job order.
+All protocols are seed-deterministic; their train-and-score rounds run in
+one process pool when ``jobs > 1`` and results merge in round order.
 """
 from __future__ import annotations
 
@@ -148,53 +148,56 @@ class CvResult:
     fold_val_aucs: list[float | None]
 
 
-def _run_cv_round(payload) -> tuple[int, list[tuple[str, float, int]], float | None]:
-    r, train_set, val_set, test_set, config = payload
+def _run_cv_round(payload) -> tuple[object, list[tuple[str, float, int]], float | None]:
+    label, train_set, val_set, test_set, config = payload
     result, scores = train_and_score(train_set, val_set, test_set, config)
-    return r, [(s.key, sc, s.label) for s, sc in zip(test_set, scores)], result.best_val_auc
+    return label, [(s.key, sc, s.label) for s, sc in zip(test_set, scores)], result.best_val_auc
+
+
+def _test_auc(scored) -> float | None:
+    return auc_or_none([x[1] for x in scored], [x[2] for x in scored])
 
 
 def _run_jobs(payloads, jobs: int):
+    """The rounds' results in payload order, trained in one process pool when ``jobs > 1``."""
     if jobs <= 1 or len(payloads) <= 1:
         return [_run_cv_round(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
         return list(pool.map(_run_cv_round, payloads))
 
 
-def cross_validate(samples: list[PreparedGraph], plan: FoldPlan,
-                   config: ModelConfig, jobs: int = 1) -> CvResult:
-    """Grouped k-fold CV: all samples of a URL stay in that URL's fold."""
+def _cv_rounds(samples: list[PreparedGraph], plan: FoldPlan, config: ModelConfig) -> list:
+    """One payload per fold round r, its model seeded ``config.seed + r``."""
     payloads = []
     for r in range(plan.k):
         train_set, val_set, test_set = split_by_url(samples, *plan.round(r))
         if not train_set or not test_set:
             raise ProtocolError(f"round {r} has no train or test sample; lower --min-cascade-size")
-        cfg_r = replace(config, seed=config.seed + r)
-        payloads.append((r, train_set, val_set, test_set, cfg_r))
+        payloads.append((r, train_set, val_set, test_set, replace(config, seed=config.seed + r)))
+    return payloads
 
-    fold_aucs: list[float | None] = []
-    fold_val: list[float | None] = []
-    scores: dict[str, tuple[float, int]] = {}
-    for r, scored, val_auc in sorted(_run_jobs(payloads, jobs)):
-        fold_scores = [x[1] for x in scored]
-        fold_labels = [x[2] for x in scored]
-        fold_aucs.append(auc_or_none(fold_scores, fold_labels))
-        fold_val.append(val_auc)
-        for key, sc, lab in scored:
-            scores[key] = (sc, lab)
+
+def _cv_result(results) -> CvResult:
+    """The fold rounds' results merged, in round order."""
+    fold_aucs = [_test_auc(scored) for _, scored, _ in results]
+    scores = {key: (sc, lab) for _, scored, _ in results for key, sc, lab in scored}
     defined = [a for a in fold_aucs if a is not None]
     if not defined:
         raise ProtocolError("every fold's test set was single-class; AUC undefined")
-    all_scores = [v[0] for v in scores.values()]
-    all_labels = [v[1] for v in scores.values()]
-    pooled_roc, pooled_auc = roc_auc(all_scores, all_labels)
+    pooled_roc, pooled_auc = roc_auc(*zip(*scores.values()))
     return CvResult(fold_aucs=fold_aucs,
                     mean_auc=float(np.mean(defined)),
                     std_auc=float(np.std(defined)),
                     pooled_roc=pooled_roc,
                     pooled_auc=pooled_auc,
                     scores=scores,
-                    fold_val_aucs=fold_val)
+                    fold_val_aucs=[val_auc for *_, val_auc in results])
+
+
+def cross_validate(samples: list[PreparedGraph], plan: FoldPlan,
+                   config: ModelConfig, jobs: int = 1) -> CvResult:
+    """Grouped k-fold CV: all samples of a URL stay in that URL's fold."""
+    return _cv_result(_run_jobs(_cv_rounds(samples, plan, config), jobs))
 
 
 # -- diffusion-time sweep -----------------------------------------------------
@@ -224,15 +227,13 @@ def diffusion_sweep(stories, cascades, social, config: ModelConfig,
                          active_groups=config.active_groups)
     total_24h = sum(len(s.prefix(DEFAULT_DIFFUSION_HOURS).times) for s in base)
 
-    points = []
-    for d in d_values:
-        samples = [s.prefix(d) for s in base]
-        retained = sum(len(s.times) for s in samples)
-        cv = cross_validate(samples, plan, config, jobs=jobs)
-        points.append(SweepPoint(hours=float(d), mean_auc=cv.mean_auc,
-                                 std_auc=cv.std_auc,
-                                 coverage=retained / total_24h if total_24h else 0.0))
-    return points
+    cut = [[s.prefix(d) for s in base] for d in d_values]
+    results = _run_jobs([p for samples in cut for p in _cv_rounds(samples, plan, config)], jobs)
+    cvs = [_cv_result(results[i:i + plan.k]) for i in range(0, len(results), plan.k)]
+    return [SweepPoint(hours=float(d), mean_auc=cv.mean_auc, std_auc=cv.std_auc,
+                       coverage=sum(len(s.times) for s in samples) / total_24h
+                       if total_24h else 0.0)
+            for d, samples, cv in zip(d_values, cut, cvs)]
 
 
 # -- aging --------------------------------------------------------------------
@@ -326,17 +327,17 @@ def aging_protocol(stories, cascades, social, config: ModelConfig,
     diffused = build_samples(stories, cascades, social, config.schema, scope, hours=hours,
                              min_cascade_size=min_cascade_size,
                              active_groups=config.active_groups)
-    scores = {}  # series -> sample key -> (fake score, label)
-    for label, samples in (("diffused", diffused),
-                           ("source_only", [s.prefix(0.0) for s in diffused])):
-        tr, va, te = split_by_url(samples, *url_sets)
-        if not tr or not te:
-            raise ProtocolError("temporal split left no train or test sample; "
-                                "lower --min-cascade-size")
-        _, test_scores = train_and_score(tr, va, te, config)
-        scores[label] = {s.key: (sc, s.label) for s, sc in zip(te, test_scores)}
+    temporal = [(label, *split_by_url(samples, *url_sets), config)
+                for label, samples in (("diffused", diffused),
+                                       ("source_only", [s.prefix(0.0) for s in diffused]))]
+    if not all(tr and te for _, tr, _, te, _ in temporal):
+        raise ProtocolError("temporal split left no train or test sample; "
+                            "lower --min-cascade-size")
     cv_plan = make_folds(stories, seed=config.seed)
-    scores["cv"] = cross_validate(diffused, cv_plan, config, jobs=jobs).scores
+    results = _run_jobs(temporal + _cv_rounds(diffused, cv_plan, config), jobs)
+    scores = {label: {key: (sc, lab) for key, sc, lab in scored}  # key -> (fake score, label)
+              for label, scored, _ in results[:2]}
+    scores["cv"] = _cv_result(results[2:]).scores
     key_url = {s.key: s.url_id for s in diffused}
 
     train_dates = [first_seen[u] for u in plan.train_urls + plan.val_urls]
@@ -391,38 +392,36 @@ class AblationResult:
 def backward_feature_selection(stories, cascades, social, schema,
                                config: ModelConfig, scope: str,
                                hours: float = DEFAULT_DIFFUSION_HOURS,
-                               min_cascade_size: int = 1) -> AblationResult:
+                               min_cascade_size: int = 1, jobs: int = 1) -> AblationResult:
     """Iteratively drop the group whose removal hurts validation AUC least.
 
     Uses round 0 of the fold plan: selection on the validation fold, the
-    reported AUC on the test fold.  Emits one level per subset size.
+    reported AUC on the test fold.  Emits one level per subset size; the
+    candidates of a level train together, seeded in candidate order.
     """
     plan = make_folds(stories, seed=config.seed)
     base = build_samples(stories, cascades, social, schema, scope, hours=hours,
                          min_cascade_size=min_cascade_size, active_groups=FEATURE_GROUPS)
+    parts = split_by_url(base, *plan.round(0))
 
-    def evaluate(active: tuple[str, ...], seed_shift: int):
-        samples = [replace(s, features=mask_columns(s.features, schema, active)) for s in base]
-        tr, va, te = split_by_url(samples, *plan.round(0))
-        result, scores = train_and_score(tr, va, te, replace(
-            config, seed=config.seed + seed_shift, active_groups=active))
-        return result.best_val_auc, auc_or_none(scores, [s.label for s in te])
+    def evaluate(subsets, shift: int):
+        """(validation AUC, test AUC) per subset, the k-th seeded ``config.seed + shift + k``."""
+        payloads = [(k, *[[replace(s, features=mask_columns(s.features, schema, active))
+                           for s in part] for part in parts],
+                     replace(config, seed=config.seed + shift + k, active_groups=active))
+                    for k, active in enumerate(subsets)]
+        return [(val_auc, _test_auc(scored)) for _, scored, val_auc in _run_jobs(payloads, jobs)]
 
     active = FEATURE_GROUPS
-    levels = []
+    levels = [AblationLevel(active, *evaluate([active], 0)[0])]
     removal_order: list[str] = []
-    val_auc, test_auc = evaluate(active, 0)
-    levels.append(AblationLevel(active, val_auc, test_auc))
     shift = 1
     while len(active) > 1:
-        candidates = []
-        for g in active:
-            reduced = tuple(x for x in active if x != g)
-            v, t = evaluate(reduced, shift)
-            shift += 1
-            candidates.append((v if v is not None else -1.0, g, reduced, v, t))
-        candidates.sort(key=lambda c: (-c[0], FEATURE_GROUPS.index(c[1])))
-        _, dropped, active, v, t = candidates[0]
+        reduced = [tuple(x for x in active if x != g) for g in active]
+        candidates = zip(active, reduced, evaluate(reduced, shift))
+        shift += len(active)
+        dropped, active, (v, t) = min(candidates, key=lambda c: (
+            -(c[2][0] if c[2][0] is not None else -1.0), FEATURE_GROUPS.index(c[0])))
         removal_order.append(dropped)
         levels.append(AblationLevel(active, v, t))
     importance_order = [active[0]] + list(reversed(removal_order))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DatasetFormatError
+from .dataio import DatasetFormatError, text_lines
 from .types import EMBEDDING_DIM, Tweet, User
 
 GROUP_USER_PROFILE = "user_profile"
@@ -155,22 +155,21 @@ def encode_node_features(tweet: Tweet, user: User, cascade_root_time: float,
 
 def load_word_vectors(path) -> dict[str, np.ndarray]:
     """Read a plain-text word-vector file: ``token v1 ... v200`` per line.
-    A line of another width or with a value that is not a finite number,
-    and a file without vectors, raise ``DatasetFormatError``."""
+    A line that is not UTF-8, of another width or with a value that is not
+    a finite number, and a file without vectors, raise ``DatasetFormatError``."""
     table = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line, text in enumerate(fh, 1):
-            parts = text.rstrip("\n").split(" ")
-            if len(parts) != EMBEDDING_DIM + 1:
-                raise DatasetFormatError(path, line, f"expected token plus {EMBEDDING_DIM} "
-                                                     f"values, got {len(parts)} fields")
-            try:
-                vec = np.array([float(x) for x in parts[1:]])
-            except ValueError as exc:
-                raise DatasetFormatError(path, line, str(exc)) from None
-            if not np.isfinite(vec).all():
-                raise DatasetFormatError(path, line, f"token {parts[0]!r} has a non-finite value")
-            table[parts[0]] = vec
+    for line, text in enumerate(text_lines(path), 1):
+        parts = text.rstrip("\n").split(" ")
+        if len(parts) != EMBEDDING_DIM + 1:
+            raise DatasetFormatError(path, line, f"expected token plus {EMBEDDING_DIM} "
+                                                 f"values, got {len(parts)} fields")
+        try:
+            vec = np.array([float(x) for x in parts[1:]])
+        except ValueError as exc:
+            raise DatasetFormatError(path, line, str(exc)) from None
+        if not np.isfinite(vec).all():
+            raise DatasetFormatError(path, line, f"token {parts[0]!r} has a non-finite value")
+        table[parts[0]] = vec
     if not table:
         raise DatasetFormatError(path, 1, "no word vectors")
     return table

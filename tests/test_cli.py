@@ -69,15 +69,16 @@ class TestGenerate:
         assert "config_hash" in doc
 
     @pytest.mark.parametrize("text, reason", [
-        ("tok 1 2 3\n", "line 1: expected token plus 200 values, got 4 fields"),
-        ("ok" + " 0" * 200 + "\ntok x" + " 0" * 199 + "\n",
+        (b"tok 1 2 3\n", "line 1: expected token plus 200 values, got 4 fields"),
+        (b"ok" + b" 0" * 200 + b"\ntok x" + b" 0" * 199 + b"\n",
          "line 2: could not convert string to float: 'x'"),
-        ("tok nan" + " 0" * 199 + "\n", "line 1: token 'tok' has a non-finite value"),
-        ("", "no word vectors"),
-    ], ids=["width", "not-a-number", "nan", "empty"])
+        (b"tok nan" + b" 0" * 199 + b"\n", "line 1: token 'tok' has a non-finite value"),
+        (b"", "no word vectors"),
+        (b"tok \xff\xfe\n", "line 1: character 5 is a byte that is not UTF-8"),
+    ], ids=["width", "not-a-number", "nan", "empty", "not-utf-8"])
     def test_bad_word_vector_file_exits_two(self, tmp_path, capsys, text, reason):
         vectors = tmp_path / "vectors.txt"
-        vectors.write_text(text)
+        vectors.write_bytes(text)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"embedding_mode": "load_file",
                                    "embedding_file": str(vectors)}))
@@ -415,6 +416,14 @@ class TestUsageAndSeeds:
         (["cv", "--iterations", "1"], {"min_cascade_size": 0}, "config key 'min_cascade_size'"),
         (["aging", "--min-gap-days", "-1", "--iterations", "1"], None, "--min-gap-days"),
         (["aging", "--iterations", "1"], {"min_gap_days": -0.5}, "config key 'min_gap_days'"),
+        # a learning rate that ascends the loss, never moves it, or is not finite
+        (["cv", "--lr", "-0.01", "--iterations", "1"], None, "--lr"),
+        (["cv", "--lr", "0", "--iterations", "1"], None, "--lr"),
+        (["cv", "--lr", "nan", "--iterations", "1"], None, "--lr"),
+        (["cv", "--lr", "inf", "--iterations", "1"], None, "--lr"),
+        (["cv", "--iterations", "1"], {"learning_rate": 0}, "config key 'learning_rate'"),
+        (["cv", "--iterations", "1"], {"learning_rate": float("nan")},
+         "config key 'learning_rate'"),
     ])
     def test_bad_value_is_one_error_line(self, dataset_dir, tmp_path, capsys,
                                          args, config, named):
@@ -429,6 +438,22 @@ class TestUsageAndSeeds:
         lines = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+
+    @pytest.mark.parametrize("content, reason", [
+        (b'{"seed": \xff}', "can't decode byte 0xff"),
+        (b'{"seed": 1,}', "Expecting property name"),
+        (b"[1]", "must hold a JSON object"),
+    ], ids=["not-utf-8", "not-json", "not-an-object"])
+    def test_unreadable_config_is_one_error_line(self, dataset_dir, tmp_path, capsys,
+                                                 content, reason):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        code = main(["cv", "--dataset", str(dataset_dir), "--out", str(tmp_path / "o"),
+                     "--config", str(path)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith(f"error: --config {path}: ")
+        assert reason in lines[0]
 
     def test_bad_env_seed_is_usage_error(self, dataset_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CASCADE_GNN_SEED", "abc")
@@ -470,6 +495,12 @@ def _edit_follow(make_row):
     return corrupt
 
 
+def _bad_byte(lines):
+    """Put a byte that is not UTF-8 (0xff, escaped) in the middle of line 3."""
+    half = len(lines[2]) // 2
+    lines[2] = lines[2][:half] + "\udcff" + lines[2][half:]
+
+
 class TestDatasetFormat:
     """A malformed record exits 2 naming its file and line (line 3 here)."""
 
@@ -501,6 +532,12 @@ class TestDatasetFormat:
         ("cascades.jsonl",
          _edit_jsonl(lambda r: r["tweets"][0]["text_embedding"].__setitem__(0, "0.5")),
          "tweet 0: field 'text_embedding' component 0 must be a number, got a string"),
+        # cascades.jsonl's line 3 starts kilobytes into the file
+        ("urls.jsonl", _bad_byte, "is a byte that is not UTF-8"),
+        ("follows.csv", _bad_byte, "is a byte that is not UTF-8"),
+        ("cascades.jsonl", _bad_byte, "is a byte that is not UTF-8"),
+        ("follows.csv", _edit_follow(lambda a, b: f"{a}{'x' * 131072},{b}"),
+         "field larger than field limit"),
     ])
     def test_bad_record_exits_two(self, small_dataset, tmp_path, capsys, name, corrupt,
                                   reason):
@@ -508,7 +545,7 @@ class TestDatasetFormat:
         shutil.copytree(small_dataset, data)
         lines = (data / name).read_text().splitlines()
         corrupt(lines)
-        (data / name).write_text("\n".join(lines) + "\n")
+        (data / name).write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         code = main(["stats", "--dataset", str(data)])
         err = capsys.readouterr().err
         assert code == 2

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from cascade_gnn import evalharness
 from cascade_gnn.classifier import ModelConfig
 from cascade_gnn.evalharness import (aging_protocol, backward_feature_selection,
                                      build_samples, cross_validate,
@@ -30,6 +31,20 @@ def fast_config(**kw):
     defaults = dict(schema=SCHEMA, hidden=8, fc1=4, iterations=60, seed=0)
     defaults.update(kw)
     return ModelConfig(**defaults)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools the protocols open."""
+    opened = []
+
+    class CountingPool(evalharness.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            super().__init__(max_workers, *args, **kwargs)
+            opened.append(max_workers)
+
+    monkeypatch.setattr(evalharness, "ProcessPoolExecutor", CountingPool)
+    return opened
 
 
 class TestFolds:
@@ -178,15 +193,26 @@ class TestDiffusionSweep:
         assert coverages[0] <= coverages[1] <= coverages[2]
         assert coverages[2] == pytest.approx(1.0)
 
-    def test_full_window_equals_base_experiment(self, world):
+    def test_full_window_equals_base_experiment(self, world, pools):
+        # every point of a sweep at 2 jobs, all its rounds in one pool, is
+        # the cross-validation of the samples cut to its hour at 1 job
         _, social, stories, cascades = world
         # the sweep's own plan: folds drawn with the config's seed (0)
         plan = make_folds(stories, seed=0)
         samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
-        base = cross_validate(samples, plan, fast_config(), jobs=1)
         points = diffusion_sweep(stories, cascades, social, fast_config(),
-                                 "url_wise", d_values=[24], jobs=1)
-        assert points[0].mean_auc == pytest.approx(base.mean_auc)
+                                 "url_wise", d_values=[0, 3, 24], jobs=2)
+        assert pools == [2]
+        for d, point in zip((0, 3, 24), points):
+            base = cross_validate([s.prefix(d) for s in samples], plan, fast_config(), jobs=1)
+            assert (point.mean_auc, point.std_auc) == (base.mean_auc, base.std_auc), d
+        assert pools == [2]
+
+    def test_one_job_opens_no_pool(self, world, pools):
+        _, social, stories, cascades = world
+        diffusion_sweep(stories, cascades, social, fast_config(iterations=2), "url_wise",
+                        d_values=[0, 3, 24], jobs=1)
+        assert pools == []
 
 
 class TestAging:
@@ -230,6 +256,13 @@ class TestAging:
             assert result.mean_iou is not None
             assert 0.0 <= result.mean_iou <= 1.0
 
+    def test_one_pool_and_same_result_at_any_jobs(self, world, pools):
+        _, social, stories, cascades = world
+        runs = [aging_protocol(stories, cascades, social, fast_config(), "url_wise",
+                               hours=24.0, jobs=jobs) for jobs in (1, 2)]
+        assert pools == [2]  # the two temporal rounds and the five folds together
+        assert runs[0] == runs[1]
+
     def test_single_window_degenerates_to_holdout(self, world):
         _, _, stories, _ = world
         plan = make_aging_plan(stories, window_frac=1.0, min_gap_days=1e9, seed=0)
@@ -249,6 +282,15 @@ class TestBackwardSelection:
         assert set(r1.importance_order) == {"user_profile", "user_activity",
                                             "network_spreading", "content"}
         assert r1.importance_order[0] == r1.levels[-1].active_groups[0]
+
+    def test_one_pool_per_level_and_same_result_at_any_jobs(self, world, pools):
+        _, social, stories, cascades = world
+        runs = [backward_feature_selection(stories, cascades, social, SCHEMA, fast_config(),
+                                           "url_wise", hours=24.0, jobs=jobs)
+                for jobs in (1, 2)]
+        # the first level trains one model in process; then 4, 3 and 2 candidates
+        assert pools == [2, 2, 2]
+        assert runs[0] == runs[1]
 
 
 class TestMadMmd:
