@@ -351,11 +351,12 @@ def aging(run: Run, out_dir, window_frac, min_gap_days):
 @experiment_command()
 def ablate(run: Run, out_dir):
     """Backward feature selection over the four groups; writes ablation.csv."""
+    # in process at any --jobs: pool workers, each starting a BLAS thread
+    # per core, oversubscribe the cores and made ablate slower
     result = backward_feature_selection(run.stories, run.cascades, run.social,
                                         run.model.schema, run.model, run.scope,
                                         hours=run.last_hour,
-                                        min_cascade_size=run.min_cascade_size,
-                                        jobs=run.jobs)
+                                        min_cascade_size=run.min_cascade_size)
     echo = run.echo("ablate")
     rows = [(len(l.active_groups), "|".join(l.active_groups), l.val_auc, l.test_auc)
             for l in result.levels]

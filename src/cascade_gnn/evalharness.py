@@ -149,9 +149,13 @@ class CvResult:
 
 
 def _run_cv_round(payload) -> tuple[object, list[tuple[str, float, int]], float | None]:
-    label, train_set, val_set, test_set, config = payload
-    result, scores = train_and_score(train_set, val_set, test_set, config)
-    return label, [(s.key, sc, s.label) for s, sc in zip(test_set, scores)], result.best_val_auc
+    """Train and score one round.  A sweep round, labelled ``(hours, r)``, cuts its
+    samples here, so the main process holds no cut copy of them."""
+    label, *parts, config = payload
+    if isinstance(label, tuple):
+        parts = [[s.prefix(label[0]) for s in part] for part in parts]
+    result, scores = train_and_score(*parts, config)
+    return label, [(s.key, sc, s.label) for s, sc in zip(parts[2], scores)], result.best_val_auc
 
 
 def _test_auc(scored) -> float | None:
@@ -214,7 +218,7 @@ def diffusion_sweep(stories, cascades, social, config: ModelConfig,
                     scope: str, d_values, min_cascade_size: int = 1,
                     jobs: int = 1) -> list[SweepPoint]:
     """Train and cross-validate separately for each diffusion time, on samples
-    built once at the latest hour (24 h at least) and cut to each d by ``prefix``.
+    built once at the latest hour (24 h at least) and cut to each d in its rounds.
     The samples take ``config``'s schema and active groups.
 
     One fold plan is shared across all d values so the AUC series is
@@ -227,13 +231,13 @@ def diffusion_sweep(stories, cascades, social, config: ModelConfig,
                          active_groups=config.active_groups)
     total_24h = sum(len(s.prefix(DEFAULT_DIFFUSION_HOURS).times) for s in base)
 
-    cut = [[s.prefix(d) for s in base] for d in d_values]
-    results = _run_jobs([p for samples in cut for p in _cv_rounds(samples, plan, config)], jobs)
+    rounds = _cv_rounds(base, plan, config)
+    results = _run_jobs([((d, r), *rest) for d in d_values for r, *rest in rounds], jobs)
     cvs = [_cv_result(results[i:i + plan.k]) for i in range(0, len(results), plan.k)]
     return [SweepPoint(hours=float(d), mean_auc=cv.mean_auc, std_auc=cv.std_auc,
-                       coverage=sum(len(s.times) for s in samples) / total_24h
+                       coverage=sum(len(s.prefix(d).times) for s in base) / total_24h
                        if total_24h else 0.0)
-            for d, samples, cv in zip(d_values, cut, cvs)]
+            for d, cv in zip(d_values, cvs)]
 
 
 # -- aging --------------------------------------------------------------------
@@ -397,7 +401,7 @@ def backward_feature_selection(stories, cascades, social, schema,
 
     Uses round 0 of the fold plan: selection on the validation fold, the
     reported AUC on the test fold.  Emits one level per subset size; the
-    candidates of a level train together, seeded in candidate order.
+    candidates of a level, seeded in candidate order, share one pool at ``jobs`` > 1.
     """
     plan = make_folds(stories, seed=config.seed)
     base = build_samples(stories, cascades, social, schema, scope, hours=hours,
@@ -406,11 +410,14 @@ def backward_feature_selection(stories, cascades, social, schema,
 
     def evaluate(subsets, shift: int):
         """(validation AUC, test AUC) per subset, the k-th seeded ``config.seed + shift + k``."""
-        payloads = [(k, *[[replace(s, features=mask_columns(s.features, schema, active))
-                           for s in part] for part in parts],
-                     replace(config, seed=config.seed + shift + k, active_groups=active))
-                    for k, active in enumerate(subsets)]
-        return [(val_auc, _test_auc(scored)) for _, scored, val_auc in _run_jobs(payloads, jobs)]
+        def payload(k, active):
+            return (k, *[[replace(s, features=mask_columns(s.features, schema, active))
+                          for s in part] for part in parts],
+                    replace(config, seed=config.seed + shift + k, active_groups=active))
+        # at one job, one masked copy of the samples lives at a time
+        batches = [list(enumerate(subsets))] if jobs > 1 else [[c] for c in enumerate(subsets)]
+        return [(val_auc, _test_auc(scored)) for batch in batches
+                for _, scored, val_auc in _run_jobs([payload(*c) for c in batch], jobs)]
 
     active = FEATURE_GROUPS
     levels = [AblationLevel(active, *evaluate([active], 0)[0])]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascade_gnn import evalharness
 from cascade_gnn.classifier import ModelConfig, init_params, save_checkpoint
 from cascade_gnn.cli import main
 from cascade_gnn.features import default_schema
@@ -204,6 +205,17 @@ class TestAblate:
         assert len(lines) == 2 + 4
         report = json.loads((out / "report.json").read_text())
         assert len(report["importance_order"]) == 4
+
+    def test_trains_in_process_at_any_jobs(self, dataset_dir, tmp_path, monkeypatch):
+        # pool workers' BLAS threads would oversubscribe the cores
+        def no_pool(*args, **kwargs):
+            raise AssertionError("ablate opened a process pool")
+
+        monkeypatch.setattr(evalharness, "ProcessPoolExecutor", no_pool)
+        code = main(["ablate", "--dataset", str(dataset_dir), "--out", str(tmp_path / "abl"),
+                     "--scope", "url", "--hours", "24", "--seed", "3",
+                     "--iterations", "2", "--jobs", "2"])
+        assert code == 0
 
 
 class TestTrainAndExport:

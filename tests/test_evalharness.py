@@ -47,6 +47,20 @@ def pools(monkeypatch):
     return opened
 
 
+@pytest.fixture
+def dispatched(monkeypatch):
+    """The payload lists the protocols hand to ``_run_jobs``."""
+    calls = []
+    run_jobs = evalharness._run_jobs
+
+    def recording(payloads, jobs):
+        calls.append(payloads)
+        return run_jobs(payloads, jobs)
+
+    monkeypatch.setattr(evalharness, "_run_jobs", recording)
+    return calls
+
+
 class TestFolds:
     def test_paper_scale_split_sizes(self):
         stories = [make_story(f"url{k}", "true_news", []) for k in range(1129)]
@@ -214,6 +228,19 @@ class TestDiffusionSweep:
                         d_values=[0, 3, 24], jobs=1)
         assert pools == []
 
+    def test_rounds_share_the_uncut_samples(self, world, dispatched):
+        # every hour's rounds carry the same sample objects and cut them
+        # themselves, so the main process holds one sample set at any hours
+        _, social, stories, cascades = world
+        diffusion_sweep(stories, cascades, social, fast_config(iterations=2), "url_wise",
+                        d_values=[0, 3, 24], jobs=1)
+        (payloads,) = dispatched
+        assert [p[0] for p in payloads] == [(d, r) for d in (0, 3, 24) for r in range(5)]
+        for label, *parts, _ in payloads:
+            _, *first, _ = payloads[label[1]]
+            assert all(a is b for part, part0 in zip(parts, first)
+                       for a, b in zip(part, part0, strict=True))
+
 
 class TestAging:
     def test_plan_constraints(self, world):
@@ -291,6 +318,13 @@ class TestBackwardSelection:
         # the first level trains one model in process; then 4, 3 and 2 candidates
         assert pools == [2, 2, 2]
         assert runs[0] == runs[1]
+
+    def test_one_job_trains_one_candidate_at_a_time(self, world, dispatched):
+        # so only one candidate's masked copy of the samples exists at a time
+        _, social, stories, cascades = world
+        backward_feature_selection(stories, cascades, social, SCHEMA, fast_config(iterations=2),
+                                   "url_wise", hours=24.0, jobs=1)
+        assert [len(payloads) for payloads in dispatched] == [1] * 10
 
 
 class TestMadMmd:
