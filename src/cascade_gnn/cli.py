@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import click
 import numpy as np
@@ -181,6 +182,13 @@ class Run:
                 "seed": self.model.seed, **fields}
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform can tell."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _resolve_run(config_path, seed, dataset_dir, scope, hours, min_cascade_size,
                  iterations, lr, groups, jobs, default_hours) -> Run:
     """Resolve every parameter, then load the dataset."""
@@ -197,7 +205,7 @@ def _resolve_run(config_path, seed, dataset_dir, scope, hours, min_cascade_size,
     min_size = _resolve(min_cascade_size, fc, "min_cascade_size",
                         DEFAULT_MIN_CASCADE_SIZE if scope == SCOPE_CASCADE else 1,
                         _positive_int, "--min-cascade-size")
-    jobs = _resolve(jobs, fc, "jobs", os.cpu_count() or 1, _positive_int, "--jobs")
+    jobs = _resolve(jobs, fc, "jobs", _usable_cpus(), _positive_int, "--jobs")
     social, stories, cascades = load_dataset(dataset_dir)
     return Run(fc, scope, hours, min_size, jobs, social, stories, cascades, model)
 
@@ -351,8 +359,8 @@ def aging(run: Run, out_dir, window_frac, min_gap_days):
 @experiment_command()
 def ablate(run: Run, out_dir):
     """Backward feature selection over the four groups; writes ablation.csv."""
-    # in process at any --jobs: pool workers, each starting a BLAS thread
-    # per core, oversubscribe the cores and made ablate slower
+    # in process at any --jobs: a level depends on the one before, so a pool
+    # per level, with the level's masked copies, cost memory and gained no time
     result = backward_feature_selection(run.stories, run.cascades, run.social,
                                         run.model.schema, run.model, run.scope,
                                         hours=run.last_hour,
@@ -504,6 +512,10 @@ def main(argv=None) -> int:
     except NumericError as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         return 3
+    except BrokenProcessPool:
+        click.echo("error: a fold worker process died before its round finished "
+                   "(killed, or out of memory); rerun with a lower --jobs", err=True)
+        return 4
 
 
 def entrypoint():

@@ -7,6 +7,9 @@ one process pool when ``jobs > 1`` and results merge in round order.
 """
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -162,12 +165,39 @@ def _test_auc(scored) -> float | None:
     return auc_or_none([x[1] for x in scored], [x[2] for x in scored])
 
 
+_ROUNDS: list = []  # a pool worker's payloads, set by ``_start_worker``
+
+
+def _start_worker(rounds) -> None:
+    """Pool initializer: keep the payloads, which a forked worker inherits
+    without pickling, and run the worker's BLAS on one thread so that
+    ``jobs`` workers keep to ``jobs`` cores.  Without numpy's bundled
+    OpenBLAS, or its thread setter, BLAS keeps its own thread count."""
+    global _ROUNDS
+    _ROUNDS = rounds
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        try:
+            set_threads = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        except OSError:
+            continue
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+
+
+def _run_round(i: int):
+    """Round ``i`` of the payloads this pool worker holds."""
+    return _run_cv_round(_ROUNDS[i])
+
+
 def _run_jobs(payloads, jobs: int):
     """The rounds' results in payload order, trained in one process pool when ``jobs > 1``."""
     if jobs <= 1 or len(payloads) <= 1:
         return [_run_cv_round(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        return list(pool.map(_run_cv_round, payloads))
+    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads)),
+                             initializer=_start_worker, initargs=(payloads,)) as pool:
+        return list(pool.map(_run_round, range(len(payloads))))
 
 
 def _cv_rounds(samples: list[PreparedGraph], plan: FoldPlan, config: ModelConfig) -> list:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascade_gnn import evalharness
+from cascade_gnn import cli, evalharness
 from cascade_gnn.classifier import ModelConfig, init_params, save_checkpoint
 from cascade_gnn.cli import main
 from cascade_gnn.features import default_schema
@@ -160,6 +160,21 @@ class TestCv:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric failure: "), proc.stderr
 
+    def test_dead_fold_worker_is_one_error_line(self, dataset_dir, tmp_path):
+        # every round's worker exits at once, as a killed worker would
+        kill_workers = ("import os; from cascade_gnn import evalharness; "
+                        "evalharness._run_cv_round = lambda payload: os._exit(9); "
+                        "from cascade_gnn.cli import entrypoint; entrypoint()")
+        proc = subprocess.run(
+            [sys.executable, "-c", kill_workers, "cv", "--dataset", str(dataset_dir),
+             "--out", str(tmp_path / "dead"), "--iterations", "2", "--jobs", "2"],
+            capture_output=True, text=True, env=_child_env(), timeout=600)
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: a fold worker process died")
+        assert lines[0].endswith("rerun with a lower --jobs")
+
     def test_missing_dataset_exits_two(self, tmp_path):
         code = main(["cv", "--dataset", str(tmp_path / "nope"), "--out",
                      str(tmp_path / "o"), "--seed", "1"] + FAST)
@@ -207,7 +222,7 @@ class TestAblate:
         assert len(report["importance_order"]) == 4
 
     def test_trains_in_process_at_any_jobs(self, dataset_dir, tmp_path, monkeypatch):
-        # pool workers' BLAS threads would oversubscribe the cores
+        # a pool per level, with the level's masked copies, gained no time
         def no_pool(*args, **kwargs):
             raise AssertionError("ablate opened a process pool")
 
@@ -397,6 +412,18 @@ class TestUsageAndSeeds:
                      "--users", "60", "--urls", "2", "--mean-cascades", "1"]) == 0
         urls = (out / "urls.jsonl").read_text().strip().splitlines()
         assert len(urls) == 2  # flag overrode the config file
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_default_jobs_count_the_usable_cpus(self, dataset_dir, monkeypatch, affinity):
+        # pinned to one CPU of four, the default is one worker
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        run = cli._resolve_run(None, 1, str(dataset_dir), "url", None, None, None, None,
+                               None, None, "24")
+        assert run.jobs == (1 if affinity else 4)
 
     @pytest.mark.parametrize("args, config, named", [
         (["cv", "--hours", "abc"], None, "--hours"),

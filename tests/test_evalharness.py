@@ -1,9 +1,14 @@
 """Folds, sweeps, aging windows, ablation, MAD/MMD, and layout."""
+import ctypes
+import glob
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
 from cascade_gnn import evalharness
-from cascade_gnn.classifier import ModelConfig
+from cascade_gnn.classifier import ModelConfig, PreparedGraph
 from cascade_gnn.evalharness import (aging_protocol, backward_feature_selection,
                                      build_samples, cross_validate,
                                      default_active_groups, diffusion_sweep,
@@ -147,6 +152,71 @@ class TestCrossValidate:
         b = cross_validate(samples, plan, fast_config(), jobs=2)
         assert a.fold_aucs == b.fold_aucs
         assert a.scores == b.scores
+
+
+def blas_thread_getter():
+    """numpy's bundled OpenBLAS thread-count getter, or None without one."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter
+    return None
+
+
+class TestWorkerPool:
+    """Pool workers inherit the rounds and run BLAS on one thread."""
+
+    @pytest.fixture
+    def cv_rounds(self, world):
+        _, social, stories, cascades = world
+        samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        return evalharness._cv_rounds(samples, make_folds(stories, seed=0),
+                                      fast_config(iterations=20))
+
+    def test_forked_workers_pickle_no_sample(self, cv_rounds, monkeypatch):
+        def unpicklable(self, protocol):
+            raise TypeError("a PreparedGraph was pickled")
+
+        expected = evalharness._run_jobs(cv_rounds, 1)
+        monkeypatch.setattr(PreparedGraph, "__reduce_ex__", unpicklable)
+        assert evalharness._run_jobs(cv_rounds, 2) == expected
+
+    def test_spawned_workers_give_the_same_results(self, cv_rounds, pools, monkeypatch):
+        # correctness does not depend on fork: a spawned worker unpickles its rounds once
+        class SpawnPool(evalharness.ProcessPoolExecutor):  # the pools fixture's class
+            def __init__(self, max_workers=None, *args, **kwargs):
+                kwargs["mp_context"] = multiprocessing.get_context("spawn")
+                super().__init__(max_workers, *args, **kwargs)
+
+        expected = evalharness._run_jobs(cv_rounds, 1)
+        monkeypatch.setattr(evalharness, "ProcessPoolExecutor", SpawnPool)
+        assert evalharness._run_jobs(cv_rounds, 2) == expected
+        assert pools == [2]
+
+    def test_workers_run_blas_on_one_thread(self, monkeypatch):
+        get_threads = blas_thread_getter()
+        if get_threads is None:
+            pytest.skip("numpy has no bundled OpenBLAS thread getter")
+        before = get_threads()
+        monkeypatch.setattr(evalharness, "_run_cv_round", lambda payload: get_threads())
+        assert evalharness._run_jobs([None, None, None], 2) == [1, 1, 1]
+        assert get_threads() == before
+
+    @pytest.mark.parametrize("found", ["none", "unloadable", "no-setter"])
+    def test_worker_start_without_openblas_keeps_blas_threads(self, monkeypatch, tmp_path,
+                                                              found):
+        get_threads = blas_thread_getter()
+        before = get_threads() if get_threads else None
+        libs = [] if found == "none" else [str(tmp_path / "libscipy_openblas64_.so")]
+        monkeypatch.setattr(evalharness.glob, "glob", lambda pattern: libs)
+        if found == "no-setter":
+            monkeypatch.setattr(evalharness.ctypes, "CDLL", lambda path: object())
+        monkeypatch.setattr(evalharness, "_ROUNDS", [])
+        evalharness._start_worker(["round"])
+        assert evalharness._ROUNDS == ["round"]
+        assert (get_threads() if get_threads else None) == before
 
 
 def assert_same_sample(cut, fresh):
