@@ -1,4 +1,5 @@
-"""The four-layer propagation classifier.
+"""The four-layer propagation classifier, its checkpoints, and its sample type
+``PreparedGraph``, built by ``propagation.build_propagation_graph``.
 
 Pipeline: GC1(F->hidden)+SELU -> channel-pair mean pool (hidden->hidden/2)
 -> GC2+SELU -> global mean pool -> FC1+SELU -> FC2 -> 2 raw scores.
@@ -20,9 +21,8 @@ from .dataio import _embedding
 from .features import FEATURE_GROUPS, FeatureSchema
 # roc_auc stays a module global: perfbench/traced.py times it through this module
 from .metrics import auc_or_none, roc_auc  # noqa: F401
-from .nn import EdgeArrays, GatParams, build_edge_arrays
+from .nn import EdgeArrays, GatParams
 from .optim import NumericError, OptimizerState, amsgrad_step
-from .types import LABEL_FAKE, PropagationGraph
 
 VALIDATION_EVERY = 500
 
@@ -99,7 +99,7 @@ def init_params(config: ModelConfig) -> ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class PreparedGraph:
-    """One training/eval sample: masked features, directed edge arrays, node times and authors."""
+    """One sample, keyed by URL (url-wise) or cascade ID: features, messages, times, authors."""
 
     key: str
     url_id: str
@@ -132,18 +132,10 @@ def mask_columns(features: np.ndarray, schema: FeatureSchema,
     return out
 
 
-def prepare_graph(graph: PropagationGraph, schema: FeatureSchema,
-                  active_groups=FEATURE_GROUPS, key: str | None = None,
-                  url_id: str = "") -> PreparedGraph:
-    return PreparedGraph(
-        key=key if key is not None else (graph.nodes[0] if graph.nodes else ""),
-        url_id=url_id,
-        features=mask_columns(graph.node_features, schema, active_groups),
-        edges=build_edge_arrays(graph.num_nodes, graph.edges),
-        label=int(graph.label == LABEL_FAKE),
-        times=graph.node_times,
-        authors=graph.node_authors,
-    )
+def prepare_graph(sample: PreparedGraph, schema: FeatureSchema,
+                  active_groups=FEATURE_GROUPS) -> PreparedGraph:
+    """The sample with the columns of inactive feature groups zeroed."""
+    return replace(sample, features=mask_columns(sample.features, schema, active_groups))
 
 
 def _forward_tensors(features: Tensor, edges: EdgeArrays,

@@ -89,8 +89,8 @@ def _config_and_seed(config_path, seed, default_seed: int = 0) -> tuple[dict, in
     return file_config, _resolve(seed, file_config, "seed", default_seed, int, "--seed")
 
 
-def _parse_hours(text) -> tuple[int, ...]:
-    """Whole hours: 'd', or the inclusive range 'a..b'."""
+def _parse_hours(text, ranges: bool = True) -> tuple[int, ...]:
+    """Whole hours: 'd', or the inclusive range 'a..b' if ``ranges``."""
     text = str(text)
     lo, sep, hi = text.partition("..")
     try:
@@ -102,6 +102,8 @@ def _parse_hours(text) -> tuple[int, ...]:
         raise ValueError(f"{text!r}: hours must be non-negative")
     if hi < lo:
         raise ValueError(f"empty hours range {text!r}")
+    if hi > lo and not ranges:
+        raise ValueError(f"{text!r} is a range of hours; only sweep takes one")
     return tuple(range(lo, hi + 1))
 
 
@@ -190,7 +192,7 @@ def _usable_cpus() -> int:
 
 
 def _resolve_run(config_path, seed, dataset_dir, scope, hours, min_cascade_size,
-                 iterations, lr, groups, jobs, default_hours) -> Run:
+                 iterations, lr, groups, jobs, default_hours, ranges=False) -> Run:
     """Resolve every parameter, then load the dataset."""
     fc, seed = _config_and_seed(config_path, seed)
     scope = SCOPE_URL if scope == "url" else SCOPE_CASCADE
@@ -201,7 +203,8 @@ def _resolve_run(config_path, seed, dataset_dir, scope, hours, min_cascade_size,
         learning_rate=_resolve(lr, fc, "learning_rate", 5e-4, _positive_finite, "--lr"),
         active_groups=_resolve(groups, fc, "active_groups", default_active_groups(scope),
                                _feature_groups, "--groups"))
-    hours = _resolve(hours, fc, "hours", default_hours, _parse_hours, "--hours")
+    hours = _resolve(hours, fc, "hours", default_hours,
+                     functools.partial(_parse_hours, ranges=ranges), "--hours")
     min_size = _resolve(min_cascade_size, fc, "min_cascade_size",
                         DEFAULT_MIN_CASCADE_SIZE if scope == SCOPE_CASCADE else 1,
                         _positive_int, "--min-cascade-size")
@@ -276,16 +279,16 @@ experiment_options = common_options + [
 ]
 
 
-def experiment_command(name=None, default_hours="24"):
+def experiment_command(name=None, default_hours="24", ranges=False):
     """Register an experiment command: it takes ``experiment_options`` and
     its own, and is called with the resolved ``Run``, ``out_dir`` and its
-    own options."""
+    own options.  Its ``--hours`` is one hour, or with ``ranges`` an 'a..b' range."""
     def register(fn):
         @functools.wraps(fn)
         def command(config_path, seed, dataset_dir, scope, hours, min_cascade_size,
                     iterations, lr, groups, jobs, **own):
             fn(_resolve_run(config_path, seed, dataset_dir, scope, hours, min_cascade_size,
-                            iterations, lr, groups, jobs, default_hours), **own)
+                            iterations, lr, groups, jobs, default_hours, ranges), **own)
         return cli.command(name)(add_options(experiment_options)(command))
     return register
 
@@ -313,7 +316,7 @@ def cv(run: Run, out_dir):
                f"± {result.std_auc:.4f} over {plan.k} folds")
 
 
-@experiment_command(default_hours="0..24")
+@experiment_command(default_hours="0..24", ranges=True)
 def sweep(run: Run, out_dir):
     """Diffusion-time sweep; writes auc_vs_hours.csv and report.json."""
     points = diffusion_sweep(run.stories, run.cascades, run.social, run.model,
@@ -359,11 +362,10 @@ def aging(run: Run, out_dir, window_frac, min_gap_days):
 @experiment_command()
 def ablate(run: Run, out_dir):
     """Backward feature selection over the four groups; writes ablation.csv."""
-    # in process at any --jobs: a level depends on the one before, so a pool
-    # per level, with the level's masked copies, cost memory and gained no time
-    result = backward_feature_selection(run.stories, run.cascades, run.social,
-                                        run.model.schema, run.model, run.scope,
-                                        hours=run.last_hour,
+    # trains in process, whatever --jobs: a level depends on the one before,
+    # and a pool per level, with the level's masked copies, cost memory and gained no time
+    result = backward_feature_selection(run.stories, run.cascades, run.social, run.model,
+                                        run.scope, hours=run.last_hour,
                                         min_cascade_size=run.min_cascade_size)
     echo = run.echo("ablate")
     rows = [(len(l.active_groups), "|".join(l.active_groups), l.val_auc, l.test_auc)

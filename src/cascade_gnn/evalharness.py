@@ -2,8 +2,8 @@
 aging windows, backward feature selection, sample-distance analysis and
 force-directed layout export.
 
-All protocols are seed-deterministic; their train-and-score rounds run in
-one process pool when ``jobs > 1`` and results merge in round order.
+All protocols are seed-deterministic.  CV, sweep and aging rounds run in one
+process pool when ``jobs > 1``, merged in round order; ablation runs in process.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classifier import (ModelConfig, PreparedGraph, TrainResult, fake_score, forward,
-                         mask_columns, prepare_graph, train)
+                         prepare_graph, train)
 from .dataio import cascades_by_url
 from .features import FEATURE_GROUPS, GROUP_CONTENT, FeatureSchema
 from .metrics import auc_or_none, roc_auc
@@ -112,15 +112,14 @@ def build_samples(stories: list[UrlStory], cascades: list[CascadeRecord],
     for story in sorted(stories, key=lambda s: s.url_id):
         full = sorted(by_url.get(story.url_id, []), key=lambda c: c.cascade_id)
         if scope == SCOPE_URL:
-            groups = [(story.url_id, truncate(full, hours, reference="story"))]
+            groups = [truncate(full, hours, reference="story")]
         else:
-            groups = [(cas.cascade_id, truncate([cas], hours, reference="cascade"))
+            groups = [truncate([cas], hours, reference="cascade")
                       for cas in filter_min_cascade_size(full, min_cascade_size)]
-        for key, kept in groups:
+        for kept in groups:
             if kept:
-                graph = build_propagation_graph(story, kept, social, scope, schema)
-                samples.append(prepare_graph(graph, schema, active_groups, key=key,
-                                             url_id=story.url_id))
+                sample = build_propagation_graph(story, kept, social, scope, schema)
+                samples.append(prepare_graph(sample, schema, active_groups))
     return samples
 
 
@@ -423,40 +422,37 @@ class AblationResult:
     importance_order: list[str]       # most important first
 
 
-def backward_feature_selection(stories, cascades, social, schema,
-                               config: ModelConfig, scope: str,
+def backward_feature_selection(stories, cascades, social, config: ModelConfig, scope: str,
                                hours: float = DEFAULT_DIFFUSION_HOURS,
-                               min_cascade_size: int = 1, jobs: int = 1) -> AblationResult:
+                               min_cascade_size: int = 1) -> AblationResult:
     """Iteratively drop the group whose removal hurts validation AUC least.
 
     Uses round 0 of the fold plan: selection on the validation fold, the
     reported AUC on the test fold.  Emits one level per subset size; the
-    candidates of a level, seeded in candidate order, share one pool at ``jobs`` > 1.
+    candidates of a level are seeded in candidate order and train one at a
+    time, in process, so one masked copy of the samples exists at a time.
     """
     plan = make_folds(stories, seed=config.seed)
-    base = build_samples(stories, cascades, social, schema, scope, hours=hours,
+    base = build_samples(stories, cascades, social, config.schema, scope, hours=hours,
                          min_cascade_size=min_cascade_size, active_groups=FEATURE_GROUPS)
     parts = split_by_url(base, *plan.round(0))
 
-    def evaluate(subsets, shift: int):
-        """(validation AUC, test AUC) per subset, the k-th seeded ``config.seed + shift + k``."""
-        def payload(k, active):
-            return (k, *[[replace(s, features=mask_columns(s.features, schema, active))
-                          for s in part] for part in parts],
-                    replace(config, seed=config.seed + shift + k, active_groups=active))
-        # at one job, one masked copy of the samples lives at a time
-        batches = [list(enumerate(subsets))] if jobs > 1 else [[c] for c in enumerate(subsets)]
-        return [(val_auc, _test_auc(scored)) for batch in batches
-                for _, scored, val_auc in _run_jobs([payload(*c) for c in batch], jobs)]
+    def evaluate(active, seed: int):
+        """(validation AUC, test AUC) of one model trained on the ``active`` groups."""
+        masked = [[prepare_graph(s, config.schema, active) for s in part] for part in parts]
+        _, scored, val_auc = _run_cv_round(
+            ("ablate", *masked, replace(config, seed=seed, active_groups=active)))
+        return val_auc, _test_auc(scored)
 
     active = FEATURE_GROUPS
-    levels = [AblationLevel(active, *evaluate([active], 0)[0])]
+    levels = [AblationLevel(active, *evaluate(active, config.seed))]
     removal_order: list[str] = []
-    shift = 1
+    seed = config.seed + 1
     while len(active) > 1:
         reduced = [tuple(x for x in active if x != g) for g in active]
-        candidates = zip(active, reduced, evaluate(reduced, shift))
-        shift += len(active)
+        candidates = [(g, r, evaluate(r, seed + k))
+                      for k, (g, r) in enumerate(zip(active, reduced))]
+        seed += len(active)
         dropped, active, (v, t) = min(candidates, key=lambda c: (
             -(c[2][0] if c[2][0] is not None else -1.0), FEATURE_GROUPS.index(c[0])))
         removal_order.append(dropped)

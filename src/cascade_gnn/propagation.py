@@ -1,4 +1,4 @@
-"""Propagation-graph construction: spreading trees, edges, truncation.
+"""Propagation-graph construction: spreading trees, training samples, truncation.
 
 The spreading rules assign each retweet an estimated predecessor: the
 latest preceding tweet whose author the retweeter follows, falling back
@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .classifier import PreparedGraph
 from .features import FeatureSchema, encode_node_features
-from .types import (CascadeRecord, PropagationGraph, SCOPE_CASCADE, SCOPE_URL, SCOPES,
-                    SocialGraph, SpreadingTree, Tweet, UrlStory)
+from .nn import build_edge_arrays
+from .types import (CascadeRecord, SCOPE_CASCADE, SCOPE_URL, SCOPES, SocialGraph,
+                    SpreadingTree, Tweet, UrlStory)
 
 
 def estimate_spreading_tree(cascade: CascadeRecord, social: SocialGraph) -> SpreadingTree:
@@ -108,14 +110,15 @@ def credibility_scores(stories, cascades_by_url) -> dict[str, float]:
 
 def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
                             social: SocialGraph, scope: str,
-                            schema: FeatureSchema) -> PropagationGraph:
-    """Tweets as nodes; an edge wherever any of the four relations holds.
+                            schema: FeatureSchema) -> PreparedGraph:
+    """The story's sample, features unmasked: tweets as nodes in (timestamp,
+    tweet ID) order, and two directed messages wherever any of the four
+    relations holds between two nodes.
 
-    ``scope="url_wise"`` takes all given cascades of the story,
-    ``scope="cascade_wise"`` exactly one.  Spreading flags come from the
-    per-cascade spreading trees, follow flags from the social graph; each
-    unordered pair is stored once with merged flags.  Tweet IDs must be
-    unique across the given cascades.
+    ``scope="url_wise"`` takes all given cascades of the story and is keyed
+    by its URL, ``scope="cascade_wise"`` exactly one, keyed by its ID.
+    Spreading flags come from the per-cascade spreading trees, follow flags
+    from the social graph.  Tweet IDs must be unique across the cascades.
     """
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}")
@@ -146,26 +149,25 @@ def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
 
     authors = [t.author for t, _ in entries]
     n = len(entries)
-    edges = []
+    pairs = []
     for i in range(n):
         for j in range(i + 1, n):
             flags = (social.follows_pair(authors[i], authors[j]),
                      social.follows_pair(authors[j], authors[i]),
                      (i, j) in spread, (j, i) in spread)
             if any(flags):
-                edges.append((i, j, flags))
+                pairs.append((i, j, flags))
 
     feats = np.empty((n, schema.width))
-    root_time = {cas.cascade_id: cas.source.timestamp for cas in cascades}
     for k, (t, cas) in enumerate(entries):
-        feats[k] = encode_node_features(t, social.users[t.author],
-                                        root_time[cas.cascade_id], schema)
+        feats[k] = encode_node_features(t, social.users[t.author], cas.source.timestamp, schema)
 
-    return PropagationGraph(
-        nodes=tuple(t.tweet_id for t, _ in entries),
-        node_features=feats,
-        edges=tuple(edges),
-        label=story.label,
-        node_times=tuple(t.timestamp for t, _ in entries),
-        node_authors=tuple(authors),
+    return PreparedGraph(
+        key=story.url_id if scope == SCOPE_URL else cascades[0].cascade_id,
+        url_id=story.url_id,
+        features=feats,
+        edges=build_edge_arrays(n, pairs),
+        label=int(story.is_fake),
+        times=tuple(t.timestamp for t, _ in entries),
+        authors=tuple(authors),
     )

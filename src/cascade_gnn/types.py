@@ -1,4 +1,4 @@
-"""Domain types: users, tweets, cascades, stories, and propagation graphs.
+"""Domain types: users, tweets, cascades, stories, and spreading trees.
 
 All types are immutable after construction and validate their invariants in
 ``__post_init__``; operations elsewhere in the package treat them as values.
@@ -6,7 +6,7 @@ Timestamps are UTC seconds as floats.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,47 +170,3 @@ class SpreadingTree:
     def spread_pairs(self) -> set[tuple[str, str]]:
         """Directed (parent_tweet, child_tweet) diffusion links."""
         return {(p, c) for c, p in self.parent.items()}
-
-
-@dataclass(frozen=True, eq=False)
-class PropagationGraph:
-    """Tweet-level graph: nodes, feature matrix, and 4-flag relation edges.
-
-    ``edges`` holds each unordered node pair at most once as
-    ``(i, j, (i_follows_j, j_follows_i, spread_i_to_j, spread_j_to_i))``
-    with ``i < j`` by node index.  ``node_times`` and ``node_authors`` give
-    each node's timestamp and author, in node order.
-    """
-
-    nodes: tuple[str, ...]
-    node_features: np.ndarray
-    edges: tuple[tuple[int, int, tuple[bool, bool, bool, bool]], ...]
-    label: str
-    node_times: tuple[float, ...] = field(default=())
-    node_authors: tuple[str, ...] = field(default=())
-
-    def __post_init__(self):
-        feats = np.asarray(self.node_features, dtype=np.float64)
-        if feats.shape[0] != len(self.nodes):
-            raise ValueError("node_features row count must match node count")
-        if not np.isfinite(feats).all():
-            raise ValueError("node_features contains non-finite values")
-        object.__setattr__(self, "node_features", feats)
-        seen = set()
-        n = len(self.nodes)
-        for i, j, flags in self.edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) references missing node")
-            if i >= j:
-                raise ValueError(f"edge ({i}, {j}) not stored in canonical i < j order")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-            if len(flags) != 4:
-                raise ValueError("relation flags must have exactly 4 entries")
-            if not any(flags):
-                raise ValueError(f"edge ({i}, {j}) has no relation flag set")
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)

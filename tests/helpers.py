@@ -109,6 +109,26 @@ def swap_flag_pairs(flags):
     return (f[1], f[0], f[3], f[2])
 
 
+def pair_flags(sample) -> dict[tuple[int, int], tuple[bool, bool, bool, bool]]:
+    """The node pairs (i, j), i < j, of a sample and their relation flags
+    (i_follows_j, j_follows_i, spread_i_to_j, spread_j_to_i), in message
+    order, read back from the messages j -> i that carry them as stored.
+
+    Asserts the rest of the message layout: one self loop per node with
+    zero flags, and for each pair the message i -> j with swapped flags."""
+    e = sample.edges
+    messages = [(int(s), int(d), tuple(bool(x) for x in f))
+                for s, d, f in zip(e.src, e.dst, e.flags)]
+    loops = [(s, f) for s, d, f in messages if s == d]
+    assert loops == [(k, (False,) * 4) for k in range(e.num_nodes)]
+    pairs = {(d, s): f for s, d, f in messages if s > d}
+    assert len(pairs) + len(loops) + len(pairs) == len(messages)
+    assert {(s, d): f for s, d, f in messages if s < d} == {
+        (i, j): swap_flag_pairs(f) for (i, j), f in pairs.items()}
+    assert all(any(f) for f in pairs.values())
+    return pairs
+
+
 def dense_gat_oracle(h, edges, weight, attn, bias, slope=0.2):
     """Per-node loop computation of one attention head (self loops, zero
     self-loop flags), independent of the vectorized implementation."""

@@ -314,9 +314,9 @@ def test_criterion_09_ablation_sanity(default_world):
 
     # structure: exactly 4 subset levels, deterministic ordering given the seed
     fast = ModelConfig(schema=SCHEMA, iterations=300, seed=2)
-    r1 = backward_feature_selection(stories, cascades, social, SCHEMA, fast,
+    r1 = backward_feature_selection(stories, cascades, social, fast,
                                     "url_wise", hours=24.0)
-    r2 = backward_feature_selection(stories, cascades, social, SCHEMA, fast,
+    r2 = backward_feature_selection(stories, cascades, social, fast,
                                     "url_wise", hours=24.0)
     assert [len(l.active_groups) for l in r1.levels] == [4, 3, 2, 1]
     assert r1.removal_order == r2.removal_order

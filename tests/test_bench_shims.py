@@ -1,4 +1,5 @@
-"""Every package name that the benchmark's trace shims patch still exists.
+"""Every package name that the benchmark's trace shims patch still exists,
+and every counter hook still reads the calls it is attached to.
 
 ``perfbench/traced.py`` times the package by replacing module attributes
 from outside it (its ``SHIMS`` table).  A renamed or deleted target makes
@@ -10,18 +11,24 @@ import os
 
 import pytest
 
+from cascade_gnn import classifier, evalharness, nn
+from cascade_gnn.autograd import Tensor
+from cascade_gnn.features import default_schema
+from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_graph
+
 TRACED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "traced.py")
 
 
-def _shims():
+def _traced():
     spec = importlib.util.spec_from_file_location("perfbench_traced", TRACED)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.SHIMS
+    return module
 
 
-SHIMS = _shims()
+TRACED_MODULE = _traced()
+SHIMS = TRACED_MODULE.SHIMS
 
 
 @pytest.mark.parametrize("module, attr", sorted({(m, a) for m, a, _, _ in SHIMS}),
@@ -36,3 +43,47 @@ def test_shim_target_resolves(module, attr):
 def test_pool_class_is_a_module_global():
     evalharness = importlib.import_module("cascade_gnn.evalharness")
     assert isinstance(evalharness.ProcessPoolExecutor, type)
+
+
+def _recording(monkeypatch, owner, name):
+    """The (args, kwargs) of every call to ``owner.name``."""
+    calls, fn = [], getattr(owner, name)
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, record)
+    return calls
+
+
+def test_counter_hooks_read_real_calls(monkeypatch):
+    # the hooks run in the shims' ``finally``: one that no longer fits its
+    # target's call layout would make the traced command fail
+    cfg = GenConfig(num_users=150, num_urls=10, mean_cascades_per_url=3.0)
+    social = generate_social_graph(cfg)
+    stories, cascades = generate_dataset(cfg, social)
+    schema = default_schema()
+    config = classifier.ModelConfig(schema=schema, hidden=8, fc1=4, iterations=1)
+
+    builds = _recording(monkeypatch, evalharness, "build_propagation_graph")
+    samples = evalharness.build_samples(stories, cascades, social, schema, "url_wise")
+    assert len(builds) == len(samples) > 0
+    for (args, kwargs), sample in zip(builds, samples):
+        n = len(sample.times)
+        assert TRACED_MODULE._nodes(args, kwargs) == {"propagation.node_pairs": n * (n - 1) // 2}
+
+    layers = _recording(monkeypatch, nn, "gat_forward")
+    classifier._forward_tensors(Tensor(samples[0].features), samples[0].edges,
+                                classifier.init_params(config))
+    assert len(layers) == 2
+    for args, kwargs in layers:
+        assert TRACED_MODULE._messages(args, kwargs) == {
+            "nn.messages": samples[0].edges.src.size}
+
+    payloads = evalharness._cv_rounds(samples, evalharness.make_folds(stories), config)
+    nbytes = sum(s.features.nbytes + s.edges.src.nbytes + s.edges.dst.nbytes
+                 + s.edges.flags.nbytes for p in payloads for part in p[1:4] for s in part)
+    assert nbytes > 0
+    assert TRACED_MODULE._dispatch((payloads, 2), {}) == {
+        "evalharness.dispatch_bytes": nbytes, "evalharness.rounds_dispatched": len(payloads)}

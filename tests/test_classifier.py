@@ -1,5 +1,6 @@
 """Network assembly, training loop, masking, checkpoints."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from cascade_gnn.types import SocialGraph
 from cascade_gnn.autograd import Tensor
 import cascade_gnn.classifier as classifier_mod
 
-from helpers import make_cascade, make_social, make_story, make_user
+from helpers import make_cascade, make_social, make_story, make_user, pair_flags
 
 SCHEMA = default_schema()
 
@@ -72,12 +73,13 @@ class TestForward:
         params = init_params(small_config(seed=5))
         base, _, _ = forward(prepare_graph(g, SCHEMA), params)
 
+        n = g.edges.num_nodes
         for k in range(10):
-            perm = np.random.default_rng(k).permutation(g.num_nodes)
-            feats = g.node_features[perm]
+            perm = np.random.default_rng(k).permutation(n)
+            feats = g.features[perm]
             inv = {int(p): i for i, p in enumerate(perm)}
             edges = []
-            for i, j, fl in g.edges:
+            for (i, j), fl in pair_flags(g).items():
                 a, b = inv[i], inv[j]
                 if a < b:
                     edges.append((a, b, fl))
@@ -86,7 +88,7 @@ class TestForward:
             from cascade_gnn.nn import build_edge_arrays
             from cascade_gnn.classifier import PreparedGraph, _forward_tensors
             sample = PreparedGraph("k", "url0", feats,
-                                   build_edge_arrays(g.num_nodes, edges), 1)
+                                   build_edge_arrays(n, edges), 1)
             scores, _, _ = forward(sample, params)
             np.testing.assert_allclose(scores, base, atol=1e-9)
 
@@ -103,23 +105,23 @@ class TestForward:
 class TestMasking:
     def test_all_groups_active_is_identity(self):
         g = tiny_graph()
-        masked = mask_columns(g.node_features, SCHEMA, FEATURE_GROUPS)
-        assert (masked == g.node_features).all()
+        masked = mask_columns(g.features, SCHEMA, FEATURE_GROUPS)
+        assert (masked == g.features).all()
 
     def test_content_masked_zeroes_400_columns(self):
         g = tiny_graph(seed=7)
         active = tuple(gr for gr in FEATURE_GROUPS if gr != "content")
-        masked = mask_columns(g.node_features, SCHEMA, active)
+        masked = mask_columns(g.features, SCHEMA, active)
         cols = SCHEMA.group_columns("content")
         assert cols.size == 400
         assert (masked[:, cols] == 0).all()
         others = np.setdiff1d(np.arange(SCHEMA.width), cols)
-        assert (masked[:, others] == g.node_features[:, others]).all()
+        assert (masked[:, others] == g.features[:, others]).all()
 
     def test_masked_features_get_zero_gradient(self):
         g = tiny_graph(label="fake_news", seed=9)
         active = ("user_profile", "network_spreading")
-        sample = prepare_graph(g, SCHEMA, active, key="url0", url_id="url0")
+        sample = prepare_graph(g, SCHEMA, active)
         config = small_config(active_groups=active)
         params = init_params(config)
         scores, _ = classifier_mod._forward_tensors(
@@ -139,8 +141,8 @@ class TestTrain:
             label = "fake_news" if (k % 2 == 0 and balanced) else "true_news"
             g = tiny_graph(label=label, n_users=2 + k % 3, seed=seed * 100 + k,
                            random_embeddings=random_embeddings)
-            samples.append(prepare_graph(g, SCHEMA, FEATURE_GROUPS,
-                                         key=f"g{k}", url_id=f"url{k}"))
+            samples.append(replace(prepare_graph(g, SCHEMA, FEATURE_GROUPS),
+                                   key=f"g{k}", url_id=f"url{k}"))
         return samples
 
     def test_empty_training_set_rejected(self):
@@ -184,7 +186,7 @@ class TestTrain:
     def test_no_signal_gives_chance_auc(self):
         # identical features for both classes: AUC must hover near 0.5
         g = tiny_graph(label="true_news", seed=11)
-        base = prepare_graph(g, SCHEMA, FEATURE_GROUPS, key="g", url_id="u")
+        base = replace(prepare_graph(g, SCHEMA, FEATURE_GROUPS), key="g", url_id="u")
         rng = np.random.default_rng(0)
         samples = []
         for k in range(40):
@@ -273,12 +275,12 @@ class TestUserEmbeddings:
         g2 = tiny_graph(seed=2)
         params = init_params(small_config())
         table = user_embeddings([prepare_graph(g1, SCHEMA), prepare_graph(g2, SCHEMA)], params)
-        assert set(table) == set(g1.node_authors) | set(g2.node_authors)
+        assert set(table) == set(g1.authors) | set(g2.authors)
         _, _, emb1 = forward(prepare_graph(g1, SCHEMA), params)
         _, _, emb2 = forward(prepare_graph(g2, SCHEMA), params)
         manual = {}
         counts = {}
-        for authors, emb in ((g1.node_authors, emb1), (g2.node_authors, emb2)):
+        for authors, emb in ((g1.authors, emb1), (g2.authors, emb2)):
             for a, row in zip(authors, emb):
                 manual[a] = manual.get(a, 0) + row
                 counts[a] = counts.get(a, 0) + 1

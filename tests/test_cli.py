@@ -463,6 +463,9 @@ class TestUsageAndSeeds:
         (["cv", "--iterations", "1"], {"learning_rate": 0}, "config key 'learning_rate'"),
         (["cv", "--iterations", "1"], {"learning_rate": float("nan")},
          "config key 'learning_rate'"),
+        # a range of hours is for sweep only
+        (["cv", "--hours", "3..5"], None, "--hours"),
+        (["train"], {"hours": "0..24"}, "config key 'hours'"),
     ])
     def test_bad_value_is_one_error_line(self, dataset_dir, tmp_path, capsys,
                                          args, config, named):
@@ -477,6 +480,12 @@ class TestUsageAndSeeds:
         lines = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+
+    @pytest.mark.parametrize("text, ranges, hours", [
+        ("7", False, (7,)), (7, False, (7,)), ("5..5", False, (5,)), ("3..5", True, (3, 4, 5)),
+    ])
+    def test_one_hour_or_a_sweep_range(self, text, ranges, hours):
+        assert cli._parse_hours(text, ranges=ranges) == hours
 
     @pytest.mark.parametrize("content, reason", [
         (b'{"seed": \xff}', "can't decode byte 0xff"),

@@ -10,7 +10,7 @@ from cascade_gnn.propagation import (build_propagation_graph, credibility_score,
 from cascade_gnn.features import default_schema
 from cascade_gnn.types import CascadeRecord, SCOPE_CASCADE, SCOPE_URL
 
-from helpers import make_cascade, make_social, make_story, make_tweet, make_user
+from helpers import make_cascade, make_social, make_story, make_tweet, make_user, pair_flags
 
 SCHEMA = default_schema()
 
@@ -180,15 +180,16 @@ class TestBuildPropagationGraph:
         cas = make_cascade([("A", 0)], "c0", "url0")
         story = make_story("url0", "true_news", ["c0"])
         g = build_propagation_graph(story, [cas], social, SCOPE_CASCADE, SCHEMA)
-        assert g.num_nodes == 1 and g.edges == ()
+        assert g.edges.num_nodes == 1 and pair_flags(g) == {}
 
     def test_two_tweets_merge_follow_and_spread(self):
         social = make_social({"A": 10, "B": 1}, {("B", "A")})
         cas = make_cascade([("A", 0), ("B", 10)], "c0", "url0")
         story = make_story("url0", "true_news", ["c0"])
         g = build_propagation_graph(story, [cas], social, SCOPE_CASCADE, SCHEMA)
-        assert len(g.edges) == 1
-        i, j, flags = g.edges[0]
+        pairs = pair_flags(g)
+        assert len(pairs) == 1
+        ((i, j), flags), = pairs.items()
         assert (i, j) == (0, 1)
         # node 0 = A's tweet, node 1 = B's: B follows A -> j_follows_i;
         # spreading A -> B -> spread_i_to_j
@@ -205,10 +206,14 @@ class TestBuildPropagationGraph:
         c2 = make_cascade([("u3", 2), ("u4", 9), ("u5", 30)], "c2", "url0")
         story = make_story("url0", "fake_news", ["c0", "c1", "c2"])
         g = build_propagation_graph(story, [c0, c1, c2], social, SCOPE_URL, SCHEMA)
-        assert g.num_nodes == 6
+        assert g.edges.num_nodes == 6
 
-        # oracle: enumerate all node pairs and recompute every relation
-        authors = dict(zip(g.nodes, g.node_authors))
+        # oracle: order the tweets, enumerate all node pairs and recompute every relation
+        nodes = sorted((t for cas in (c0, c1, c2) for t in cas.tweets),
+                       key=lambda t: (t.timestamp, t.tweet_id))
+        assert g.authors == tuple(t.author for t in nodes)
+        assert g.times == tuple(t.timestamp for t in nodes)
+        authors = {t.tweet_id: t.author for t in nodes}
         spread = set()
         for cas in (c0, c1, c2):
             tree = estimate_spreading_tree(cas, social)
@@ -216,14 +221,14 @@ class TestBuildPropagationGraph:
         expected = {}
         for a in range(6):
             for b in range(a + 1, 6):
-                ta, tb = g.nodes[a], g.nodes[b]
+                ta, tb = nodes[a].tweet_id, nodes[b].tweet_id
                 fl = ((authors[ta], authors[tb]) in follows,
                       (authors[tb], authors[ta]) in follows,
                       (ta, tb) in spread,
                       (tb, ta) in spread)
                 if any(fl):
                     expected[(a, b)] = fl
-        assert {(i, j): f for i, j, f in g.edges} == expected
+        assert pair_flags(g) == expected
 
     def test_retweet_sorted_before_its_parent(self):
         # same timestamp: the retweet's ID sorts first, so it is node 0 and
@@ -233,8 +238,8 @@ class TestBuildPropagationGraph:
                                            make_tweet("a_rt", "B", 5)))
         story = make_story("url0", "true_news", ["c0"])
         g = build_propagation_graph(story, [cas], social, SCOPE_CASCADE, SCHEMA)
-        assert g.nodes == ("a_rt", "z_src")
-        assert g.edges == ((0, 1, (True, False, False, True)),)
+        assert (g.authors, g.times) == (("B", "A"), (5.0, 5.0))  # a_rt, then z_src
+        assert pair_flags(g) == {(0, 1): (True, False, False, True)}
 
     def test_cascade_order_independence(self):
         users = {f"u{i}": i for i in range(5)}
@@ -245,9 +250,10 @@ class TestBuildPropagationGraph:
         story = make_story("url0", "true_news", ["c0", "c1"])
         g1 = build_propagation_graph(story, [c0, c1], social, SCOPE_URL, SCHEMA)
         g2 = build_propagation_graph(story, [c1, c0], social, SCOPE_URL, SCHEMA)
-        assert g1.nodes == g2.nodes
-        assert g1.edges == g2.edges
-        assert (g1.node_features == g2.node_features).all()
+        assert (g1.authors, g1.times) == (g2.authors, g2.times)
+        for name in ("src", "dst", "flags", "num_nodes"):
+            assert np.array_equal(getattr(g1.edges, name), getattr(g2.edges, name)), name
+        assert (g1.features == g2.features).all()
 
     def test_unknown_user_raises(self):
         social = make_social({"A": 1}, set())

@@ -3,12 +3,14 @@ import ctypes
 import glob
 import multiprocessing
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from cascade_gnn import evalharness
 from cascade_gnn.classifier import ModelConfig, PreparedGraph
+from cascade_gnn.dataio import cascades_by_url
 from cascade_gnn.evalharness import (aging_protocol, backward_feature_selection,
                                      build_samples, cross_validate,
                                      default_active_groups, diffusion_sweep,
@@ -64,6 +66,22 @@ def dispatched(monkeypatch):
 
     monkeypatch.setattr(evalharness, "_run_jobs", recording)
     return calls
+
+
+@pytest.fixture
+def ablation_rounds(monkeypatch):
+    """One entry per round trained in process through ``_run_cv_round``: how
+    many earlier rounds' training samples were still alive when it started."""
+    alive, refs = [], []
+    run_round = evalharness._run_cv_round
+
+    def recording(payload):
+        alive.append(sum(ref() is not None for ref in refs))
+        refs.append(weakref.ref(payload[1][0].features))
+        return run_round(payload)
+
+    monkeypatch.setattr(evalharness, "_run_cv_round", recording)
+    return alive
 
 
 class TestFolds:
@@ -219,6 +237,24 @@ class TestWorkerPool:
         assert (get_threads() if get_threads else None) == before
 
 
+class TestSampleKeys:
+    """The keys the CV score table and the aging windows look samples up by."""
+
+    def test_keys_url_ids_labels_and_order(self, world):
+        _, social, stories, cascades = world
+        by_url = cascades_by_url(cascades)
+        fake = {s.url_id: int(s.is_fake) for s in stories}
+        url_wise = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        assert [(s.key, s.url_id) for s in url_wise] == [(u, u) for u in sorted(by_url)]
+        for min_size in (1, 6):
+            cascade_wise = build_samples(stories, cascades, social, SCHEMA, "cascade_wise",
+                                         hours=24.0, min_cascade_size=min_size)
+            assert [(s.key, s.url_id) for s in cascade_wise] == [
+                (c.cascade_id, u) for u in sorted(by_url)
+                for c in sorted(by_url[u], key=lambda c: c.cascade_id) if c.size >= min_size]
+            assert all(s.label == fake[s.url_id] for s in url_wise + cascade_wise)
+
+
 def assert_same_sample(cut, fresh):
     assert (cut.key, cut.url_id, cut.label) == (fresh.key, fresh.url_id, fresh.label)
     assert (cut.times, cut.authors) == (fresh.times, fresh.authors)
@@ -369,9 +405,9 @@ class TestAging:
 class TestBackwardSelection:
     def test_four_levels_and_deterministic_order(self, world):
         _, social, stories, cascades = world
-        r1 = backward_feature_selection(stories, cascades, social, SCHEMA,
+        r1 = backward_feature_selection(stories, cascades, social,
                                         fast_config(), "url_wise", hours=24.0)
-        r2 = backward_feature_selection(stories, cascades, social, SCHEMA,
+        r2 = backward_feature_selection(stories, cascades, social,
                                         fast_config(), "url_wise", hours=24.0)
         assert [len(l.active_groups) for l in r1.levels] == [4, 3, 2, 1]
         assert r1.removal_order == r2.removal_order
@@ -380,21 +416,12 @@ class TestBackwardSelection:
                                             "network_spreading", "content"}
         assert r1.importance_order[0] == r1.levels[-1].active_groups[0]
 
-    def test_one_pool_per_level_and_same_result_at_any_jobs(self, world, pools):
-        _, social, stories, cascades = world
-        runs = [backward_feature_selection(stories, cascades, social, SCHEMA, fast_config(),
-                                           "url_wise", hours=24.0, jobs=jobs)
-                for jobs in (1, 2)]
-        # the first level trains one model in process; then 4, 3 and 2 candidates
-        assert pools == [2, 2, 2]
-        assert runs[0] == runs[1]
-
-    def test_one_job_trains_one_candidate_at_a_time(self, world, dispatched):
+    def test_one_job_trains_one_candidate_at_a_time(self, world, ablation_rounds):
         # so only one candidate's masked copy of the samples exists at a time
         _, social, stories, cascades = world
-        backward_feature_selection(stories, cascades, social, SCHEMA, fast_config(iterations=2),
-                                   "url_wise", hours=24.0, jobs=1)
-        assert [len(payloads) for payloads in dispatched] == [1] * 10
+        backward_feature_selection(stories, cascades, social, fast_config(iterations=2),
+                                   "url_wise", hours=24.0)
+        assert ablation_rounds == [0] * 10
 
 
 class TestMadMmd:
