@@ -56,6 +56,11 @@ class ModelConfig:
 
 @dataclass(eq=False)
 class ModelParams:
+    """Every parameter value in one float64 vector, ``flat``.  The named
+    tensors wrap reshaped views into it, laid out in ``named()`` order,
+    which is also the checkpoint's key order."""
+
+    flat: np.ndarray
     gc1: GatParams
     gc2: GatParams
     fc1_w: Tensor
@@ -71,13 +76,6 @@ class ModelParams:
             "fc2.weight": self.fc2_w, "fc2.bias": self.fc2_b,
         }
 
-    def copy_arrays(self) -> dict[str, np.ndarray]:
-        return {k: t.data.copy() for k, t in self.named().items()}
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for k, t in self.named().items():
-            t.data[...] = arrays[k]
-
     def zero_grad(self) -> None:
         for t in self.named().values():
             t.zero_grad()
@@ -85,16 +83,18 @@ class ModelParams:
 
 def init_params(config: ModelConfig) -> ModelParams:
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 71)))
-    f_in = config.schema.width
-    half = config.hidden // 2
-    return ModelParams(
-        gc1=nn.init_gat_params(rng, f_in, config.hidden),
-        gc2=nn.init_gat_params(rng, half, config.hidden),
-        fc1_w=Tensor(nn.glorot(rng, (config.hidden, config.fc1)), requires_grad=True),
-        fc1_b=Tensor(np.zeros((1, config.fc1)), requires_grad=True),
-        fc2_w=Tensor(nn.glorot(rng, (config.fc1, config.out)), requires_grad=True),
-        fc2_b=Tensor(np.zeros((1, config.out)), requires_grad=True),
-    )
+    gc1 = nn.init_gat_params(rng, config.schema.width, config.hidden)
+    gc2 = nn.init_gat_params(rng, config.hidden // 2, config.hidden)
+    arrays = [gc1.weight.data, gc1.attn.data, gc1.bias.data,
+              gc2.weight.data, gc2.attn.data, gc2.bias.data,
+              nn.glorot(rng, (config.hidden, config.fc1)), np.zeros((1, config.fc1)),
+              nn.glorot(rng, (config.fc1, config.out)), np.zeros((1, config.out))]
+    flat = np.concatenate(arrays, axis=None)
+    parts = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
+    w1, a1, b1, w2, a2, b2, fc1_w, fc1_b, fc2_w, fc2_b = (
+        Tensor(part.reshape(a.shape), requires_grad=True) for part, a in zip(parts, arrays))
+    return ModelParams(flat, GatParams(w1, a1, b1), GatParams(w2, a2, b2),
+                       fc1_w, fc1_b, fc2_w, fc2_b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,9 +168,9 @@ def _network_forward(features: np.ndarray, edges: EdgeArrays, params: ModelParam
 
 
 def loss_and_grads(sample: PreparedGraph, params: ModelParams
-                   ) -> tuple[float, dict[str, np.ndarray] | None]:
-    """Hinge loss of one sample and the gradient of every parameter, keyed
-    as ``ModelParams.named()``.
+                   ) -> tuple[float, np.ndarray | None]:
+    """Hinge loss of one sample and the gradient of every parameter, as one
+    vector laid out as ``ModelParams.flat`` (in ``ModelParams.named()`` order).
 
     The gradient is None when the hinge is inactive: it is then exactly
     zero, so no backward pass runs.  A zero loss over a non-finite forward
@@ -195,12 +195,8 @@ def loss_and_grads(sample: PreparedGraph, params: ModelParams
     g_pooled, (g2_w, g2_a, g2_b) = nn.gat_layer_backward(g_out2, edges, gat2)
     g_out1 = nn.selu_backward(nn.pair_pool_backward(g_pooled), selu1)
     _, (g1_w, g1_a, g1_b) = nn.gat_layer_backward(g_out1, edges, gat1, input_grad=False)
-    return loss, {
-        "gc1.weight": g1_w, "gc1.attn": g1_a, "gc1.bias": g1_b,
-        "gc2.weight": g2_w, "gc2.attn": g2_a, "gc2.bias": g2_b,
-        "fc1.weight": g_fc1_w, "fc1.bias": g_fc1_b,
-        "fc2.weight": g_fc2_w, "fc2.bias": g_fc2_b,
-    }
+    return loss, np.concatenate([g1_w, g1_a, g1_b, g2_w, g2_a, g2_b,
+                                 g_fc1_w, g_fc1_b, g_fc2_w, g_fc2_b], axis=None)
 
 
 def forward(sample: PreparedGraph, params: ModelParams):
@@ -249,16 +245,16 @@ def train(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
     if not train_set:
         raise ValueError("empty training set")
     params = init_params(config)
-    arrays = {k: t.data for k, t in params.named().items()}
-    zero_grads = {k: np.zeros_like(a) for k, a in arrays.items()}
-    state = OptimizerState(learning_rate=config.learning_rate)
+    zeros = np.zeros_like(params.flat)
+    state = OptimizerState(learning_rate=config.learning_rate,
+                           layout=tuple((k, t.data.size) for k, t in params.named().items()))
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 11)))
 
     loss_trace: list[float] = []
     val_trace: list[tuple[int, float]] = []
     best_auc = -1.0
     best_iteration = 0
-    best_arrays = None
+    best = None
 
     # every loss, gradient and score is checked for finiteness, which turns
     # an overflow into NumericError: numpy's warnings would only repeat it
@@ -269,7 +265,7 @@ def train(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at iteration {it}")
             loss_trace.append(loss)
-            amsgrad_step(arrays, zero_grads if grads is None else grads, state)
+            amsgrad_step(params.flat, zeros if grads is None else grads, state)
 
             if it % VALIDATION_EVERY == 0 or it == config.iterations:
                 auc = _validation_auc(val_set, params)
@@ -278,10 +274,10 @@ def train(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
                     if auc > best_auc:
                         best_auc = auc
                         best_iteration = it
-                        best_arrays = params.copy_arrays()
+                        best = params.flat.copy()
 
-    if best_arrays is not None:
-        params.load_arrays(best_arrays)
+    if best is not None:
+        params.flat[...] = best
         return TrainResult(params, loss_trace, val_trace, best_iteration, best_auc, state)
     return TrainResult(params, loss_trace, val_trace, config.iterations, None, state)
 
@@ -304,15 +300,16 @@ def user_embeddings(samples: list[PreparedGraph], params: ModelParams) -> dict[s
 CHECKPOINT_FORMAT = "cascade-gnn-checkpoint-v1"
 
 
-def save_checkpoint(path, params: ModelParams, state: OptimizerState | None = None,
-                    seed: int | None = None, meta: dict | None = None) -> None:
+def save_checkpoint(path, params: ModelParams, seed: int | None = None,
+                    meta: dict | None = None) -> None:
+    """Write the parameters, ``seed`` and ``meta``; no optimizer state, as
+    no command resumes training."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "seed": seed,
         "meta": meta or {},
         "params": {k: {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
                    for k, t in params.named().items()},
-        "optimizer": state.to_dict() if state is not None else None,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -323,14 +320,15 @@ class CheckpointError(ValueError):
 
 
 def load_checkpoint(path, config: ModelConfig, scope: str | None = None
-                    ) -> tuple[ModelParams, OptimizerState | None, int | None]:
-    """Read a checkpoint into parameters shaped by ``config``.
+                    ) -> tuple[ModelParams, int | None]:
+    """Read a checkpoint into parameters shaped by ``config``, and its seed.
 
     A given ``scope`` must match the one the checkpoint's ``meta`` records,
     if it records one, and ``config.active_groups`` must be the set of
     feature groups it records, if it records them.  Every parameter value
     must be a finite JSON number.  Any misfit raises ``CheckpointError``
-    naming the file and the field.
+    naming the file and the field.  An ``optimizer`` field, which older
+    checkpoints carry, is ignored.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -373,11 +371,4 @@ def load_checkpoint(path, config: ModelConfig, scope: str | None = None
             raise CheckpointError(f"checkpoint {path}: parameter {k!r} has shape {shape} "
                                   f"and {values.size} values, expected {t.data.shape}")
         t.data[...] = values.reshape(shape)
-    state = None
-    if doc.get("optimizer"):
-        try:
-            state = OptimizerState.from_dict(doc["optimizer"])
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
-            raise CheckpointError(f"checkpoint {path}: field 'optimizer' is malformed "
-                                  f"({type(exc).__name__}: {exc})") from None
-    return params, state, doc.get("seed")
+    return params, doc.get("seed")

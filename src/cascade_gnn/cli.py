@@ -63,7 +63,7 @@ def _load_config_file(path):
 def _cast(value, cast, source: str):
     try:
         return cast(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageFailure(f"{source}: {exc}") from None
 
 
@@ -85,8 +85,8 @@ def _config_and_seed(config_path, seed, default_seed: int = 0) -> tuple[dict, in
     file_config = _load_config_file(config_path)
     env = os.environ.get(SEED_ENV_VAR)
     if seed is None and "seed" not in file_config and env is not None:
-        return file_config, _cast(env, int, SEED_ENV_VAR)
-    return file_config, _resolve(seed, file_config, "seed", default_seed, int, "--seed")
+        return file_config, _cast(env, _seed, SEED_ENV_VAR)
+    return file_config, _resolve(seed, file_config, "seed", default_seed, _seed, "--seed")
 
 
 def _parse_hours(text, ranges: bool = True) -> tuple[int, ...]:
@@ -107,29 +107,50 @@ def _parse_hours(text, ranges: bool = True) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
+def _integer(value) -> int:
+    """An int, a float with an integral value, or a decimal string; a
+    boolean is not a number."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _seed(value) -> int:
+    number = _integer(value)
+    if number < 0:
+        raise ValueError(f"must be a non-negative integer, got {number}")
+    return number
+
+
 def _positive_int(value) -> int:
-    number = int(value)
+    number = _integer(value)
     if number <= 0:
         raise ValueError(f"must be positive, got {number}")
     return number
 
 
 def _positive_finite(value) -> float:
-    number = float(value)
+    number = _number(value)
     if not 0.0 < number < float("inf"):
         raise ValueError(f"must be a positive finite number, got {number}")
     return number
 
 
 def _non_negative(value) -> float:
-    number = float(value)
+    number = _number(value)
     if not number >= 0.0:
         raise ValueError(f"must be non-negative, got {number}")
     return number
 
 
 def _fraction(value) -> float:
-    number = float(value)
+    number = _number(value)
     if not 0.0 < number <= 1.0:
         raise ValueError(f"must be in (0, 1], got {number}")
     return number
@@ -388,7 +409,7 @@ def train_cmd(run: Run, out_dir):
     test_auc = auc_or_none(scores, [s.label for s in te])
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, "checkpoint.json"), result.params,
-                    result.opt_state, seed=run.model.seed,
+                    seed=run.model.seed,
                     meta={"scope": run.scope, "hours": run.last_hour,
                           "active_groups": list(run.model.active_groups)})
     write_json_report(os.path.join(out_dir, "report.json"), {
@@ -411,7 +432,7 @@ def export_embeddings(run: Run, out_dir, checkpoint_path):
     if not os.path.isfile(checkpoint_path):
         raise DatasetNotFoundError(f"missing checkpoint: {checkpoint_path}")
     try:
-        params, _, _ = load_checkpoint(checkpoint_path, run.model, scope=run.scope)
+        params, _ = load_checkpoint(checkpoint_path, run.model, scope=run.scope)
     except CheckpointError as exc:
         raise UsageFailure(str(exc))
     samples = build_samples(run.stories, run.cascades, run.social, run.model.schema,

@@ -12,75 +12,66 @@ class NumericError(RuntimeError):
 
 @dataclass
 class OptimizerState:
+    """AMSGrad's hyperparameters and moments.  The moments and the two work
+    arrays are one flat array each, laid out as the parameter vector, and
+    are allocated on the first step.  ``layout`` lists each parameter's
+    (name, size) in that order; it names a non-finite gradient."""
+
     learning_rate: float = 5e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    v_hat: dict[str, np.ndarray] = field(default_factory=dict)
-    # two work arrays per parameter, so a step allocates nothing
-    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "step_count": self.step_count,
-            "m": {k: v.tolist() for k, v in self.m.items()},
-            "v": {k: v.tolist() for k, v in self.v.items()},
-            "v_hat": {k: v.tolist() for k, v in self.v_hat.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OptimizerState":
-        return cls(
-            learning_rate=d["learning_rate"], beta1=d["beta1"], beta2=d["beta2"],
-            eps=d["eps"], step_count=d["step_count"],
-            m={k: np.asarray(v) for k, v in d["m"].items()},
-            v={k: np.asarray(v) for k, v in d["v"].items()},
-            v_hat={k: np.asarray(v) for k, v in d["v_hat"].items()},
-        )
+    layout: tuple[tuple[str, int], ...] = ()
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    v_hat: np.ndarray | None = None
+    # two work arrays, so a step allocates nothing
+    scratch: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
 
-def amsgrad_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                 state: OptimizerState) -> None:
-    """One update in place:
+def _parameter_at(layout: tuple[tuple[str, int], ...], index: int) -> str:
+    """The name of the parameter that holds flat ``index``."""
+    end = 0
+    for name, size in layout:
+        end += size
+        if index < end:
+            return repr(name)
+    return f"at index {index}"
+
+
+def amsgrad_step(theta: np.ndarray, g: np.ndarray, state: OptimizerState) -> None:
+    """One update of the flat parameter vector ``theta`` in place, from its
+    gradient ``g`` (same layout):
 
         m <- b1*m + (1-b1)*g
         v <- b2*v + (1-b2)*g^2
         v_hat <- max(v_hat, v)
         theta <- theta - lr * m / (sqrt(v_hat) + eps)
     """
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
+    finite = np.isfinite(g)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise NumericError(
+            f"non-finite gradient for parameter {_parameter_at(state.layout, bad)}")
     state.step_count += 1
     b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
-    for name, theta in params.items():
-        g = grads[name]
-        if name not in state.m:
-            state.m[name] = np.zeros_like(theta)
-            state.v[name] = np.zeros_like(theta)
-            state.v_hat[name] = np.zeros_like(theta)
-        m, v, v_hat = state.m[name], state.v[name], state.v_hat[name]
-        if name not in state.scratch:
-            state.scratch[name] = (np.empty_like(theta), np.empty_like(theta))
-        num, den = state.scratch[name]
-        # the same operations, in the same order, as the expressions above
-        m *= b1
-        m += np.multiply(g, 1.0 - b1, out=num)
-        v *= b2
-        np.multiply(g, 1.0 - b2, out=num)
-        num *= g
-        v += num
-        np.maximum(v_hat, v, out=v_hat)
-        np.sqrt(v_hat, out=den)
-        den += eps
-        np.multiply(m, lr, out=num)
-        num /= den
-        theta -= num
+    if state.m is None:
+        state.m, state.v, state.v_hat = (np.zeros_like(theta) for _ in range(3))
+        state.scratch = (np.empty_like(theta), np.empty_like(theta))
+    m, v, v_hat = state.m, state.v, state.v_hat
+    num, den = state.scratch
+    # the same operations, in the same order, as the expressions above
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=num)
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=num)
+    num *= g
+    v += num
+    np.maximum(v_hat, v, out=v_hat)
+    np.sqrt(v_hat, out=den)
+    den += eps
+    np.multiply(m, lr, out=num)
+    num /= den
+    theta -= num

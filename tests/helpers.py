@@ -97,6 +97,17 @@ def central_difference_grads(f, arrays, h=1e-5):
     return grads
 
 
+def named_views(params, vec) -> dict[str, np.ndarray]:
+    """``vec``, a vector laid out as ``params.flat``, as views shaped and
+    named like ``params.named()``."""
+    views, start = {}, 0
+    for name, t in params.named().items():
+        views[name] = vec[start:start + t.data.size].reshape(t.data.shape)
+        start += t.data.size
+    assert start == vec.size
+    return views
+
+
 def relative_error(analytic, numeric):
     a = np.concatenate([np.asarray(v).reshape(-1) for v in analytic])
     b = np.concatenate([np.asarray(v).reshape(-1) for v in numeric])

@@ -243,28 +243,28 @@ def test_criterion_05_truncation_nesting():
 
 def test_criterion_06_amsgrad_unit_behavior():
     # hand-computed single step
-    params = {"w": np.array([1.0])}
+    params = np.array([1.0])
     state = OptimizerState(learning_rate=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
-    amsgrad_step(params, {"w": np.array([1.0])}, state)
-    assert abs(params["w"][0] - 0.68377) <= 1e-5
-    assert abs(params["w"][0] - (1.0 - 0.1 * 0.1 / (np.sqrt(0.001) + 1e-8))) <= 1e-6
+    amsgrad_step(params, np.array([1.0]), state)
+    assert abs(params[0] - 0.68377) <= 1e-5
+    assert abs(params[0] - (1.0 - 0.1 * 0.1 / (np.sqrt(0.001) + 1e-8))) <= 1e-6
 
     # v_hat monotone over 10k random steps
     rng = np.random.default_rng(5)
-    params = {"w": np.zeros(3)}
+    params = np.zeros(3)
     state = OptimizerState(learning_rate=1e-3)
     prev = np.zeros(3)
     for _ in range(10_000):
-        amsgrad_step(params, {"w": rng.normal(size=3) * rng.exponential(1.0)}, state)
-        assert (state.v_hat["w"] >= prev).all()
-        prev = state.v_hat["w"].copy()
+        amsgrad_step(params, rng.normal(size=3) * rng.exponential(1.0), state)
+        assert (state.v_hat >= prev).all()
+        prev = state.v_hat.copy()
 
     # quadratic bowl convergence
-    params = {"w": np.array([0.0])}
+    params = np.array([0.0])
     state = OptimizerState(learning_rate=0.01)
     for _ in range(5000):
-        amsgrad_step(params, {"w": 2.0 * (params["w"] - 3.0)}, state)
-    assert abs(params["w"][0] - 3.0) < 1e-2
+        amsgrad_step(params, 2.0 * (params - 3.0), state)
+    assert abs(params[0] - 3.0) < 1e-2
     print("ACCEPTANCE 6 AMSGrad unit behavior: PASS")
 
 

@@ -16,7 +16,7 @@ from cascade_gnn.nn import hinge_loss
 from cascade_gnn.optim import OptimizerState
 from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_graph
 
-from helpers import (central_difference_grads, random_graph_sample,
+from helpers import (central_difference_grads, named_views, random_graph_sample,
                      relative_error, tiny_schema)
 
 SCHEMA = default_schema()
@@ -43,9 +43,9 @@ def assert_matches_tape(sample, params) -> bool:
         for name, g in ref.items():
             assert np.array_equal(g, np.zeros_like(g)), name
         return False
-    assert list(grads) == list(ref)
+    assert grads.shape == params.flat.shape
+    grads = named_views(params, grads)
     for name, g in ref.items():
-        assert grads[name].shape == g.shape, name
         assert np.array_equal(grads[name], g), name
     return True
 
@@ -99,8 +99,7 @@ def test_finite_differences_on_criterion_one_graphs():
         arrays = {k: t.data for k, t in params.named().items()}
         _, grads = loss_and_grads(sample, params)
         active += grads is not None
-        if grads is None:
-            grads = {k: np.zeros_like(a) for k, a in arrays.items()}
+        grads = named_views(params, np.zeros_like(params.flat) if grads is None else grads)
         numeric = central_difference_grads(lambda: loss_and_grads(sample, params)[0],
                                            arrays, h=1e-5)
         err = relative_error([grads[k] for k in arrays], [numeric[k] for k in arrays])
@@ -149,7 +148,8 @@ def tape_train(train_set, val_set, config):
     params = init_params(config)
     named = params.named()
     arrays = {k: t.data for k, t in named.items()}
-    state = OptimizerState(learning_rate=config.learning_rate)
+    # the reference keeps its moments per name, in dicts
+    state = OptimizerState(learning_rate=config.learning_rate, m={}, v={}, v_hat={})
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 11)))
     loss_trace, val_trace = [], []
     best_auc, best_arrays = -1.0, None
@@ -164,8 +164,9 @@ def tape_train(train_set, val_set, config):
             auc = roc_auc(scores, [s.label for s in val_set])[1]
             val_trace.append((it, auc))
             if auc > best_auc:
-                best_auc, best_arrays = auc, params.copy_arrays()
-    params.load_arrays(best_arrays)
+                best_auc, best_arrays = auc, {k: a.copy() for k, a in arrays.items()}
+    for k, a in arrays.items():
+        a[...] = best_arrays[k]
     return params, loss_trace, val_trace, state
 
 
@@ -189,6 +190,8 @@ def test_train_matches_tape_loop(small_world, monkeypatch):
     assert result.val_auc_trace == val_trace and len(val_trace) == 4
     for name, t in params.named().items():
         assert np.array_equal(result.params.named()[name].data, t.data), name
+    m = named_views(result.params, result.opt_state.m)
+    v_hat = named_views(result.params, result.opt_state.v_hat)
     for name in state.m:
-        assert np.array_equal(result.opt_state.m[name], state.m[name]), name
-        assert np.array_equal(result.opt_state.v_hat[name], state.v_hat[name]), name
+        assert np.array_equal(m[name], state.m[name]), name
+        assert np.array_equal(v_hat[name], state.v_hat[name]), name

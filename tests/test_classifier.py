@@ -164,12 +164,32 @@ class TestTrain:
         params.zero_grad()
         loss.backward()
         named = params.named()
-        arrays = {k: t.data for k, t in named.items()}
-        grads = {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                 for k, t in named.items()}
-        amsgrad_step(arrays, grads, OptimizerState(learning_rate=config.learning_rate))
+        grads = np.concatenate([t.grad if t.grad is not None else np.zeros_like(t.data)
+                                for t in named.values()], axis=None)
+        amsgrad_step(params.flat, grads, OptimizerState(learning_rate=config.learning_rate))
         for k, t in result.params.named().items():
             np.testing.assert_array_equal(t.data, named[k].data)
+
+    @pytest.mark.parametrize("name", ["gc1.weight", "gc2.attn", "fc2.bias"])
+    def test_non_finite_gradient_names_its_parameter(self, monkeypatch, name):
+        params = init_params(small_config())
+        start = 0
+        for k, t in params.named().items():
+            if k == name:
+                break
+            start += t.data.size
+        loss_and_grads = classifier_mod.loss_and_grads
+
+        def poisoned(sample, params):
+            loss, grads = loss_and_grads(sample, params)
+            grads = np.zeros_like(params.flat) if grads is None else grads
+            grads[start + 1] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(classifier_mod, "loss_and_grads", poisoned)
+        with pytest.raises(NumericError,
+                           match=f"^non-finite gradient for parameter '{name}'$"):
+            train(self.build_set(4), [], small_config(iterations=3))
 
     def test_memorizes_small_set(self):
         # final params (empty validation set disables snapshot selection)
@@ -209,21 +229,37 @@ class TestTrain:
         assert all(np.isfinite(v) for v in result.loss_trace)
 
 
+class TestParams:
+    def test_named_arrays_tile_the_flat_vector(self, tmp_path):
+        params = init_params(ModelConfig(schema=SCHEMA))
+        assert params.flat.dtype == np.float64 and params.flat.ndim == 1
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, params)
+        stored = json.loads(path.read_text())["params"]
+        assert list(stored) == list(params.named())
+        start = 0
+        base = params.flat.__array_interface__["data"][0]
+        for name, t in params.named().items():
+            assert np.shares_memory(t.data, params.flat), name
+            assert t.data.flags.c_contiguous, name
+            assert t.data.__array_interface__["data"][0] == base + 8 * start, name
+            assert np.array_equal(stored[name]["data"], params.flat[start:start + t.data.size])
+            start += t.data.size
+        assert start == params.flat.size == 45_098
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         config = small_config(seed=13)
         samples = TestTrain().build_set(6, seed=4)
         result = train(samples, samples, small_config(iterations=40, seed=13))
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, result.params, result.opt_state, seed=13,
-                        meta={"note": "test"})
-        params2, state2, seed = load_checkpoint(path, config)
+        save_checkpoint(path, result.params, seed=13, meta={"note": "test"})
+        params2, seed = load_checkpoint(path, config)
         assert seed == 13
         for k, t in result.params.named().items():
             assert (params2.named()[k].data == t.data).all()
-        for k in result.opt_state.v_hat:
-            assert (state2.v_hat[k] == result.opt_state.v_hat[k]).all()
-        assert state2.step_count == result.opt_state.step_count
+        assert list(json.loads(path.read_text())) == ["format", "seed", "meta", "params"]
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "not_ckpt.json"
@@ -241,13 +277,11 @@ class TestCheckpoint:
         ("'gc1.weight'", lambda doc: doc["params"]["gc1.weight"]["data"].__setitem__(0, True)),
         ("'gc1.weight'", lambda doc: doc["params"]["gc1.weight"]["data"].__setitem__(
             0, float("nan"))),
-        ("'optimizer'", lambda doc: doc.update(optimizer={"m": {}})),
-        ("'optimizer'", lambda doc: doc.update(optimizer=[1, 2])),
     ])
     def test_malformed_field_names_file_and_field(self, tmp_path, field, mangle):
         config = small_config()
         path = tmp_path / "mangled.json"
-        save_checkpoint(path, init_params(config), OptimizerState())
+        save_checkpoint(path, init_params(config))
         doc = json.loads(path.read_text())
         mangle(doc)
         path.write_text(json.dumps(doc))

@@ -312,6 +312,44 @@ class TestTrainAndExport:
         # the groups are compared as a set
         assert export("content,network_spreading,user_activity,user_profile") == 0
 
+    @pytest.fixture(scope="class")
+    def trained(self, dataset_dir, tmp_path_factory):
+        """A checkpoint from ``train``, and the embeddings.csv exported from it."""
+        root = tmp_path_factory.mktemp("trained")
+        assert main(["train", "--dataset", str(dataset_dir), "--out", str(root / "model"),
+                     "--seed", "3"] + FAST) == 0
+        checkpoint = root / "model" / "checkpoint.json"
+        assert main(["export-embeddings", "--dataset", str(dataset_dir),
+                     "--out", str(root / "emb"), "--checkpoint", str(checkpoint),
+                     "--seed", "3"] + FAST) == 0
+        return checkpoint, (root / "emb" / "embeddings.csv").read_bytes()
+
+    @staticmethod
+    def _moments(doc):
+        return {k: [0.25] * len(entry["data"]) for k, entry in doc["params"].items()}
+
+    @pytest.mark.parametrize("optimizer", [
+        # the optimizer state that checkpoints carried before they dropped it
+        lambda doc: {"learning_rate": 0.0005, "beta1": 0.9, "beta2": 0.999, "eps": 1e-08,
+                     "step_count": 40, "m": TestTrainAndExport._moments(doc),
+                     "v": TestTrainAndExport._moments(doc),
+                     "v_hat": TestTrainAndExport._moments(doc)},
+        lambda doc: {"m": {}},
+        lambda doc: [1, 2],
+    ], ids=["well-formed", "malformed-mapping", "malformed-list"])
+    def test_optimizer_field_of_older_checkpoints_is_ignored(self, dataset_dir, tmp_path,
+                                                             trained, optimizer):
+        checkpoint, embeddings = trained
+        doc = json.loads(checkpoint.read_text())
+        assert list(doc) == ["format", "seed", "meta", "params"]
+        doc["optimizer"] = optimizer(doc)
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps(doc))
+        assert main(["export-embeddings", "--dataset", str(dataset_dir),
+                     "--out", str(tmp_path / "emb"), "--checkpoint", str(older),
+                     "--seed", "3"] + FAST) == 0
+        assert (tmp_path / "emb" / "embeddings.csv").read_bytes() == embeddings
+
     def test_missing_checkpoint_exits_two(self, dataset_dir, tmp_path):
         code = main(["export-embeddings", "--dataset", str(dataset_dir),
                      "--out", str(tmp_path / "e"), "--checkpoint",
@@ -502,6 +540,72 @@ class TestUsageAndSeeds:
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith(f"error: --config {path}: ")
         assert reason in lines[0]
+
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    @pytest.mark.parametrize("command", ["generate", "cv", "sweep", "aging", "ablate", "train",
+                                         "export-embeddings", "layout", "stats"])
+    def test_negative_seed_is_one_error_line(self, dataset_dir, tmp_path, capsys, monkeypatch,
+                                             command, source):
+        args = [command, "--out", str(tmp_path / "o")]
+        if command != "generate":
+            args += ["--dataset", str(dataset_dir)]
+        if command not in ("generate", "stats"):
+            args += ["--iterations", "1"]  # keeps a missed check short
+        if command == "export-embeddings":
+            args += ["--checkpoint", str(tmp_path / "missing.json")]
+        if source == "flag":
+            args += ["--seed", "-1"]
+            named = "--seed"
+        elif source == "config":
+            (tmp_path / "cfg.json").write_text('{"seed": -1}')
+            args += ["--config", str(tmp_path / "cfg.json")]
+            named = "config key 'seed'"
+        else:
+            monkeypatch.setenv("CASCADE_GNN_SEED", "-1")
+            named = "CASCADE_GNN_SEED"
+        code = main(args)
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert lines == [f"error: {named}: must be a non-negative integer, got -1"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("cv", '{"jobs": 1e400}', "jobs"),
+        ("cv", '{"seed": 1e400}', "seed"),
+        ("cv", '{"min_cascade_size": 1e400}', "min_cascade_size"),
+        ("cv", '{"iterations": true}', "iterations"),
+        ("cv", '{"iterations": 2.9}', "iterations"),
+        ("cv", '{"seed": 1.5}', "seed"),
+        ("cv", '{"jobs": false}', "jobs"),
+        ("cv", '{"learning_rate": true}', "learning_rate"),
+        pytest.param("cv", '{"learning_rate": 1%s}' % ("0" * 400), "learning_rate",
+                     id="cv-learning_rate-10**400"),
+        ("aging", '{"window_frac": true}', "window_frac"),
+        ("aging", '{"min_gap_days": false}', "min_gap_days"),
+        ("layout", '{"layout_iterations": 1.5}', "layout_iterations"),
+        ("generate", '{"seed": true}', "seed"),
+        ("stats", '{"seed": NaN}', "seed"),
+    ])
+    def test_bad_number_in_config_is_one_error_line(self, dataset_dir, tmp_path, capsys,
+                                                    command, text, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        args = [command, "--out", str(tmp_path / "o"), "--config", str(path)]
+        if command != "generate":
+            args += ["--dataset", str(dataset_dir)]
+        if command not in ("generate", "stats") and not key.endswith("iterations"):
+            args += ["--iterations", "1"]  # keeps a missed check short
+        code = main(args)
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith(f"error: config key {key!r}: ")
+
+    @pytest.mark.parametrize("cast, value, expected", [
+        (cli._positive_int, 2.0, 2), (cli._positive_int, "3", 3), (cli._seed, 0, 0),
+        (cli._seed, "7", 7), (cli._positive_finite, 1, 1.0), (cli._fraction, 0.5, 0.5),
+    ])
+    def test_integral_and_plain_numbers_still_count(self, cast, value, expected):
+        assert cast(value) == expected
 
     def test_bad_env_seed_is_usage_error(self, dataset_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CASCADE_GNN_SEED", "abc")
