@@ -57,6 +57,10 @@ def _load_config_file(path):
             raise UsageFailure(f"--config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise UsageFailure(f"--config {path}: must hold a JSON object")
+    unknown = next((key for key in doc if key not in CONFIG_KEYS), None)
+    if unknown is not None:
+        raise UsageFailure(f"config key {unknown!r}: no command reads this key "
+                           f"(in --config {path})")
     return doc
 
 
@@ -67,16 +71,17 @@ def _cast(value, cast, source: str):
         raise UsageFailure(f"{source}: {exc}") from None
 
 
-def _resolve(flag_value, file_config: dict, key: str, default, cast=None, flag=None):
-    """The flag's value, else the config file's ``key``, else ``default``.
-    A value that ``cast`` rejects is a usage error naming the flag or key."""
+def _resolve(flag_value, file_config: dict, key: str, default, flag=None, cast=None):
+    """The flag's value, else the config file's ``key``, else ``default``,
+    through ``cast`` (by default ``key``'s in ``CONFIG_KEYS``).  A value that
+    the cast rejects is a usage error naming the flag or key."""
     if flag_value is not None:
         value, source = flag_value, flag
     elif key in file_config:
         value, source = file_config[key], f"config key {key!r}"
     else:
         value, source = default, "default"
-    return value if cast is None else _cast(value, cast, source)
+    return _cast(value, cast or CONFIG_KEYS[key], source)
 
 
 def _config_and_seed(config_path, seed, default_seed: int = 0) -> tuple[dict, int]:
@@ -86,7 +91,7 @@ def _config_and_seed(config_path, seed, default_seed: int = 0) -> tuple[dict, in
     env = os.environ.get(SEED_ENV_VAR)
     if seed is None and "seed" not in file_config and env is not None:
         return file_config, _cast(env, _seed, SEED_ENV_VAR)
-    return file_config, _resolve(seed, file_config, "seed", default_seed, _seed, "--seed")
+    return file_config, _resolve(seed, file_config, "seed", default_seed, "--seed")
 
 
 def _parse_hours(text, ranges: bool = True) -> tuple[int, ...]:
@@ -104,6 +109,8 @@ def _parse_hours(text, ranges: bool = True) -> tuple[int, ...]:
         raise ValueError(f"empty hours range {text!r}")
     if hi > lo and not ranges:
         raise ValueError(f"{text!r} is a range of hours; only sweep takes one")
+    if hi > sys.float_info.max:
+        raise ValueError("an hour beyond the float range")
     return tuple(range(lo, hi + 1))
 
 
@@ -149,6 +156,13 @@ def _non_negative(value) -> float:
     return number
 
 
+def _finite(value) -> float:
+    number = _number(value)
+    if not abs(number) < float("inf"):
+        raise ValueError(f"must be a finite number, got {number}")
+    return number
+
+
 def _fraction(value) -> float:
     number = _number(value)
     if not 0.0 < number <= 1.0:
@@ -156,10 +170,42 @@ def _fraction(value) -> float:
     return number
 
 
+def _open_fraction(value) -> float:
+    number = _number(value)
+    if not 0.0 < number < 1.0:
+        raise ValueError(f"must be in (0, 1), got {number}")
+    return number
+
+
+def _probability(value) -> float:
+    number = _number(value)
+    if not 0.0 <= number <= 1.0:
+        raise ValueError(f"must be in [0, 1], got {number}")
+    return number
+
+
+def _fraction_pair(value) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"must be a list of two numbers, got {value!r}")
+    return tuple(_fraction(v) for v in value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
+    return value
+
+
+def _optional_text(value) -> str | None:
+    return None if value is None else _text(value)
+
+
 def _feature_groups(value) -> tuple[str, ...]:
     """Active feature groups, comma-separated (flag) or a list (config file)."""
     if isinstance(value, str):
         value = [g.strip() for g in value.split(",") if g.strip()]
+    elif not (isinstance(value, (list, tuple)) and all(isinstance(g, str) for g in value)):
+        raise ValueError(f"must be a string or a list of strings, got {value!r}")
     groups = tuple(value)
     unknown = set(groups) - set(FEATURE_GROUPS)
     if unknown:
@@ -168,6 +214,32 @@ def _feature_groups(value) -> tuple[str, ...]:
     if not groups:
         raise ValueError("no feature group given")
     return groups
+
+
+# Every config file key some command reads, with the cast that checks its
+# value; a flag of the same meaning shares it.  One file may serve every
+# command, so a key that only another command reads is allowed; any other
+# key is a usage error.
+CONFIG_KEYS = {
+    "seed": _seed,
+    # the experiment commands
+    "hours": _parse_hours, "min_cascade_size": _positive_int, "iterations": _positive_int,
+    "learning_rate": _positive_finite, "active_groups": _feature_groups, "jobs": _positive_int,
+    "window_frac": _fraction, "min_gap_days": _non_negative,  # aging
+    "layout_iterations": _positive_int,  # layout
+    # generate: the GenConfig fields
+    "num_users": _positive_int, "num_urls": _positive_int, "fake_fraction": _open_fraction,
+    "mean_cascades_per_url": _positive_finite, "cascade_size_tail_exponent": _finite,
+    "max_cascade_size": _positive_int, "homophily_strength": _probability,
+    "community_fractions": _fraction_pair, "time_horizon_days": _positive_finite,
+    "embedding_mode": _text, "embedding_file": _optional_text,
+    "follows_per_user": _positive_int, "reciprocal_follow_prob": _probability,
+    "activation_probability": _probability, "retweet_gap_hours_true": _positive_finite,
+    "retweet_gap_hours_fake": _positive_finite, "cascade_root_spread_hours": _positive_finite,
+    "seed_unreliable_prob_fake": _probability, "seed_unreliable_prob_true": _probability,
+    "spontaneous_same_community_prob": _probability, "profile_signal_strength": _finite,
+    "description_signal": _finite,
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -220,16 +292,16 @@ def _resolve_run(config_path, seed, dataset_dir, scope, hours, min_cascade_size,
     model = ModelConfig(
         schema=default_schema(), seed=seed,
         iterations=_resolve(iterations, fc, "iterations", DEFAULT_ITERATIONS[scope],
-                            _positive_int, "--iterations"),
-        learning_rate=_resolve(lr, fc, "learning_rate", 5e-4, _positive_finite, "--lr"),
+                            "--iterations"),
+        learning_rate=_resolve(lr, fc, "learning_rate", 5e-4, "--lr"),
         active_groups=_resolve(groups, fc, "active_groups", default_active_groups(scope),
-                               _feature_groups, "--groups"))
-    hours = _resolve(hours, fc, "hours", default_hours,
-                     functools.partial(_parse_hours, ranges=ranges), "--hours")
+                               "--groups"))
+    hours = _resolve(hours, fc, "hours", default_hours, "--hours",
+                     functools.partial(_parse_hours, ranges=ranges))
     min_size = _resolve(min_cascade_size, fc, "min_cascade_size",
                         DEFAULT_MIN_CASCADE_SIZE if scope == SCOPE_CASCADE else 1,
-                        _positive_int, "--min-cascade-size")
-    jobs = _resolve(jobs, fc, "jobs", _usable_cpus(), _positive_int, "--jobs")
+                        "--min-cascade-size")
+    jobs = _resolve(jobs, fc, "jobs", _usable_cpus(), "--jobs")
     social, stories, cascades = load_dataset(dataset_dir)
     return Run(fc, scope, hours, min_size, jobs, social, stories, cascades, model)
 
@@ -266,12 +338,17 @@ def generate(config_path, seed, out_dir, urls, users, mean_cascades, fake_fracti
              horizon_days):
     """Write a seeded synthetic dataset plus its statistics report."""
     fc, seed = _config_and_seed(config_path, seed, GenConfig.seed)
-    flags = {"num_urls": urls, "num_users": users, "mean_cascades_per_url": mean_cascades,
-             "fake_fraction": fake_fraction, "time_horizon_days": horizon_days}
-    settings = {f.name: fc[f.name] for f in dataclasses.fields(GenConfig) if f.name in fc}
-    settings.update({k: v for k, v in flags.items() if v is not None}, seed=seed)
+    flags = {"num_urls": (urls, "--urls"), "num_users": (users, "--users"),
+             "mean_cascades_per_url": (mean_cascades, "--mean-cascades"),
+             "fake_fraction": (fake_fraction, "--fake-fraction"),
+             "time_horizon_days": (horizon_days, "--horizon-days")}
+    settings = {}
+    for f in dataclasses.fields(GenConfig):
+        value, flag = flags.get(f.name, (None, None))
+        if f.name != "seed" and (value is not None or f.name in fc):
+            settings[f.name] = _resolve(value, fc, f.name, None, flag)
     try:
-        cfg = GenConfig(**settings)
+        cfg = GenConfig(seed=seed, **settings)
     except (TypeError, ValueError) as exc:
         raise UsageFailure(str(exc))
     social = generate_social_graph(cfg)
@@ -358,10 +435,8 @@ def sweep(run: Run, out_dir):
 @click.option("--min-gap-days", type=float, default=None)
 def aging(run: Run, out_dir, window_frac, min_gap_days):
     """Train on the past, evaluate future windows; writes aging.csv."""
-    wf = _resolve(window_frac, run.file_config, "window_frac", 0.25, _fraction,
-                  "--window-frac")
-    gap = _resolve(min_gap_days, run.file_config, "min_gap_days", 14.0, _non_negative,
-                   "--min-gap-days")
+    wf = _resolve(window_frac, run.file_config, "window_frac", 0.25, "--window-frac")
+    gap = _resolve(min_gap_days, run.file_config, "min_gap_days", 14.0, "--min-gap-days")
     result = aging_protocol(run.stories, run.cascades, run.social, run.model,
                             run.scope, hours=run.last_hour,
                             min_cascade_size=run.min_cascade_size, window_frac=wf,
@@ -457,7 +532,7 @@ def export_embeddings(run: Run, out_dir, checkpoint_path):
 def layout(config_path, seed, dataset_dir, out_dir, iterations):
     """Force-directed social-graph layout with credibility; layout.csv."""
     fc, seed = _config_and_seed(config_path, seed)
-    iters = _resolve(iterations, fc, "layout_iterations", 60, _positive_int, "--iterations")
+    iters = _resolve(iterations, fc, "layout_iterations", 60, "--iterations")
     social, stories, cascades = load_dataset(dataset_dir)
     positions = fr_layout(social, iterations=iters, seed=seed)
     credibility = credibility_scores(stories, cascades_by_url(cascades))

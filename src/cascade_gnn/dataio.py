@@ -10,10 +10,11 @@ import csv
 import dataclasses
 import json
 import os
+import sys
 
 import numpy as np
 
-from .types import CascadeRecord, SocialGraph, Tweet, UrlStory, User
+from .types import EMBEDDING_DIM, CascadeRecord, SocialGraph, Tweet, UrlStory, User
 
 USERS_FILE = "users.jsonl"
 FOLLOWS_FILE = "follows.csv"
@@ -55,13 +56,38 @@ def _round_vec(vec: np.ndarray) -> list[float]:
     return [float(f"{x:.7g}") for x in vec]
 
 
-def _record(obj, fields: dict) -> dict:
-    """The on-disk record of ``obj``: its ``fields``, in order, with embeddings rounded."""
-    rec = {name: getattr(obj, name) for name in fields}
-    for name, value in rec.items():
-        if isinstance(value, np.ndarray):
-            rec[name] = _round_vec(value)
-    return rec
+_VECTOR_TEMPLATE = "[" + ", ".join(["%.7g"] * EMBEDDING_DIM) + "]"
+_ZEROS_JSON = json.dumps([0.0] * EMBEDDING_DIM)
+
+
+def _vector_json(vec: np.ndarray) -> str:
+    """``json.dumps(_round_vec(vec))`` of an embedding, formatted in one ``%`` call.
+
+    ``%.7g`` prints the same digits as ``repr`` of the rounded float, except
+    for integral values (``3`` for ``3.0``), exponents from 7 up (``1e+07``)
+    and subnormals, whose repr has fewer digits; each of those needs a
+    component that is 0, at least 0.5 in magnitude, or below the smallest
+    normal float, so such a vector takes the per-component path."""
+    if not vec.any() and not np.signbit(vec).any():
+        return _ZEROS_JSON
+    mag = np.abs(vec)
+    if mag.max() >= 0.5 or mag.min() < sys.float_info.min:
+        return json.dumps(_round_vec(vec))
+    return _VECTOR_TEMPLATE % tuple(vec.tolist())
+
+
+def _record_json(obj, fields: dict, **texts: str) -> str:
+    """``json.dumps`` of ``obj``'s on-disk record: its ``fields``, in order,
+    with embeddings rounded; ``texts`` holds the JSON text of some fields."""
+    parts = []
+    for name in fields:
+        if name in texts:
+            text = texts[name]
+        else:
+            value = getattr(obj, name)
+            text = _vector_json(value) if isinstance(value, np.ndarray) else json.dumps(value)
+        parts.append(f"{_KEYS[name]}: {text}")
+    return "{" + ", ".join(parts) + "}"
 
 
 def write_dataset(dirpath, social: SocialGraph, stories: list[UrlStory],
@@ -70,7 +96,7 @@ def write_dataset(dirpath, social: SocialGraph, stories: list[UrlStory],
 
     with open(os.path.join(dirpath, USERS_FILE), "w", encoding="utf-8") as fh:
         for uid in sorted(social.users):
-            fh.write(json.dumps(_record(social.users[uid], _USER_FIELDS)) + "\n")
+            fh.write(_record_json(social.users[uid], _USER_FIELDS) + "\n")
 
     with open(os.path.join(dirpath, FOLLOWS_FILE), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -80,13 +106,12 @@ def write_dataset(dirpath, social: SocialGraph, stories: list[UrlStory],
 
     with open(os.path.join(dirpath, CASCADES_FILE), "w", encoding="utf-8") as fh:
         for cas in sorted(cascades, key=lambda c: c.cascade_id):
-            rec = _record(cas, _CASCADE_FIELDS)
-            rec["tweets"] = [_record(t, _TWEET_FIELDS) for t in cas.tweets]
-            fh.write(json.dumps(rec) + "\n")
+            tweets = "[" + ", ".join(_record_json(t, _TWEET_FIELDS) for t in cas.tweets) + "]"
+            fh.write(_record_json(cas, _CASCADE_FIELDS, tweets=tweets) + "\n")
 
     with open(os.path.join(dirpath, URLS_FILE), "w", encoding="utf-8") as fh:
         for story in sorted(stories, key=lambda s: s.url_id):
-            fh.write(json.dumps(_record(story, _STORY_FIELDS)) + "\n")
+            fh.write(_record_json(story, _STORY_FIELDS) + "\n")
 
 
 def _require(path):
@@ -152,6 +177,9 @@ _USER_FIELDS = _fields(User)
 _TWEET_FIELDS = _fields(Tweet, skip=("cascade_id",))
 _CASCADE_FIELDS = _fields(CascadeRecord)
 _STORY_FIELDS = _fields(UrlStory)
+# each field's JSON key, as json.dumps writes it
+_KEYS = {name: json.dumps(name) for fields in (_USER_FIELDS, _TWEET_FIELDS, _CASCADE_FIELDS,
+                                               _STORY_FIELDS) for name in fields}
 
 
 def _user(rec) -> User:

@@ -1,6 +1,8 @@
 """CLI subcommands: flows, file outputs, exit codes, determinism."""
 import contextlib
+import dataclasses
 import filecmp
+import hashlib
 import io
 import json
 import os
@@ -17,6 +19,7 @@ from cascade_gnn import cli, evalharness
 from cascade_gnn.classifier import ModelConfig, init_params, save_checkpoint
 from cascade_gnn.cli import main
 from cascade_gnn.features import default_schema
+from cascade_gnn.synthgen import GenConfig
 
 GEN_ARGS = ["--users", "150", "--urls", "12", "--mean-cascades", "3"]
 FIXTURE_ARGS = ["--users", "200", "--urls", "30", "--mean-cascades", "3",
@@ -90,6 +93,33 @@ class TestGenerate:
         assert err.startswith(f"error: {vectors}") and reason in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "d").exists()
+
+    # SHA-256 of each file, recorded with the per-component writer that
+    # formatted every embedding component through float(f"{x:.7g}")
+    PINNED_FILES = {
+        "users.jsonl": "98f68d0e3d4cec7e7124b6d078abc890293b4b8ab4fb327b461d991067f441dd",
+        "follows.csv": "e4874b3643fa62a776abb29d6d97623ae1a0cd37311d89c10d43a10d7aafbaf9",
+        "cascades.jsonl": "fecf220ff8fbdcca764c4ec53d9e331c5654205eadc4cc82ca1a1100173cd99a",
+        "urls.jsonl": "e1c7ccaf623f218d8db0dd3d71d63bc2f0327de45330785d3b3ee5b0a1e6bd7a",
+        "stats.json": "c3a72076f3635706ed44fade1e351c6eaf8d038b1dbe43e30ff506215dc22121",
+    }
+
+    def test_files_are_pinned(self, tmp_path):
+        assert main(["generate", "--seed", "42", "--out", str(tmp_path)] + GEN_ARGS) == 0
+        assert sorted(os.listdir(tmp_path)) == sorted(self.PINNED_FILES)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.PINNED_FILES}
+        assert digests == self.PINNED_FILES
+
+    def test_config_keys_and_flags_write_the_same_files(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"num_users": 150, "num_urls": 12,
+                                   "mean_cascades_per_url": 3}))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["generate", "--seed", "42", "--out", str(a)] + GEN_ARGS) == 0
+        assert main(["generate", "--seed", "42", "--out", str(b), "--config", str(cfg)]) == 0
+        for name in self.PINNED_FILES:
+            assert filecmp.cmp(a / name, b / name, shallow=False), name
 
     def test_bad_config_is_usage_error(self, tmp_path):
         code = main(["generate", "--out", str(tmp_path / "x"), "--urls", "5",
@@ -504,6 +534,27 @@ class TestUsageAndSeeds:
         # a range of hours is for sweep only
         (["cv", "--hours", "3..5"], None, "--hours"),
         (["train"], {"hours": "0..24"}, "config key 'hours'"),
+        # generate's config keys go through the casts its flags share
+        (["generate", "--users", "60", "--mean-cascades", "1"], {"num_urls": 2.5},
+         "config key 'num_urls'"),
+        (["generate", "--mean-cascades", "1"], {"num_urls": True, "num_users": 60},
+         "config key 'num_urls'"),
+        (["generate", "--users", "60", "--urls", "2"], {"activation_probability": "x"},
+         "config key 'activation_probability'"),
+        (["generate", "--users", "60", "--urls", "2", "--mean-cascades", "1"],
+         {"embedding_mode": "load_file", "embedding_file": 0}, "config key 'embedding_file'"),
+        (["generate", "--users", "60", "--urls", "2", "--fake-fraction", "1"], None,
+         "--fake-fraction"),
+        # an hour that float() cannot hold
+        (["cv", "--hours", "1" + "0" * 400, "--iterations", "1"], None, "--hours"),
+        (["cv", "--iterations", "1"], {"hours": "1" + "0" * 400}, "config key 'hours'"),
+        # active groups are a string or a list of strings
+        (["cv", "--iterations", "1"], {"active_groups": {"content": 1}},
+         "config key 'active_groups'"),
+        # a key that no command reads
+        (["cv", "--iterations", "1"], {"lr": 5, "iteratons": 7}, "config key 'lr'"),
+        (["cv", "--iterations", "1"], {"iteratons": 7}, "config key 'iteratons'"),
+        (["generate", "--users", "60", "--urls", "2"], {"num_user": 60}, "config key 'num_user'"),
     ])
     def test_bad_value_is_one_error_line(self, dataset_dir, tmp_path, capsys,
                                          args, config, named):
@@ -512,9 +563,10 @@ class TestUsageAndSeeds:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(config))
             args = args + ["--config", str(path)]
+        if command != "generate":
+            args = ["--dataset", str(dataset_dir)] + args
         # every value is rejected before a model trains
-        code = main([command, "--dataset", str(dataset_dir), "--out", str(tmp_path / "o")]
-                    + args)
+        code = main([command, "--out", str(tmp_path / "o")] + args)
         lines = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
@@ -606,6 +658,16 @@ class TestUsageAndSeeds:
     ])
     def test_integral_and_plain_numbers_still_count(self, cast, value, expected):
         assert cast(value) == expected
+
+    def test_every_generator_field_is_a_config_key(self):
+        assert {f.name for f in dataclasses.fields(GenConfig)} <= set(cli.CONFIG_KEYS)
+
+    def test_a_key_another_command_reads_is_allowed(self, dataset_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window_frac": 0.3, "layout_iterations": 2,
+                                   "num_users": 5, "iterations": 1, "jobs": 1}))
+        assert main(["cv", "--dataset", str(dataset_dir), "--out", str(tmp_path / "o"),
+                     "--config", str(cfg)]) == 0
 
     def test_bad_env_seed_is_usage_error(self, dataset_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CASCADE_GNN_SEED", "abc")

@@ -1,13 +1,18 @@
 """Dataset file formats: write/load round trip and determinism."""
 import filecmp
+import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cascade_gnn import dataio
 from cascade_gnn.dataio import (DatasetNotFoundError, cascades_by_url,
                                 load_dataset, write_dataset)
 from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_graph
+from cascade_gnn.types import EMBEDDING_DIM
 
 CFG = GenConfig(num_users=150, num_urls=8, mean_cascades_per_url=3.0)
 
@@ -71,3 +76,54 @@ def test_cascades_by_url_groups(world):
     assert sum(len(v) for v in groups.values()) == len(cascades)
     for url, group in groups.items():
         assert all(c.url_id == url for c in group)
+
+
+# values where %.7g and repr of the rounded float print differently
+SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.234567e-320, 2.2250738585072014e-308,
+            0.49999996, -0.49999996, 0.5, -0.5, 0.99999996, -0.99999996, 3.0, -7.0, 1e7,
+            9999999.5, 1.234567e16]
+
+
+@st.composite
+def embeddings(draw):
+    """Vectors at one scale from 1e-320 to 1e300, rounded to integers, with
+    special values mixed in, or all zeros of one sign."""
+    n = EMBEDDING_DIM
+    scale = 10.0 ** draw(st.integers(-320, 300))
+    vec = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1, 1, n) * scale
+    kind = draw(st.sampled_from(["scaled", "rounded", "specials", "zeros"]))
+    if kind == "rounded":
+        vec = np.round(vec)
+    elif kind == "specials":
+        for k in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
+            vec[k] = draw(st.sampled_from(SPECIALS))
+    elif kind == "zeros":
+        vec = np.zeros(n) * draw(st.sampled_from([1.0, -1.0]))
+    return vec
+
+
+@settings(max_examples=1000, deadline=None)
+@given(embeddings())
+@example(np.zeros(EMBEDDING_DIM))
+@example(-np.zeros(EMBEDDING_DIM))
+@example(np.array([0.25] * 199 + [5e-324]))
+@example(np.array([0.25] * 199 + [1.234567e-320]))
+@example(np.array([0.25] * 199 + [0.49999996]))
+@example(np.array([0.25] * 199 + [0.99999996]))
+@example(np.array([-0.125] * 199 + [3.0]))
+@example(np.array([0.1] * 199 + [1.234568e7]))
+@example(np.array([0.1] * 199 + [-0.0]))
+def test_vector_json_matches_the_per_component_rounding(vec):
+    assert dataio._vector_json(vec) == json.dumps(dataio._round_vec(vec))
+
+
+def test_unit_scale_vectors_take_the_one_call_path(monkeypatch):
+    vec = np.random.default_rng(0).normal(size=EMBEDDING_DIM)
+    vec /= np.linalg.norm(vec)
+    expected = json.dumps(dataio._round_vec(vec))
+
+    def per_component(_):
+        raise AssertionError("took the per-component path")
+    monkeypatch.setattr(dataio, "_round_vec", per_component)
+    assert dataio._vector_json(vec) == expected
+    assert dataio._vector_json(np.zeros(EMBEDDING_DIM)) == json.dumps([0.0] * EMBEDDING_DIM)
