@@ -23,10 +23,27 @@ from .features import FEATURE_GROUPS, FeatureSchema
 from .metrics import auc_or_none, roc_auc  # noqa: F401
 from .nn import EdgeArrays, GatParams
 from .optim import NumericError, OptimizerState, amsgrad_step
+from .types import ConfigError, check_fields, positive_int, positive_number, rng_seed
 
 VALIDATION_EVERY = 500
 
 DEFAULT_ITERATIONS = {"url_wise": 25_000, "cascade_wise": 50_000}
+
+
+def feature_groups(value) -> tuple[str, ...]:
+    """Active feature groups, comma-separated (flag) or a list (config file)."""
+    if isinstance(value, str):
+        value = [g.strip() for g in value.split(",") if g.strip()]
+    elif not (isinstance(value, (list, tuple)) and all(isinstance(g, str) for g in value)):
+        raise ValueError(f"must be a string or a list of strings, got {value!r}")
+    groups = tuple(value)
+    unknown = set(groups) - set(FEATURE_GROUPS)
+    if unknown:
+        raise ValueError(f"unknown feature groups: {sorted(unknown)}; "
+                         f"choose from {', '.join(FEATURE_GROUPS)}")
+    if not groups:
+        raise ValueError("no feature group given")
+    return groups
 
 
 @dataclass(frozen=True)
@@ -40,18 +57,16 @@ class ModelConfig:
     seed: int = 0
     active_groups: tuple[str, ...] = FEATURE_GROUPS
 
+    # the rules of the fields a config file sets, which the CLI applies too
+    RULES = {"learning_rate": positive_number, "iterations": positive_int, "seed": rng_seed,
+             "active_groups": feature_groups}
+
     def __post_init__(self):
-        if not self.active_groups:
-            raise ValueError("active_groups must be non-empty")
-        unknown = set(self.active_groups) - set(FEATURE_GROUPS)
-        if unknown:
-            raise ValueError(f"unknown feature groups: {sorted(unknown)}")
-        if self.iterations <= 0:
-            raise ValueError("iterations must be positive")
+        check_fields(self, self.RULES)
         if self.out != 2:
-            raise ValueError("the classifier is binary; out must be 2")
+            raise ConfigError("the classifier is binary; out must be 2")
         if self.hidden % 2 != 0:
-            raise ValueError("hidden width must be even for channel-pair pooling")
+            raise ConfigError("hidden width must be even for channel-pair pooling")
 
 
 @dataclass(eq=False)
@@ -370,5 +385,5 @@ def load_checkpoint(path, config: ModelConfig, scope: str | None = None
         if shape != t.data.shape or values.size != t.data.size:
             raise CheckpointError(f"checkpoint {path}: parameter {k!r} has shape {shape} "
                                   f"and {values.size} values, expected {t.data.shape}")
-        t.data[...] = values.reshape(shape)
+        t.data[...] = values.reshape(t.data.shape)  # shape may hold 2.0 for 2
     return params, doc.get("seed")

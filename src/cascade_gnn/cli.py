@@ -31,14 +31,15 @@ from .evalharness import (DEFAULT_MIN_CASCADE_SIZE, ProtocolError, aging_protoco
                           diffusion_sweep, estimate_diameter,
                           fold_label_fractions, fr_layout, mad_mmd, make_folds,
                           split_by_url, train_and_score)
-from .features import FEATURE_GROUPS, default_schema
+from .features import default_schema
 from .metrics import auc_or_none
 from .optim import NumericError
 from .propagation import credibility_scores
 from .reports import write_csv, write_json_report
 from .synthgen import (GenConfig, generate_dataset, generate_social_graph,
                        summary_stats)
-from .types import SCOPE_CASCADE, SCOPE_URL, CascadeRecord, SocialGraph, UrlStory
+from .types import (SCOPE_CASCADE, SCOPE_URL, CascadeRecord, ConfigError, SocialGraph,
+                    UrlStory, interval, number, positive_int, rng_seed)
 
 SEED_ENV_VAR = "CASCADE_GNN_SEED"
 
@@ -64,24 +65,24 @@ def _load_config_file(path):
     return doc
 
 
-def _cast(value, cast, source: str):
+def _cast(value, rule, source: str):
     try:
-        return cast(value)
+        return rule(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageFailure(f"{source}: {exc}") from None
 
 
-def _resolve(flag_value, file_config: dict, key: str, default, flag=None, cast=None):
+def _resolve(flag_value, file_config: dict, key: str, default, flag=None, rule=None):
     """The flag's value, else the config file's ``key``, else ``default``,
-    through ``cast`` (by default ``key``'s in ``CONFIG_KEYS``).  A value that
-    the cast rejects is a usage error naming the flag or key."""
+    through ``rule`` (by default ``key``'s in ``CONFIG_KEYS``).  A value that
+    the rule rejects is a usage error naming the flag or key."""
     if flag_value is not None:
         value, source = flag_value, flag
     elif key in file_config:
         value, source = file_config[key], f"config key {key!r}"
     else:
         value, source = default, "default"
-    return _cast(value, cast or CONFIG_KEYS[key], source)
+    return _cast(value, rule or CONFIG_KEYS[key], source)
 
 
 def _config_and_seed(config_path, seed, default_seed: int = 0) -> tuple[dict, int]:
@@ -90,7 +91,7 @@ def _config_and_seed(config_path, seed, default_seed: int = 0) -> tuple[dict, in
     file_config = _load_config_file(config_path)
     env = os.environ.get(SEED_ENV_VAR)
     if seed is None and "seed" not in file_config and env is not None:
-        return file_config, _cast(env, _seed, SEED_ENV_VAR)
+        return file_config, _cast(env, rng_seed, SEED_ENV_VAR)
     return file_config, _resolve(seed, file_config, "seed", default_seed, "--seed")
 
 
@@ -114,131 +115,17 @@ def _parse_hours(text, ranges: bool = True) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
-def _integer(value) -> int:
-    """An int, a float with an integral value, or a decimal string; a
-    boolean is not a number."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"must be an integer, got {value!r}")
-    return int(value)
-
-
-def _number(value) -> float:
-    if isinstance(value, bool):
-        raise ValueError(f"must be a number, got {value!r}")
-    return float(value)
-
-
-def _seed(value) -> int:
-    number = _integer(value)
-    if number < 0:
-        raise ValueError(f"must be a non-negative integer, got {number}")
-    return number
-
-
-def _positive_int(value) -> int:
-    number = _integer(value)
-    if number <= 0:
-        raise ValueError(f"must be positive, got {number}")
-    return number
-
-
-def _positive_finite(value) -> float:
-    number = _number(value)
-    if not 0.0 < number < float("inf"):
-        raise ValueError(f"must be a positive finite number, got {number}")
-    return number
-
-
-def _non_negative(value) -> float:
-    number = _number(value)
-    if not number >= 0.0:
-        raise ValueError(f"must be non-negative, got {number}")
-    return number
-
-
-def _finite(value) -> float:
-    number = _number(value)
-    if not abs(number) < float("inf"):
-        raise ValueError(f"must be a finite number, got {number}")
-    return number
-
-
-def _fraction(value) -> float:
-    number = _number(value)
-    if not 0.0 < number <= 1.0:
-        raise ValueError(f"must be in (0, 1], got {number}")
-    return number
-
-
-def _open_fraction(value) -> float:
-    number = _number(value)
-    if not 0.0 < number < 1.0:
-        raise ValueError(f"must be in (0, 1), got {number}")
-    return number
-
-
-def _probability(value) -> float:
-    number = _number(value)
-    if not 0.0 <= number <= 1.0:
-        raise ValueError(f"must be in [0, 1], got {number}")
-    return number
-
-
-def _fraction_pair(value) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"must be a list of two numbers, got {value!r}")
-    return tuple(_fraction(v) for v in value)
-
-
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"must be a string, got {value!r}")
-    return value
-
-
-def _optional_text(value) -> str | None:
-    return None if value is None else _text(value)
-
-
-def _feature_groups(value) -> tuple[str, ...]:
-    """Active feature groups, comma-separated (flag) or a list (config file)."""
-    if isinstance(value, str):
-        value = [g.strip() for g in value.split(",") if g.strip()]
-    elif not (isinstance(value, (list, tuple)) and all(isinstance(g, str) for g in value)):
-        raise ValueError(f"must be a string or a list of strings, got {value!r}")
-    groups = tuple(value)
-    unknown = set(groups) - set(FEATURE_GROUPS)
-    if unknown:
-        raise ValueError(f"unknown feature groups: {sorted(unknown)}; "
-                         f"choose from {', '.join(FEATURE_GROUPS)}")
-    if not groups:
-        raise ValueError("no feature group given")
-    return groups
-
-
-# Every config file key some command reads, with the cast that checks its
-# value; a flag of the same meaning shares it.  One file may serve every
-# command, so a key that only another command reads is allowed; any other
-# key is a usage error.
+# Every config file key some command reads, with the rule that checks its
+# value; a flag of the same meaning shares it.  The GenConfig and ModelConfig
+# keys are those classes' own rules.  One file may serve every command, so a
+# key that only another command reads is allowed; any other key is a usage
+# error.
 CONFIG_KEYS = {
-    "seed": _seed,
+    **GenConfig.RULES, **ModelConfig.RULES,
     # the experiment commands
-    "hours": _parse_hours, "min_cascade_size": _positive_int, "iterations": _positive_int,
-    "learning_rate": _positive_finite, "active_groups": _feature_groups, "jobs": _positive_int,
-    "window_frac": _fraction, "min_gap_days": _non_negative,  # aging
-    "layout_iterations": _positive_int,  # layout
-    # generate: the GenConfig fields
-    "num_users": _positive_int, "num_urls": _positive_int, "fake_fraction": _open_fraction,
-    "mean_cascades_per_url": _positive_finite, "cascade_size_tail_exponent": _finite,
-    "max_cascade_size": _positive_int, "homophily_strength": _probability,
-    "community_fractions": _fraction_pair, "time_horizon_days": _positive_finite,
-    "embedding_mode": _text, "embedding_file": _optional_text,
-    "follows_per_user": _positive_int, "reciprocal_follow_prob": _probability,
-    "activation_probability": _probability, "retweet_gap_hours_true": _positive_finite,
-    "retweet_gap_hours_fake": _positive_finite, "cascade_root_spread_hours": _positive_finite,
-    "seed_unreliable_prob_fake": _probability, "seed_unreliable_prob_true": _probability,
-    "spontaneous_same_community_prob": _probability, "profile_signal_strength": _finite,
-    "description_signal": _finite,
+    "hours": _parse_hours, "min_cascade_size": positive_int, "jobs": positive_int,
+    "window_frac": interval(number, "(0, 1]"), "min_gap_days": interval(number, "[0, inf)"),
+    "layout_iterations": positive_int,
 }
 
 
@@ -343,16 +230,16 @@ def generate(config_path, seed, out_dir, urls, users, mean_cascades, fake_fracti
              "fake_fraction": (fake_fraction, "--fake-fraction"),
              "time_horizon_days": (horizon_days, "--horizon-days")}
     settings = {}
-    for f in dataclasses.fields(GenConfig):
-        value, flag = flags.get(f.name, (None, None))
-        if f.name != "seed" and (value is not None or f.name in fc):
-            settings[f.name] = _resolve(value, fc, f.name, None, flag)
+    for name in GenConfig.RULES:
+        value, flag = flags.get(name, (None, None))
+        if name != "seed" and (value is not None or name in fc):
+            settings[name] = _resolve(value, fc, name, None, flag)
     try:
         cfg = GenConfig(seed=seed, **settings)
-    except (TypeError, ValueError) as exc:
+        social = generate_social_graph(cfg)
+        stories, cascades = generate_dataset(cfg, social)
+    except ConfigError as exc:
         raise UsageFailure(str(exc))
-    social = generate_social_graph(cfg)
-    stories, cascades = generate_dataset(cfg, social)
     dataio.write_dataset(out_dir, social, stories, cascades)
     stats = summary_stats(stories, cascades)
     write_json_report(os.path.join(out_dir, "stats.json"),

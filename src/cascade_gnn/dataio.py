@@ -128,9 +128,9 @@ _JSON_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "a bo
                int: "an integer", float: "a number", type(None): "null"}
 
 
-def _fields(cls, skip=()) -> dict:
+def _fields(cls) -> dict:
     """Field name -> allowed JSON types, for the fields of a record type."""
-    return {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(cls) if f.name not in skip}
+    return {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(cls)}
 
 
 def _require_fields(rec, fields: dict) -> None:
@@ -153,7 +153,10 @@ def _embedding(rec, name: str) -> np.ndarray:
         k, bad = next((k, v) for k, v in enumerate(values) if type(v) not in (float, int))
         raise ValueError(f"field {name!r} component {k} must be a number, "
                          f"got {_JSON_NAMES[type(bad)]}")
-    return np.asarray(values, dtype=np.float64)
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"field {name!r} has a component beyond the float range") from None
 
 
 def _records(path, build, id_field: str) -> dict:
@@ -174,7 +177,7 @@ def _records(path, build, id_field: str) -> dict:
 
 
 _USER_FIELDS = _fields(User)
-_TWEET_FIELDS = _fields(Tweet, skip=("cascade_id",))
+_TWEET_FIELDS = _fields(Tweet)
 _CASCADE_FIELDS = _fields(CascadeRecord)
 _STORY_FIELDS = _fields(UrlStory)
 # each field's JSON key, as json.dumps writes it
@@ -198,7 +201,7 @@ def _cascade(rec) -> CascadeRecord:
             tr["hashtag_embedding"] = _embedding(tr, "hashtag_embedding")
         except ValueError as exc:
             raise ValueError(f"tweet {k}: {exc}") from None
-        tweets.append(Tweet(cascade_id=rec["cascade_id"], **tr))
+        tweets.append(Tweet(**tr))
     return CascadeRecord(rec["cascade_id"], rec["url_id"], tuple(tweets))
 
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .features import embed_tokens, load_word_vectors
 from .types import (CascadeRecord, EMBEDDING_DIM, LABEL_FAKE, LABEL_TRUE,
-                    SocialGraph, Tweet, UrlStory, User)
+                    ConfigError, SocialGraph, Tweet, UrlStory, User, check_fields, interval, number,
+                    optional_text, positive_int, positive_number, rng_seed, text)
 
 PLANTED_SIGNAL_GROUPS = ("user_profile", "network_spreading")
 
@@ -44,6 +45,16 @@ _DEVICE_P_RELIABLE = (0.34, 0.22, 0.30, 0.06, 0.05, 0.03)
 _DEVICE_P_UNRELIABLE = (0.22, 0.34, 0.20, 0.04, 0.02, 0.18)
 _LANGS = ("en", "es", "pt", "fr", "de", "it", "ja", "und")
 _LANG_P = (0.72, 0.08, 0.05, 0.04, 0.03, 0.03, 0.02, 0.03)
+
+_probability = interval(number, "[0, 1]")
+_finite = interval(number, "(-inf, inf)")
+_fraction = interval(number, "(0, 1]")
+
+
+def _fraction_pair(value) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"must be a list of two numbers, got {value!r}")
+    return tuple(_fraction(v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -75,23 +86,31 @@ class GenConfig:
     profile_signal_strength: float = 0.8
     description_signal: float = 0.045
 
+    # each field's rule, which the CLI applies to its config key and flag too
+    RULES = {
+        "seed": rng_seed, "num_users": positive_int, "num_urls": positive_int,
+        "fake_fraction": interval(number, "(0, 1)"),
+        "mean_cascades_per_url": positive_number, "cascade_size_tail_exponent": _finite,
+        "max_cascade_size": positive_int, "homophily_strength": _probability,
+        "community_fractions": _fraction_pair, "time_horizon_days": positive_number,
+        "embedding_mode": text, "embedding_file": optional_text,
+        "follows_per_user": positive_int, "reciprocal_follow_prob": _probability,
+        "activation_probability": _probability, "retweet_gap_hours_true": positive_number,
+        "retweet_gap_hours_fake": positive_number, "cascade_root_spread_hours": positive_number,
+        "seed_unreliable_prob_fake": _probability, "seed_unreliable_prob_true": _probability,
+        "spontaneous_same_community_prob": _probability, "profile_signal_strength": _finite,
+        "description_signal": _finite,
+    }
+
     def __post_init__(self):
-        if not (0.0 < self.fake_fraction < 1.0):
-            raise ValueError("fake_fraction must lie in (0, 1)")
-        for name in ("num_users", "num_urls", "max_cascade_size", "follows_per_user"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.mean_cascades_per_url <= 0 or self.time_horizon_days <= 0:
-            raise ValueError("mean_cascades_per_url and time_horizon_days must be positive")
-        if not (0.0 <= self.homophily_strength <= 1.0):
-            raise ValueError("homophily_strength must lie in [0, 1]")
+        check_fields(self, self.RULES)
         fr = self.community_fractions
-        if len(fr) != 2 or abs(fr[0] + fr[1] - 1.0) > 1e-9 or min(fr) <= 0:
-            raise ValueError("community_fractions must be two positive numbers summing to 1")
+        if abs(fr[0] + fr[1] - 1.0) > 1e-9:
+            raise ConfigError(f"community_fractions: must sum to 1, got {list(fr)}")
         if self.embedding_mode not in ("seeded_random_unit", "load_file"):
-            raise ValueError(f"unknown embedding_mode {self.embedding_mode!r}")
+            raise ConfigError(f"unknown embedding_mode {self.embedding_mode!r}")
         if self.embedding_mode == "load_file" and not self.embedding_file:
-            raise ValueError("embedding_file required for load_file mode")
+            raise ConfigError("embedding_file required for load_file mode")
 
 
 def _rng(cfg: GenConfig, *key: int) -> np.random.Generator:
@@ -330,7 +349,8 @@ def generate_dataset(cfg: GenConfig, social: SocialGraph) -> tuple[list[UrlStory
     followers_of = _followers_adjacency(cfg, social)
     members_by_comm = (np.flatnonzero(comm == 0), np.flatnonzero(comm == 1))
     if members_by_comm[0].size == 0 or members_by_comm[1].size == 0:
-        raise ValueError("both communities need at least one member")
+        raise ConfigError(f"num_users: {cfg.num_users} at seed {cfg.seed} puts every user in "
+                          f"one community; both communities need at least one member")
     emb = _EmbeddingSampler(cfg)
 
     rng_urls = _rng(cfg, _STREAM_URLS)
@@ -369,7 +389,6 @@ def generate_dataset(cfg: GenConfig, social: SocialGraph) -> tuple[list[UrlStory
                     tweet_id=f"{cid}_t{k:04d}",
                     author=user_id(uidx),
                     timestamp=float(t),
-                    cascade_id=cid,
                     is_source=(k == 0),
                     retweeted_reply_count=int(np.expm1(rng.normal(1.5, 1.4)).clip(0)),
                     retweeted_quote_count=int(np.expm1(rng.normal(1.0, 1.2)).clip(0)),

@@ -1,4 +1,5 @@
-"""Domain types: users, tweets, cascades, stories, and spreading trees.
+"""Domain types: users, tweets, cascades, stories, and spreading trees; and
+the value rules that check a config value wherever it comes from.
 
 All types are immutable after construction and validate their invariants in
 ``__post_init__``; operations elsewhere in the package treat them as values.
@@ -19,6 +20,78 @@ LABELS = (LABEL_TRUE, LABEL_FAKE)
 SCOPE_URL = "url_wise"
 SCOPE_CASCADE = "cascade_wise"
 SCOPES = (SCOPE_URL, SCOPE_CASCADE)
+
+
+# -- value rules --------------------------------------------------------------
+# A rule takes a value as a flag, a JSON config file or a Python caller gives
+# it, and returns it as its field's type, or raises ValueError (or the
+# TypeError or OverflowError of a conversion) saying what it must be.
+
+def integer(value) -> int:
+    """An int, a float with an integral value, or a decimal string; a
+    boolean is not a number."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def number(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def interval(parse, bounds: str):
+    """The rule that ``parse``s a value and checks that it lies in
+    ``bounds``, an interval written as '(0, 1]' or '[1, inf)'."""
+    lo, hi = (float(b) for b in bounds[1:-1].split(","))
+    kind = "an integer" if parse is integer else "a number"
+
+    def rule(value):
+        x = parse(value)
+        above = lo < x if bounds[0] == "(" else lo <= x
+        below = x < hi if bounds[-1] == ")" else x <= hi
+        if not (above and below):
+            raise ValueError(f"must be {kind} in {bounds}, got {x}")
+        return x
+    return rule
+
+
+positive_int = interval(integer, "[1, inf)")
+positive_number = interval(number, "(0, inf)")
+
+
+def rng_seed(value) -> int:
+    n = integer(value)
+    if n < 0:
+        raise ValueError(f"must be a non-negative integer, got {n}")
+    return n
+
+
+def text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
+    return value
+
+
+def optional_text(value) -> str | None:
+    return None if value is None else text(value)
+
+
+class ConfigError(ValueError):
+    """A config value that its class, or the generator, cannot work with."""
+
+
+def check_fields(obj, rules: dict) -> None:
+    """Pass each field of the frozen dataclass ``obj`` that ``rules`` names
+    through its rule and keep the result; a value that a rule rejects
+    raises ``ConfigError`` naming the field."""
+    for name, rule in rules.items():
+        try:
+            value = rule(getattr(obj, name))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+        object.__setattr__(obj, name, value)
 
 
 def _check_embedding(name: str, vec: np.ndarray) -> np.ndarray:
@@ -61,7 +134,6 @@ class Tweet:
     tweet_id: str
     author: str
     timestamp: float
-    cascade_id: str
     is_source: bool
     retweeted_reply_count: int
     retweeted_quote_count: int

@@ -24,10 +24,10 @@ def make_user(uid, followers=0, friends=0, **kw):
     return User(**defaults)
 
 
-def make_tweet(tid, author, ts, cascade_id="c0", is_source=False, **kw):
+def make_tweet(tid, author, ts, is_source=False, **kw):
     defaults = dict(
-        tweet_id=tid, author=author, timestamp=float(ts), cascade_id=cascade_id,
-        is_source=is_source, retweeted_reply_count=0, retweeted_quote_count=0,
+        tweet_id=tid, author=author, timestamp=float(ts), is_source=is_source,
+        retweeted_reply_count=0, retweeted_quote_count=0,
         retweeted_favorite_count=0, retweeted_retweet_count=0,
         source_device="web", text_embedding=ZERO_EMB, hashtag_embedding=ZERO_EMB,
     )
@@ -37,7 +37,7 @@ def make_tweet(tid, author, ts, cascade_id="c0", is_source=False, **kw):
 
 def make_cascade(authors_times, cascade_id="c0", url_id="url0"):
     """Cascade from [(author, timestamp), ...]; the first entry is the source."""
-    tweets = [make_tweet(f"{cascade_id}_t{k}", a, ts, cascade_id, is_source=(k == 0))
+    tweets = [make_tweet(f"{cascade_id}_t{k}", a, ts, is_source=(k == 0))
               for k, (a, ts) in enumerate(authors_times)]
     return CascadeRecord(cascade_id, url_id, tuple(tweets))
 

@@ -334,3 +334,10 @@ class TestModelConfig:
     def test_rejects_zero_iterations(self):
         with pytest.raises(ValueError):
             ModelConfig(schema=SCHEMA, iterations=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", -1.0), ("learning_rate", float("nan")), ("iterations", 2.5),
+    ])
+    def test_rejects_what_the_cli_rejects(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: must be "):
+            ModelConfig(schema=SCHEMA, **{field: value})

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascade_gnn import cli, evalharness
-from cascade_gnn.classifier import ModelConfig, init_params, save_checkpoint
+from cascade_gnn.classifier import (CheckpointError, ModelConfig, init_params,
+                                    load_checkpoint, save_checkpoint)
 from cascade_gnn.cli import main
 from cascade_gnn.features import default_schema
 from cascade_gnn.synthgen import GenConfig
@@ -555,6 +556,9 @@ class TestUsageAndSeeds:
         (["cv", "--iterations", "1"], {"lr": 5, "iteratons": 7}, "config key 'lr'"),
         (["cv", "--iterations", "1"], {"iteratons": 7}, "config key 'iteratons'"),
         (["generate", "--users", "60", "--urls", "2"], {"num_user": 60}, "config key 'num_user'"),
+        # an infinite gap, and a world so small that every user falls in one community
+        (["aging", "--min-gap-days", "1e400", "--iterations", "1"], None, "--min-gap-days"),
+        (["generate", "--urls", "5", "--users", "8", "--mean-cascades", "2"], None, "num_users"),
     ])
     def test_bad_value_is_one_error_line(self, dataset_dir, tmp_path, capsys,
                                          args, config, named):
@@ -652,15 +656,20 @@ class TestUsageAndSeeds:
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith(f"error: config key {key!r}: ")
 
-    @pytest.mark.parametrize("cast, value, expected", [
-        (cli._positive_int, 2.0, 2), (cli._positive_int, "3", 3), (cli._seed, 0, 0),
-        (cli._seed, "7", 7), (cli._positive_finite, 1, 1.0), (cli._fraction, 0.5, 0.5),
+    @pytest.mark.parametrize("key, value, expected", [
+        ("min_cascade_size", 2.0, 2), ("jobs", "3", 3), ("seed", 0, 0),
+        ("seed", "7", 7), ("learning_rate", 1, 1.0), ("window_frac", 0.5, 0.5),
     ])
-    def test_integral_and_plain_numbers_still_count(self, cast, value, expected):
-        assert cast(value) == expected
+    def test_integral_and_plain_numbers_still_count(self, key, value, expected):
+        assert cli.CONFIG_KEYS[key](value) == expected
 
     def test_every_generator_field_is_a_config_key(self):
         assert {f.name for f in dataclasses.fields(GenConfig)} <= set(cli.CONFIG_KEYS)
+
+    def test_config_keys_share_the_config_classes_rules(self):
+        assert cli.CONFIG_KEYS["num_urls"] is GenConfig.RULES["num_urls"]
+        assert cli.CONFIG_KEYS["iterations"] is ModelConfig.RULES["iterations"]
+        assert cli.CONFIG_KEYS["seed"] is GenConfig.RULES["seed"] is ModelConfig.RULES["seed"]
 
     def test_a_key_another_command_reads_is_allowed(self, dataset_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -746,6 +755,9 @@ class TestDatasetFormat:
         ("cascades.jsonl",
          _edit_jsonl(lambda r: r["tweets"][0]["text_embedding"].__setitem__(0, "0.5")),
          "tweet 0: field 'text_embedding' component 0 must be a number, got a string"),
+        ("users.jsonl",
+         _edit_jsonl(lambda r: r["description_embedding"].__setitem__(5, 10**400)),
+         "field 'description_embedding' has a component beyond the float range"),
         # cascades.jsonl's line 3 starts kilobytes into the file
         ("urls.jsonl", _bad_byte, "is a byte that is not UTF-8"),
         ("follows.csv", _bad_byte, "is a byte that is not UTF-8"),
@@ -873,6 +885,77 @@ class TestDatasetFuzz:
         assert code == 2
         assert err.getvalue().startswith(f"error: {path}, line ")
         assert len(err.getvalue().splitlines()) == 1
+
+
+# JSON values: every JSON type, strings that read as numbers, hours or
+# feature groups, and lists and objects of them
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+                 | st.sampled_from(["3", "2.0", "0.5", "-1", "nan", "inf", "1e400", "1" + "0" * 400,
+                                    "3..5", "content", "user_profile,content", "load_file",
+                                    10**400, [0.5, 0.5]]))
+
+
+def _containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3)
+
+
+_JSON = st.recursive(_JSON_SCALARS, _containers, max_leaves=6)
+_SMALL_MODEL = ModelConfig(schema=default_schema(), hidden=2, fc1=2)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("checkpoint") / "checkpoint.json"
+    save_checkpoint(path, init_params(_SMALL_MODEL),
+                    meta={"scope": "url_wise", "active_groups": list(_SMALL_MODEL.active_groups)})
+    return path.read_text()
+
+
+class TestConfigFuzz:
+    """Any JSON value for a config key passes its rule or is one usage error;
+    any JSON document as a checkpoint loads or is one ``CheckpointError``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(config=st.dictionaries(st.sampled_from(sorted(cli.CONFIG_KEYS)), _JSON))
+    def test_config_values_pass_or_are_usage_errors(self, config):
+        passed = {}
+        for key in config:
+            with contextlib.suppress(cli.UsageFailure):
+                passed[key] = cli._resolve(None, config, key, None)
+        # what passed the rules, the config classes take; only a check
+        # across GenConfig's fields can still fail
+        ModelConfig(schema=_SMALL_MODEL.schema,
+                    **{k: v for k, v in passed.items() if k in ModelConfig.RULES})
+        try:
+            GenConfig(**{k: v for k, v in passed.items() if k in GenConfig.RULES})
+        except ValueError as exc:
+            assert str(exc).startswith(("community_fractions:", "unknown embedding_mode",
+                                        "embedding_file"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_json_checkpoint_loads_or_is_a_checkpoint_error(self, checkpoint_text, data):
+        doc = json.loads(checkpoint_text)
+        name = data.draw(st.sampled_from(sorted(doc["params"])))
+        entry = doc["params"][name]
+        spots = [(doc, "format"), (doc, "seed"), (doc, "meta"), (doc["meta"], "scope"),
+                 (doc["meta"], "active_groups"), (doc, "params"), (doc["params"], name),
+                 (entry, "shape"), (entry, "data"), (entry["data"], 0)]
+        holder, key = data.draw(st.sampled_from([(None, None)] + spots))
+        # or a value near a valid one: the shape as floats, an integer beyond floats
+        value = data.draw(st.sampled_from([[float(n) for n in entry["shape"]], 10**400]) | _JSON)
+        if holder is None:
+            doc = value
+        elif isinstance(holder, dict) and data.draw(st.booleans()):
+            del holder[key]
+        else:
+            holder[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "checkpoint.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            with contextlib.suppress(CheckpointError):
+                load_checkpoint(path, _SMALL_MODEL, scope="url_wise")
 
 
 # The config_hash of each command's report on the CLI fixture, recorded

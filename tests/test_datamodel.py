@@ -266,8 +266,8 @@ class TestBuildPropagationGraph:
         # two cascades of one story sharing a tweet ID used to merge two nodes
         social = make_social({"A": 1, "B": 1}, set())
         c0 = make_cascade([("A", 0), ("B", 5)], "c0", "url0")
-        c1 = CascadeRecord("c1", "url0", (make_tweet("c1_t0", "A", 1, "c1", is_source=True),
-                                          make_tweet("c0_t1", "B", 3, "c1")))
+        c1 = CascadeRecord("c1", "url0", (make_tweet("c1_t0", "A", 1, is_source=True),
+                                          make_tweet("c0_t1", "B", 3)))
         story = make_story("url0", "true_news", ["c0", "c1"])
         with pytest.raises(ValueError, match="duplicate tweet id 'c0_t1'"):
             build_propagation_graph(story, [c0, c1], social, SCOPE_URL, SCHEMA)

@@ -53,6 +53,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             GenConfig(embedding_mode="load_file")
 
+    @pytest.mark.parametrize("field, value", [
+        ("activation_probability", 1.5), ("time_horizon_days", float("inf")), ("num_urls", 2.5),
+    ])
+    def test_rejects_what_the_cli_rejects(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: must be "):
+            GenConfig(**{field: value})
+
+    def test_keeps_each_value_as_its_rule_reads_it(self):
+        cfg = GenConfig(mean_cascades_per_url=3, num_urls="7", community_fractions=[0.5, 0.5])
+        assert (cfg.mean_cascades_per_url, cfg.num_urls) == (3.0, 7)
+        assert type(cfg.mean_cascades_per_url) is float
+        assert cfg.community_fractions == (0.5, 0.5)
+
 
 class TestSocialGraph:
     def test_single_user_has_no_follows(self):
