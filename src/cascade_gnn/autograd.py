@@ -2,13 +2,14 @@
 
 Each op records a closure that routes the output gradient to its inputs;
 ``Tensor.backward()`` replays the tape in reverse topological order.
-Gradients accumulate on leaves until ``zero_grad`` is called, so one
-forward tape supports exactly one backward pass.
+Gradients accumulate on leaves, and one forward tape supports exactly
+one backward pass: a fresh pass starts from fresh leaves.
 
-Training and scoring no longer run on the tape: they use the array
-passes in ``nn`` with hand-written backwards.  The tape is their
-reference; the tests check that those passes reproduce its losses and
-gradients bit for bit.
+Only the tests run the tape.  Training and scoring use the array passes
+in ``nn`` with hand-written backwards, over plain parameter arrays; the
+tape is their reference, and the tests wrap those arrays in leaf tensors
+(which share their memory) to check that the passes reproduce its losses
+and gradients bit for bit.
 """
 from __future__ import annotations
 
@@ -35,9 +36,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def zero_grad(self):
-        self.grad = None
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:

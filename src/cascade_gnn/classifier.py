@@ -21,7 +21,7 @@ from .dataio import _embedding
 from .features import FEATURE_GROUPS, FeatureSchema
 # roc_auc stays a module global: perfbench/traced.py times it through this module
 from .metrics import auc_or_none, roc_auc  # noqa: F401
-from .nn import EdgeArrays, GatParams
+from .nn import EdgeArrays
 from .optim import NumericError, OptimizerState, amsgrad_step
 from .types import ConfigError, check_fields, positive_int, positive_number, rng_seed
 
@@ -69,47 +69,45 @@ class ModelConfig:
             raise ConfigError("hidden width must be even for channel-pair pooling")
 
 
+def param_shapes(config: ModelConfig) -> tuple[tuple[str, tuple[int, int]], ...]:
+    """Each parameter's name and shape, in the order ``init_params`` draws
+    them, which is also their order in ``ModelParams.flat``, in the gradient
+    vector, in ``OptimizerState.layout`` and in a checkpoint."""
+    f_in, hidden, fc1 = config.schema.width, config.hidden, config.fc1
+    attn = (2 * hidden + nn.NUM_EDGE_FLAGS, 1)
+    return (("gc1.weight", (f_in, hidden)), ("gc1.attn", attn), ("gc1.bias", (1, hidden)),
+            ("gc2.weight", (hidden // 2, hidden)), ("gc2.attn", attn),
+            ("gc2.bias", (1, hidden)),
+            ("fc1.weight", (hidden, fc1)), ("fc1.bias", (1, fc1)),
+            ("fc2.weight", (fc1, config.out)), ("fc2.bias", (1, config.out)))
+
+
 @dataclass(eq=False)
 class ModelParams:
-    """Every parameter value in one float64 vector, ``flat``.  The named
-    tensors wrap reshaped views into it, laid out in ``named()`` order,
-    which is also the checkpoint's key order."""
+    """Every parameter value in one float64 vector, ``flat``; ``named`` maps
+    each name of ``param_shapes`` to a reshaped view into it, in that order."""
 
     flat: np.ndarray
-    gc1: GatParams
-    gc2: GatParams
-    fc1_w: Tensor
-    fc1_b: Tensor
-    fc2_w: Tensor
-    fc2_b: Tensor
-
-    def named(self) -> dict[str, Tensor]:
-        return {
-            "gc1.weight": self.gc1.weight, "gc1.attn": self.gc1.attn, "gc1.bias": self.gc1.bias,
-            "gc2.weight": self.gc2.weight, "gc2.attn": self.gc2.attn, "gc2.bias": self.gc2.bias,
-            "fc1.weight": self.fc1_w, "fc1.bias": self.fc1_b,
-            "fc2.weight": self.fc2_w, "fc2.bias": self.fc2_b,
-        }
-
-    def zero_grad(self) -> None:
-        for t in self.named().values():
-            t.zero_grad()
+    named: dict[str, np.ndarray]
 
 
 def init_params(config: ModelConfig) -> ModelParams:
+    """Glorot-uniform weights and attention vectors and zero biases."""
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 71)))
-    gc1 = nn.init_gat_params(rng, config.schema.width, config.hidden)
-    gc2 = nn.init_gat_params(rng, config.hidden // 2, config.hidden)
-    arrays = [gc1.weight.data, gc1.attn.data, gc1.bias.data,
-              gc2.weight.data, gc2.attn.data, gc2.bias.data,
-              nn.glorot(rng, (config.hidden, config.fc1)), np.zeros((1, config.fc1)),
-              nn.glorot(rng, (config.fc1, config.out)), np.zeros((1, config.out))]
-    flat = np.concatenate(arrays, axis=None)
-    parts = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
-    w1, a1, b1, w2, a2, b2, fc1_w, fc1_b, fc2_w, fc2_b = (
-        Tensor(part.reshape(a.shape), requires_grad=True) for part, a in zip(parts, arrays))
-    return ModelParams(flat, GatParams(w1, a1, b1), GatParams(w2, a2, b2),
-                       fc1_w, fc1_b, fc2_w, fc2_b)
+    shapes = param_shapes(config)
+    flat = np.zeros(sum(rows * cols for _, (rows, cols) in shapes))
+    named, start = {}, 0
+    for name, shape in shapes:
+        view = named[name] = flat[start:start + shape[0] * shape[1]].reshape(shape)
+        start += view.size
+        if not name.endswith(".bias"):
+            view[...] = nn.glorot(rng, shape)
+    return ModelParams(flat, named)
+
+
+def _gat(named: dict, layer: str) -> tuple:
+    """The weight, attention vector and bias of GAT ``layer``, from ``named``."""
+    return named[f"{layer}.weight"], named[f"{layer}.attn"], named[f"{layer}.bias"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,30 +152,29 @@ def prepare_graph(sample: PreparedGraph, schema: FeatureSchema,
 
 
 def _forward_tensors(features: Tensor, edges: EdgeArrays,
-                     params: ModelParams) -> tuple[Tensor, Tensor]:
-    """The network on the autograd tape: the reference that ``loss_and_grads``
-    reproduces bit for bit."""
-    h1 = ag.selu(nn.gat_forward(features, edges, params.gc1))
+                     tensors: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
+    """The network on the autograd tape, over a ``Tensor`` per parameter
+    name: the reference that ``loss_and_grads`` reproduces bit for bit."""
+    h1 = ag.selu(nn.gat_forward(features, edges, *_gat(tensors, "gc1")))
     pooled = nn.mean_pool_channels(h1, 2)
-    h2 = ag.selu(nn.gat_forward(pooled, edges, params.gc2))
+    h2 = ag.selu(nn.gat_forward(pooled, edges, *_gat(tensors, "gc2")))
     readout = nn.global_mean_pool(h2)
-    fc1 = ag.selu(nn.fc_forward(readout, params.fc1_w, params.fc1_b))
-    scores = nn.fc_forward(fc1, params.fc2_w, params.fc2_b)
+    fc1 = ag.selu(nn.fc_forward(readout, tensors["fc1.weight"], tensors["fc1.bias"]))
+    scores = nn.fc_forward(fc1, tensors["fc2.weight"], tensors["fc2.bias"])
     return scores, h2
 
 
 def _network_forward(features: np.ndarray, edges: EdgeArrays, params: ModelParams):
     """The network on arrays; returns (scores (1, 2), node embeddings, cache)."""
-    gc1, gc2 = params.gc1, params.gc2
-    out1, gat1 = nn.gat_layer(features, edges, gc1.weight.data, gc1.attn.data, gc1.bias.data)
+    p = params.named
+    out1, gat1 = nn.gat_layer(features, edges, *_gat(p, "gc1"))
     h1, selu1 = nn.selu(out1)
-    out2, gat2 = nn.gat_layer(nn.pair_pool(h1), edges, gc2.weight.data, gc2.attn.data,
-                              gc2.bias.data)
+    out2, gat2 = nn.gat_layer(nn.pair_pool(h1), edges, *_gat(p, "gc2"))
     h2, selu2 = nn.selu(out2)
     readout = nn.mean_pool(h2)
-    pre_fc1 = nn.fc(readout, params.fc1_w.data, params.fc1_b.data)
+    pre_fc1 = nn.fc(readout, p["fc1.weight"], p["fc1.bias"])
     fc1, selu3 = nn.selu(pre_fc1)
-    scores = nn.fc(fc1, params.fc2_w.data, params.fc2_b.data)
+    scores = nn.fc(fc1, p["fc2.weight"], p["fc2.bias"])
     cache = (gat1, selu1, gat2, selu2, readout, pre_fc1, selu3, fc1)
     return scores, h2, cache
 
@@ -185,13 +182,13 @@ def _network_forward(features: np.ndarray, edges: EdgeArrays, params: ModelParam
 def loss_and_grads(sample: PreparedGraph, params: ModelParams
                    ) -> tuple[float, np.ndarray | None]:
     """Hinge loss of one sample and the gradient of every parameter, as one
-    vector laid out as ``ModelParams.flat`` (in ``ModelParams.named()`` order).
+    vector laid out as ``ModelParams.flat``.
 
     The gradient is None when the hinge is inactive: it is then exactly
     zero, so no backward pass runs.  A zero loss over a non-finite forward
     pass raises ``NumericError``, as the tape's NaN gradient would.
     """
-    edges = sample.edges
+    edges, p = sample.edges, params.named
     scores, h2, cache = _network_forward(sample.features, edges, params)
     gat1, selu1, gat2, selu2, readout, pre_fc1, selu3, fc1 = cache
     loss, g_scores = nn.hinge(scores, sample.label)
@@ -203,15 +200,17 @@ def loss_and_grads(sample: PreparedGraph, params: ModelParams
         if not all(np.isfinite(a).all() for a in activations):
             raise NumericError("non-finite activation in a zero-loss forward pass")
         return loss, None
-    g_fc1, g_fc2_w, g_fc2_b = nn.fc_backward(g_scores, fc1, params.fc2_w.data)
-    g_readout, g_fc1_w, g_fc1_b = nn.fc_backward(nn.selu_backward(g_fc1, selu3), readout,
-                                                 params.fc1_w.data)
+    g = {}
+    g_fc1, g["fc2.weight"], g["fc2.bias"] = nn.fc_backward(g_scores, fc1, p["fc2.weight"])
+    g_readout, g["fc1.weight"], g["fc1.bias"] = nn.fc_backward(
+        nn.selu_backward(g_fc1, selu3), readout, p["fc1.weight"])
     g_out2 = nn.selu_backward(nn.mean_pool_backward(g_readout, h2.shape[0]), selu2)
-    g_pooled, (g2_w, g2_a, g2_b) = nn.gat_layer_backward(g_out2, edges, gat2)
+    g_pooled, (g["gc2.weight"], g["gc2.attn"], g["gc2.bias"]) = nn.gat_layer_backward(
+        g_out2, edges, gat2)
     g_out1 = nn.selu_backward(nn.pair_pool_backward(g_pooled), selu1)
-    _, (g1_w, g1_a, g1_b) = nn.gat_layer_backward(g_out1, edges, gat1, input_grad=False)
-    return loss, np.concatenate([g1_w, g1_a, g1_b, g2_w, g2_a, g2_b,
-                                 g_fc1_w, g_fc1_b, g_fc2_w, g_fc2_b], axis=None)
+    _, (g["gc1.weight"], g["gc1.attn"], g["gc1.bias"]) = nn.gat_layer_backward(
+        g_out1, edges, gat1, input_grad=False)
+    return loss, np.concatenate([g[name] for name in p], axis=None)
 
 
 def forward(sample: PreparedGraph, params: ModelParams):
@@ -262,7 +261,7 @@ def train(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
     params = init_params(config)
     zeros = np.zeros_like(params.flat)
     state = OptimizerState(learning_rate=config.learning_rate,
-                           layout=tuple((k, t.data.size) for k, t in params.named().items()))
+                           layout=tuple((k, v.size) for k, v in params.named.items()))
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 11)))
 
     loss_trace: list[float] = []
@@ -323,8 +322,8 @@ def save_checkpoint(path, params: ModelParams, seed: int | None = None,
         "format": CHECKPOINT_FORMAT,
         "seed": seed,
         "meta": meta or {},
-        "params": {k: {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
-                   for k, t in params.named().items()},
+        "params": {k: {"shape": list(v.shape), "data": v.reshape(-1).tolist()}
+                   for k, v in params.named.items()},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -370,7 +369,7 @@ def load_checkpoint(path, config: ModelConfig, scope: str | None = None
     if not isinstance(stored, dict):
         raise CheckpointError(f"checkpoint {path}: field 'params' is missing or not a mapping")
     params = init_params(config)
-    for k, t in params.named().items():
+    for k, view in params.named.items():
         entry = stored.get(k)
         if entry is None:
             raise CheckpointError(f"checkpoint {path}: parameter {k!r} is missing")
@@ -382,8 +381,8 @@ def load_checkpoint(path, config: ModelConfig, scope: str | None = None
                                   f"({type(exc).__name__}: {exc})") from None
         if not np.isfinite(values).all():
             raise CheckpointError(f"checkpoint {path}: parameter {k!r} has a non-finite value")
-        if shape != t.data.shape or values.size != t.data.size:
+        if shape != view.shape or values.size != view.size:
             raise CheckpointError(f"checkpoint {path}: parameter {k!r} has shape {shape} "
-                                  f"and {values.size} values, expected {t.data.shape}")
-        t.data[...] = values.reshape(t.data.shape)  # shape may hold 2.0 for 2
+                                  f"and {values.size} values, expected {view.shape}")
+        view[...] = values.reshape(view.shape)  # shape may hold 2.0 for 2
     return params, doc.get("seed")

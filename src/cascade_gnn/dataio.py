@@ -124,6 +124,9 @@ def _require(path):
 # the first one names the field's kind in an error.
 _JSON_TYPES = {"str": (str,), "bool": (bool,), "int": (int,), "float": (float, int),
                "np.ndarray": (list,), "tuple[str, ...]": (list,), "tuple[Tweet, ...]": (list,)}
+# the range an integer must lie in to stand in a field of each kind: numpy
+# holds a count as an int64, and a float field must convert to a float
+_INT_RANGES = {int: ("int64", np.iinfo(np.int64).max), float: ("float", sys.float_info.max)}
 _JSON_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
                int: "an integer", float: "a number", type(None): "null"}
 
@@ -140,9 +143,12 @@ def _require_fields(rec, fields: dict) -> None:
     if missing:
         raise ValueError(f"missing field {missing[0]!r}")
     for name, types in fields.items():
-        if type(rec[name]) not in types:
+        value = rec[name]
+        if type(value) not in types:
             raise ValueError(f"field {name!r} must be {_JSON_NAMES[types[0]]}, "
-                             f"got {_JSON_NAMES[type(rec[name])]}")
+                             f"got {_JSON_NAMES[type(value)]}")
+        if type(value) is int and abs(value) > _INT_RANGES[types[0]][1]:
+            raise ValueError(f"field {name!r} is beyond the {_INT_RANGES[types[0]][0]} range")
 
 
 def _embedding(rec, name: str) -> np.ndarray:
@@ -212,11 +218,12 @@ def _story(rec) -> UrlStory:
 
 def load_dataset(dirpath) -> tuple[SocialGraph, list[UrlStory], list[CascadeRecord]]:
     """Read a dataset directory.  A record that cannot be read (a line that
-    is not UTF-8, a field missing or of the wrong JSON type, or an embedding
-    component that is not a number, included), a repeated user, cascade,
-    tweet or URL ID or follow row, a tweet by an unknown user, a cascade of
-    an unknown story and a story whose ``cascade_ids`` disagree with the
-    cascades raise ``DatasetFormatError`` with the file and line."""
+    is not UTF-8, a field missing or of the wrong JSON type, an integer
+    beyond the float range in a float field or beyond int64 in a count, or
+    an embedding component that is not a number, included), a repeated user,
+    cascade, tweet or URL ID or follow row, a tweet by an unknown user, a
+    cascade of an unknown story and a story whose ``cascade_ids`` disagree
+    with the cascades raise ``DatasetFormatError`` with the file and line."""
     users = {uid: u for uid, (_, u) in
              _records(os.path.join(dirpath, USERS_FILE), _user, "user_id").items()}
 

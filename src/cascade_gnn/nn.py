@@ -7,12 +7,13 @@ are all-zero.  Edge flags are direction-sensitive, so each stored
 undirected edge expands into two directed messages with the flag pairs
 swapped.
 
-Each layer exists twice.  The ``*_forward`` functions over ``Tensor``
-build an autograd tape; they are the reference.  The array-level passes
-(``gat_layer``/``gat_layer_backward``, ``selu``, ``pair_pool``,
-``mean_pool``, ``fc``, ``hinge``) return a small cache from the forward
-and have hand-written backwards that repeat the tape's arithmetic in the
-tape's order, so their values and gradients are bit-identical to it.
+Training and scoring run the array-level passes (``gat_layer``/
+``gat_layer_backward``, ``selu``, ``pair_pool``, ``mean_pool``, ``fc``,
+``hinge``): each returns a small cache from the forward and has a
+hand-written backward.  The ``*_forward`` functions over ``Tensor`` build
+the autograd tape, which only the tests run: it is the reference whose
+arithmetic and order the array passes repeat, so their values and
+gradients are bit-identical to it.
 """
 from __future__ import annotations
 
@@ -28,29 +29,10 @@ ATTENTION_SLOPE = 0.2
 NUM_EDGE_FLAGS = 4
 
 
-@dataclass(eq=False)
-class GatParams:
-    weight: Tensor   # (f_in, f_out)
-    attn: Tensor     # (2*f_out + 4, 1): [self block | neighbor block | flag block]
-    bias: Tensor     # (1, f_out)
-
-    @property
-    def f_out(self) -> int:
-        return self.weight.data.shape[1]
-
-
-def glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    fan_in, fan_out = (shape + (1,))[:2] if len(shape) == 1 else shape
+def glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    fan_in, fan_out = shape
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
-
-
-def init_gat_params(rng: np.random.Generator, f_in: int, f_out: int) -> GatParams:
-    return GatParams(
-        weight=Tensor(glorot(rng, (f_in, f_out)), requires_grad=True),
-        attn=Tensor(glorot(rng, (2 * f_out + NUM_EDGE_FLAGS, 1)), requires_grad=True),
-        bias=Tensor(np.zeros((1, f_out)), requires_grad=True),
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,15 +73,17 @@ def _check_gat_inputs(h: np.ndarray, ea: EdgeArrays, weight: np.ndarray) -> None
                          f"{weight.shape}")
 
 
-def gat_forward(h: Tensor, ea: EdgeArrays, params: GatParams,
+def gat_forward(h: Tensor, ea: EdgeArrays, weight: Tensor, attn: Tensor, bias: Tensor,
                 return_attention: bool = False):
-    """One attention head over the graph; output is (n, f_out)."""
-    _check_gat_inputs(h.data, ea, params.weight.data)
-    f_out = params.f_out
-    wh = ag.matmul(h, params.weight)                       # (n, f_out)
-    a_self = ag.slice_rows(params.attn, 0, f_out)
-    a_neigh = ag.slice_rows(params.attn, f_out, 2 * f_out)
-    a_flags = ag.slice_rows(params.attn, 2 * f_out, 2 * f_out + NUM_EDGE_FLAGS)
+    """One attention head over the graph; output is (n, f_out).  ``weight``
+    is (f_in, f_out), ``attn`` (2*f_out + 4, 1) as [self block | neighbor
+    block | flag block], and ``bias`` (1, f_out)."""
+    _check_gat_inputs(h.data, ea, weight.data)
+    f_out = weight.data.shape[1]
+    wh = ag.matmul(h, weight)                              # (n, f_out)
+    a_self = ag.slice_rows(attn, 0, f_out)
+    a_neigh = ag.slice_rows(attn, f_out, 2 * f_out)
+    a_flags = ag.slice_rows(attn, 2 * f_out, 2 * f_out + NUM_EDGE_FLAGS)
 
     score_self = ag.matmul(wh, a_self)                     # (n, 1)
     score_neigh = ag.matmul(wh, a_neigh)                   # (n, 1)
@@ -109,7 +93,7 @@ def gat_forward(h: Tensor, ea: EdgeArrays, params: GatParams,
         ATTENTION_SLOPE)
     alpha = ag.segment_softmax(logits, ea.dst, ea.num_nodes)
     messages = ag.mul(alpha, ag.gather_rows(wh, ea.src))   # (m, f_out)
-    out = ag.add(ag.segment_sum(messages, ea.dst, ea.num_nodes), params.bias)
+    out = ag.add(ag.segment_sum(messages, ea.dst, ea.num_nodes), bias)
     if return_attention:
         return out, alpha
     return out

@@ -24,8 +24,8 @@ import numpy as np
 
 from .features import embed_tokens, load_word_vectors
 from .types import (CascadeRecord, EMBEDDING_DIM, LABEL_FAKE, LABEL_TRUE,
-                    ConfigError, SocialGraph, Tweet, UrlStory, User, check_fields, interval, number,
-                    optional_text, positive_int, positive_number, rng_seed, text)
+                    ConfigError, SocialGraph, Tweet, UrlStory, User, check_fields, integer,
+                    interval, number, optional_text, positive_number, rng_seed, text)
 
 PLANTED_SIGNAL_GROUPS = ("user_profile", "network_spreading")
 
@@ -49,6 +49,8 @@ _LANG_P = (0.72, 0.08, 0.05, 0.04, 0.03, 0.03, 0.02, 0.03)
 _probability = interval(number, "[0, 1]")
 _finite = interval(number, "(-inf, inf)")
 _fraction = interval(number, "(0, 1]")
+# a count sizes numpy arrays, so it must be an index numpy can hold
+_count = interval(integer, f"[1, {np.iinfo(np.intp).max}]")
 
 
 def _fraction_pair(value) -> tuple[float, float]:
@@ -88,13 +90,13 @@ class GenConfig:
 
     # each field's rule, which the CLI applies to its config key and flag too
     RULES = {
-        "seed": rng_seed, "num_users": positive_int, "num_urls": positive_int,
+        "seed": rng_seed, "num_users": _count, "num_urls": _count,
         "fake_fraction": interval(number, "(0, 1)"),
         "mean_cascades_per_url": positive_number, "cascade_size_tail_exponent": _finite,
-        "max_cascade_size": positive_int, "homophily_strength": _probability,
+        "max_cascade_size": _count, "homophily_strength": _probability,
         "community_fractions": _fraction_pair, "time_horizon_days": positive_number,
         "embedding_mode": text, "embedding_file": optional_text,
-        "follows_per_user": positive_int, "reciprocal_follow_prob": _probability,
+        "follows_per_user": _count, "reciprocal_follow_prob": _probability,
         "activation_probability": _probability, "retweet_gap_hours_true": positive_number,
         "retweet_gap_hours_fake": positive_number, "cascade_root_spread_hours": positive_number,
         "seed_unreliable_prob_fake": _probability, "seed_unreliable_prob_true": _probability,

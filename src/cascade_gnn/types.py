@@ -44,7 +44,7 @@ def number(value) -> float:
 def interval(parse, bounds: str):
     """The rule that ``parse``s a value and checks that it lies in
     ``bounds``, an interval written as '(0, 1]' or '[1, inf)'."""
-    lo, hi = (float(b) for b in bounds[1:-1].split(","))
+    lo, hi = (float(b) if "inf" in b else parse(b) for b in bounds[1:-1].split(","))
     kind = "an integer" if parse is integer else "a number"
 
     def rule(value):

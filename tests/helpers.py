@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from cascade_gnn.autograd import Tensor
 from cascade_gnn.classifier import PreparedGraph
 from cascade_gnn.features import FEATURE_GROUPS, FeatureSchema, FeatureSlice
-from cascade_gnn.nn import build_edge_arrays
+from cascade_gnn.nn import NUM_EDGE_FLAGS, build_edge_arrays, glorot
 from cascade_gnn.types import (CascadeRecord, EMBEDDING_DIM, SocialGraph,
                                Tweet, UrlStory, User)
 
@@ -99,13 +100,28 @@ def central_difference_grads(f, arrays, h=1e-5):
 
 def named_views(params, vec) -> dict[str, np.ndarray]:
     """``vec``, a vector laid out as ``params.flat``, as views shaped and
-    named like ``params.named()``."""
+    named like ``params.named``."""
     views, start = {}, 0
-    for name, t in params.named().items():
-        views[name] = vec[start:start + t.data.size].reshape(t.data.shape)
-        start += t.data.size
+    for name, view in params.named.items():
+        views[name] = vec[start:start + view.size].reshape(view.shape)
+        start += view.size
     assert start == vec.size
     return views
+
+
+def tape_tensors(params) -> dict[str, Tensor]:
+    """A leaf ``Tensor`` around each of ``params``' named views, for the tape
+    reference.  Each shares its view's memory, so a change made to the
+    parameters in place (a finite-difference step) reaches the tape."""
+    return {name: Tensor(view, requires_grad=True) for name, view in params.named.items()}
+
+
+def gat_params(rng, f_in, f_out):
+    """The (weight, attn, bias) arrays of one attention layer, drawn as
+    ``init_params`` draws a layer: Glorot-uniform weight and attention
+    vector, zero bias."""
+    return (glorot(rng, (f_in, f_out)), glorot(rng, (2 * f_out + NUM_EDGE_FLAGS, 1)),
+            np.zeros((1, f_out)))
 
 
 def relative_error(analytic, numeric):

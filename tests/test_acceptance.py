@@ -27,9 +27,9 @@ from cascade_gnn.synthgen import (PLANTED_SIGNAL_GROUPS, GenConfig,
                                   generate_dataset, generate_social_graph,
                                   summary_stats)
 
-from helpers import (central_difference_grads, make_cascade,
+from helpers import (central_difference_grads, gat_params, make_cascade,
                      pairwise_auc_oracle, random_graph_sample, relative_error,
-                     tiny_schema)
+                     tape_tensors, tiny_schema)
 
 SCHEMA = default_schema()
 
@@ -98,18 +98,17 @@ def test_criterion_01_gradient_correctness():
         sample = random_graph_sample(rng, 5, schema)
         config = ModelConfig(schema=schema, hidden=6, fc1=4, iterations=1, seed=seed)
         params = init_params(config)
-        named = params.named()
-        arrays = {k: t.data for k, t in named.items()}
+        arrays = params.named
+        tensors = tape_tensors(params)
 
         def network_loss():
-            scores, _ = _forward_tensors(Tensor(sample.features), sample.edges, params)
+            scores, _ = _forward_tensors(Tensor(sample.features), sample.edges, tensors)
             return hinge_loss(scores, sample.label)
 
         loss = network_loss()
-        params.zero_grad()
         loss.backward()
         analytic = {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                    for k, t in named.items()}
+                    for k, t in tensors.items()}
         numeric = central_difference_grads(lambda: network_loss().item(), arrays, h=h)
         err = relative_error([analytic[k] for k in arrays],
                              [numeric[k] for k in arrays])
@@ -179,8 +178,10 @@ def test_criterion_04_permutation_equivariance_invariance():
         n = int(rng.integers(2, 9))
         sample = random_graph_sample(rng, n, schema)
         params = init_params(config)
-        gat = nn.init_gat_params(rng, schema.width, 6)
-        base_layer = nn.gat_forward(Tensor(sample.features), sample.edges, gat).data
+        gat = gat_params(rng, schema.width, 6)
+        gat_tensors = [Tensor(a) for a in gat]
+        base_layer = nn.gat_forward(Tensor(sample.features), sample.edges, *gat_tensors).data
+        base_array_layer, _ = nn.gat_layer(sample.features, sample.edges, *gat)
         base_scores, _, _ = forward(sample, params)
 
         for p_idx in range(10):
@@ -207,8 +208,10 @@ def test_criterion_04_permutation_equivariance_invariance():
                 else:
                     edges.append((b, a, (f[1], f[0], f[3], f[2])))
             ea = build_edge_arrays(n, edges)
-            layer = nn.gat_forward(Tensor(feats), ea, gat).data
+            layer = nn.gat_forward(Tensor(feats), ea, *gat_tensors).data
             assert np.abs(layer[perm] - base_layer).max() <= 1e-9
+            array_layer, _ = nn.gat_layer(feats, ea, *gat)
+            assert np.abs(array_layer[perm] - base_array_layer).max() <= 1e-9
 
             from cascade_gnn.classifier import PreparedGraph
             permuted = PreparedGraph("g", "u", feats, ea, sample.label)

@@ -17,19 +17,19 @@ from cascade_gnn.optim import OptimizerState
 from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_graph
 
 from helpers import (central_difference_grads, named_views, random_graph_sample,
-                     relative_error, tiny_schema)
+                     relative_error, tape_tensors, tiny_schema)
 
 SCHEMA = default_schema()
 MASKED = ("user_profile", "network_spreading")
 
 
 def tape_loss_and_grads(sample, params):
-    scores, _ = _forward_tensors(Tensor(sample.features), sample.edges, params)
+    tensors = tape_tensors(params)
+    scores, _ = _forward_tensors(Tensor(sample.features), sample.edges, tensors)
     loss = hinge_loss(scores, sample.label)
-    params.zero_grad()
     loss.backward()
     return loss.item(), {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                         for k, t in params.named().items()}
+                         for k, t in tensors.items()}
 
 
 def assert_matches_tape(sample, params) -> bool:
@@ -70,7 +70,7 @@ def test_random_graphs_match_tape():
         params = init_params(ModelConfig(schema=SCHEMA, seed=k, active_groups=groups))
         if k % 3 == 0:
             # a wide margin for the correct class switches the hinge off
-            params.fc2_b.data[0, sample.label] += 10.0
+            params.named["fc2.bias"][0, sample.label] += 10.0
         active[assert_matches_tape(sample, params)] += 1
     assert active[True] >= 20 and active[False] >= 20
 
@@ -84,7 +84,8 @@ def test_every_world_sample_matches_tape(small_world):
     for sample in samples:
         assert_matches_tape(sample, params)
         scores, _, emb = forward(sample, params)
-        ref_scores, ref_emb = _forward_tensors(Tensor(sample.features), sample.edges, params)
+        ref_scores, ref_emb = _forward_tensors(Tensor(sample.features), sample.edges,
+                                               tape_tensors(params))
         assert np.array_equal(scores, ref_scores.data.reshape(2))
         assert np.array_equal(emb, ref_emb.data)
 
@@ -96,7 +97,7 @@ def test_finite_differences_on_criterion_one_graphs():
         sample = random_graph_sample(np.random.default_rng(1000 + seed), 5, schema)
         params = init_params(ModelConfig(schema=schema, hidden=6, fc1=4, iterations=1,
                                          seed=seed))
-        arrays = {k: t.data for k, t in params.named().items()}
+        arrays = params.named
         _, grads = loss_and_grads(sample, params)
         active += grads is not None
         grads = named_views(params, np.zeros_like(params.flat) if grads is None else grads)
@@ -117,7 +118,7 @@ def test_single_node_graph_without_edges():
 def test_zero_loss_over_non_finite_forward_raises():
     params = init_params(ModelConfig(schema=SCHEMA, seed=2))
     sample = random_graph_sample(np.random.default_rng(4), 4, SCHEMA, label=0)
-    params.gc2.weight.data[0, 0] = np.nan
+    params.named["gc2.weight"][0, 0] = np.nan
     # the tape scores NaN as a zero hinge loss with a NaN gradient
     loss, grads = tape_loss_and_grads(sample, params)
     assert loss == 0.0 and not np.isfinite(grads["gc1.weight"]).all()
@@ -146,8 +147,7 @@ def reference_amsgrad(params, grads, state):
 
 def tape_train(train_set, val_set, config):
     params = init_params(config)
-    named = params.named()
-    arrays = {k: t.data for k, t in named.items()}
+    arrays = params.named
     # the reference keeps its moments per name, in dicts
     state = OptimizerState(learning_rate=config.learning_rate, m={}, v={}, v_hat={})
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 11)))
@@ -159,8 +159,9 @@ def tape_train(train_set, val_set, config):
         loss_trace.append(value)
         reference_amsgrad(arrays, grads, state)
         if it % classifier_mod.VALIDATION_EVERY == 0 or it == config.iterations:
-            scores = [fake_score(_forward_tensors(Tensor(s.features), s.edges, params)[0]
-                                 .data.reshape(2)) for s in val_set]
+            scores = [fake_score(_forward_tensors(Tensor(s.features), s.edges,
+                                                  tape_tensors(params))[0].data.reshape(2))
+                      for s in val_set]
             auc = roc_auc(scores, [s.label for s in val_set])[1]
             val_trace.append((it, auc))
             if auc > best_auc:
@@ -188,8 +189,8 @@ def test_train_matches_tape_loop(small_world, monkeypatch):
     assert result.loss_trace == loss_trace
     assert 0.0 in loss_trace and max(loss_trace) > 0.0
     assert result.val_auc_trace == val_trace and len(val_trace) == 4
-    for name, t in params.named().items():
-        assert np.array_equal(result.params.named()[name].data, t.data), name
+    for name, view in params.named.items():
+        assert np.array_equal(result.params.named[name], view), name
     m = named_views(result.params, result.opt_state.m)
     v_hat = named_views(result.params, result.opt_state.v_hat)
     for name in state.m:

@@ -16,6 +16,8 @@ from cascade_gnn.autograd import Tensor
 from cascade_gnn.features import default_schema
 from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_graph
 
+from helpers import tape_tensors
+
 TRACED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "traced.py")
 
@@ -73,13 +75,18 @@ def test_counter_hooks_read_real_calls(monkeypatch):
         n = len(sample.times)
         assert TRACED_MODULE._nodes(args, kwargs) == {"propagation.node_pairs": n * (n - 1) // 2}
 
-    layers = _recording(monkeypatch, nn, "gat_forward")
+    params = classifier.init_params(config)
+    # the reference layer on the tape, and the layer that training runs
+    tape_layers = _recording(monkeypatch, nn, "gat_forward")
     classifier._forward_tensors(Tensor(samples[0].features), samples[0].edges,
-                                classifier.init_params(config))
-    assert len(layers) == 2
-    for args, kwargs in layers:
-        assert TRACED_MODULE._messages(args, kwargs) == {
-            "nn.messages": samples[0].edges.src.size}
+                                tape_tensors(params))
+    array_layers = _recording(monkeypatch, nn, "gat_layer")
+    classifier.loss_and_grads(samples[0], params)
+    for layers in (tape_layers, array_layers):
+        assert len(layers) == 2
+        for args, kwargs in layers:
+            assert TRACED_MODULE._messages(args, kwargs) == {
+                "nn.messages": samples[0].edges.src.size}
 
     payloads = evalharness._cv_rounds(samples, evalharness.make_folds(stories), config)
     nbytes = sum(s.features.nbytes + s.edges.src.nbytes + s.edges.dst.nbytes

@@ -7,7 +7,8 @@ import pytest
 
 from cascade_gnn.classifier import (CheckpointError, ModelConfig, fake_score, forward,
                                     init_params, load_checkpoint, mask_columns,
-                                    prepare_graph, save_checkpoint, train, user_embeddings)
+                                    param_shapes, prepare_graph, save_checkpoint, train,
+                                    user_embeddings)
 from cascade_gnn.features import FEATURE_GROUPS, default_schema
 from cascade_gnn.nn import hinge_loss
 from cascade_gnn.optim import NumericError, OptimizerState, amsgrad_step
@@ -16,7 +17,7 @@ from cascade_gnn.types import SocialGraph
 from cascade_gnn.autograd import Tensor
 import cascade_gnn.classifier as classifier_mod
 
-from helpers import make_cascade, make_social, make_story, make_user, pair_flags
+from helpers import make_cascade, make_social, make_story, make_user, pair_flags, tape_tensors
 
 SCHEMA = default_schema()
 
@@ -123,11 +124,11 @@ class TestMasking:
         active = ("user_profile", "network_spreading")
         sample = prepare_graph(g, SCHEMA, active)
         config = small_config(active_groups=active)
-        params = init_params(config)
+        tensors = tape_tensors(init_params(config))
         scores, _ = classifier_mod._forward_tensors(
-            Tensor(sample.features), sample.edges, params)
+            Tensor(sample.features), sample.edges, tensors)
         hinge_loss(scores, sample.label).backward()
-        grad = params.gc1.weight.grad
+        grad = tensors["gc1.weight"].grad
         masked_rows = np.concatenate([SCHEMA.group_columns("user_activity"),
                                       SCHEMA.group_columns("content")])
         assert (grad[masked_rows] == 0.0).all()
@@ -158,26 +159,25 @@ class TestTrain:
         params = init_params(config)
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, 11)))
         sample = samples[rng.integers(len(samples))]
+        tensors = tape_tensors(params)
         scores, _ = classifier_mod._forward_tensors(
-            Tensor(sample.features), sample.edges, params)
+            Tensor(sample.features), sample.edges, tensors)
         loss = hinge_loss(scores, sample.label)
-        params.zero_grad()
         loss.backward()
-        named = params.named()
         grads = np.concatenate([t.grad if t.grad is not None else np.zeros_like(t.data)
-                                for t in named.values()], axis=None)
+                                for t in tensors.values()], axis=None)
         amsgrad_step(params.flat, grads, OptimizerState(learning_rate=config.learning_rate))
-        for k, t in result.params.named().items():
-            np.testing.assert_array_equal(t.data, named[k].data)
+        for k, view in result.params.named.items():
+            np.testing.assert_array_equal(view, params.named[k])
 
     @pytest.mark.parametrize("name", ["gc1.weight", "gc2.attn", "fc2.bias"])
     def test_non_finite_gradient_names_its_parameter(self, monkeypatch, name):
         params = init_params(small_config())
         start = 0
-        for k, t in params.named().items():
+        for k, view in params.named.items():
             if k == name:
                 break
-            start += t.data.size
+            start += view.size
         loss_and_grads = classifier_mod.loss_and_grads
 
         def poisoned(sample, params):
@@ -231,22 +231,44 @@ class TestTrain:
 
 class TestParams:
     def test_named_arrays_tile_the_flat_vector(self, tmp_path):
-        params = init_params(ModelConfig(schema=SCHEMA))
+        config = ModelConfig(schema=SCHEMA)
+        params = init_params(config)
         assert params.flat.dtype == np.float64 and params.flat.ndim == 1
+        assert [(k, v.shape) for k, v in params.named.items()] == list(param_shapes(config))
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, params)
         stored = json.loads(path.read_text())["params"]
-        assert list(stored) == list(params.named())
+        assert list(stored) == list(params.named)
         start = 0
         base = params.flat.__array_interface__["data"][0]
-        for name, t in params.named().items():
-            assert np.shares_memory(t.data, params.flat), name
-            assert t.data.flags.c_contiguous, name
-            assert t.data.__array_interface__["data"][0] == base + 8 * start, name
-            assert np.array_equal(stored[name]["data"], params.flat[start:start + t.data.size])
-            start += t.data.size
+        for name, view in params.named.items():
+            assert type(view) is np.ndarray, name
+            assert np.shares_memory(view, params.flat), name
+            assert view.flags.c_contiguous, name
+            assert view.__array_interface__["data"][0] == base + 8 * start, name
+            assert np.array_equal(stored[name]["data"], params.flat[start:start + view.size])
+            start += view.size
         assert start == params.flat.size == 45_098
 
+
+    def test_no_tensor_outside_the_tape_reference(self, tmp_path, monkeypatch):
+        # training (validation included), scoring and checkpoints run on the
+        # plain parameter arrays: building a Tensor anywhere fails the test
+        samples = TestTrain().build_set(6, seed=2)
+        config = small_config(iterations=30, seed=4)
+
+        def no_tensor(self, *args, **kwargs):
+            raise AssertionError("a Tensor was built")
+
+        monkeypatch.setattr(Tensor, "__init__", no_tensor)
+        result = train(samples[:4], samples[4:], config)
+        assert result.val_auc_trace and max(result.loss_trace) > 0.0
+        forward(samples[0], result.params)
+        assert user_embeddings(samples, result.params)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, result.params, seed=4)
+        params, _ = load_checkpoint(path, config)
+        assert np.array_equal(params.flat, result.params.flat)
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -257,8 +279,8 @@ class TestCheckpoint:
         save_checkpoint(path, result.params, seed=13, meta={"note": "test"})
         params2, seed = load_checkpoint(path, config)
         assert seed == 13
-        for k, t in result.params.named().items():
-            assert (params2.named()[k].data == t.data).all()
+        for k, view in result.params.named.items():
+            assert (params2.named[k] == view).all()
         assert list(json.loads(path.read_text())) == ["format", "seed", "meta", "params"]
 
     def test_rejects_foreign_file(self, tmp_path):

@@ -559,6 +559,12 @@ class TestUsageAndSeeds:
         # an infinite gap, and a world so small that every user falls in one community
         (["aging", "--min-gap-days", "1e400", "--iterations", "1"], None, "--min-gap-days"),
         (["generate", "--urls", "5", "--users", "8", "--mean-cascades", "2"], None, "num_users"),
+        # a count that numpy cannot size an array by
+        (["generate", "--urls", "2"], {"num_users": 10**20}, "config key 'num_users'"),
+        (["generate", "--urls", "2"], {"num_users": 10**400}, "config key 'num_users'"),
+        (["generate", "--urls", "2", "--users", "1" + "0" * 400], None, "--users"),
+        (["generate", "--users", "60"], {"max_cascade_size": 2**63},
+         "config key 'max_cascade_size'"),
     ])
     def test_bad_value_is_one_error_line(self, dataset_dir, tmp_path, capsys,
                                          args, config, named):
@@ -764,6 +770,20 @@ class TestDatasetFormat:
         ("cascades.jsonl", _bad_byte, "is a byte that is not UTF-8"),
         ("follows.csv", _edit_follow(lambda a, b: f"{a}{'x' * 131072},{b}"),
          "field larger than field limit"),
+        # an integer that a float field cannot hold, or a count beyond int64
+        ("cascades.jsonl", _edit_jsonl(lambda r: r["tweets"][0].update(timestamp=10**400)),
+         "tweet 0: field 'timestamp' is beyond the float range"),
+        ("users.jsonl", _edit_jsonl(lambda r: r.update(created_at=-10**400)),
+         "field 'created_at' is beyond the float range"),
+        ("urls.jsonl", _edit_jsonl(lambda r: r.update(first_seen=10**400)),
+         "field 'first_seen' is beyond the float range"),
+        ("users.jsonl", _edit_jsonl(lambda r: r.update(statuses_count=10**400)),
+         "field 'statuses_count' is beyond the int64 range"),
+        ("users.jsonl", _edit_jsonl(lambda r: r.update(friends_count=2**63)),
+         "field 'friends_count' is beyond the int64 range"),
+        ("cascades.jsonl",
+         _edit_jsonl(lambda r: r["tweets"][0].update(retweeted_retweet_count=10**400)),
+         "tweet 0: field 'retweeted_retweet_count' is beyond the int64 range"),
     ])
     def test_bad_record_exits_two(self, small_dataset, tmp_path, capsys, name, corrupt,
                                   reason):

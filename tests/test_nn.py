@@ -6,13 +6,18 @@ import cascade_gnn.autograd as ag
 import cascade_gnn.nn as nn
 from cascade_gnn.autograd import Tensor
 
-from helpers import central_difference_grads, dense_gat_oracle, relative_error
+from helpers import central_difference_grads, dense_gat_oracle, gat_params, relative_error
+
+
+def leaf_tensors(arrays):
+    """The arrays as leaves of the autograd tape."""
+    return [Tensor(a, requires_grad=True) for a in arrays]
 
 
 def random_gat_setup(seed, n=3, f_in=5, f_out=4, edges=None):
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(n, f_in))
-    params = nn.init_gat_params(rng, f_in, f_out)
+    params = gat_params(rng, f_in, f_out)
     if edges is None:
         edges = [(0, 1, (True, False, True, False)), (1, 2, (False, True, False, True))]
     ea = nn.build_edge_arrays(n, edges)
@@ -22,9 +27,10 @@ def random_gat_setup(seed, n=3, f_in=5, f_out=4, edges=None):
 def test_isolated_node_is_affine():
     rng = np.random.default_rng(0)
     h = rng.normal(size=(1, 6))
-    params = nn.init_gat_params(rng, 6, 3)
-    out = nn.gat_forward(Tensor(h), nn.build_edge_arrays(1, []), params)
-    expected = h @ params.weight.data + params.bias.data
+    params = gat_params(rng, 6, 3)
+    out = nn.gat_forward(Tensor(h), nn.build_edge_arrays(1, []), *leaf_tensors(params))
+    weight, _, bias = params
+    expected = h @ weight + bias
     np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-14)
 
 
@@ -32,9 +38,9 @@ def test_symmetric_nodes_identical_outputs():
     rng = np.random.default_rng(1)
     row = rng.normal(size=5)
     h = np.stack([row, row])
-    params = nn.init_gat_params(rng, 5, 4)
+    params = gat_params(rng, 5, 4)
     ea = nn.build_edge_arrays(2, [(0, 1, (True, True, False, False))])
-    out = nn.gat_forward(Tensor(h), ea, params).data
+    out = nn.gat_forward(Tensor(h), ea, *leaf_tensors(params)).data
     np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
 
@@ -42,16 +48,17 @@ def test_symmetric_nodes_identical_outputs():
 def test_path_graph_matches_dense_oracle(seed):
     edges = [(0, 1, (True, False, False, True)), (1, 2, (False, True, True, False))]
     h, params, edges, ea = random_gat_setup(seed, edges=edges)
-    out = nn.gat_forward(Tensor(h), ea, params).data
-    oracle = dense_gat_oracle(h, edges, params.weight.data, params.attn.data,
-                              params.bias.data)
+    out = nn.gat_forward(Tensor(h), ea, *leaf_tensors(params)).data
+    oracle = dense_gat_oracle(h, edges, *params)
+    np.testing.assert_allclose(out, oracle, atol=1e-12)
+    out, _ = nn.gat_layer(h, ea, *params)
     np.testing.assert_allclose(out, oracle, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_attention_sums_to_one(seed):
     h, params, edges, ea = random_gat_setup(seed)
-    _, alpha = nn.gat_forward(Tensor(h), ea, params, return_attention=True)
+    _, alpha = nn.gat_forward(Tensor(h), ea, *leaf_tensors(params), return_attention=True)
     sums = np.zeros(3)
     np.add.at(sums, ea.dst, alpha.data.reshape(-1))
     np.testing.assert_allclose(sums, 1.0, atol=1e-12)
@@ -62,10 +69,12 @@ def test_permutation_equivariance(seed):
     rng = np.random.default_rng(seed + 100)
     n = 6
     h = rng.normal(size=(n, 5))
-    params = nn.init_gat_params(rng, 5, 4)
+    params = gat_params(rng, 5, 4)
     edges = [(0, 2, (True, False, False, False)), (1, 4, (False, True, True, False)),
              (2, 5, (True, True, False, True)), (3, 4, (False, False, False, True))]
-    out = nn.gat_forward(Tensor(h), nn.build_edge_arrays(n, edges), params).data
+    ea = nn.build_edge_arrays(n, edges)
+    out = nn.gat_forward(Tensor(h), ea, *leaf_tensors(params)).data
+    layer, _ = nn.gat_layer(h, ea, *params)
 
     perm = rng.permutation(n)
     # place original node v at new index perm[v]
@@ -78,29 +87,29 @@ def test_permutation_equivariance(seed):
             p_edges.append((int(a), int(b), fl))
         else:
             p_edges.append((int(b), int(a), (fl[1], fl[0], fl[3], fl[2])))
-    out_p = nn.gat_forward(Tensor(h_p), nn.build_edge_arrays(n, p_edges), params).data
+    ea_p = nn.build_edge_arrays(n, p_edges)
+    out_p = nn.gat_forward(Tensor(h_p), ea_p, *leaf_tensors(params)).data
     np.testing.assert_allclose(out_p[perm], out, atol=1e-9)
+    layer_p, _ = nn.gat_layer(h_p, ea_p, *params)
+    np.testing.assert_allclose(layer_p[perm], layer, atol=1e-9)
 
 
 def test_gat_gradcheck_through_layer():
     rng = np.random.default_rng(7)
     h0 = rng.normal(size=(4, 3))
-    params = nn.init_gat_params(rng, 3, 2)
+    weight, attn, bias = gat_params(rng, 3, 2)
     edges = [(0, 1, (True, False, False, False)), (1, 2, (False, False, True, False)),
              (2, 3, (True, True, False, False))]
     ea = nn.build_edge_arrays(4, edges)
     probe = rng.normal(size=(4, 2))
 
-    arrays = {"h": h0.copy(), "w": params.weight.data, "a": params.attn.data,
-              "b": params.bias.data}
+    arrays = {"h": h0.copy(), "w": weight, "a": attn, "b": bias}
 
     def run():
-        p = nn.GatParams(Tensor(arrays["w"], requires_grad=True),
-                         Tensor(arrays["a"], requires_grad=True),
-                         Tensor(arrays["b"], requires_grad=True))
-        ht = Tensor(arrays["h"], requires_grad=True)
-        loss = ag.sum_all(ag.mul(nn.gat_forward(ht, ea, p), Tensor(probe)))
-        return loss, {"h": ht, "w": p.weight, "a": p.attn, "b": p.bias}
+        t = dict(zip(arrays, leaf_tensors(arrays.values())))
+        loss = ag.sum_all(ag.mul(nn.gat_forward(t["h"], ea, t["w"], t["a"], t["b"]),
+                                 Tensor(probe)))
+        return loss, t
 
     loss, tensors = run()
     loss.backward()
@@ -112,9 +121,9 @@ def test_gat_gradcheck_through_layer():
 
 def test_shape_mismatch_raises():
     rng = np.random.default_rng(0)
-    params = nn.init_gat_params(rng, 5, 4)
+    params = leaf_tensors(gat_params(rng, 5, 4))
     with pytest.raises(ValueError):
-        nn.gat_forward(Tensor(np.ones((2, 7))), nn.build_edge_arrays(2, []), params)
+        nn.gat_forward(Tensor(np.ones((2, 7))), nn.build_edge_arrays(2, []), *params)
 
 
 def test_mean_pool_channels_example():
