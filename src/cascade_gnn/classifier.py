@@ -185,8 +185,9 @@ def loss_and_grads(sample: PreparedGraph, params: ModelParams
     vector laid out as ``ModelParams.flat``.
 
     The gradient is None when the hinge is inactive: it is then exactly
-    zero, so no backward pass runs.  A zero loss over a non-finite forward
-    pass raises ``NumericError``, as the tape's NaN gradient would.
+    zero, so no backward pass runs, and ``amsgrad_step`` takes None as that
+    zero.  A zero loss over a non-finite forward pass raises
+    ``NumericError``, as the tape's NaN gradient would.
     """
     edges, p = sample.edges, params.named
     scores, h2, cache = _network_forward(sample.features, edges, params)
@@ -259,7 +260,6 @@ def train(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
     if not train_set:
         raise ValueError("empty training set")
     params = init_params(config)
-    zeros = np.zeros_like(params.flat)
     state = OptimizerState(learning_rate=config.learning_rate,
                            layout=tuple((k, v.size) for k, v in params.named.items()))
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 11)))
@@ -279,7 +279,7 @@ def train(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at iteration {it}")
             loss_trace.append(loss)
-            amsgrad_step(params.flat, zeros if grads is None else grads, state)
+            amsgrad_step(params.flat, grads, state)
 
             if it % VALIDATION_EVERY == 0 or it == config.iterations:
                 auc = _validation_auc(val_set, params)

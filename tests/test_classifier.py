@@ -222,6 +222,22 @@ class TestTrain:
         auc = roc_auc(scores, labels)[1]
         assert abs(auc - 0.5) <= 0.1
 
+    def test_one_amsgrad_step_per_iteration_and_none_on_zero_loss(self, monkeypatch):
+        # one function takes every step, so a trace of amsgrad_step counts
+        # them all, and its zero path is the None gradient of a zero loss
+        zero_steps = []
+
+        def recording(theta, g, state):
+            zero_steps.append(g is None)
+            amsgrad_step(theta, g, state)
+
+        monkeypatch.setattr(classifier_mod, "amsgrad_step", recording)
+        config = small_config(hidden=16, fc1=8, iterations=300, seed=2, learning_rate=5e-3)
+        result = train(self.build_set(10, seed=1, random_embeddings=True), [], config)
+        assert len(zero_steps) == config.iterations
+        assert zero_steps == [loss == 0.0 for loss in result.loss_trace]
+        assert 0 < sum(zero_steps) < config.iterations
+
     def test_loss_trace_recorded(self):
         samples = self.build_set(4)
         result = train(samples, [], small_config(iterations=25))

@@ -5,10 +5,11 @@ import pytest
 from cascade_gnn.optim import NumericError, OptimizerState, amsgrad_step
 
 
-def test_zero_gradient_leaves_params_unchanged():
+@pytest.mark.parametrize("zero", [np.zeros(3), None], ids=["zeros", "None"])
+def test_zero_gradient_leaves_params_unchanged(zero):
     params = np.array([1.0, -2.0, 3.0])
     state = OptimizerState(learning_rate=0.1)
-    amsgrad_step(params, np.zeros(3), state)
+    amsgrad_step(params, zero, state)
     np.testing.assert_array_equal(params, [1.0, -2.0, 3.0])
 
 
@@ -63,24 +64,33 @@ def test_non_finite_gradient_raises():
 def test_non_finite_gradient_names_its_parameter(index, name):
     state = OptimizerState(layout=(("a", 2), ("b", 3), ("c", 1)))
     params = np.zeros(6)
-    amsgrad_step(params, np.ones(6), state)
-    before = params.copy()
+    for g in (None, np.ones(6), None, None):
+        amsgrad_step(params, g, state)
+    before = [a.tobytes() for a in (params, state.m, state.v, state.v_hat, state.den)]
     g = np.ones(6)
     g[index] = np.inf
     g[index + 1:] = np.nan  # only the first bad value names the parameter
     with pytest.raises(NumericError, match=f"^non-finite gradient for parameter {name}$"):
         amsgrad_step(params, g, state)
-    assert state.step_count == 1
-    assert np.array_equal(params, before)
+    # a failed step changes nothing, bit for bit
+    assert state.step_count == 4
+    assert [a.tobytes() for a in (params, state.m, state.v, state.v_hat, state.den)] == before
+
+
+def zero_step(step):
+    # every third step, the first two of a fresh state and a run of five
+    return step % 3 == 0 or step == 1 or 150 <= step < 155
 
 
 def test_matches_the_plain_update_expressions_bit_for_bit():
-    # amsgrad_step runs over one flat vector in preallocated buffers; the
-    # values must be those of the docstring's expressions evaluated per
-    # parameter with temporaries
+    # amsgrad_step runs over one flat vector in preallocated buffers, and
+    # takes None for a zero gradient; the values must be those of the
+    # docstring's expressions evaluated per parameter with temporaries on
+    # explicit +0.0 gradients, signs of zeros included
     rng = np.random.default_rng(2)
     shapes = {"w": (7, 5), "a": (12, 1), "b": (1, 5)}
     params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    params["a"][::3] = -0.0
     ref = {k: v.copy() for k, v in params.items()}
     theta = np.concatenate(list(params.values()), axis=None)
     m = {k: np.zeros(s) for k, s in shapes.items()}
@@ -88,14 +98,20 @@ def test_matches_the_plain_update_expressions_bit_for_bit():
     v_hat = {k: np.zeros(s) for k, s in shapes.items()}
     state = OptimizerState(learning_rate=1e-2)
     for step in range(300):
-        grads = {k: rng.normal(size=s) * rng.exponential() * (step % 3 != 0)
-                 for k, s in shapes.items()}
-        amsgrad_step(theta, np.concatenate(list(grads.values()), axis=None), state)
+        if zero_step(step):
+            grads = {k: np.zeros(s) for k, s in shapes.items()}
+            amsgrad_step(theta, None, state)
+        else:
+            grads = {k: rng.normal(size=s) * rng.exponential() for k, s in shapes.items()}
+            amsgrad_step(theta, np.concatenate(list(grads.values()), axis=None), state)
         for k, g in grads.items():
             m[k] = state.beta1 * m[k] + (1.0 - state.beta1) * g
             v[k] = state.beta2 * v[k] + (1.0 - state.beta2) * g * g
             v_hat[k] = np.maximum(v_hat[k], v[k])
             ref[k] = ref[k] - state.learning_rate * m[k] / (np.sqrt(v_hat[k]) + state.eps)
-    assert np.array_equal(theta, np.concatenate(list(ref.values()), axis=None))
-    assert np.array_equal(state.m, np.concatenate(list(m.values()), axis=None))
-    assert np.array_equal(state.v_hat, np.concatenate(list(v_hat.values()), axis=None))
+    assert state.step_count == 300
+    for got, want in ((theta, ref), (state.m, m), (state.v, v), (state.v_hat, v_hat)):
+        want = np.concatenate(list(want.values()), axis=None)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(state.den, np.sqrt(state.v_hat) + state.eps)
