@@ -138,6 +138,10 @@ class PreparedGraph:
 
 def mask_columns(features: np.ndarray, schema: FeatureSchema,
                  active_groups) -> np.ndarray:
+    """``features`` with the columns of inactive groups zeroed: a new array
+    if a group is inactive, else ``features`` itself, not a copy."""
+    if all(group in active_groups for group in FEATURE_GROUPS):
+        return features
     out = features.copy()
     for group in FEATURE_GROUPS:
         if group not in active_groups:

@@ -3,7 +3,9 @@
 Parameters resolve as: explicit flag > JSON config file (--config) >
 CASCADE_GNN_SEED (seed only) > built-in default.  Every command reads its
 config file and seed through ``_config_and_seed``; the six experiment
-commands get the rest of their parameters, and the dataset, as one ``Run``.
+commands get the rest of their parameters, and the dataset, as one ``Run``,
+and build their samples once through ``Run.build``, which takes the dataset
+over: only the samples and the stories stay resident while they train.
 Exit codes: 0 success, 1 usage error (a bad value names its flag or config
 key) or data that an experiment protocol cannot run on, 2 missing/unreadable
 dataset or a malformed or inconsistent dataset line (named by file and
@@ -22,7 +24,7 @@ import click
 import numpy as np
 
 from . import dataio
-from .classifier import (DEFAULT_ITERATIONS, CheckpointError, ModelConfig,
+from .classifier import (DEFAULT_ITERATIONS, CheckpointError, ModelConfig, PreparedGraph,
                          load_checkpoint, save_checkpoint, user_embeddings)
 from .dataio import DatasetFormatError, DatasetNotFoundError, cascades_by_url, load_dataset
 from .evalharness import (DEFAULT_MIN_CASCADE_SIZE, ProtocolError, aging_protocol,
@@ -30,8 +32,8 @@ from .evalharness import (DEFAULT_MIN_CASCADE_SIZE, ProtocolError, aging_protoco
                           cross_validate, default_active_groups,
                           diffusion_sweep, estimate_diameter,
                           fold_label_fractions, fr_layout, mad_mmd, make_folds,
-                          split_by_url, train_and_score)
-from .features import default_schema
+                          split_by_url, sweep_hours, train_and_score)
+from .features import FEATURE_GROUPS, default_schema
 from .metrics import auc_or_none
 from .optim import NumericError
 from .propagation import credibility_scores
@@ -129,18 +131,24 @@ CONFIG_KEYS = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass
 class Run:
-    """An experiment command's resolved parameters and its loaded dataset."""
+    """An experiment command's resolved parameters and, until its one build,
+    its loaded dataset.
+
+    ``build`` hands the dataset over: it passes its only references to the
+    cascades and the social graph straight into ``build_samples``, which
+    frees each story's cascades once that story's samples are built.  Only
+    the samples and the stories stay resident while the command trains."""
 
     file_config: dict
     scope: str
     hours: tuple[int, ...]
     min_cascade_size: int
     jobs: int
-    social: SocialGraph
+    social: SocialGraph | None  # None once built
     stories: list[UrlStory]
-    cascades: list[CascadeRecord]
+    cascades: list[CascadeRecord] | None  # None once built
     model: ModelConfig
 
     @property
@@ -148,11 +156,26 @@ class Run:
         """The diffusion cap of every command but ``sweep``."""
         return float(self.hours[-1])
 
-    def samples(self):
-        return build_samples(self.stories, self.cascades, self.social, self.model.schema,
-                             self.scope, hours=self.last_hour,
+    def _give_up(self, name: str):
+        """The dataset part ``name``, to which this Run keeps no reference."""
+        value = getattr(self, name)
+        setattr(self, name, None)
+        return value
+
+    def build(self, hours: float | None = None, scope: str | None = None,
+              active_groups=None) -> list[PreparedGraph]:
+        """The command's samples, at ``hours`` (default ``last_hour``), in
+        ``scope`` and with ``active_groups`` (default the Run's).  The
+        dataset goes to this build, so a Run builds once."""
+        if self.cascades is None:
+            raise RuntimeError("this Run's dataset went to its first build; "
+                               "a command builds its samples once")
+        # temporaries, not locals: a local would keep the dataset alive
+        return build_samples(self.stories, self._give_up("cascades"), self._give_up("social"),
+                             self.model.schema, scope or self.scope,
+                             hours=self.last_hour if hours is None else hours,
                              min_cascade_size=self.min_cascade_size,
-                             active_groups=self.model.active_groups)
+                             active_groups=active_groups or self.model.active_groups)
 
     def echo(self, command: str, **fields) -> dict:
         """Config echo for report hashing; filesystem paths stay out so the
@@ -281,7 +304,7 @@ def experiment_command(name=None, default_hours="24", ranges=False):
 @experiment_command()
 def cv(run: Run, out_dir):
     """Grouped 5-fold cross-validation; writes report.json and roc.csv."""
-    samples = run.samples()
+    samples = run.build()
     plan = make_folds(run.stories, seed=run.model.seed)
     result = cross_validate(samples, plan, run.model, jobs=run.jobs)
     echo = run.echo("cv")
@@ -304,9 +327,8 @@ def cv(run: Run, out_dir):
 @experiment_command(default_hours="0..24", ranges=True)
 def sweep(run: Run, out_dir):
     """Diffusion-time sweep; writes auc_vs_hours.csv and report.json."""
-    points = diffusion_sweep(run.stories, run.cascades, run.social, run.model,
-                             run.scope, d_values=run.hours,
-                             min_cascade_size=run.min_cascade_size, jobs=run.jobs)
+    points = diffusion_sweep(run.build(hours=sweep_hours(run.hours)), run.stories, run.model,
+                             d_values=run.hours, jobs=run.jobs)
     echo = run.echo("sweep", hours=run.hours)
     rows = [(p.hours, p.mean_auc, p.std_auc, p.coverage) for p in points]
     write_csv(os.path.join(out_dir, "auc_vs_hours.csv"),
@@ -324,9 +346,7 @@ def aging(run: Run, out_dir, window_frac, min_gap_days):
     """Train on the past, evaluate future windows; writes aging.csv."""
     wf = _resolve(window_frac, run.file_config, "window_frac", 0.25, "--window-frac")
     gap = _resolve(min_gap_days, run.file_config, "min_gap_days", 14.0, "--min-gap-days")
-    result = aging_protocol(run.stories, run.cascades, run.social, run.model,
-                            run.scope, hours=run.last_hour,
-                            min_cascade_size=run.min_cascade_size, window_frac=wf,
+    result = aging_protocol(run.build(), run.stories, run.model, window_frac=wf,
                             min_gap_days=gap, jobs=run.jobs)
     echo = run.echo("aging", window_frac=wf, min_gap_days=gap)
     rows = [(w.start, w.stop, w.mean_date, w.days_from_train, w.iou_with_prev,
@@ -347,9 +367,8 @@ def ablate(run: Run, out_dir):
     """Backward feature selection over the four groups; writes ablation.csv."""
     # trains in process, whatever --jobs: a level depends on the one before,
     # and a pool per level, with the level's masked copies, cost memory and gained no time
-    result = backward_feature_selection(run.stories, run.cascades, run.social, run.model,
-                                        run.scope, hours=run.last_hour,
-                                        min_cascade_size=run.min_cascade_size)
+    result = backward_feature_selection(run.build(active_groups=FEATURE_GROUPS), run.stories,
+                                        run.model)
     echo = run.echo("ablate")
     rows = [(len(l.active_groups), "|".join(l.active_groups), l.val_auc, l.test_auc)
             for l in result.levels]
@@ -366,7 +385,7 @@ def ablate(run: Run, out_dir):
 def train_cmd(run: Run, out_dir):
     """Train one model on fold round 0; writes checkpoint.json."""
     plan = make_folds(run.stories, seed=run.model.seed)
-    tr, va, te = split_by_url(run.samples(), *plan.round(0))
+    tr, va, te = split_by_url(run.build(), *plan.round(0))
     result, scores = train_and_score(tr, va, te, run.model)
     test_auc = auc_or_none(scores, [s.label for s in te])
     os.makedirs(out_dir, exist_ok=True)
@@ -397,11 +416,8 @@ def export_embeddings(run: Run, out_dir, checkpoint_path):
         params, _ = load_checkpoint(checkpoint_path, run.model, scope=run.scope)
     except CheckpointError as exc:
         raise UsageFailure(str(exc))
-    samples = build_samples(run.stories, run.cascades, run.social, run.model.schema,
-                            SCOPE_URL, hours=run.last_hour,
-                            active_groups=run.model.active_groups)
-    embeddings = user_embeddings(samples, params)
     credibility = credibility_scores(run.stories, cascades_by_url(run.cascades))
+    embeddings = user_embeddings(run.build(scope=SCOPE_URL), params)
     echo = run.echo("export-embeddings")
     del echo["min_cascade_size"]  # the export builds url-wise graphs, whatever the scope
     header = ["user_id", "credibility"] + [f"e{k:02d}" for k in range(run.model.hidden)]

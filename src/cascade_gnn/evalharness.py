@@ -4,6 +4,11 @@ force-directed layout export.
 
 All protocols are seed-deterministic.  CV, sweep and aging rounds run in one
 process pool when ``jobs > 1``, merged in round order; ablation runs in process.
+
+The protocols take samples, not the dataset: ``build_samples`` builds them
+once, and a caller that hands it the only reference to its cascade list has
+the loaded cascades freed during the build, so only the samples and the
+stories stay resident while the protocol trains.
 """
 from __future__ import annotations
 
@@ -95,32 +100,46 @@ def build_samples(stories: list[UrlStory], cascades: list[CascadeRecord],
                   min_cascade_size: int = 1,
                   active_groups=None) -> list[PreparedGraph]:
     """Every sample at the given diffusion time, masked to ``active_groups``,
-    in sample order: stories by URL, cascades by ID.
+    in sample order: stories (one per URL) by URL, cascades by ID.
 
     Cascade eligibility (the minimum-size filter) is decided on the full
     cascades; truncation to ``hours`` happens afterwards.  URL-wise
     truncation is measured from the story's first tweet, cascade-wise
     from each cascade's own source.  A sample's ``prefix(d)`` for any
     ``d <= hours`` equals the sample built at ``d``.
+
+    The build drops its reference to ``cascades`` once it has grouped them
+    by URL, and each story's group once that story's samples are built: a
+    caller that holds no other reference to the list (it passes it
+    straight into the call) has each story's cascades freed as the build
+    moves on.  A caller that keeps its list finds it unchanged.
     """
     if scope not in (SCOPE_URL, SCOPE_CASCADE):
         raise ValueError(f"unknown scope {scope!r}")
     if active_groups is None:
         active_groups = default_active_groups(scope)
     by_url = cascades_by_url(cascades)
+    del cascades
     samples = []
     for story in sorted(stories, key=lambda s: s.url_id):
-        full = sorted(by_url.get(story.url_id, []), key=lambda c: c.cascade_id)
-        if scope == SCOPE_URL:
-            groups = [truncate(full, hours, reference="story")]
-        else:
-            groups = [truncate([cas], hours, reference="cascade")
-                      for cas in filter_min_cascade_size(full, min_cascade_size)]
-        for kept in groups:
-            if kept:
-                sample = build_propagation_graph(story, kept, social, scope, schema)
-                samples.append(prepare_graph(sample, schema, active_groups))
+        samples += _story_samples(story, by_url.pop(story.url_id, []), social, schema, scope,
+                                  hours, min_cascade_size, active_groups)
     return samples
+
+
+def _story_samples(story: UrlStory, cascades: list[CascadeRecord], social: SocialGraph,
+                   schema: FeatureSchema, scope: str, hours: float, min_cascade_size: int,
+                   active_groups) -> list[PreparedGraph]:
+    """The samples of one story, built from its cascades, in cascade ID order."""
+    full = sorted(cascades, key=lambda c: c.cascade_id)
+    if scope == SCOPE_URL:
+        groups = [truncate(full, hours, reference="story")]
+    else:
+        groups = [truncate([cas], hours, reference="cascade")
+                  for cas in filter_min_cascade_size(full, min_cascade_size)]
+    return [prepare_graph(build_propagation_graph(story, kept, social, scope, schema),
+                          schema, active_groups)
+            for kept in groups if kept]
 
 
 def split_by_url(samples: list[PreparedGraph], *url_sets) -> tuple[list[PreparedGraph], ...]:
@@ -235,6 +254,11 @@ def cross_validate(samples: list[PreparedGraph], plan: FoldPlan,
 
 # -- diffusion-time sweep -----------------------------------------------------
 
+def sweep_hours(d_values) -> float:
+    """The diffusion hour a sweep over ``d_values`` builds its samples at."""
+    return float(max([DEFAULT_DIFFUSION_HOURS, *d_values]))
+
+
 @dataclass
 class SweepPoint:
     hours: float
@@ -243,21 +267,17 @@ class SweepPoint:
     coverage: float  # tweets retained / tweets at 24 h over the sample set
 
 
-def diffusion_sweep(stories, cascades, social, config: ModelConfig,
-                    scope: str, d_values, min_cascade_size: int = 1,
-                    jobs: int = 1) -> list[SweepPoint]:
-    """Train and cross-validate separately for each diffusion time, on samples
-    built once at the latest hour (24 h at least) and cut to each d in its rounds.
-    The samples take ``config``'s schema and active groups.
+def diffusion_sweep(base: list[PreparedGraph], stories: list[UrlStory], config: ModelConfig,
+                    d_values, jobs: int = 1) -> list[SweepPoint]:
+    """Train and cross-validate separately for each diffusion time, on the
+    ``base`` samples of ``stories`` cut to each d in its rounds.  ``base``
+    is built at ``sweep_hours(d_values)``: the latest hour, and 24 h at
+    least, since coverage is measured against 24 h.
 
     One fold plan is shared across all d values so the AUC series is
     comparable point to point.
     """
     plan = make_folds(stories, seed=config.seed)
-    base = build_samples(stories, cascades, social, config.schema, scope,
-                         hours=float(max([DEFAULT_DIFFUSION_HOURS, *d_values])),
-                         min_cascade_size=min_cascade_size,
-                         active_groups=config.active_groups)
     total_24h = sum(len(s.prefix(DEFAULT_DIFFUSION_HOURS).times) for s in base)
 
     rounds = _cv_rounds(base, plan, config)
@@ -343,12 +363,11 @@ def make_aging_plan(stories: list[UrlStory], window_frac: float = 0.25,
                      windows=tuple(windows))
 
 
-def aging_protocol(stories, cascades, social, config: ModelConfig,
-                   scope: str, hours: float = DEFAULT_DIFFUSION_HOURS,
-                   min_cascade_size: int = 1, window_frac: float = 0.25,
+def aging_protocol(diffused: list[PreparedGraph], stories: list[UrlStory],
+                   config: ModelConfig, window_frac: float = 0.25,
                    min_gap_days: float = 14.0, jobs: int = 1) -> AgingResult:
-    """Train on the past, evaluate windows of the future, on samples with
-    ``config``'s schema and active groups.
+    """Train on the past, evaluate windows of the future, on the ``diffused``
+    samples of ``stories``, cut to 0 h for the source-only model.
 
     Each window reports the diffused model, the source-only (0 h) model,
     and the uniformly sampled cross-validation reference scores.
@@ -357,9 +376,6 @@ def aging_protocol(stories, cascades, social, config: ModelConfig,
                            min_gap_days=min_gap_days, seed=config.seed)
     first_seen = {s.url_id: s.first_seen for s in stories}
     url_sets = [set(urls) for urls in (plan.train_urls, plan.val_urls, plan.test_urls)]
-    diffused = build_samples(stories, cascades, social, config.schema, scope, hours=hours,
-                             min_cascade_size=min_cascade_size,
-                             active_groups=config.active_groups)
     temporal = [(label, *split_by_url(samples, *url_sets), config)
                 for label, samples in (("diffused", diffused),
                                        ("source_only", [s.prefix(0.0) for s in diffused]))]
@@ -422,10 +438,10 @@ class AblationResult:
     importance_order: list[str]       # most important first
 
 
-def backward_feature_selection(stories, cascades, social, config: ModelConfig, scope: str,
-                               hours: float = DEFAULT_DIFFUSION_HOURS,
-                               min_cascade_size: int = 1) -> AblationResult:
-    """Iteratively drop the group whose removal hurts validation AUC least.
+def backward_feature_selection(base: list[PreparedGraph], stories: list[UrlStory],
+                               config: ModelConfig) -> AblationResult:
+    """Iteratively drop the group whose removal hurts validation AUC least,
+    from the ``base`` samples of ``stories``, built with every group active.
 
     Uses round 0 of the fold plan: selection on the validation fold, the
     reported AUC on the test fold.  Emits one level per subset size; the
@@ -433,8 +449,6 @@ def backward_feature_selection(stories, cascades, social, config: ModelConfig, s
     time, in process, so one masked copy of the samples exists at a time.
     """
     plan = make_folds(stories, seed=config.seed)
-    base = build_samples(stories, cascades, social, config.schema, scope, hours=hours,
-                         min_cascade_size=min_cascade_size, active_groups=FEATURE_GROUPS)
     parts = split_by_url(base, *plan.round(0))
 
     def evaluate(active, seed: int):

@@ -317,10 +317,9 @@ def test_criterion_09_ablation_sanity(default_world):
 
     # structure: exactly 4 subset levels, deterministic ordering given the seed
     fast = ModelConfig(schema=SCHEMA, iterations=300, seed=2)
-    r1 = backward_feature_selection(stories, cascades, social, fast,
-                                    "url_wise", hours=24.0)
-    r2 = backward_feature_selection(stories, cascades, social, fast,
-                                    "url_wise", hours=24.0)
+    base = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+    r1 = backward_feature_selection(base, stories, fast)
+    r2 = backward_feature_selection(base, stories, fast)
     assert [len(l.active_groups) for l in r1.levels] == [4, 3, 2, 1]
     assert r1.removal_order == r2.removal_order
     assert r1.importance_order == r2.importance_order

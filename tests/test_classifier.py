@@ -109,6 +109,18 @@ class TestMasking:
         masked = mask_columns(g.features, SCHEMA, FEATURE_GROUPS)
         assert (masked == g.features).all()
 
+    def test_all_groups_active_returns_the_input(self):
+        g = tiny_graph()
+        assert mask_columns(g.features, SCHEMA, FEATURE_GROUPS) is g.features
+
+    def test_a_masked_group_copies_and_leaves_the_input(self):
+        g = tiny_graph(seed=3)
+        before = g.features.copy()
+        masked = mask_columns(g.features, SCHEMA, ("user_profile", "content"))
+        assert masked is not g.features and not np.shares_memory(masked, g.features)
+        assert (g.features == before).all()
+        assert (masked[:, SCHEMA.group_columns("user_activity")] == 0).all()
+
     def test_content_masked_zeroes_400_columns(self):
         g = tiny_graph(seed=7)
         active = tuple(gr for gr in FEATURE_GROUPS if gr != "content")

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +228,67 @@ class TestSweep:
         code = main(["sweep", "--dataset", str(dataset_dir), "--out",
                      str(tmp_path / "s"), "--hours", "9..3", "--seed", "1"] + FAST)
         assert code == 1
+
+
+def _dataset_refs(run) -> list:
+    """Weak references to the social graph and every cascade and tweet a Run loaded."""
+    return [weakref.ref(x) for x in (run.social, *run.cascades,
+                                     *(t for c in run.cascades for t in c.tweets))]
+
+
+class TestDatasetHandOver:
+    """A command's Run hands its loaded dataset to the one build, so none
+    of it is left once training starts."""
+
+    @pytest.mark.parametrize("args", [["cv", "--scope", "url"], ["cv", "--scope", "cascade"],
+                                      ["sweep", "--scope", "url", "--hours", "23..24"]],
+                             ids=["cv-url", "cv-cascade", "sweep-url"])
+    def test_nothing_loaded_is_left_when_training_starts(self, dataset_dir, tmp_path,
+                                                         monkeypatch, args):
+        refs, alive = [], []
+        resolve, run_jobs = cli._resolve_run, evalharness._run_jobs
+
+        def resolving(*resolve_args):
+            run = resolve(*resolve_args)
+            refs.extend(_dataset_refs(run))
+            return run
+
+        def training(payloads, jobs):
+            alive.append(sum(ref() is not None for ref in refs))
+            return run_jobs(payloads, jobs)
+
+        monkeypatch.setattr(cli, "_resolve_run", resolving)
+        monkeypatch.setattr(evalharness, "_run_jobs", training)
+        code = main([*args, "--dataset", str(dataset_dir), "--out", str(tmp_path / "o"),
+                     "--min-cascade-size", "2", "--seed", "3", "--iterations", "1",
+                     "--jobs", "1"])
+        assert code == 0
+        assert len(refs) > 1 and alive == [0]
+
+    @pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+                        reason="an older interpreter keeps a call's arguments on the "
+                               "caller's stack until the call returns")
+    def test_each_story_is_freed_once_its_samples_are_built(self, dataset_dir, monkeypatch):
+        run = cli._resolve_run(None, 1, str(dataset_dir), "url", None, None, None, None,
+                               None, 1, "24")
+        by_url = [(c.url_id, weakref.ref(c)) for c in run.cascades]
+        left, build = [], evalharness.build_propagation_graph
+
+        def building(story, *args):
+            left.append(sum(url < story.url_id and ref() is not None for url, ref in by_url))
+            return build(story, *args)
+
+        monkeypatch.setattr(evalharness, "build_propagation_graph", building)
+        samples = run.build()
+        assert len(left) == len(samples) > 1 and set(left) == {0}
+
+    def test_a_run_builds_once(self, dataset_dir):
+        run = cli._resolve_run(None, 1, str(dataset_dir), "url", None, None, None, None,
+                               None, 1, "24")
+        assert run.build()
+        assert run.cascades is None and run.social is None
+        with pytest.raises(RuntimeError, match="builds its samples once"):
+            run.build()
 
 
 class TestAging:

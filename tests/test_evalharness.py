@@ -17,7 +17,7 @@ from cascade_gnn.evalharness import (aging_protocol, backward_feature_selection,
                                      estimate_diameter, filter_min_cascade_size,
                                      fold_label_fractions, fr_layout, mad_mmd,
                                      make_aging_plan, make_folds)
-from cascade_gnn.features import default_schema
+from cascade_gnn.features import FEATURE_GROUPS, default_schema
 from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_graph
 
 from helpers import make_cascade, make_social, make_story, reference_fr_layout
@@ -71,13 +71,16 @@ def dispatched(monkeypatch):
 @pytest.fixture
 def ablation_rounds(monkeypatch):
     """One entry per round trained in process through ``_run_cv_round``: how
-    many earlier rounds' training samples were still alive when it started."""
+    many earlier rounds' masked training samples were still alive when it
+    started.  A round with every group active trains on the samples
+    themselves, not on a masked copy."""
     alive, refs = [], []
     run_round = evalharness._run_cv_round
 
     def recording(payload):
         alive.append(sum(ref() is not None for ref in refs))
-        refs.append(weakref.ref(payload[1][0].features))
+        if payload[-1].active_groups != FEATURE_GROUPS:
+            refs.append(weakref.ref(payload[1][0].features))
         return run_round(payload)
 
     monkeypatch.setattr(evalharness, "_run_cv_round", recording)
@@ -255,6 +258,20 @@ class TestSampleKeys:
             assert all(s.label == fake[s.url_id] for s in url_wise + cascade_wise)
 
 
+class TestBuildSamples:
+    """The build frees the cascades it is handed only when the caller keeps no list of them."""
+
+    def test_a_kept_cascade_list_is_left_intact(self, world):
+        _, social, stories, cascades = world
+        before = [(c, c.tweets) for c in cascades]
+        for scope in ("url_wise", "cascade_wise"):
+            first = build_samples(stories, cascades, social, SCHEMA, scope)
+            assert [(c, c.tweets) for c in cascades] == before
+            for a, b in zip(first, build_samples(stories, cascades, social, SCHEMA, scope),
+                            strict=True):
+                assert_same_sample(a, b)
+
+
 def assert_same_sample(cut, fresh):
     assert (cut.key, cut.url_id, cut.label) == (fresh.key, fresh.url_id, fresh.label)
     assert (cut.times, cut.authors) == (fresh.times, fresh.authors)
@@ -305,8 +322,8 @@ class TestPrefix:
 class TestDiffusionSweep:
     def test_sweep_nested_coverage_and_structure(self, world):
         _, social, stories, cascades = world
-        points = diffusion_sweep(stories, cascades, social, fast_config(),
-                                 "url_wise", d_values=[0, 3, 24], jobs=2)
+        samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        points = diffusion_sweep(samples, stories, fast_config(), d_values=[0, 3, 24], jobs=2)
         hours = [p.hours for p in points]
         assert hours == [0.0, 3.0, 24.0]
         coverages = [p.coverage for p in points]
@@ -320,8 +337,7 @@ class TestDiffusionSweep:
         # the sweep's own plan: folds drawn with the config's seed (0)
         plan = make_folds(stories, seed=0)
         samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
-        points = diffusion_sweep(stories, cascades, social, fast_config(),
-                                 "url_wise", d_values=[0, 3, 24], jobs=2)
+        points = diffusion_sweep(samples, stories, fast_config(), d_values=[0, 3, 24], jobs=2)
         assert pools == [2]
         for d, point in zip((0, 3, 24), points):
             base = cross_validate([s.prefix(d) for s in samples], plan, fast_config(), jobs=1)
@@ -330,16 +346,16 @@ class TestDiffusionSweep:
 
     def test_one_job_opens_no_pool(self, world, pools):
         _, social, stories, cascades = world
-        diffusion_sweep(stories, cascades, social, fast_config(iterations=2), "url_wise",
-                        d_values=[0, 3, 24], jobs=1)
+        samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        diffusion_sweep(samples, stories, fast_config(iterations=2), d_values=[0, 3, 24], jobs=1)
         assert pools == []
 
     def test_rounds_share_the_uncut_samples(self, world, dispatched):
         # every hour's rounds carry the same sample objects and cut them
         # themselves, so the main process holds one sample set at any hours
         _, social, stories, cascades = world
-        diffusion_sweep(stories, cascades, social, fast_config(iterations=2), "url_wise",
-                        d_values=[0, 3, 24], jobs=1)
+        samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        diffusion_sweep(samples, stories, fast_config(iterations=2), d_values=[0, 3, 24], jobs=1)
         (payloads,) = dispatched
         assert [p[0] for p in payloads] == [(d, r) for d in (0, 3, 24) for r in range(5)]
         for label, *parts, _ in payloads:
@@ -378,8 +394,8 @@ class TestAging:
 
     def test_protocol_reports_three_series(self, world):
         _, social, stories, cascades = world
-        result = aging_protocol(stories, cascades, social, fast_config(),
-                                "url_wise", hours=24.0, jobs=2)
+        samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        result = aging_protocol(samples, stories, fast_config(), jobs=2)
         assert len(result.windows) >= 1
         w = result.windows[0]
         assert w.days_from_train > 0
@@ -391,8 +407,8 @@ class TestAging:
 
     def test_one_pool_and_same_result_at_any_jobs(self, world, pools):
         _, social, stories, cascades = world
-        runs = [aging_protocol(stories, cascades, social, fast_config(), "url_wise",
-                               hours=24.0, jobs=jobs) for jobs in (1, 2)]
+        samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        runs = [aging_protocol(samples, stories, fast_config(), jobs=jobs) for jobs in (1, 2)]
         assert pools == [2]  # the two temporal rounds and the five folds together
         assert runs[0] == runs[1]
 
@@ -405,10 +421,9 @@ class TestAging:
 class TestBackwardSelection:
     def test_four_levels_and_deterministic_order(self, world):
         _, social, stories, cascades = world
-        r1 = backward_feature_selection(stories, cascades, social,
-                                        fast_config(), "url_wise", hours=24.0)
-        r2 = backward_feature_selection(stories, cascades, social,
-                                        fast_config(), "url_wise", hours=24.0)
+        base = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        r1 = backward_feature_selection(base, stories, fast_config())
+        r2 = backward_feature_selection(base, stories, fast_config())
         assert [len(l.active_groups) for l in r1.levels] == [4, 3, 2, 1]
         assert r1.removal_order == r2.removal_order
         assert len(r1.importance_order) == 4
@@ -419,8 +434,8 @@ class TestBackwardSelection:
     def test_one_job_trains_one_candidate_at_a_time(self, world, ablation_rounds):
         # so only one candidate's masked copy of the samples exists at a time
         _, social, stories, cascades = world
-        backward_feature_selection(stories, cascades, social, fast_config(iterations=2),
-                                   "url_wise", hours=24.0)
+        samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        backward_feature_selection(samples, stories, fast_config(iterations=2))
         assert ablation_rounds == [0] * 10
 
 
