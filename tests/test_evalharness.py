@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cascade_gnn import evalharness
 from cascade_gnn.classifier import ModelConfig, PreparedGraph
@@ -16,13 +18,14 @@ from cascade_gnn.evalharness import (aging_protocol, backward_feature_selection,
                                      default_active_groups, diffusion_sweep,
                                      estimate_diameter, filter_min_cascade_size,
                                      fold_label_fractions, fr_layout, mad_mmd,
-                                     make_aging_plan, make_folds)
+                                     make_aging_plan, make_folds, repulsion)
 from cascade_gnn.features import FEATURE_GROUPS, default_schema
 from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_graph
 
 from helpers import make_cascade, make_social, make_story, reference_fr_layout
 
 SCHEMA = default_schema()
+TILE = evalharness.REPULSION_TILE
 
 
 @pytest.fixture(scope="module")
@@ -601,11 +604,13 @@ class TestFrLayout:
         assert fr_layout(social, 40, seed=3) == fr_layout(social, 40, seed=3)
         assert fr_layout(social, 40, seed=3) != fr_layout(social, 40, seed=4)
 
-    # One repulsion block covers up to 256 users (65536 // n rows); 255-257
-    # straddle that size (257 without follows), and at 571 users the last
-    # block would be one row wide, which the layout widens to two.
+    # 255-257 straddled the former (n, 65536 // n) column strips, and 571
+    # gave them a one-wide last strip.  The tile cases sit on the repulsion
+    # tiles' boundaries: one tile, one tile and a user (whose one-wide last
+    # block joins the tile), two tiles and a one-wide block, three tiles.
     @pytest.mark.parametrize("n, follows_per_user", [
         (1, 0), (2, 1), (3, 2), (255, 3), (256, 3), (257, 0), (571, 3),
+        (TILE - 1, 3), (TILE, 3), (TILE + 1, 3), (2 * TILE + 1, 3), (3 * TILE, 3),
     ])
     def test_equals_unblocked_reference(self, n, follows_per_user):
         rng = np.random.default_rng(n)
@@ -614,3 +619,37 @@ class TestFrLayout:
         social = make_social({u: 0 for u in ids},
                              {(ids[a], ids[b]) for a, b in pairs if a != b})
         assert fr_layout(social, 60, seed=n) == reference_fr_layout(social, 60, seed=n)
+
+
+def unblocked_repulsion(pos, k):
+    """The (i, j, 2) repulsion sum that ``repulsion`` tiles."""
+    delta = pos[:, None, :] - pos[None, :, :]
+    dist = np.sqrt((delta * delta).sum(axis=2)) + 1e-12
+    return (delta / dist[:, :, None] * (k * k / dist)[:, :, None]).sum(axis=1)
+
+
+class TestRepulsion:
+    # Positions in [-0.5, 0.5) with a share of coordinates set to +0.0 or
+    # -0.0 and a share of points copied from other points, at sizes of one,
+    # two and three tiles.  n = TILE + 1 and 2 * TILE + 1 end in a block one
+    # user wide, which must join the block before it.
+    @given(n=st.one_of(st.integers(2, TILE), st.integers(TILE + 1, 2 * TILE),
+                       st.integers(2 * TILE + 1, 3 * TILE)),
+           seed=st.integers(0, 2 ** 32 - 1), zeros=st.floats(0, 1),
+           repeats=st.floats(0, 1))
+    @example(n=TILE + 1, seed=1, zeros=0.2, repeats=0.2)
+    @example(n=2 * TILE + 1, seed=2, zeros=0.2, repeats=0.2)
+    @example(n=3 * TILE, seed=3, zeros=0.5, repeats=0.5)
+    @settings(max_examples=40, deadline=None)
+    def test_equals_unblocked_formula(self, n, seed, zeros, repeats):
+        rng = np.random.default_rng(seed)
+        pos = rng.random((n, 2)) - 0.5
+        signed = rng.random((n, 2)) < zeros
+        pos[signed] = rng.choice(np.array([0.0, -0.0]), size=int(signed.sum()))
+        copies = rng.random(n) < repeats
+        pos[copies] = pos[rng.integers(0, n, size=int(copies.sum()))]
+        k = np.sqrt(1.0 / n)
+        got = repulsion(pos[:, 0], pos[:, 1], k)
+        expected = unblocked_repulsion(pos, k)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
