@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -149,6 +150,8 @@ def _require_fields(rec, fields: dict) -> None:
                              f"got {_JSON_NAMES[type(value)]}")
         if type(value) is int and abs(value) > _INT_RANGES[types[0]][1]:
             raise ValueError(f"field {name!r} is beyond the {_INT_RANGES[types[0]][0]} range")
+        if type(value) is float and not math.isfinite(value):  # json reads NaN and Infinity
+            raise ValueError(f"field {name!r} must be finite, got {value}")
 
 
 def _embedding(rec, name: str) -> np.ndarray:
@@ -219,8 +222,9 @@ def _story(rec) -> UrlStory:
 def load_dataset(dirpath) -> tuple[SocialGraph, list[UrlStory], list[CascadeRecord]]:
     """Read a dataset directory.  A record that cannot be read (a line that
     is not UTF-8, a field missing or of the wrong JSON type, an integer
-    beyond the float range in a float field or beyond int64 in a count, or
-    an embedding component that is not a number, included), a repeated user,
+    beyond the float range in a float field or beyond int64 in a count, a
+    float field that is NaN or infinite, or an embedding component that is
+    not a number, included), a repeated user,
     cascade, tweet or URL ID or follow row, a tweet by an unknown user, a
     cascade of an unknown story and a story whose ``cascade_ids`` disagree
     with the cascades raise ``DatasetFormatError`` with the file and line."""

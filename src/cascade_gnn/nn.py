@@ -3,9 +3,11 @@
 A convolution aggregates over each node's neighborhood plus a self loop.
 Attention logits score the concatenation [W h_i || W h_j || flags_ij]
 through a learned vector and a leaky ReLU (slope 0.2); self-loop flags
-are all-zero.  Edge flags are direction-sensitive, so each stored
-undirected edge expands into two directed messages with the flag pairs
-swapped.
+are all-zero.  A graph's pair relations come as one boolean array
+``relation`` (n, n, 4), where ``relation[i, j]`` holds (i_follows_j,
+j_follows_i, spread_i_to_j, spread_j_to_i).  The messages are the n self
+loops, then for each related pair i < j in row-major order the message
+j -> i, carrying ``relation[i, j]``, and i -> j, carrying ``relation[j, i]``.
 
 Training and scoring run the array-level passes (``gat_layer``/
 ``gat_layer_backward``, ``selu``, ``pair_pool``, ``mean_pool``, ``fc``,
@@ -45,22 +47,19 @@ class EdgeArrays:
     num_nodes: int
 
 
-def build_edge_arrays(num_nodes: int, edges) -> EdgeArrays:
-    src = list(range(num_nodes))
-    dst = list(range(num_nodes))
-    flags = [(0.0, 0.0, 0.0, 0.0)] * num_nodes
-    for i, j, f in edges:
-        fi = (float(f[0]), float(f[1]), float(f[2]), float(f[3]))
-        # message j -> i: flags as (i_follows_j, j_follows_i, spread_i_to_j, spread_j_to_i)
-        src.append(j)
-        dst.append(i)
-        flags.append(fi)
-        # message i -> j: the directed flag pairs swap
-        src.append(i)
-        dst.append(j)
-        flags.append((fi[1], fi[0], fi[3], fi[2]))
-    return EdgeArrays(np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp),
-                      np.asarray(flags, dtype=np.float64), num_nodes)
+def build_edge_arrays(relation: np.ndarray) -> EdgeArrays:
+    """The messages of the graph whose pair relations are ``relation``, in
+    the order the module docstring gives.  ``relation[j, i]`` must be
+    ``relation[i, j]`` with the flag pairs swapped, as the graph build
+    makes it."""
+    n = relation.shape[0]
+    pairs = np.argwhere(np.triu(relation.any(axis=2), 1))  # rows (i, j), row-major
+    loops = np.arange(n, dtype=np.intp)
+    src = np.concatenate([loops, pairs[:, ::-1].reshape(-1)])
+    dst = np.concatenate([loops, pairs.reshape(-1)])
+    flags = np.zeros((src.size, NUM_EDGE_FLAGS))
+    flags[n:] = relation[dst[n:], src[n:]]
+    return EdgeArrays(src, dst, flags, n)
 
 
 def _check_gat_inputs(h: np.ndarray, ea: EdgeArrays, weight: np.ndarray) -> None:

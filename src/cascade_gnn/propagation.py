@@ -2,7 +2,8 @@
 
 The spreading rules assign each retweet an estimated predecessor: the
 latest preceding tweet whose author the retweeter follows, falling back
-to the preceding tweet whose author has the most followers.
+to the preceding tweet whose author has the most followers.  A cascade's
+spreading tree is the map from each retweet's ID to its predecessor's.
 """
 from __future__ import annotations
 
@@ -11,12 +12,14 @@ import numpy as np
 from .classifier import PreparedGraph
 from .features import FeatureSchema, encode_node_features
 from .nn import build_edge_arrays
-from .types import (CascadeRecord, SCOPE_CASCADE, SCOPE_URL, SCOPES, SocialGraph,
-                    SpreadingTree, Tweet, UrlStory)
+from .types import CascadeRecord, SCOPE_CASCADE, SCOPE_URL, SCOPES, SocialGraph, Tweet, UrlStory
 
 
-def estimate_spreading_tree(cascade: CascadeRecord, social: SocialGraph) -> SpreadingTree:
-    """Assign every retweet its estimated diffusion predecessor.
+def estimate_spreading_tree(cascade: CascadeRecord, social: SocialGraph) -> dict[str, str]:
+    """Assign every retweet its estimated diffusion predecessor: the map
+    from each retweet's ID to its parent's.  Each parent is an earlier
+    tweet of the cascade, and the first tweet is the source, so the map is
+    a tree rooted at the source.
 
     Rule 1: if the retweeter follows at least one earlier author, the
     parent is the latest preceding tweet with a followed author.
@@ -35,7 +38,7 @@ def estimate_spreading_tree(cascade: CascadeRecord, social: SocialGraph) -> Spre
             continue
         chosen = None
         for prev in reversed(preceding):
-            if social.follows_pair(tweet.author, prev.author):
+            if (tweet.author, prev.author) in social.follows:
                 chosen = prev
                 break
         if chosen is None:
@@ -47,7 +50,7 @@ def estimate_spreading_tree(cascade: CascadeRecord, social: SocialGraph) -> Spre
                     chosen = prev
         parent[tweet.tweet_id] = chosen.tweet_id
         preceding.append(tweet)
-    return SpreadingTree(cascade.cascade_id, cascade.source.tweet_id, parent)
+    return parent
 
 
 def truncate(cascades: list[CascadeRecord], d_hours: float,
@@ -112,13 +115,14 @@ def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
                             social: SocialGraph, scope: str,
                             schema: FeatureSchema) -> PreparedGraph:
     """The story's sample, features unmasked: tweets as nodes in (timestamp,
-    tweet ID) order, and two directed messages wherever any of the four
-    relations holds between two nodes.
+    tweet ID) order, and the messages that ``nn.build_edge_arrays`` makes
+    of the nodes' pair relations.  The relation array's entry [i, j] holds
+    (i_follows_j, j_follows_i, spread_i_to_j, spread_j_to_i): follow flags
+    from the social graph, spread flags from the per-cascade spreading trees.
 
     ``scope="url_wise"`` takes all given cascades of the story and is keyed
     by its URL, ``scope="cascade_wise"`` exactly one, keyed by its ID.
-    Spreading flags come from the per-cascade spreading trees, follow flags
-    from the social graph.  Tweet IDs must be unique across the cascades.
+    Tweet IDs must be unique across the cascades.
     """
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}")
@@ -144,19 +148,17 @@ def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
         if index.setdefault(t.tweet_id, k) != k:
             raise ValueError(f"duplicate tweet id {t.tweet_id!r} in story {story.url_id!r}")
 
-    spread = {(index[p], index[c]) for cas in cascades
-              for p, c in estimate_spreading_tree(cas, social).spread_pairs()}
-
-    authors = [t.author for t, _ in entries]
     n = len(entries)
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            flags = (social.follows_pair(authors[i], authors[j]),
-                     social.follows_pair(authors[j], authors[i]),
-                     (i, j) in spread, (j, i) in spread)
-            if any(flags):
-                pairs.append((i, j, flags))
+    # spread[i, j]: node i is node j's spreading-tree parent
+    spread = np.zeros((n, n), dtype=bool)
+    for cas in cascades:
+        for child, parent in estimate_spreading_tree(cas, social).items():
+            spread[index[parent], index[child]] = True
+    # follows[i, j]: node i's author follows node j's
+    authors = [t.author for t, _ in entries]
+    follows = np.fromiter(((a, b) in social.follows for a in authors for b in authors),
+                          dtype=bool, count=n * n).reshape(n, n)
+    relation = np.stack([follows, follows.T, spread, spread.T], axis=2)
 
     feats = np.empty((n, schema.width))
     for k, (t, cas) in enumerate(entries):
@@ -166,7 +168,7 @@ def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
         key=story.url_id if scope == SCOPE_URL else cascades[0].cascade_id,
         url_id=story.url_id,
         features=feats,
-        edges=build_edge_arrays(n, pairs),
+        edges=build_edge_arrays(relation),
         label=int(story.is_fake),
         times=tuple(t.timestamp for t, _ in entries),
         authors=tuple(authors),

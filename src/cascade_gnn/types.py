@@ -1,4 +1,4 @@
-"""Domain types: users, tweets, cascades, stories, and spreading trees; and
+"""Domain types: users, tweets, the social graph, cascades and stories; and
 the value rules that check a config value wherever it comes from.
 
 All types are immutable after construction and validate their invariants in
@@ -169,9 +169,6 @@ class SocialGraph:
             if a not in self.users or b not in self.users:
                 raise ValueError(f"follow pair ({a!r}, {b!r}) references unknown user")
 
-    def follows_pair(self, a: str, b: str) -> bool:
-        return (a, b) in self.follows
-
 
 @dataclass(frozen=True, eq=False)
 class CascadeRecord:
@@ -218,27 +215,3 @@ class UrlStory:
     @property
     def is_fake(self) -> bool:
         return self.label == LABEL_FAKE
-
-
-@dataclass(frozen=True, eq=False)
-class SpreadingTree:
-    """Estimated diffusion predecessor for each non-source tweet of one cascade."""
-
-    cascade_id: str
-    root: str
-    parent: dict[str, str]
-
-    def __post_init__(self):
-        # parent links must form a tree rooted at the source
-        for child in self.parent:
-            node, hops = child, 0
-            while node != self.root:
-                node = self.parent.get(node)
-                hops += 1
-                if node is None or hops > len(self.parent):
-                    raise ValueError(f"parent map of cascade {self.cascade_id!r} is not a tree "
-                                     f"rooted at {self.root!r}")
-
-    def spread_pairs(self) -> set[tuple[str, str]]:
-        """Directed (parent_tweet, child_tweet) diffusion links."""
-        return {(p, c) for c, p in self.parent.items()}

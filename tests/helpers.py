@@ -6,7 +6,7 @@ import numpy as np
 from cascade_gnn.autograd import Tensor
 from cascade_gnn.classifier import PreparedGraph
 from cascade_gnn.features import FEATURE_GROUPS, FeatureSchema, FeatureSlice
-from cascade_gnn.nn import NUM_EDGE_FLAGS, build_edge_arrays, glorot
+from cascade_gnn.nn import NUM_EDGE_FLAGS, EdgeArrays, build_edge_arrays, glorot
 from cascade_gnn.types import (CascadeRecord, EMBEDDING_DIM, SocialGraph,
                                Tweet, UrlStory, User)
 
@@ -43,6 +43,15 @@ def make_cascade(authors_times, cascade_id="c0", url_id="url0"):
     return CascadeRecord(cascade_id, url_id, tuple(tweets))
 
 
+def assert_spreading_tree(parent, cascade):
+    """``parent`` maps each retweet of ``cascade`` to an earlier tweet of the
+    cascade, so it is a tree rooted at the source."""
+    position = {t.tweet_id: k for k, t in enumerate(cascade.tweets)}
+    assert len(parent) == cascade.size - 1
+    assert set(parent) == {t.tweet_id for t in cascade.tweets if not t.is_source}
+    assert all(p in position and position[p] < position[c] for c, p in parent.items())
+
+
 def make_social(user_specs, follows):
     """user_specs: {uid: followers_count}; follows: iterable of (a, b)."""
     users = {uid: make_user(uid, followers=cnt) for uid, cnt in user_specs.items()}
@@ -73,8 +82,55 @@ def random_graph_sample(rng, n_nodes, schema, label=None):
                 if not any(flags):
                     flags = (True, False, False, False)
                 edges.append((i, j, flags))
-    return PreparedGraph("g", "u", feats, build_edge_arrays(n_nodes, edges),
+    return PreparedGraph("g", "u", feats, build_edge_arrays(relation(n_nodes, edges)),
                          int(label if label is not None else rng.integers(0, 2)))
+
+
+# -- pair relations ------------------------------------------------------------
+
+def swap_flag_pairs(flags):
+    f = list(flags)
+    return (f[1], f[0], f[3], f[2])
+
+
+def relation(n, pairs) -> np.ndarray:
+    """The (n, n, 4) relation array of an edge list [(i, j, flags), ...],
+    ``flags`` read as (i_follows_j, j_follows_i, spread_i_to_j,
+    spread_j_to_i): entry [i, j] holds them and entry [j, i] their swap."""
+    r = np.zeros((n, n, NUM_EDGE_FLAGS), dtype=bool)
+    for i, j, flags in pairs:
+        r[i, j] = flags
+        r[j, i] = swap_flag_pairs(flags)
+    return r
+
+
+def edge_relation(edges: EdgeArrays) -> np.ndarray:
+    """The relation array that ``build_edge_arrays`` made ``edges`` from:
+    each message j -> i carries entry [i, j]."""
+    r = np.zeros((edges.num_nodes, edges.num_nodes, NUM_EDGE_FLAGS), dtype=bool)
+    r[edges.dst, edges.src] = edges.flags != 0
+    return r
+
+
+def reference_edge_arrays(num_nodes: int, edges) -> EdgeArrays:
+    """The per-pair expansion that ``build_edge_arrays`` replaced: self loops,
+    then for each stored pair (i, j, flags) in list order the message j -> i
+    with ``flags`` and i -> j with the flag pairs swapped."""
+    src = list(range(num_nodes))
+    dst = list(range(num_nodes))
+    flags = [(0.0, 0.0, 0.0, 0.0)] * num_nodes
+    for i, j, f in edges:
+        fi = (float(f[0]), float(f[1]), float(f[2]), float(f[3]))
+        # message j -> i: flags as (i_follows_j, j_follows_i, spread_i_to_j, spread_j_to_i)
+        src.append(j)
+        dst.append(i)
+        flags.append(fi)
+        # message i -> j: the directed flag pairs swap
+        src.append(i)
+        dst.append(j)
+        flags.append((fi[1], fi[0], fi[3], fi[2]))
+    return EdgeArrays(np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp),
+                      np.asarray(flags, dtype=np.float64), num_nodes)
 
 
 # -- numeric oracles -----------------------------------------------------------
@@ -129,11 +185,6 @@ def relative_error(analytic, numeric):
     b = np.concatenate([np.asarray(v).reshape(-1) for v in numeric])
     denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
     return np.linalg.norm(a - b) / denom
-
-
-def swap_flag_pairs(flags):
-    f = list(flags)
-    return (f[1], f[0], f[3], f[2])
 
 
 def pair_flags(sample) -> dict[tuple[int, int], tuple[bool, bool, bool, bool]]:

@@ -17,7 +17,8 @@ from cascade_gnn.types import SocialGraph
 from cascade_gnn.autograd import Tensor
 import cascade_gnn.classifier as classifier_mod
 
-from helpers import make_cascade, make_social, make_story, make_user, pair_flags, tape_tensors
+from helpers import (edge_relation, make_cascade, make_social, make_story, make_user,
+                     tape_tensors)
 
 SCHEMA = default_schema()
 
@@ -78,18 +79,10 @@ class TestForward:
         for k in range(10):
             perm = np.random.default_rng(k).permutation(n)
             feats = g.features[perm]
-            inv = {int(p): i for i, p in enumerate(perm)}
-            edges = []
-            for (i, j), fl in pair_flags(g).items():
-                a, b = inv[i], inv[j]
-                if a < b:
-                    edges.append((a, b, fl))
-                else:
-                    edges.append((b, a, (fl[1], fl[0], fl[3], fl[2])))
             from cascade_gnn.nn import build_edge_arrays
             from cascade_gnn.classifier import PreparedGraph, _forward_tensors
             sample = PreparedGraph("k", "url0", feats,
-                                   build_edge_arrays(n, edges), 1)
+                                   build_edge_arrays(edge_relation(g.edges)[perm][:, perm]), 1)
             scores, _, _ = forward(sample, params)
             np.testing.assert_allclose(scores, base, atol=1e-9)
 

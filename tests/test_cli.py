@@ -5,6 +5,7 @@ import filecmp
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -860,6 +861,33 @@ class TestDatasetFormat:
         assert f"{data / name}, line 3: " in err and reason in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
+    # json reads NaN, Infinity and -Infinity; in the loaded data, -inf made
+    # the feature encoder raise and a NaN source time the statistics divide by 0
+    @pytest.mark.parametrize("command, name, edit, reason", [
+        ("cv", "users.jsonl", lambda r: r.update(created_at=-math.inf),
+         "field 'created_at' must be finite, got -inf"),
+        ("stats", "cascades.jsonl", lambda r: r["tweets"][0].update(timestamp=math.nan),
+         "tweet 0: field 'timestamp' must be finite, got nan"),
+        ("stats", "urls.jsonl", lambda r: r.update(first_seen=math.inf),
+         "field 'first_seen' must be finite, got inf"),
+    ])
+    def test_nonfinite_float_exits_two(self, small_dataset, tmp_path, capsys, command, name,
+                                       edit, reason):
+        data = tmp_path / "ds"
+        shutil.copytree(small_dataset, data)
+        lines = (data / name).read_text().splitlines()
+        rec = json.loads(lines[0])
+        edit(rec)
+        lines[0] = json.dumps(rec)
+        (data / name).write_text("\n".join(lines) + "\n")
+        argv = [command, "--dataset", str(data)]
+        if command == "cv":
+            argv += ["--out", str(tmp_path / "cv")] + FAST
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {data / name}, line 1: {reason}\n"
+
 
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):
@@ -924,6 +952,15 @@ def _recomponent(lines, k, data):
     lines[k] = json.dumps(rec)
 
 
+def _nonfinite(lines, k, data):
+    """Set a float field (a time) of a record or tweet to NaN or an infinity."""
+    rec = json.loads(lines[k])
+    holder = data.draw(st.sampled_from(rec.get("tweets", [rec])))
+    field = data.draw(st.sampled_from(sorted(f for f in holder if type(holder[f]) is float)))
+    holder[field] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    lines[k] = json.dumps(rec)
+
+
 def _repeat(lines, k, data):
     """Give line k the ID of another line: the whole line, in follows.csv."""
     j = data.draw(st.sampled_from([i for i in range(len(lines)) if i != k]))
@@ -947,10 +984,11 @@ class TestDatasetFuzz:
     @given(data=st.data())
     def test_corrupted_dataset_exits_two(self, tiny_dataset, data):
         corrupt = data.draw(st.sampled_from([_drop, _retype, _truncate, _repeat,
-                                             _recomponent]))
-        # only users and tweets hold embeddings
+                                             _recomponent, _nonfinite]))
+        # only users and tweets hold embeddings, and follows.csv holds no floats
         name = data.draw(st.sampled_from(
             ["users.jsonl", "cascades.jsonl"] if corrupt is _recomponent else
+            ["users.jsonl", "cascades.jsonl", "urls.jsonl"] if corrupt is _nonfinite else
             ["users.jsonl", "follows.csv", "cascades.jsonl", "urls.jsonl"]))
         with tempfile.TemporaryDirectory() as tmp:
             copy = os.path.join(tmp, "ds")

@@ -10,7 +10,8 @@ from cascade_gnn.propagation import (build_propagation_graph, credibility_score,
 from cascade_gnn.features import default_schema
 from cascade_gnn.types import CascadeRecord, SCOPE_CASCADE, SCOPE_URL
 
-from helpers import make_cascade, make_social, make_story, make_tweet, make_user, pair_flags
+from helpers import (assert_spreading_tree, make_cascade, make_social, make_story, make_tweet,
+                     make_user, pair_flags)
 
 SCHEMA = default_schema()
 
@@ -38,25 +39,25 @@ class TestSpreadingTree:
         social = make_social({"A": 10, "B": 5}, {("B", "A")})
         cas = make_cascade([("A", 0), ("B", 60)])
         tree = estimate_spreading_tree(cas, social)
-        assert tree.parent == {"c0_t1": "c0_t0"}
+        assert tree == {"c0_t1": "c0_t0"}
 
     def test_rule2_most_followed_predecessor(self):
         social = make_social({"A": 10, "B": 500, "C": 3}, set())
         cas = make_cascade([("A", 0), ("B", 10), ("C", 20)])
         tree = estimate_spreading_tree(cas, social)
-        assert tree.parent["c0_t2"] == "c0_t1"  # B has 500 followers
+        assert tree["c0_t2"] == "c0_t1"  # B has 500 followers
 
     def test_rule1_latest_followed_predecessor(self):
         social = make_social({"A": 10, "B": 5, "C": 1}, {("C", "A"), ("C", "B")})
         cas = make_cascade([("A", 0), ("B", 10), ("C", 20)])
         tree = estimate_spreading_tree(cas, social)
-        assert tree.parent["c0_t2"] == "c0_t1"  # latest followed tweet wins
+        assert tree["c0_t2"] == "c0_t1"  # latest followed tweet wins
 
     def test_rule2_tie_picks_earliest(self):
         social = make_social({"A": 7, "B": 7, "C": 0}, set())
         cas = make_cascade([("A", 0), ("B", 10), ("C", 20)])
         tree = estimate_spreading_tree(cas, social)
-        assert tree.parent["c0_t2"] == "c0_t0"
+        assert tree["c0_t2"] == "c0_t0"
 
     def test_unknown_author_raises(self):
         social = make_social({"A": 1}, set())
@@ -69,8 +70,7 @@ class TestSpreadingTree:
                              {("B", "A"), ("C", "B"), ("E", "D")})
         cas = make_cascade([("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 4)])
         tree = estimate_spreading_tree(cas, social)
-        assert len(tree.parent) == cas.size - 1
-        assert tree.root == cas.source.tweet_id
+        assert_spreading_tree(tree, cas)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -85,7 +85,8 @@ class TestSpreadingTree:
         authors = [users[data.draw(st.integers(0, n_users - 1))] for _ in range(size)]
         cas = make_cascade([(a, 10.0 * k) for k, a in enumerate(authors)])
         tree = estimate_spreading_tree(cas, social)
-        assert tree.parent == brute_force_tree(cas, social)
+        assert_spreading_tree(tree, cas)
+        assert tree == brute_force_tree(cas, social)
 
 
 class TestTruncate:
@@ -216,8 +217,7 @@ class TestBuildPropagationGraph:
         authors = {t.tweet_id: t.author for t in nodes}
         spread = set()
         for cas in (c0, c1, c2):
-            tree = estimate_spreading_tree(cas, social)
-            spread |= tree.spread_pairs()
+            spread |= {(p, c) for c, p in estimate_spreading_tree(cas, social).items()}
         expected = {}
         for a in range(6):
             for b in range(a + 1, 6):

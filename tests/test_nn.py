@@ -1,12 +1,15 @@
 """Attention layer, pooling, dense layer and hinge-loss behavior."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cascade_gnn.autograd as ag
 import cascade_gnn.nn as nn
 from cascade_gnn.autograd import Tensor
 
-from helpers import central_difference_grads, dense_gat_oracle, gat_params, relative_error
+from helpers import (central_difference_grads, dense_gat_oracle, gat_params,
+                     reference_edge_arrays, relation, relative_error)
 
 
 def leaf_tensors(arrays):
@@ -20,15 +23,47 @@ def random_gat_setup(seed, n=3, f_in=5, f_out=4, edges=None):
     params = gat_params(rng, f_in, f_out)
     if edges is None:
         edges = [(0, 1, (True, False, True, False)), (1, 2, (False, True, False, True))]
-    ea = nn.build_edge_arrays(n, edges)
+    ea = nn.build_edge_arrays(relation(n, edges))
     return h, params, edges, ea
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([0.0, 0.05, 0.3, 1.0]) | st.floats(0.0, 1.0),
+       every_pair=st.booleans())
+@example(n=1, seed=0, density=1.0, every_pair=True)
+@example(n=40, seed=0, density=0.0, every_pair=False)
+@example(n=40, seed=1, density=0.1, every_pair=True)
+def test_edge_arrays_equal_per_pair_reference(n, seed, density, every_pair):
+    # a relation array as the build makes it: entry [j, i] is entry [i, j]
+    # with the flag pairs swapped
+    rng = np.random.default_rng(seed)
+    upper = rng.random((n, n, 4)) < density
+    if every_pair:
+        bare = ~upper.any(axis=2)
+        upper[bare, rng.integers(0, 4, size=int(bare.sum()))] = True
+    r = np.zeros((n, n, 4), dtype=bool)
+    i, j = np.triu_indices(n, 1)
+    r[i, j] = upper[i, j]
+    r[j, i] = upper[i, j][:, [1, 0, 3, 2]]
+    assert np.array_equal(r.transpose(1, 0, 2), r[:, :, [1, 0, 3, 2]])
+
+    ea = nn.build_edge_arrays(r)
+    ref = reference_edge_arrays(n, [(a, b, tuple(r[a, b])) for a, b in zip(i, j)
+                                    if r[a, b].any()])
+    for name in ("src", "dst", "flags"):
+        assert np.array_equal(getattr(ea, name), getattr(ref, name)), name
+    assert (ea.src.dtype, ea.dst.dtype, ea.flags.dtype) == (np.intp, np.intp, np.float64)
+    assert ea.num_nodes == ref.num_nodes == n
+    if every_pair:
+        assert ea.src.size == n + n * (n - 1)
 
 
 def test_isolated_node_is_affine():
     rng = np.random.default_rng(0)
     h = rng.normal(size=(1, 6))
     params = gat_params(rng, 6, 3)
-    out = nn.gat_forward(Tensor(h), nn.build_edge_arrays(1, []), *leaf_tensors(params))
+    out = nn.gat_forward(Tensor(h), nn.build_edge_arrays(relation(1, [])), *leaf_tensors(params))
     weight, _, bias = params
     expected = h @ weight + bias
     np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-14)
@@ -39,7 +74,7 @@ def test_symmetric_nodes_identical_outputs():
     row = rng.normal(size=5)
     h = np.stack([row, row])
     params = gat_params(rng, 5, 4)
-    ea = nn.build_edge_arrays(2, [(0, 1, (True, True, False, False))])
+    ea = nn.build_edge_arrays(relation(2, [(0, 1, (True, True, False, False))]))
     out = nn.gat_forward(Tensor(h), ea, *leaf_tensors(params)).data
     np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
@@ -72,7 +107,8 @@ def test_permutation_equivariance(seed):
     params = gat_params(rng, 5, 4)
     edges = [(0, 2, (True, False, False, False)), (1, 4, (False, True, True, False)),
              (2, 5, (True, True, False, True)), (3, 4, (False, False, False, True))]
-    ea = nn.build_edge_arrays(n, edges)
+    r = relation(n, edges)
+    ea = nn.build_edge_arrays(r)
     out = nn.gat_forward(Tensor(h), ea, *leaf_tensors(params)).data
     layer, _ = nn.gat_layer(h, ea, *params)
 
@@ -80,14 +116,8 @@ def test_permutation_equivariance(seed):
     # place original node v at new index perm[v]
     h_p = np.empty_like(h)
     h_p[perm] = h
-    p_edges = []
-    for u, v, fl in edges:
-        a, b = perm[u], perm[v]
-        if a < b:
-            p_edges.append((int(a), int(b), fl))
-        else:
-            p_edges.append((int(b), int(a), (fl[1], fl[0], fl[3], fl[2])))
-    ea_p = nn.build_edge_arrays(n, p_edges)
+    inv = np.argsort(perm)
+    ea_p = nn.build_edge_arrays(r[inv][:, inv])
     out_p = nn.gat_forward(Tensor(h_p), ea_p, *leaf_tensors(params)).data
     np.testing.assert_allclose(out_p[perm], out, atol=1e-9)
     layer_p, _ = nn.gat_layer(h_p, ea_p, *params)
@@ -100,7 +130,7 @@ def test_gat_gradcheck_through_layer():
     weight, attn, bias = gat_params(rng, 3, 2)
     edges = [(0, 1, (True, False, False, False)), (1, 2, (False, False, True, False)),
              (2, 3, (True, True, False, False))]
-    ea = nn.build_edge_arrays(4, edges)
+    ea = nn.build_edge_arrays(relation(4, edges))
     probe = rng.normal(size=(4, 2))
 
     arrays = {"h": h0.copy(), "w": weight, "a": attn, "b": bias}
@@ -123,7 +153,7 @@ def test_shape_mismatch_raises():
     rng = np.random.default_rng(0)
     params = leaf_tensors(gat_params(rng, 5, 4))
     with pytest.raises(ValueError):
-        nn.gat_forward(Tensor(np.ones((2, 7))), nn.build_edge_arrays(2, []), *params)
+        nn.gat_forward(Tensor(np.ones((2, 7))), nn.build_edge_arrays(relation(2, [])), *params)
 
 
 def test_mean_pool_channels_example():

@@ -12,6 +12,8 @@ from cascade_gnn.synthgen import (GenConfig, _cascade_size_probs, community_assi
                                   generate_dataset, generate_social_graph, summary_stats)
 from cascade_gnn.types import CascadeRecord, SocialGraph, UrlStory
 
+from helpers import assert_spreading_tree
+
 SMALL = GenConfig(num_users=800, num_urls=40, mean_cascades_per_url=6.0)
 
 
@@ -150,8 +152,7 @@ class TestDataset:
     def test_spreading_tree_estimation_never_fails(self, small_world):
         social, _, cascades = small_world
         for cas in cascades[:200]:
-            tree = estimate_spreading_tree(cas, social)
-            assert len(tree.parent) == cas.size - 1
+            assert_spreading_tree(estimate_spreading_tree(cas, social), cas)
 
     def test_fake_fraction_on_realized_draw(self, small_world):
         _, stories, _ = small_world
