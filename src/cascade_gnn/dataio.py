@@ -12,10 +12,12 @@ import json
 import math
 import os
 import sys
+from array import array
 
 import numpy as np
 
-from .types import EMBEDDING_DIM, CascadeRecord, SocialGraph, Tweet, UrlStory, User
+from .types import (EMBEDDING_DIM, CascadeRecord, SocialGraph, Tweet, UrlStory, User,
+                    first_repeat)
 
 USERS_FILE = "users.jsonl"
 FOLLOWS_FILE = "follows.csv"
@@ -102,8 +104,7 @@ def write_dataset(dirpath, social: SocialGraph, stories: list[UrlStory],
     with open(os.path.join(dirpath, FOLLOWS_FILE), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["follower_id", "followee_id"])
-        for a, b in sorted(social.follows):
-            writer.writerow([a, b])
+        writer.writerows(social.pairs())
 
     with open(os.path.join(dirpath, CASCADES_FILE), "w", encoding="utf-8") as fh:
         for cas in sorted(cascades, key=lambda c: c.cascade_id):
@@ -154,18 +155,28 @@ def _require_fields(rec, fields: dict) -> None:
             raise ValueError(f"field {name!r} must be finite, got {value}")
 
 
+# The one array every loaded embedding of all +0.0 components shares; a
+# -0.0 component keeps a vector its own array, since the writer prints it.
+_ZERO_EMBEDDING = np.zeros(EMBEDDING_DIM)
+_ZERO_EMBEDDING.flags.writeable = False
+
+
 def _embedding(rec, name: str) -> np.ndarray:
-    """Field ``name`` of ``rec`` as a float64 array; a component that is not a
-    JSON number raises (numpy would parse ``"0.5"`` and ``true`` as numbers)."""
+    """Field ``name`` of ``rec`` as a float64 array, ``_ZERO_EMBEDDING`` if all
+    its components are +0.0; a component that is not a JSON number raises
+    (numpy would parse ``"0.5"`` and ``true`` as numbers)."""
     values = rec[name]
     if not set(map(type, values)) <= {float, int}:
         k, bad = next((k, v) for k, v in enumerate(values) if type(v) not in (float, int))
         raise ValueError(f"field {name!r} component {k} must be a number, "
                          f"got {_JSON_NAMES[type(bad)]}")
     try:
-        return np.asarray(values, dtype=np.float64)
+        vec = np.asarray(values, dtype=np.float64)
     except OverflowError:  # an integer literal beyond the float range
         raise ValueError(f"field {name!r} has a component beyond the float range") from None
+    if vec.shape == _ZERO_EMBEDDING.shape and not vec.any() and not np.signbit(vec).any():
+        return _ZERO_EMBEDDING
+    return vec
 
 
 def _records(path, build, id_field: str) -> dict:
@@ -219,6 +230,47 @@ def _story(rec) -> UrlStory:
     return UrlStory(rec["url_id"], rec["label"], rec["first_seen"], tuple(rec["cascade_ids"]))
 
 
+def _social_graph(path, users: dict[str, User]) -> SocialGraph:
+    """The graph of ``users`` with the follow rows of the CSV file ``path``.
+    A row that is not two fields, a self-follow, a row naming an unknown user
+    and a row that repeats an earlier one raise ``DatasetFormatError`` with
+    its line; of several, the first in the file."""
+    index = {u: k for k, u in enumerate(users)}
+    followers, followees, lines = array("q"), array("q"), array("q")
+    bad = None  # (line, reason) of the first row that cannot be read
+    reader = csv.reader(text_lines(_require(path), newline=""))
+    try:
+        header = next(reader, None)
+        if header != ["follower_id", "followee_id"]:
+            raise DatasetFormatError(path, 1, f"unexpected header {header}")
+        for row in reader:
+            if len(row) != 2:
+                reason = f"expected 2 fields, got {len(row)}"
+            elif row[0] == row[1]:
+                reason = f"self-follow {row[0]!r}"
+            elif row[0] not in index or row[1] not in index:
+                unknown = row[0] if row[0] not in index else row[1]
+                reason = f"unknown user {unknown!r}"
+            else:
+                followers.append(index[row[0]])
+                followees.append(index[row[1]])
+                lines.append(reader.line_num)
+                continue
+            bad = (reader.line_num, reason)
+            break
+    except csv.Error as exc:  # a field over csv's size limit
+        bad = (reader.line_num, str(exc))
+    # a repeat is checked once the rows are read; any comes before ``bad``
+    k = first_repeat(followers, followees)
+    if k is not None:
+        ids = list(users)
+        raise DatasetFormatError(path, lines[k], f"duplicate follow {ids[followers[k]]!r} -> "
+                                                 f"{ids[followees[k]]!r}")
+    if bad is not None:
+        raise DatasetFormatError(path, *bad)
+    return SocialGraph.from_pairs(users, followers, followees)
+
+
 def load_dataset(dirpath) -> tuple[SocialGraph, list[UrlStory], list[CascadeRecord]]:
     """Read a dataset directory.  A record that cannot be read (a line that
     is not UTF-8, a field missing or of the wrong JSON type, an integer
@@ -231,30 +283,7 @@ def load_dataset(dirpath) -> tuple[SocialGraph, list[UrlStory], list[CascadeReco
     users = {uid: u for uid, (_, u) in
              _records(os.path.join(dirpath, USERS_FILE), _user, "user_id").items()}
 
-    follows = set()
-    path = os.path.join(dirpath, FOLLOWS_FILE)
-    reader = csv.reader(text_lines(_require(path), newline=""))
-    try:
-        header = next(reader, None)
-        if header != ["follower_id", "followee_id"]:
-            raise DatasetFormatError(path, 1, f"unexpected header {header}")
-        for row in reader:
-            if len(row) != 2:
-                reason = f"expected 2 fields, got {len(row)}"
-            elif row[0] == row[1]:
-                reason = f"self-follow {row[0]!r}"
-            elif row[0] not in users or row[1] not in users:
-                unknown = row[0] if row[0] not in users else row[1]
-                reason = f"unknown user {unknown!r}"
-            elif (row[0], row[1]) in follows:
-                reason = f"duplicate follow {row[0]!r} -> {row[1]!r}"
-            else:
-                follows.add((row[0], row[1]))
-                continue
-            raise DatasetFormatError(path, reader.line_num, reason)
-    except csv.Error as exc:  # a field over csv's size limit
-        raise DatasetFormatError(path, reader.line_num, str(exc)) from None
-    social = SocialGraph(users=users, follows=frozenset(follows))
+    social = _social_graph(os.path.join(dirpath, FOLLOWS_FILE), users)
 
     cas_path, url_path = os.path.join(dirpath, CASCADES_FILE), os.path.join(dirpath, URLS_FILE)
     cascades = _records(cas_path, _cascade, "cascade_id")

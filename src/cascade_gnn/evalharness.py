@@ -18,6 +18,7 @@ import os
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -150,10 +151,13 @@ def split_by_url(samples: list[PreparedGraph], *url_sets) -> tuple[list[Prepared
 def train_and_score(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
                     test_set: list[PreparedGraph], config: ModelConfig
                     ) -> tuple[TrainResult, list[float]]:
-    """Train one model and return it with the fake score of every test sample."""
-    result = train(train_set, val_set, config)
-    with np.errstate(all="ignore"):  # fake_score rejects a non-finite score
-        return result, [fake_score(forward(s, result.params)[0]) for s in test_set]
+    """Train one model and return it with the fake score of every test sample.
+    BLAS runs on one thread, as in a pool worker: at these graph sizes a
+    second thread saves no wall time and costs CPU time."""
+    with _one_blas_thread():
+        result = train(train_set, val_set, config)
+        with np.errstate(all="ignore"):  # fake_score rejects a non-finite score
+            return result, [fake_score(forward(s, result.params)[0]) for s in test_set]
 
 
 # -- cross-validation ---------------------------------------------------------
@@ -186,22 +190,45 @@ def _test_auc(scored) -> float | None:
 _ROUNDS: list = []  # a pool worker's payloads, set by ``_start_worker``
 
 
-def _start_worker(rounds) -> None:
-    """Pool initializer: keep the payloads, which a forked worker inherits
-    without pickling, and run the worker's BLAS on one thread so that
-    ``jobs`` workers keep to ``jobs`` cores.  Without numpy's bundled
-    OpenBLAS, or its thread setter, BLAS keeps its own thread count."""
-    global _ROUNDS
-    _ROUNDS = rounds
+def _set_blas_threads(n: int) -> int | None:
+    """Run BLAS on ``n`` threads and return the count it ran on before.
+    Without numpy's bundled OpenBLAS, or its thread functions, BLAS keeps
+    its own thread count and the result is None."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(libs, "*openblas*")):
         try:
-            set_threads = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+            lib = ctypes.CDLL(path)
         except OSError:
             continue
-        if set_threads is not None:
+        get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get_threads is not None and set_threads is not None:
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
             set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            set_threads(1)
+            before = get_threads()
+            set_threads(n)
+            return before
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block's BLAS on one thread, then restore the caller's count."""
+    before = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if before is not None:
+            _set_blas_threads(before)
+
+
+def _start_worker(rounds) -> None:
+    """Pool initializer: keep the payloads, which a forked worker inherits
+    without pickling, and run the worker's BLAS on one thread so that
+    ``jobs`` workers keep to ``jobs`` cores."""
+    global _ROUNDS
+    _ROUNDS = rounds
+    _set_blas_threads(1)
 
 
 def _run_round(i: int):
@@ -480,7 +507,7 @@ def backward_feature_selection(base: list[PreparedGraph], stories: list[UrlStory
 
 def _undirected_adjacency(social: SocialGraph) -> dict[str, list[str]]:
     adj: dict[str, list[str]] = {u: [] for u in social.users}
-    for a, b in social.follows:
+    for a, b in social.pairs():
         adj[a].append(b)
         adj[b].append(a)
     return adj
@@ -650,7 +677,7 @@ def fr_layout(social: SocialGraph, iterations: int = 60,
     block by row block, which numpy's axis-0 reduction keeps only for arrays
     two or more columns wide; so no block is one user wide.  Attraction adds
     the follow edges in sorted (follower, followee) order."""
-    ids = sorted(social.users)
+    ids = social.ids
     n = len(ids)
     if n == 0:
         raise ProtocolError("the dataset has no users to lay out")
@@ -658,12 +685,7 @@ def fr_layout(social: SocialGraph, iterations: int = 60,
     pos = rng.random((n, 2))
     if n == 1:
         return {ids[0]: (float(pos[0, 0]), float(pos[0, 1]))}
-    index = {u: i for i, u in enumerate(ids)}
-    # ``index`` follows the sorted IDs, so ordering the index pairs orders
-    # the edges as sorting the ID pairs would.
-    edges = np.array([index[u] for pair in social.follows for u in pair],
-                     dtype=np.intp).reshape(-1, 2)
-    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    edges = social.index_pairs()
     k = np.sqrt(1.0 / n)
     temp = 0.1
     dt = temp / (iterations + 1)
@@ -681,4 +703,4 @@ def fr_layout(social: SocialGraph, iterations: int = 60,
         length = np.sqrt((disp * disp).sum(axis=1)) + eps
         pos += disp / length[:, None] * np.minimum(length, temp)[:, None]
         temp = max(temp - dt, 0.0)
-    return {u: (float(pos[i, 0]), float(pos[i, 1])) for u, i in index.items()}
+    return {u: (float(pos[i, 0]), float(pos[i, 1])) for i, u in enumerate(ids)}

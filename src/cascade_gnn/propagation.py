@@ -4,6 +4,9 @@ The spreading rules assign each retweet an estimated predecessor: the
 latest preceding tweet whose author the retweeter follows, falling back
 to the preceding tweet whose author has the most followers.  A cascade's
 spreading tree is the map from each retweet's ID to its predecessor's.
+Who follows whom comes from one ``SocialGraph.follow_matrix`` lookup per
+graph (or per cascade, for a tree estimated on its own): a binary search of
+the nodes' author pairs in the graph's sorted follow array.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ import numpy as np
 from .classifier import PreparedGraph
 from .features import FeatureSchema, encode_node_features
 from .nn import build_edge_arrays
-from .types import CascadeRecord, SCOPE_CASCADE, SCOPE_URL, SCOPES, SocialGraph, Tweet, UrlStory
+from .types import CascadeRecord, SCOPE_CASCADE, SCOPE_URL, SCOPES, SocialGraph, UrlStory
 
 
 def estimate_spreading_tree(cascade: CascadeRecord, social: SocialGraph) -> dict[str, str]:
@@ -29,27 +32,25 @@ def estimate_spreading_tree(cascade: CascadeRecord, social: SocialGraph) -> dict
     for t in cascade.tweets:
         if t.author not in social.users:
             raise KeyError(f"cascade {cascade.cascade_id!r} references unknown user {t.author!r}")
+    return _spreading_tree(cascade, social.follow_matrix([t.author for t in cascade.tweets]),
+                           social)
 
+
+def _spreading_tree(cascade: CascadeRecord, follows: np.ndarray,
+                    social: SocialGraph) -> dict[str, str]:
+    """``estimate_spreading_tree`` given the cascade's follow matrix: entry
+    [k, j] says tweet k's author follows tweet j's."""
+    tweets = cascade.tweets
+    rows = follows.tolist()
+    followers = [social.users[t.author].followers_count for t in tweets]
     parent: dict[str, str] = {}
-    preceding: list[Tweet] = []
-    for tweet in cascade.tweets:
-        if tweet.is_source:
-            preceding.append(tweet)
-            continue
-        chosen = None
-        for prev in reversed(preceding):
-            if (tweet.author, prev.author) in social.follows:
-                chosen = prev
-                break
-        if chosen is None:
-            best = -1
-            for prev in preceding:
-                followers = social.users[prev.author].followers_count
-                if followers > best:
-                    best = followers
-                    chosen = prev
-        parent[tweet.tweet_id] = chosen.tweet_id
-        preceding.append(tweet)
+    most = 0  # the earliest tweet before k whose author has the most followers
+    for k in range(1, len(tweets)):
+        if followers[k - 1] > followers[most]:
+            most = k - 1
+        earlier = rows[k][k - 1::-1]  # does k's author follow that of tweet k - 1, ..., 0
+        j = k - 1 - earlier.index(True) if True in earlier else most
+        parent[tweets[k].tweet_id] = tweets[j].tweet_id
     return parent
 
 
@@ -118,7 +119,9 @@ def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
     tweet ID) order, and the messages that ``nn.build_edge_arrays`` makes
     of the nodes' pair relations.  The relation array's entry [i, j] holds
     (i_follows_j, j_follows_i, spread_i_to_j, spread_j_to_i): follow flags
-    from the social graph, spread flags from the per-cascade spreading trees.
+    from one ``follow_matrix`` lookup over the nodes' authors, spread flags
+    from the per-cascade spreading trees, which read their cascade's block
+    of that matrix.
 
     ``scope="url_wise"`` takes all given cascades of the story and is keyed
     by its URL, ``scope="cascade_wise"`` exactly one, keyed by its ID.
@@ -149,15 +152,15 @@ def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
             raise ValueError(f"duplicate tweet id {t.tweet_id!r} in story {story.url_id!r}")
 
     n = len(entries)
+    # follows[i, j]: node i's author follows node j's
+    authors = [t.author for t, _ in entries]
+    follows = social.follow_matrix(authors)
     # spread[i, j]: node i is node j's spreading-tree parent
     spread = np.zeros((n, n), dtype=bool)
     for cas in cascades:
-        for child, parent in estimate_spreading_tree(cas, social).items():
+        nodes = np.array([index[t.tweet_id] for t in cas.tweets])
+        for child, parent in _spreading_tree(cas, follows[nodes[:, None], nodes], social).items():
             spread[index[parent], index[child]] = True
-    # follows[i, j]: node i's author follows node j's
-    authors = [t.author for t, _ in entries]
-    follows = np.fromiter(((a, b) in social.follows for a in authors for b in authors),
-                          dtype=bool, count=n * n).reshape(n, n)
     relation = np.stack([follows, follows.T, spread, spread.T], axis=2)
 
     feats = np.empty((n, schema.width))

@@ -225,15 +225,11 @@ def generate_social_graph(cfg: GenConfig) -> SocialGraph:
             if rng.random() < cfg.reciprocal_follow_prob:
                 add_follow(chosen, u)
 
-    in_deg = np.zeros(n, dtype=np.int64)
-    out_deg = np.zeros(n, dtype=np.int64)
-    for a, b in follows_idx:
-        out_deg[a] += 1
-        in_deg[b] += 1
-
-    users = _generate_profiles(cfg, comm, in_deg, out_deg)
-    follows = frozenset((user_id(a), user_id(b)) for a, b in follows_idx)
-    return SocialGraph(users=users, follows=follows)
+    pairs = np.array(list(follows_idx), dtype=np.int64).reshape(-1, 2)
+    out_deg = np.bincount(pairs[:, 0], minlength=n)
+    in_deg = np.bincount(pairs[:, 1], minlength=n)
+    users = _generate_profiles(cfg, comm, in_deg, out_deg)  # user i is list(users)[i]
+    return SocialGraph.from_pairs(users, pairs[:, 0], pairs[:, 1])
 
 
 def _generate_profiles(cfg: GenConfig, comm, in_deg, out_deg) -> dict[str, User]:
@@ -286,10 +282,10 @@ def _cascade_size_probs(cfg: GenConfig) -> np.ndarray:
 
 def _followers_adjacency(cfg: GenConfig, social: SocialGraph) -> list[np.ndarray]:
     """followers_of[v] = indexes of users following v, ascending."""
-    lists: list[list[int]] = [[] for _ in range(cfg.num_users)]
-    for a, b in social.follows:
-        lists[int(b[1:])].append(int(a[1:]))
-    return [np.asarray(sorted(l), dtype=np.int64) for l in lists]
+    number = np.array([int(u[1:]) for u in social.ids], dtype=np.int64)  # user_id's inverse
+    pairs = number[social.index_pairs()]
+    followers = pairs[np.lexsort((pairs[:, 0], pairs[:, 1])), 0]
+    return np.split(followers, np.cumsum(np.bincount(pairs[:, 1], minlength=cfg.num_users))[:-1])
 
 
 def _grow_cascade(rng, cfg: GenConfig, size: int, seed_user: int, root_time: float,
@@ -365,6 +361,7 @@ def generate_dataset(cfg: GenConfig, social: SocialGraph) -> tuple[list[UrlStory
     counts = np.maximum(1, np.round(raw * scale).astype(np.int64))
 
     size_probs = _cascade_size_probs(cfg)
+    device_p = _device_probabilities(cfg.profile_signal_strength)
     stories: list[UrlStory] = []
     cascades: list[CascadeRecord] = []
     for u_idx in range(cfg.num_urls):
@@ -396,7 +393,7 @@ def generate_dataset(cfg: GenConfig, social: SocialGraph) -> tuple[list[UrlStory
                     retweeted_quote_count=int(np.expm1(rng.normal(1.0, 1.2)).clip(0)),
                     retweeted_favorite_count=int(np.expm1(rng.normal(2.5, 1.8)).clip(0)),
                     retweeted_retweet_count=int(np.expm1(rng.normal(2.0, 1.6)).clip(0)),
-                    source_device=_pick_device(rng, comm[uidx], cfg.profile_signal_strength),
+                    source_device=_DEVICES[rng.choice(len(_DEVICES), p=device_p[comm[uidx]])],
                     text_embedding=emb.unit(rng),
                     hashtag_embedding=(np.zeros(EMBEDDING_DIM) if no_hashtags else emb.unit(rng)),
                 ))
@@ -407,12 +404,13 @@ def generate_dataset(cfg: GenConfig, social: SocialGraph) -> tuple[list[UrlStory
     return stories, cascades
 
 
-def _pick_device(rng, community: int, s: float) -> str:
-    shifted = _DEVICE_P_UNRELIABLE if community else _DEVICE_P_RELIABLE
+def _device_probabilities(s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The source-device distribution of each community (reliable first),
+    shifted from the communities' mean by the signal strength ``s``."""
     base = np.array([(b + u) / 2 for b, u in zip(_DEVICE_P_RELIABLE, _DEVICE_P_UNRELIABLE)])
-    p = (1.0 - s) * base + s * np.asarray(shifted)
-    p = p / p.sum()
-    return _DEVICES[rng.choice(len(_DEVICES), p=p)]
+    shifted = [(1.0 - s) * base + s * np.asarray(p) for p in (_DEVICE_P_RELIABLE,
+                                                              _DEVICE_P_UNRELIABLE)]
+    return tuple(p / p.sum() for p in shifted)
 
 
 @dataclass(frozen=True)

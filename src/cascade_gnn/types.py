@@ -3,11 +3,14 @@ the value rules that check a config value wherever it comes from.
 
 All types are immutable after construction and validate their invariants in
 ``__post_init__``; operations elsewhere in the package treat them as values.
-Timestamps are UTC seconds as floats.
+Timestamps are UTC seconds as floats.  ``SocialGraph`` keeps its follow
+relations as one sorted, read-only integer array, whose encoding only this
+module knows; other modules read index pairs, ID pairs, counts or
+``follow_matrix`` lookups from it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -156,18 +159,98 @@ class Tweet:
 
 @dataclass(frozen=True, eq=False)
 class SocialGraph:
-    """Directed follow relations; ``(a, b)`` in ``follows`` means a follows b."""
+    """Directed follow relations among ``users``.
+
+    ``ids`` holds the user IDs sorted, and a user's index is its position
+    there.  ``follows`` holds one int64 code per follow relation,
+    ``a * len(ids) + b`` for "user a follows user b", sorted and unique; so
+    its order is the order of the sorted (follower, followee) ID pairs.  Only
+    this class reads or writes the codes: ``from_pairs`` builds a graph from
+    index pairs, and ``index_pairs``, ``pairs`` and ``follow_matrix`` read it.
+    """
 
     users: dict[str, User]
-    follows: frozenset[tuple[str, str]]
+    follows: np.ndarray
+    ids: tuple[str, ...] = field(init=False, repr=False)
+    _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "follows", frozenset(self.follows))
-        for a, b in self.follows:
-            if a == b:
-                raise ValueError(f"self-follow pair {a!r}")
-            if a not in self.users or b not in self.users:
-                raise ValueError(f"follow pair ({a!r}, {b!r}) references unknown user")
+        ids = tuple(sorted(self.users))
+        n = len(ids)
+        codes = np.asarray(self.follows)
+        if codes.ndim != 1 or (codes.size and codes.dtype.kind not in "iu"):
+            raise ValueError(f"follows must be a 1-d integer array, got {codes.dtype} "
+                             f"of shape {codes.shape}")
+        codes = codes.astype(np.int64)
+        codes.flags.writeable = False
+        step = np.diff(codes)
+        if (step < 0).any():
+            raise ValueError("follows are not sorted")
+        if (step == 0).any():
+            raise ValueError("a follow is repeated")
+        if codes.size and (codes[0] < 0 or codes[-1] >= n * n):
+            raise ValueError(f"a follow references a user beyond the {n} users")
+        if (codes // n == codes % n).any():
+            raise ValueError("a user follows itself")
+        object.__setattr__(self, "follows", codes)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "_index", {u: k for k, u in enumerate(ids)})
+
+    @classmethod
+    def from_pairs(cls, users: dict[str, User], followers, followees) -> SocialGraph:
+        """The graph in which ``followers[k]`` follows ``followees[k]``, both
+        positions in ``list(users)``, in any order; a pair out of range,
+        repeated or of one user raises ``ValueError``."""
+        n = len(users)
+        a, b = (np.asarray(x, dtype=np.int64) for x in (followers, followees))
+        if a.size != b.size:
+            raise ValueError(f"{a.size} followers for {b.size} followees")
+        if a.size and (min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= n):
+            raise ValueError(f"a follow references a user beyond the {n} users")
+        keys = list(users)
+        rank = np.empty(n, dtype=np.int64)
+        rank[sorted(range(n), key=keys.__getitem__)] = np.arange(n)
+        return cls(users, np.sort(rank[a] * n + rank[b]))
+
+    def index_pairs(self) -> np.ndarray:
+        """(len(follows), 2) intp: each follow's (follower, followee) indexes
+        into ``ids``, in sorted order."""
+        return np.stack(np.divmod(self.follows, len(self.ids)), axis=1).astype(np.intp, copy=False)
+
+    def pairs(self) -> list[tuple[str, str]]:
+        """Each follow as its (follower ID, followee ID) pair, in sorted order."""
+        ids = self.ids
+        return [(ids[a], ids[b]) for a, b in self.index_pairs().tolist()]
+
+    def follow_matrix(self, ids) -> np.ndarray:
+        """(k, k) bool for the k user IDs ``ids``, which may repeat: entry
+        [i, j] says that ``ids[i]`` follows ``ids[j]``.  An unknown ID raises
+        ``KeyError``."""
+        at = np.fromiter(map(self._index.__getitem__, ids), dtype=np.int64, count=len(ids))
+        follows = self.follows
+        if not follows.size:
+            return np.zeros((at.size, at.size), dtype=bool)
+        # in sorted user order the codes come sorted, and searchsorted walks them in order
+        order = np.argsort(at)
+        users = at[order]
+        codes = (users[:, None] * len(self.ids) + users).ravel()
+        found = np.minimum(np.searchsorted(follows, codes), follows.size - 1)
+        hit = (follows[found] == codes).reshape(at.size, at.size)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return hit[rank[:, None], rank]
+
+
+def first_repeat(followers, followees) -> int | None:
+    """The position of the first (follower, followee) index pair that
+    repeats an earlier one, or None."""
+    a, b = (np.asarray(x, dtype=np.int64) for x in (followers, followees))
+    if a.size < 2:
+        return None
+    codes = a * (max(a.max(), b.max()) + 1) + b
+    order = np.argsort(codes, kind="stable")  # a repeat sorts after its first
+    later = order[1:][codes[order[1:]] == codes[order[:-1]]]
+    return int(later.min()) if later.size else None
 
 
 @dataclass(frozen=True, eq=False)

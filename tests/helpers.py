@@ -52,10 +52,17 @@ def assert_spreading_tree(parent, cascade):
     assert all(p in position and position[p] < position[c] for c, p in parent.items())
 
 
+def social_graph(users, follows):
+    """The graph of the ``users`` dict with the (follower, followee) ID pairs ``follows``."""
+    position = {u: k for k, u in enumerate(users)}
+    pairs = np.array([(position[a], position[b]) for a, b in follows], dtype=np.intp)
+    return SocialGraph.from_pairs(users, *pairs.reshape(-1, 2).T)
+
+
 def make_social(user_specs, follows):
     """user_specs: {uid: followers_count}; follows: iterable of (a, b)."""
     users = {uid: make_user(uid, followers=cnt) for uid, cnt in user_specs.items()}
-    return SocialGraph(users=users, follows=frozenset(follows))
+    return social_graph(users, follows)
 
 
 def make_story(url_id, label, cascade_ids, first_seen=0.0):
@@ -260,7 +267,7 @@ def reference_fr_layout(social: SocialGraph, iterations: int = 60, seed: int = 0
     if n == 1:
         return {ids[0]: (float(pos[0, 0]), float(pos[0, 1]))}
     index = {u: i for i, u in enumerate(ids)}
-    edges = np.array([[index[a], index[b]] for a, b in sorted(social.follows)], dtype=np.intp)
+    edges = np.array([[index[a], index[b]] for a, b in sorted(social.pairs())], dtype=np.intp)
     k = np.sqrt(area / n)
     temp = 0.1 * np.sqrt(area)
     dt = temp / (iterations + 1)

@@ -127,6 +127,8 @@ def test_criterion_02_spreading_tree_oracle():
     small = [c for c in cascades if c.size <= 6][:200]
     assert len(small) == 200
 
+    follows = set(social.pairs())
+
     def brute_force(cascade):
         parent = {}
         for n, tweet in enumerate(cascade.tweets):
@@ -134,7 +136,7 @@ def test_criterion_02_spreading_tree_oracle():
                 continue
             prev = list(cascade.tweets[:n])
             followed = [p for p in prev
-                        if (tweet.author, p.author) in social.follows]
+                        if (tweet.author, p.author) in follows]
             if followed:
                 parent[tweet.tweet_id] = followed[-1].tweet_id
             else:

@@ -13,12 +13,11 @@ from cascade_gnn.features import FEATURE_GROUPS, default_schema
 from cascade_gnn.nn import hinge_loss
 from cascade_gnn.optim import NumericError, OptimizerState, amsgrad_step
 from cascade_gnn.propagation import build_propagation_graph
-from cascade_gnn.types import SocialGraph
 from cascade_gnn.autograd import Tensor
 import cascade_gnn.classifier as classifier_mod
 
 from helpers import (edge_relation, make_cascade, make_social, make_story, make_user,
-                     tape_tensors)
+                     social_graph, tape_tensors)
 
 SCHEMA = default_schema()
 
@@ -34,7 +33,7 @@ def tiny_graph(label="true_news", n_users=3, seed=0, random_embeddings=False):
         users[f"u{i}"] = make_user(f"u{i}", followers=int(rng.integers(0, 50)), **kw)
     follows = {(f"u{i}", f"u{j}") for i in range(n_users) for j in range(n_users)
                if i != j and rng.random() < 0.4}
-    social = SocialGraph(users=users, follows=frozenset(follows))
+    social = social_graph(users, follows)
     cas = make_cascade([(f"u{i}", 30.0 * i) for i in range(n_users)], "c0", "url0")
     story = make_story("url0", label, ["c0"])
     return build_propagation_graph(story, [cas], social, "cascade_wise", SCHEMA)

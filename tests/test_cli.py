@@ -787,6 +787,11 @@ def _edit_follow(make_row):
     return corrupt
 
 
+def _repeat_follow(lines):
+    """Make line 3 of follows.csv repeat line 2."""
+    lines[2] = lines[1]
+
+
 def _bad_byte(lines):
     """Put a byte that is not UTF-8 (0xff, escaped) in the middle of line 3."""
     half = len(lines[2]) // 2
@@ -804,6 +809,7 @@ class TestDatasetFormat:
          "tweet 0: missing field 'author'"),
         ("follows.csv", _edit_follow(lambda a, b: f"{a},nobody"), "unknown user 'nobody'"),
         ("follows.csv", _edit_follow(lambda a, b: f"{a},{a}"), "self-follow"),
+        ("follows.csv", _repeat_follow, "duplicate follow 'u"),
         ("users.jsonl", _repeat_id(lambda r: r, "user_id"), "duplicate user_id"),
         ("cascades.jsonl", _repeat_id(lambda r: r, "cascade_id"), "duplicate cascade_id"),
         ("cascades.jsonl", _repeat_id(lambda r: r["tweets"][0], "tweet_id"),

@@ -14,6 +14,8 @@ from cascade_gnn.dataio import (DatasetNotFoundError, cascades_by_url,
 from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_graph
 from cascade_gnn.types import EMBEDDING_DIM
 
+from helpers import make_user
+
 CFG = GenConfig(num_users=150, num_urls=8, mean_cascades_per_url=3.0)
 
 
@@ -31,7 +33,7 @@ def test_round_trip_preserves_structure(tmp_path, world):
         assert (tmp_path / name).is_file()
     social2, stories2, cascades2 = load_dataset(tmp_path)
     assert set(social2.users) == set(social.users)
-    assert social2.follows == social.follows
+    assert np.array_equal(social2.follows, social.follows)
     assert [s.url_id for s in stories2] == sorted(s.url_id for s in stories)
     assert {s.url_id: s.label for s in stories2} == {s.url_id: s.label for s in stories}
     by_id = {c.cascade_id: c for c in cascades}
@@ -127,3 +129,65 @@ def test_unit_scale_vectors_take_the_one_call_path(monkeypatch):
     monkeypatch.setattr(dataio, "_round_vec", per_component)
     assert dataio._vector_json(vec) == expected
     assert dataio._vector_json(np.zeros(EMBEDDING_DIM)) == json.dumps([0.0] * EMBEDDING_DIM)
+
+
+def test_all_zero_embeddings_share_one_read_only_array(tmp_path, world):
+    social, stories, cascades = world
+    write_dataset(tmp_path / "a", social, stories, cascades)
+    social2, stories2, cascades2 = load_dataset(tmp_path / "a")
+    hashtags = [t.hashtag_embedding for c in cascades2 for t in c.tweets]
+    zeros = [v for v in hashtags if not v.any()]
+    assert zeros and all(v is dataio._ZERO_EMBEDDING for v in zeros)
+    assert all(v is not dataio._ZERO_EMBEDDING for v in hashtags if v.any())
+    with pytest.raises(ValueError):
+        dataio._ZERO_EMBEDDING[0] = 1.0
+    # the shared array writes as the zeros it replaced
+    write_dataset(tmp_path / "b", social2, stories2, cascades2)
+    for name in ("users.jsonl", "follows.csv", "cascades.jsonl", "urls.jsonl"):
+        assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False), name
+
+
+@pytest.mark.parametrize("values", [[0.0] * EMBEDDING_DIM, [0] * EMBEDDING_DIM])
+def test_a_zero_embedding_is_the_shared_array(values):
+    assert dataio._embedding({"e": values}, "e") is dataio._ZERO_EMBEDDING
+
+
+@pytest.mark.parametrize("values", [
+    [0.0] * (EMBEDDING_DIM - 1) + [-0.0],  # the writer prints -0.0
+    [-0.0] * EMBEDDING_DIM,
+    [0.0] * (EMBEDDING_DIM - 1),           # the wrong length still fails the type's check
+])
+def test_an_embedding_that_differs_keeps_its_own_array(values):
+    vec = dataio._embedding({"e": values}, "e")
+    assert vec is not dataio._ZERO_EMBEDDING and vec.flags.writeable
+    assert np.array_equal(np.signbit(vec), np.signbit(values))
+
+
+@pytest.mark.parametrize("rows, line, reason", [
+    # of a repeated row and a bad row, the first in the file is reported
+    (["A,B", "A,B", "A,nobody"], 3, "duplicate follow 'A' -> 'B'"),
+    (["A,B", "A,nobody", "A,B"], 3, "unknown user 'nobody'"),
+    (["A,B", "B,A", "B,A", "A,A"], 4, "duplicate follow 'B' -> 'A'"),
+    (["A,B", "B,B", "A,B"], 3, "self-follow 'B'"),
+    (["B,A", "A,B", "B,A", "A,B"], 4, "duplicate follow 'B' -> 'A'"),
+    (["A,B", "A"], 3, "expected 2 fields, got 1"),
+])
+def test_follow_rows_fail_in_file_order(tmp_path, rows, line, reason):
+    (tmp_path / "users.jsonl").write_text("".join(
+        dataio._record_json(make_user(u), dataio._USER_FIELDS) + "\n" for u in "BA"))
+    (tmp_path / "follows.csv").write_text("\n".join(["follower_id,followee_id"] + rows) + "\n")
+    for name in ("cascades.jsonl", "urls.jsonl"):
+        (tmp_path / name).write_text("")
+    with pytest.raises(dataio.DatasetFormatError) as err:
+        load_dataset(tmp_path)
+    assert (err.value.line, err.value.reason) == (line, reason)
+
+
+def test_loaded_follows_name_the_rows(tmp_path):
+    (tmp_path / "users.jsonl").write_text("".join(
+        dataio._record_json(make_user(u), dataio._USER_FIELDS) + "\n" for u in "CAB"))
+    (tmp_path / "follows.csv").write_text("follower_id,followee_id\nC,A\nA,B\nB,C\nA,C\n")
+    for name in ("cascades.jsonl", "urls.jsonl"):
+        (tmp_path / name).write_text("")
+    social, _, _ = load_dataset(tmp_path)
+    assert social.pairs() == [("A", "B"), ("A", "C"), ("B", "C"), ("C", "A")]

@@ -8,7 +8,7 @@ from cascade_gnn.propagation import (build_propagation_graph, credibility_score,
                                      credibility_scores, estimate_spreading_tree,
                                      truncate)
 from cascade_gnn.features import default_schema
-from cascade_gnn.types import CascadeRecord, SCOPE_CASCADE, SCOPE_URL
+from cascade_gnn.types import CascadeRecord, SCOPE_CASCADE, SCOPE_URL, SocialGraph, first_repeat
 
 from helpers import (assert_spreading_tree, make_cascade, make_social, make_story, make_tweet,
                      make_user, pair_flags)
@@ -20,11 +20,12 @@ def brute_force_tree(cascade, social):
     """Direct restatement of the two spreading rules, kept independent of
     the production implementation."""
     parent = {}
+    follows = set(social.pairs())
     for n, tweet in enumerate(cascade.tweets):
         if n == 0:
             continue
         prev = list(cascade.tweets[:n])
-        followed = [p for p in prev if (tweet.author, p.author) in social.follows]
+        followed = [p for p in prev if (tweet.author, p.author) in follows]
         if followed:
             parent[tweet.tweet_id] = followed[-1].tweet_id
         else:
@@ -322,3 +323,94 @@ class TestTypeInvariants:
         bad[3] = np.nan
         with pytest.raises(ValueError):
             make_user("A", description_embedding=bad)
+
+
+class TestSocialGraph:
+    """The follow graph's sorted index array against the ID pairs it encodes."""
+
+    @staticmethod
+    def graph(data, max_users=6):
+        """A drawn graph, in drawn user order, and its follow ID pairs."""
+        users = data.draw(st.lists(st.sampled_from("ABCDEFGHIJ"), unique=True,
+                                   max_size=max_users))
+        follows = {(a, b) for a in users for b in users if a != b and data.draw(st.booleans())}
+        return make_social({u: 0 for u in users}, follows), follows
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_follow_matrix_matches_pair_lookups(self, data):
+        social, follows = self.graph(data)
+        ids = data.draw(st.lists(st.sampled_from(sorted(social.users)), max_size=12)
+                        if social.users else st.just([]))
+        matrix = social.follow_matrix(ids)
+        assert matrix.dtype == bool and matrix.shape == (len(ids), len(ids))
+        assert matrix.tolist() == [[(a, b) in follows for b in ids] for a in ids]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_views_are_the_sorted_pairs(self, data):
+        social, follows = self.graph(data)
+        assert social.ids == tuple(sorted(social.users))
+        assert social.pairs() == sorted(follows)
+        ids = social.ids
+        assert [(ids[a], ids[b]) for a, b in social.index_pairs().tolist()] == sorted(follows)
+        assert social.index_pairs().dtype == np.intp and len(social.follows) == len(follows)
+
+    def test_repeated_ids_users_without_follows_and_empty_graphs(self):
+        social = make_social({"A": 0, "B": 0, "C": 0}, {("A", "B")})
+        assert social.follow_matrix(["B", "A", "A", "C"]).tolist() == [
+            [False, False, False, False], [True, False, False, False],
+            [True, False, False, False], [False, False, False, False]]
+        lonely = make_social({"A": 0, "B": 0}, set())
+        assert not lonely.follow_matrix(["A", "B", "B"]).any()
+        empty = make_social({}, set())
+        assert empty.follow_matrix([]).shape == (0, 0)
+        assert empty.pairs() == [] and empty.index_pairs().shape == (0, 2)
+        with pytest.raises(KeyError):
+            social.follow_matrix(["A", "nobody"])
+
+    def test_follow_array_is_read_only(self):
+        social = make_social({"A": 0, "B": 0}, {("A", "B")})
+        with pytest.raises(ValueError):
+            social.follows[0] = 0
+
+    @pytest.mark.parametrize("codes, reason", [
+        ([2, 1], "not sorted"),       # B -> A before A -> B
+        ([1, 1], "repeated"),
+        ([1, 4], "beyond the 2 users"),
+        ([-1], "beyond the 2 users"),
+        ([0], "follows itself"),      # A -> A
+        ([3], "follows itself"),      # B -> B
+        ([[1, 2]], "1-d integer array"),
+        ([1.0], "1-d integer array"),
+    ])
+    def test_rejects_a_bad_follow_array(self, codes, reason):
+        # with users A and B, the code a * 2 + b says user a follows user b
+        users = {u: make_user(u) for u in "AB"}
+        assert make_social({"A": 0, "B": 0}, {("A", "B"), ("B", "A")}).follows.tolist() == [1, 2]
+        with pytest.raises(ValueError, match=reason):
+            SocialGraph(users, np.array(codes))
+
+    @pytest.mark.parametrize("followers, followees, reason", [
+        ([0], [0], "follows itself"),
+        ([0, 0], [1, 1], "repeated"),
+        ([0], [2], "beyond the 2 users"),
+        ([-1], [0], "beyond the 2 users"),
+        ([0, 1], [1], "2 followers for 1 followees"),
+    ])
+    def test_from_pairs_rejects_bad_pairs(self, followers, followees, reason):
+        users = {u: make_user(u) for u in "BA"}  # positions in dict order: B 0, A 1
+        with pytest.raises(ValueError, match=reason):
+            SocialGraph.from_pairs(users, followers, followees)
+
+    def test_from_pairs_reads_positions_in_dict_order(self):
+        users = {u: make_user(u) for u in "CAB"}
+        social = SocialGraph.from_pairs(users, [0, 2, 1], [1, 0, 0])
+        assert social.pairs() == [("A", "C"), ("B", "C"), ("C", "A")]
+
+    @pytest.mark.parametrize("followers, followees, first", [
+        ([], [], None), ([0], [1], None), ([0, 1], [1, 0], None),
+        ([0, 1, 0], [1, 0, 1], 2), ([2, 0, 2, 0, 2], [0, 1, 0, 1, 0], 2),
+    ])
+    def test_first_repeat(self, followers, followees, first):
+        assert first_repeat(followers, followees) == first

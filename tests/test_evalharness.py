@@ -4,6 +4,7 @@ import glob
 import multiprocessing
 import os
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -189,6 +190,17 @@ def blas_thread_getter():
     return None
 
 
+def blas_thread_setter():
+    """numpy's bundled OpenBLAS thread-count setter, or None without one."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return setter
+    return None
+
+
 class TestWorkerPool:
     """Pool workers inherit the rounds and run BLAS on one thread."""
 
@@ -227,6 +239,27 @@ class TestWorkerPool:
         monkeypatch.setattr(evalharness, "_run_cv_round", lambda payload: get_threads())
         assert evalharness._run_jobs([None, None, None], 2) == [1, 1, 1]
         assert get_threads() == before
+
+    def test_in_process_rounds_run_blas_on_one_thread(self, monkeypatch):
+        get_threads, set_threads = blas_thread_getter(), blas_thread_setter()
+        if get_threads is None or set_threads is None:
+            pytest.skip("numpy has no bundled OpenBLAS thread functions")
+        seen = []
+
+        def train(*args):
+            seen.append(get_threads())
+            return SimpleNamespace(params=None, best_val_auc=None)
+
+        monkeypatch.setattr(evalharness, "train", train)
+        before = get_threads()
+        set_threads(2)
+        try:
+            rounds = [(r, [], [], [], fast_config()) for r in range(3)]
+            assert evalharness._run_jobs(rounds, 1) == [(r, [], None) for r in range(3)]
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+        assert seen == [1, 1, 1]
 
     @pytest.mark.parametrize("found", ["none", "unloadable", "no-setter"])
     def test_worker_start_without_openblas_keeps_blas_threads(self, monkeypatch, tmp_path,
@@ -493,7 +526,7 @@ class TestMadMmd:
 
         # oracle: per-user BFS from each user to the other samples' users
         adj = {}
-        for a, b in social.follows:
+        for a, b in social.pairs():
             adj.setdefault(a, set()).add(b)
             adj.setdefault(b, set()).add(a)
 
