@@ -23,7 +23,7 @@ from concurrent.futures.process import BrokenProcessPool
 import click
 import numpy as np
 
-from . import dataio
+from . import dataio, evalharness
 from .classifier import (DEFAULT_ITERATIONS, CheckpointError, ModelConfig, PreparedGraph,
                          load_checkpoint, save_checkpoint, user_embeddings)
 from .dataio import DatasetFormatError, DatasetNotFoundError, cascades_by_url, load_dataset
@@ -417,7 +417,9 @@ def export_embeddings(run: Run, out_dir, checkpoint_path):
     except CheckpointError as exc:
         raise UsageFailure(str(exc))
     credibility = credibility_scores(run.stories, cascades_by_url(run.cascades))
-    embeddings = user_embeddings(run.build(scope=SCOPE_URL), params)
+    # one BLAS thread, as in training, so the digits do not depend on the core count
+    with evalharness._one_blas_thread():
+        embeddings = user_embeddings(run.build(scope=SCOPE_URL), params)
     echo = run.echo("export-embeddings")
     del echo["min_cascade_size"]  # the export builds url-wise graphs, whatever the scope
     header = ["user_id", "credibility"] + [f"e{k:02d}" for k in range(run.model.hidden)]
@@ -474,9 +476,10 @@ def stats(config_path, seed, dataset_dir, out_dir, mad_samples):
         multi = [c for c in cascades if c.size >= 2]
         pick = rng.choice(len(multi), size=min(mad_samples, len(multi)), replace=False)
         cas_samples = [sorted({t.author for t in multi[i].tweets}) for i in pick]
-        cap = estimate_diameter(social) + 1
-        url_mm = mad_mmd(url_samples, social, unreachable_cap=cap)
-        cas_mm = mad_mmd(cas_samples, social, unreachable_cap=cap)
+        adj = evalharness._undirected_adjacency(social)  # built once for all three searches
+        cap = estimate_diameter(social, adj) + 1
+        url_mm = mad_mmd(url_samples, social, unreachable_cap=cap, adj=adj)
+        cas_mm = mad_mmd(cas_samples, social, unreachable_cap=cap, adj=adj)
         payload["mad_mmd"] = {"url": url_mm, "cascade": cas_mm}
     if out_dir:
         write_json_report(os.path.join(out_dir, "stats.json"), payload,

@@ -3,6 +3,13 @@
 A dataset directory holds users.jsonl, follows.csv, cascades.jsonl and
 urls.jsonl.  Embedding components are rounded to 7 significant digits on
 write; everything else round-trips exactly.
+
+Embeddings repeat: a retweet carries its source tweet's text, so one vector
+stands in many records.  The float64 bytes of a vector are its key.
+``write_dataset`` keeps one text per repeated vector for the call and
+writes it for every later repeat.  ``load_dataset`` checks and converts each
+vector, then hands every vector with the same bytes one shared array, so
+every loaded embedding is read-only.
 """
 from __future__ import annotations
 
@@ -79,16 +86,43 @@ def _vector_json(vec: np.ndarray) -> str:
     return _VECTOR_TEMPLATE % tuple(vec.tolist())
 
 
-def _record_json(obj, fields: dict, **texts: str) -> str:
+class _VectorTexts:
+    """``_vector_json`` that keeps the text of a repeated vector.
+
+    A text is stored at a vector's second sighting, so data with no repeats
+    stores none, and a vector is formatted at most twice.  Sightings are counted by the hash of the
+    vector's bytes and texts are keyed by the bytes themselves: a hash
+    collision costs an extra entry, never a wrong text.  The hashes are the
+    keys of a dict, which holds them in about a third of a set's memory."""
+
+    def __init__(self):
+        self.seen: dict[int, None] = {}
+        self.texts: dict[bytes, str] = {}
+
+    def __call__(self, vec: np.ndarray) -> str:
+        key = vec.tobytes()
+        text = self.texts.get(key)
+        if text is None:
+            text = _vector_json(vec)
+            digest = hash(key)
+            if digest in self.seen:
+                self.texts[key] = text
+            else:
+                self.seen[digest] = None
+        return text
+
+
+def _record_json(obj, fields: dict, vector_json=_vector_json, **texts: str) -> str:
     """``json.dumps`` of ``obj``'s on-disk record: its ``fields``, in order,
-    with embeddings rounded; ``texts`` holds the JSON text of some fields."""
+    with embeddings rounded by ``vector_json``; ``texts`` holds the JSON text
+    of some fields."""
     parts = []
     for name in fields:
         if name in texts:
             text = texts[name]
         else:
             value = getattr(obj, name)
-            text = _vector_json(value) if isinstance(value, np.ndarray) else json.dumps(value)
+            text = vector_json(value) if isinstance(value, np.ndarray) else json.dumps(value)
         parts.append(f"{_KEYS[name]}: {text}")
     return "{" + ", ".join(parts) + "}"
 
@@ -96,10 +130,11 @@ def _record_json(obj, fields: dict, **texts: str) -> str:
 def write_dataset(dirpath, social: SocialGraph, stories: list[UrlStory],
                   cascades: list[CascadeRecord]) -> None:
     os.makedirs(dirpath, exist_ok=True)
+    vector_json = _VectorTexts()
 
     with open(os.path.join(dirpath, USERS_FILE), "w", encoding="utf-8") as fh:
         for uid in sorted(social.users):
-            fh.write(_record_json(social.users[uid], _USER_FIELDS) + "\n")
+            fh.write(_record_json(social.users[uid], _USER_FIELDS, vector_json) + "\n")
 
     with open(os.path.join(dirpath, FOLLOWS_FILE), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -108,7 +143,8 @@ def write_dataset(dirpath, social: SocialGraph, stories: list[UrlStory],
 
     with open(os.path.join(dirpath, CASCADES_FILE), "w", encoding="utf-8") as fh:
         for cas in sorted(cascades, key=lambda c: c.cascade_id):
-            tweets = "[" + ", ".join(_record_json(t, _TWEET_FIELDS) for t in cas.tweets) + "]"
+            tweets = "[" + ", ".join(_record_json(t, _TWEET_FIELDS, vector_json)
+                                     for t in cas.tweets) + "]"
             fh.write(_record_json(cas, _CASCADE_FIELDS, tweets=tweets) + "\n")
 
     with open(os.path.join(dirpath, URLS_FILE), "w", encoding="utf-8") as fh:
@@ -155,16 +191,19 @@ def _require_fields(rec, fields: dict) -> None:
             raise ValueError(f"field {name!r} must be finite, got {value}")
 
 
-# The one array every loaded embedding of all +0.0 components shares; a
-# -0.0 component keeps a vector its own array, since the writer prints it.
+# The all +0.0 embedding, which every ``_embedding_table`` starts with.  A
+# vector with a -0.0 component has other bytes, so it keeps its own array and
+# its sign, which the writer prints.
 _ZERO_EMBEDDING = np.zeros(EMBEDDING_DIM)
 _ZERO_EMBEDDING.flags.writeable = False
 
 
-def _embedding(rec, name: str) -> np.ndarray:
-    """Field ``name`` of ``rec`` as a float64 array, ``_ZERO_EMBEDDING`` if all
-    its components are +0.0; a component that is not a JSON number raises
-    (numpy would parse ``"0.5"`` and ``true`` as numbers)."""
+def _embedding(rec, name: str, table: dict | None = None) -> np.ndarray:
+    """Field ``name`` of ``rec`` as a read-only float64 array; a component
+    that is not a JSON number raises (numpy would parse ``"0.5"`` and
+    ``true`` as numbers).  ``table`` maps the bytes of each vector converted
+    so far to its one array, a view of those bytes, which every later vector
+    with the same bytes gets; without one, a new ``_embedding_table``."""
     values = rec[name]
     if not set(map(type, values)) <= {float, int}:
         k, bad = next((k, v) for k, v in enumerate(values) if type(v) not in (float, int))
@@ -174,9 +213,18 @@ def _embedding(rec, name: str) -> np.ndarray:
         vec = np.asarray(values, dtype=np.float64)
     except OverflowError:  # an integer literal beyond the float range
         raise ValueError(f"field {name!r} has a component beyond the float range") from None
-    if vec.shape == _ZERO_EMBEDDING.shape and not vec.any() and not np.signbit(vec).any():
-        return _ZERO_EMBEDDING
-    return vec
+    if table is None:
+        table = _embedding_table()
+    key = vec.tobytes()
+    shared = table.get(key)
+    if shared is None:
+        shared = table[key] = np.frombuffer(key)
+    return shared
+
+
+def _embedding_table() -> dict[bytes, np.ndarray]:
+    """A new table for ``_embedding``, holding the shared zero embedding."""
+    return {_ZERO_EMBEDDING.tobytes(): _ZERO_EMBEDDING}
 
 
 def _records(path, build, id_field: str) -> dict:
@@ -205,20 +253,20 @@ _KEYS = {name: json.dumps(name) for fields in (_USER_FIELDS, _TWEET_FIELDS, _CAS
                                                _STORY_FIELDS) for name in fields}
 
 
-def _user(rec) -> User:
+def _user(rec, table: dict) -> User:
     _require_fields(rec, _USER_FIELDS)
-    rec["description_embedding"] = _embedding(rec, "description_embedding")
+    rec["description_embedding"] = _embedding(rec, "description_embedding", table)
     return User(**rec)
 
 
-def _cascade(rec) -> CascadeRecord:
+def _cascade(rec, table: dict) -> CascadeRecord:
     _require_fields(rec, _CASCADE_FIELDS)
     tweets = []
     for k, tr in enumerate(rec["tweets"]):
         try:
             _require_fields(tr, _TWEET_FIELDS)
-            tr["text_embedding"] = _embedding(tr, "text_embedding")
-            tr["hashtag_embedding"] = _embedding(tr, "hashtag_embedding")
+            tr["text_embedding"] = _embedding(tr, "text_embedding", table)
+            tr["hashtag_embedding"] = _embedding(tr, "hashtag_embedding", table)
         except ValueError as exc:
             raise ValueError(f"tweet {k}: {exc}") from None
         tweets.append(Tweet(**tr))
@@ -279,14 +327,17 @@ def load_dataset(dirpath) -> tuple[SocialGraph, list[UrlStory], list[CascadeReco
     not a number, included), a repeated user,
     cascade, tweet or URL ID or follow row, a tweet by an unknown user, a
     cascade of an unknown story and a story whose ``cascade_ids`` disagree
-    with the cascades raise ``DatasetFormatError`` with the file and line."""
+    with the cascades raise ``DatasetFormatError`` with the file and line.
+    Embeddings with the same bytes share one read-only array."""
+    table = _embedding_table()
     users = {uid: u for uid, (_, u) in
-             _records(os.path.join(dirpath, USERS_FILE), _user, "user_id").items()}
+             _records(os.path.join(dirpath, USERS_FILE), lambda rec: _user(rec, table),
+                      "user_id").items()}
 
     social = _social_graph(os.path.join(dirpath, FOLLOWS_FILE), users)
 
     cas_path, url_path = os.path.join(dirpath, CASCADES_FILE), os.path.join(dirpath, URLS_FILE)
-    cascades = _records(cas_path, _cascade, "cascade_id")
+    cascades = _records(cas_path, lambda rec: _cascade(rec, table), "cascade_id")
     stories = _records(url_path, _story, "url_id")
     tweet_ids: set[str] = set()
     cascade_ids: dict[str, set[str]] = {}  # url_id -> its cascades

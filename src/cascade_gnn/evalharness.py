@@ -533,10 +533,12 @@ def _hop_distances(adj: dict[str, list[str]], sources, targets=(),
     return dist
 
 
-def estimate_diameter(social: SocialGraph) -> int:
+def estimate_diameter(social: SocialGraph, adj: dict[str, list[str]] | None = None) -> int:
     """Double-BFS lower bound on the follow graph diameter; the second
-    search starts from the farthest node with the smallest user ID."""
-    adj = _undirected_adjacency(social)
+    search starts from the farthest node with the smallest user ID.  ``adj``
+    is the graph's ``_undirected_adjacency``, built here if not given."""
+    if adj is None:
+        adj = _undirected_adjacency(social)
     if not adj:
         return 0
     dist = _hop_distances(adj, [min(adj)])
@@ -554,13 +556,15 @@ class MadMmdResult:
 
 
 def mad_mmd(samples: list[list[str]], social: SocialGraph,
-            unreachable_cap: int | None = None) -> MadMmdResult:
+            unreachable_cap: int | None = None,
+            adj: dict[str, list[str]] | None = None) -> MadMmdResult:
     """Hop distance from each sample's users to the nearest user of any
     other sample, aggregated as mean-of-means (MAD) and mean-of-mins (MMD).
 
     The distance metric is the undirected hop distance on the follow
     graph; users unreachable from every other sample's users get the
-    configured cap (diameter estimate + 1 by default).
+    configured cap (diameter estimate + 1 by default).  ``adj`` is the
+    graph's ``_undirected_adjacency``, built here if not given.
     """
     kept = []
     for idx, sample in enumerate(samples):
@@ -571,9 +575,10 @@ def mad_mmd(samples: list[list[str]], social: SocialGraph,
         kept.append(users)
     if len(kept) < 2:
         raise ProtocolError("need at least two non-empty samples")
+    if adj is None:
+        adj = _undirected_adjacency(social)
     if unreachable_cap is None:
-        unreachable_cap = estimate_diameter(social) + 1
-    adj = _undirected_adjacency(social)
+        unreachable_cap = estimate_diameter(social, adj) + 1
 
     per_sample_mean = []
     per_sample_min = []

@@ -1,6 +1,10 @@
 """Shared test fixtures: tiny worlds, finite differences, dense oracles."""
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+
 import numpy as np
 
 from cascade_gnn.autograd import Tensor
@@ -293,3 +297,25 @@ def reference_fr_layout(social: SocialGraph, iterations: int = 60, seed: int = 0
         pos += disp / length[:, None] * np.minimum(length, temp)[:, None]
         temp = max(temp - dt, 0.0)
     return {u: (float(pos[i, 0]), float(pos[i, 1])) for u, i in index.items()}
+
+
+def blas_thread_getter():
+    """numpy's bundled OpenBLAS thread-count getter, or None without one."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter
+    return None
+
+
+def blas_thread_setter():
+    """numpy's bundled OpenBLAS thread-count setter, or None without one."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return setter
+    return None

@@ -24,6 +24,8 @@ from cascade_gnn.cli import main
 from cascade_gnn.features import default_schema
 from cascade_gnn.synthgen import GenConfig
 
+from helpers import blas_thread_getter, blas_thread_setter
+
 GEN_ARGS = ["--users", "150", "--urls", "12", "--mean-cascades", "3"]
 FIXTURE_ARGS = ["--users", "200", "--urls", "30", "--mean-cascades", "3",
                 "--fake-fraction", "0.3"]
@@ -444,6 +446,32 @@ class TestTrainAndExport:
                      "--seed", "3"] + FAST) == 0
         assert (tmp_path / "emb" / "embeddings.csv").read_bytes() == embeddings
 
+    def test_export_scores_on_one_blas_thread(self, dataset_dir, tmp_path, trained,
+                                              monkeypatch):
+        get_threads, set_threads = blas_thread_getter(), blas_thread_setter()
+        if get_threads is None or set_threads is None:
+            pytest.skip("numpy has no bundled OpenBLAS thread functions")
+        checkpoint, embeddings = trained
+        seen = []
+        score = cli.user_embeddings
+
+        def recording(samples, params):
+            seen.append(get_threads())
+            return score(samples, params)
+
+        monkeypatch.setattr(cli, "user_embeddings", recording)
+        before = get_threads()
+        set_threads(2)
+        try:
+            assert main(["export-embeddings", "--dataset", str(dataset_dir),
+                         "--out", str(tmp_path / "emb"), "--checkpoint", str(checkpoint),
+                         "--seed", "3"] + FAST) == 0
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+        assert seen == [1]
+        assert (tmp_path / "emb" / "embeddings.csv").read_bytes() == embeddings
+
     def test_missing_checkpoint_exits_two(self, dataset_dir, tmp_path):
         code = main(["export-embeddings", "--dataset", str(dataset_dir),
                      "--out", str(tmp_path / "e"), "--checkpoint",
@@ -469,6 +497,19 @@ class TestLayoutAndStats:
         doc = json.loads((out / "stats.json").read_text())
         assert "mad_mmd" in doc
         assert doc["mad_mmd"]["url"]["mad"] >= 0.0
+
+    def test_stats_builds_the_follow_adjacency_once(self, dataset_dir, tmp_path, monkeypatch):
+        builds = []
+        build = evalharness._undirected_adjacency
+
+        def counting(social):
+            builds.append(social)
+            return build(social)
+
+        monkeypatch.setattr(evalharness, "_undirected_adjacency", counting)
+        assert main(["stats", "--dataset", str(dataset_dir), "--out", str(tmp_path / "s"),
+                     "--seed", "2", "--mad-samples", "5"]) == 0
+        assert len(builds) == 1
 
     def test_stats_independent_of_string_hashing(self, tmp_path):
         # under string-hash seeds 0 and 2 the follow set iterates in orders

@@ -2,6 +2,7 @@
 import filecmp
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from cascade_gnn import dataio
 from cascade_gnn.dataio import (DatasetNotFoundError, cascades_by_url,
                                 load_dataset, write_dataset)
 from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_graph
-from cascade_gnn.types import EMBEDDING_DIM
+from cascade_gnn.types import EMBEDDING_DIM, CascadeRecord, UrlStory
 
-from helpers import make_user
+from helpers import make_tweet, make_user, social_graph
 
 CFG = GenConfig(num_users=150, num_urls=8, mean_cascades_per_url=3.0)
 
@@ -159,8 +160,174 @@ def test_a_zero_embedding_is_the_shared_array(values):
 ])
 def test_an_embedding_that_differs_keeps_its_own_array(values):
     vec = dataio._embedding({"e": values}, "e")
-    assert vec is not dataio._ZERO_EMBEDDING and vec.flags.writeable
+    assert vec is not dataio._ZERO_EMBEDDING and not vec.flags.writeable
     assert np.array_equal(np.signbit(vec), np.signbit(values))
+
+
+def test_vector_texts_store_only_repeated_vectors(monkeypatch):
+    rng = np.random.default_rng(0)
+    vecs = [rng.uniform(-0.4, 0.4, EMBEDDING_DIM) for _ in range(5)]
+    order = vecs + vecs[:2] + vecs[:1] + vecs[:2]
+    expected = [dataio._vector_json(v) for v in order]
+    formatted = []
+    vector_json = dataio._vector_json
+    monkeypatch.setattr(dataio, "_vector_json", lambda v: formatted.append(v) or vector_json(v))
+    memo = dataio._VectorTexts()
+    assert [memo(v) for v in order] == expected
+    assert list(memo.texts) == [vecs[0].tobytes(), vecs[1].tobytes()]
+    # a vector is formatted at its first and second sightings, not after
+    assert len(formatted) == 7
+
+
+def test_a_hash_collision_costs_an_entry_not_a_wrong_text(monkeypatch):
+    # every vector's sightings are counted under one hash
+    monkeypatch.setattr(dataio, "hash", lambda key: 0, raising=False)
+    vecs = [np.full(EMBEDDING_DIM, 0.25), np.full(EMBEDDING_DIM, 0.125)]
+    vecs.append(vecs[0].copy())
+    vecs[2][7] = -0.0
+    memo = dataio._VectorTexts()
+    for _ in range(2):
+        assert [memo(v) for v in vecs] == [dataio._vector_json(v) for v in vecs]
+    assert set(memo.texts) == {v.tobytes() for v in vecs}
+
+
+def vector_pool(seed: int) -> list[np.ndarray]:
+    """Distinct embeddings of every kind the writer formats apart: unit scale,
+    with a component at least 0.5, with subnormal components, all zeros of
+    either sign, and twins that differ only in the sign of a zero."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-0.4, 0.4, EMBEDDING_DIM)
+    big, tiny, twin = base.copy(), base.copy(), base.copy()
+    big[rng.integers(EMBEDDING_DIM)] = rng.choice([0.5, -0.99999996, 3.0, 1.234568e7])
+    tiny[rng.integers(EMBEDDING_DIM, size=3)] = [5e-324, -1e-310, 1.234567e-320]
+    twin[rng.integers(EMBEDDING_DIM)] = 0.0
+    negative_twin = twin.copy()
+    negative_twin[twin == 0] = -0.0
+    return [base, big, tiny, twin, negative_twin, np.zeros(EMBEDDING_DIM),
+            -np.zeros(EMBEDDING_DIM)]
+
+
+@st.composite
+def repeating_datasets(draw):
+    """Users, two cascades and their story, with every embedding drawn from
+    one ``vector_pool``, so vectors repeat within and across records."""
+    pool = vector_pool(draw(st.integers(0, 2**32 - 1)))
+    pick = st.integers(0, len(pool) - 1).map(lambda k: pool[k])
+    users = {f"u{k}": make_user(f"u{k}", description_embedding=draw(pick))
+             for k in range(draw(st.integers(1, 6)))}
+    authors = st.sampled_from(sorted(users))
+    cascades = []
+    for c in range(2):
+        tweets = [make_tweet(f"c{c}_t{k}", draw(authors), k, is_source=(k == 0),
+                             text_embedding=draw(pick), hashtag_embedding=draw(pick))
+                  for k in range(draw(st.integers(1, 5)))]
+        cascades.append(CascadeRecord(f"c{c}", "url0", tuple(tweets)))
+    story = UrlStory("url0", "fake_news", 0.0, ("c0", "c1"))
+    return social_graph(users, []), [story], cascades
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeating_datasets())
+def test_interned_write_and_load_match_the_per_record_path(dataset):
+    social, stories, cascades = dataset
+    users = [social.users[u] for u in sorted(social.users)]
+    expected_users = "".join(dataio._record_json(u, dataio._USER_FIELDS) + "\n" for u in users)
+    expected_cascades = "".join(
+        dataio._record_json(cas, dataio._CASCADE_FIELDS, tweets="[" + ", ".join(
+            dataio._record_json(t, dataio._TWEET_FIELDS) for t in cas.tweets) + "]") + "\n"
+        for cas in cascades)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(tmp, social, stories, cascades)
+        with open(os.path.join(tmp, "users.jsonl"), encoding="utf-8") as fh:
+            assert fh.read() == expected_users
+        with open(os.path.join(tmp, "cascades.jsonl"), encoding="utf-8") as fh:
+            assert fh.read() == expected_cascades
+        social2, _, cascades2 = load_dataset(tmp)
+    written = [u.description_embedding for u in users] + [
+        v for cas in cascades for t in cas.tweets for v in (t.text_embedding,
+                                                            t.hashtag_embedding)]
+    loaded = [u.description_embedding for u in social2.users.values()] + [
+        v for cas in cascades2 for t in cas.tweets for v in (t.text_embedding,
+                                                             t.hashtag_embedding)]
+    # each vector reads back as its rounded text, sign bits included, and
+    # vectors with the same bytes, and only those, share one read-only array
+    for v, w in zip(written, loaded):
+        assert w.tobytes() == np.array(json.loads(dataio._vector_json(v))).tobytes()
+        assert not w.flags.writeable
+    for v in loaded:
+        assert all((v is w) == (v.tobytes() == w.tobytes()) for w in loaded)
+
+
+def test_repeated_embeddings_share_one_read_only_array(tmp_path, world):
+    write_dataset(tmp_path, *world)
+    social, _, cascades = load_dataset(tmp_path)
+    vecs = [u.description_embedding for u in social.users.values()] + [
+        v for cas in cascades for t in cas.tweets for v in (t.text_embedding,
+                                                            t.hashtag_embedding)]
+    by_bytes = {}
+    for v in vecs:
+        assert by_bytes.setdefault(v.tobytes(), v) is v
+        assert not v.flags.writeable
+    assert len(by_bytes) < len(vecs)   # the generator repeats its phrases
+    with pytest.raises(ValueError):
+        vecs[0][0] = 1.0
+
+
+def _users_with(tmp_path, embeddings):
+    """A dataset of one user per embedding (a list of JSON values), and nothing else."""
+    lines = []
+    for k, vec in enumerate(embeddings):
+        rec = json.loads(dataio._record_json(make_user(f"u{k}"), dataio._USER_FIELDS))
+        rec["description_embedding"] = vec
+        lines.append(json.dumps(rec) + "\n")
+    (tmp_path / "users.jsonl").write_text("".join(lines))
+    (tmp_path / "follows.csv").write_text("follower_id,followee_id\n")
+    for name in ("cascades.jsonl", "urls.jsonl"):
+        (tmp_path / name).write_text("")
+
+
+def test_a_signed_zero_twin_keeps_its_own_array(tmp_path):
+    vec = [0.25] * EMBEDDING_DIM
+    vec[7] = 0.0
+    twin = list(vec)
+    twin[7] = -0.0
+    _users_with(tmp_path, [vec, twin, vec, twin, [-0.0] * EMBEDDING_DIM, [0] * EMBEDDING_DIM])
+    social, _, _ = load_dataset(tmp_path)
+    a, b, c, d, negative_zeros, zeros = (u.description_embedding for u in social.users.values())
+    assert a is c and b is d and a is not b
+    assert np.array_equal(np.signbit(a), np.signbit(vec))
+    assert np.array_equal(np.signbit(b), np.signbit(twin))
+    assert zeros is dataio._ZERO_EMBEDDING and negative_zeros is not zeros
+    assert np.signbit(negative_zeros).all()
+
+
+@pytest.mark.parametrize("k, value, reason", [
+    (3, True, "field 'description_embedding' component 3 must be a number, got a boolean"),
+    (4, "0.5", "field 'description_embedding' component 4 must be a number, got a string"),
+    (5, 10**400, "field 'description_embedding' has a component beyond the float range"),
+    (5, float("inf"), "description_embedding contains non-finite components"),
+    (5, float("nan"), "description_embedding contains non-finite components"),
+])
+def test_a_bad_repeat_of_an_interned_vector_fails_on_its_line(tmp_path, k, value, reason):
+    # component 3 is 1.0 and 4 is 0.5, as numpy would read true and "0.5"
+    vec = [0.25] * EMBEDDING_DIM
+    vec[3], vec[4] = 1.0, 0.5
+    bad = list(vec)
+    bad[k] = value
+    _users_with(tmp_path, [vec, vec, bad, vec])
+    with pytest.raises(dataio.DatasetFormatError) as err:
+        load_dataset(tmp_path)
+    assert (err.value.line, err.value.reason) == (3, reason)
+
+
+def test_a_non_finite_repeat_still_fails_the_type_check():
+    table = dataio._embedding_table()
+    values = {"description_embedding": [0.25] * (EMBEDDING_DIM - 1) + [float("nan")]}
+    first = dataio._embedding(values, "description_embedding", table)
+    assert dataio._embedding(values, "description_embedding", table) is first
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-finite"):
+            make_user("A", description_embedding=first)
 
 
 @pytest.mark.parametrize("rows, line, reason", [

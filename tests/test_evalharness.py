@@ -1,6 +1,5 @@
 """Folds, sweeps, aging windows, ablation, MAD/MMD, and layout."""
 import ctypes
-import glob
 import multiprocessing
 import os
 import weakref
@@ -23,7 +22,8 @@ from cascade_gnn.evalharness import (aging_protocol, backward_feature_selection,
 from cascade_gnn.features import FEATURE_GROUPS, default_schema
 from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_graph
 
-from helpers import make_cascade, make_social, make_story, reference_fr_layout
+from helpers import (blas_thread_getter, blas_thread_setter, make_cascade, make_social,
+                     make_story, reference_fr_layout)
 
 SCHEMA = default_schema()
 TILE = evalharness.REPULSION_TILE
@@ -177,28 +177,6 @@ class TestCrossValidate:
         b = cross_validate(samples, plan, fast_config(), jobs=2)
         assert a.fold_aucs == b.fold_aucs
         assert a.scores == b.scores
-
-
-def blas_thread_getter():
-    """numpy's bundled OpenBLAS thread-count getter, or None without one."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
-        if getter is not None:
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            return getter
-    return None
-
-
-def blas_thread_setter():
-    """numpy's bundled OpenBLAS thread-count setter, or None without one."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            return setter
-    return None
 
 
 class TestWorkerPool:
