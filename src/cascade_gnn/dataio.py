@@ -1,15 +1,17 @@
 """On-disk dataset formats.
 
-A dataset directory holds users.jsonl, follows.csv, cascades.jsonl and
-urls.jsonl.  Embedding components are rounded to 7 significant digits on
-write; everything else round-trips exactly.
+A dataset directory holds users.jsonl, follows.csv, cascades.jsonl,
+urls.jsonl and embeddings.jsonl.  Embedding components are rounded to 7
+significant digits on write; everything else round-trips exactly.
 
 Embeddings repeat: a retweet carries its source tweet's text, so one vector
-stands in many records.  The float64 bytes of a vector are its key.
-``write_dataset`` keeps one text per repeated vector for the call and
-writes it for every later repeat.  ``load_dataset`` checks and converts each
-vector, then hands every vector with the same bytes one shared array, so
-every loaded embedding is read-only.
+stands in many records.  ``write_dataset`` writes each distinct vector once,
+as one line of embeddings.jsonl in first-sighting order, keyed by its
+float64 bytes; an embedding field of a user or tweet holds its vector's
+row, the 0-based line number.  An embedding field may also hold the vector itself,
+as a list of numbers, as datasets written before the table did.
+``load_dataset`` checks each table row once and hands every embedding with
+the same bytes one shared array, so every loaded embedding is read-only.
 """
 from __future__ import annotations
 
@@ -24,12 +26,13 @@ from array import array
 import numpy as np
 
 from .types import (EMBEDDING_DIM, CascadeRecord, SocialGraph, Tweet, UrlStory, User,
-                    first_repeat)
+                    _check_embedding, first_repeat)
 
 USERS_FILE = "users.jsonl"
 FOLLOWS_FILE = "follows.csv"
 CASCADES_FILE = "cascades.jsonl"
 URLS_FILE = "urls.jsonl"
+EMBEDDINGS_FILE = "embeddings.jsonl"
 
 
 class DatasetNotFoundError(FileNotFoundError):
@@ -67,7 +70,6 @@ def _round_vec(vec: np.ndarray) -> list[float]:
 
 
 _VECTOR_TEMPLATE = "[" + ", ".join(["%.7g"] * EMBEDDING_DIM) + "]"
-_ZEROS_JSON = json.dumps([0.0] * EMBEDDING_DIM)
 
 
 def _vector_json(vec: np.ndarray) -> str:
@@ -78,63 +80,46 @@ def _vector_json(vec: np.ndarray) -> str:
     and subnormals, whose repr has fewer digits; each of those needs a
     component that is 0, at least 0.5 in magnitude, or below the smallest
     normal float, so such a vector takes the per-component path."""
-    if not vec.any() and not np.signbit(vec).any():
-        return _ZEROS_JSON
     mag = np.abs(vec)
     if mag.max() >= 0.5 or mag.min() < sys.float_info.min:
         return json.dumps(_round_vec(vec))
     return _VECTOR_TEMPLATE % tuple(vec.tolist())
 
 
-class _VectorTexts:
-    """``_vector_json`` that keeps the text of a repeated vector.
-
-    A text is stored at a vector's second sighting, so data with no repeats
-    stores none, and a vector is formatted at most twice.  Sightings are counted by the hash of the
-    vector's bytes and texts are keyed by the bytes themselves: a hash
-    collision costs an extra entry, never a wrong text.  The hashes are the
-    keys of a dict, which holds them in about a third of a set's memory."""
-
-    def __init__(self):
-        self.seen: dict[int, None] = {}
-        self.texts: dict[bytes, str] = {}
-
-    def __call__(self, vec: np.ndarray) -> str:
-        key = vec.tobytes()
-        text = self.texts.get(key)
-        if text is None:
-            text = _vector_json(vec)
-            digest = hash(key)
-            if digest in self.seen:
-                self.texts[key] = text
-            else:
-                self.seen[digest] = None
-        return text
-
-
-def _record_json(obj, fields: dict, vector_json=_vector_json, **texts: str) -> str:
+def _record_json(obj, fields: dict, row=None, **texts: str) -> str:
     """``json.dumps`` of ``obj``'s on-disk record: its ``fields``, in order,
-    with embeddings rounded by ``vector_json``; ``texts`` holds the JSON text
-    of some fields."""
+    with ``row(vec)``, the text of its row number, for each embedding;
+    ``texts`` holds the JSON text of some fields."""
     parts = []
     for name in fields:
         if name in texts:
             text = texts[name]
         else:
             value = getattr(obj, name)
-            text = vector_json(value) if isinstance(value, np.ndarray) else json.dumps(value)
+            text = row(value) if isinstance(value, np.ndarray) else json.dumps(value)
         parts.append(f"{_KEYS[name]}: {text}")
     return "{" + ", ".join(parts) + "}"
 
 
 def write_dataset(dirpath, social: SocialGraph, stories: list[UrlStory],
                   cascades: list[CascadeRecord]) -> None:
+    """Write a dataset directory.  Each distinct embedding, keyed by its
+    float64 bytes, is one line of embeddings.jsonl, in the order the users
+    and then the cascades' tweets first hold it; each embedding field holds
+    its vector's row, the 0-based line number."""
     os.makedirs(dirpath, exist_ok=True)
-    vector_json = _VectorTexts()
+    rows: dict[bytes, str] = {}  # the bytes of each vector -> its row, as text
+
+    def row(vec: np.ndarray) -> str:
+        key = vec.tobytes()
+        text = rows.get(key)
+        if text is None:
+            text = rows[key] = str(len(rows))
+        return text
 
     with open(os.path.join(dirpath, USERS_FILE), "w", encoding="utf-8") as fh:
         for uid in sorted(social.users):
-            fh.write(_record_json(social.users[uid], _USER_FIELDS, vector_json) + "\n")
+            fh.write(_record_json(social.users[uid], _USER_FIELDS, row) + "\n")
 
     with open(os.path.join(dirpath, FOLLOWS_FILE), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -143,13 +128,17 @@ def write_dataset(dirpath, social: SocialGraph, stories: list[UrlStory],
 
     with open(os.path.join(dirpath, CASCADES_FILE), "w", encoding="utf-8") as fh:
         for cas in sorted(cascades, key=lambda c: c.cascade_id):
-            tweets = "[" + ", ".join(_record_json(t, _TWEET_FIELDS, vector_json)
+            tweets = "[" + ", ".join(_record_json(t, _TWEET_FIELDS, row)
                                      for t in cas.tweets) + "]"
             fh.write(_record_json(cas, _CASCADE_FIELDS, tweets=tweets) + "\n")
 
     with open(os.path.join(dirpath, URLS_FILE), "w", encoding="utf-8") as fh:
         for story in sorted(stories, key=lambda s: s.url_id):
             fh.write(_record_json(story, _STORY_FIELDS) + "\n")
+
+    with open(os.path.join(dirpath, EMBEDDINGS_FILE), "w", encoding="utf-8") as fh:
+        for key in rows:
+            fh.write(_vector_json(np.frombuffer(key)) + "\n")
 
 
 def _require(path):
@@ -159,11 +148,14 @@ def _require(path):
 
 
 # The JSON types a field of each annotation of the record types may hold;
-# the first one names the field's kind in an error.
+# the first one names the field's kind in an error.  An embedding is a list
+# of numbers or its row in embeddings.jsonl.
 _JSON_TYPES = {"str": (str,), "bool": (bool,), "int": (int,), "float": (float, int),
-               "np.ndarray": (list,), "tuple[str, ...]": (list,), "tuple[Tweet, ...]": (list,)}
+               "np.ndarray": (list, int), "tuple[str, ...]": (list,),
+               "tuple[Tweet, ...]": (list,)}
 # the range an integer must lie in to stand in a field of each kind: numpy
-# holds a count as an int64, and a float field must convert to a float
+# holds a count as an int64, and a float field must convert to a float; an
+# embedding's row is checked against the table
 _INT_RANGES = {int: ("int64", np.iinfo(np.int64).max), float: ("float", sys.float_info.max)}
 _JSON_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
                int: "an integer", float: "a number", type(None): "null"}
@@ -185,8 +177,9 @@ def _require_fields(rec, fields: dict) -> None:
         if type(value) not in types:
             raise ValueError(f"field {name!r} must be {_JSON_NAMES[types[0]]}, "
                              f"got {_JSON_NAMES[type(value)]}")
-        if type(value) is int and abs(value) > _INT_RANGES[types[0]][1]:
-            raise ValueError(f"field {name!r} is beyond the {_INT_RANGES[types[0]][0]} range")
+        limit = _INT_RANGES.get(types[0])
+        if type(value) is int and limit and abs(value) > limit[1]:
+            raise ValueError(f"field {name!r} is beyond the {limit[0]} range")
         if type(value) is float and not math.isfinite(value):  # json reads NaN and Infinity
             raise ValueError(f"field {name!r} must be finite, got {value}")
 
@@ -198,23 +191,19 @@ _ZERO_EMBEDDING = np.zeros(EMBEDDING_DIM)
 _ZERO_EMBEDDING.flags.writeable = False
 
 
-def _embedding(rec, name: str, table: dict | None = None) -> np.ndarray:
-    """Field ``name`` of ``rec`` as a read-only float64 array; a component
+def _vector(values: list, what: str, table: dict) -> np.ndarray:
+    """The JSON list ``values`` as a read-only float64 array; a component
     that is not a JSON number raises (numpy would parse ``"0.5"`` and
-    ``true`` as numbers).  ``table`` maps the bytes of each vector converted
-    so far to its one array, a view of those bytes, which every later vector
-    with the same bytes gets; without one, a new ``_embedding_table``."""
-    values = rec[name]
+    ``true`` as numbers), with ``what`` naming the list.  ``table`` maps the
+    bytes of each vector converted so far to its one array, a view of those
+    bytes, which every later vector with the same bytes gets."""
     if not set(map(type, values)) <= {float, int}:
         k, bad = next((k, v) for k, v in enumerate(values) if type(v) not in (float, int))
-        raise ValueError(f"field {name!r} component {k} must be a number, "
-                         f"got {_JSON_NAMES[type(bad)]}")
+        raise ValueError(f"{what} component {k} must be a number, got {_JSON_NAMES[type(bad)]}")
     try:
         vec = np.asarray(values, dtype=np.float64)
     except OverflowError:  # an integer literal beyond the float range
-        raise ValueError(f"field {name!r} has a component beyond the float range") from None
-    if table is None:
-        table = _embedding_table()
+        raise ValueError(f"{what} has a component beyond the float range") from None
     key = vec.tobytes()
     shared = table.get(key)
     if shared is None:
@@ -222,9 +211,46 @@ def _embedding(rec, name: str, table: dict | None = None) -> np.ndarray:
     return shared
 
 
+def _embedding(rec, name: str, table: dict | None = None,
+               rows: list | None = None) -> np.ndarray:
+    """Field ``name`` of ``rec`` as a read-only float64 array: the array of
+    its row in ``rows``, the embeddings.jsonl table (``None`` when the
+    dataset has none), if it is an integer, else its list of numbers through
+    ``_vector`` and ``table`` (without one, a new ``_embedding_table``)."""
+    value = rec[name]
+    if type(value) is int:
+        if rows is None:
+            raise ValueError(f"field {name!r} names row {value}, but there is no "
+                             f"{EMBEDDINGS_FILE}")
+        if not 0 <= value < len(rows):
+            raise ValueError(f"field {name!r} names row {value}, but {EMBEDDINGS_FILE} "
+                             f"has {len(rows)} rows, numbered from 0")
+        return rows[value]
+    return _vector(value, f"field {name!r}", _embedding_table() if table is None else table)
+
+
 def _embedding_table() -> dict[bytes, np.ndarray]:
-    """A new table for ``_embedding``, holding the shared zero embedding."""
+    """A new table for ``_vector``, holding the shared zero embedding."""
     return {_ZERO_EMBEDDING.tobytes(): _ZERO_EMBEDDING}
+
+
+def _embedding_rows(path, table: dict) -> list[np.ndarray] | None:
+    """The array of each line of the embeddings.jsonl file ``path``, through
+    ``_vector`` and ``table``, or ``None`` if there is no such file.  A line
+    that is not a list of ``EMBEDDING_DIM`` finite numbers raises
+    ``DatasetFormatError``."""
+    if not os.path.isfile(path):
+        return None
+    rows = []
+    for line, text in enumerate(text_lines(path), 1):
+        try:
+            values = json.loads(text)
+            if type(values) is not list:
+                raise ValueError(f"expected a JSON array, got {_JSON_NAMES[type(values)]}")
+            rows.append(_check_embedding("embedding", _vector(values, "embedding", table)))
+        except (ValueError, RecursionError) as exc:
+            raise DatasetFormatError(path, line, str(exc)) from None
+    return rows
 
 
 def _records(path, build, id_field: str) -> dict:
@@ -235,7 +261,7 @@ def _records(path, build, id_field: str) -> dict:
     for line, text in enumerate(text_lines(_require(path)), 1):
         try:
             rec = build(json.loads(text))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:  # json nests only so deep
             raise DatasetFormatError(path, line, str(exc)) from None
         key = getattr(rec, id_field)
         if key in out:
@@ -253,20 +279,20 @@ _KEYS = {name: json.dumps(name) for fields in (_USER_FIELDS, _TWEET_FIELDS, _CAS
                                                _STORY_FIELDS) for name in fields}
 
 
-def _user(rec, table: dict) -> User:
+def _user(rec, table: dict, rows: list | None) -> User:
     _require_fields(rec, _USER_FIELDS)
-    rec["description_embedding"] = _embedding(rec, "description_embedding", table)
+    rec["description_embedding"] = _embedding(rec, "description_embedding", table, rows)
     return User(**rec)
 
 
-def _cascade(rec, table: dict) -> CascadeRecord:
+def _cascade(rec, table: dict, rows: list | None) -> CascadeRecord:
     _require_fields(rec, _CASCADE_FIELDS)
     tweets = []
     for k, tr in enumerate(rec["tweets"]):
         try:
             _require_fields(tr, _TWEET_FIELDS)
-            tr["text_embedding"] = _embedding(tr, "text_embedding", table)
-            tr["hashtag_embedding"] = _embedding(tr, "hashtag_embedding", table)
+            tr["text_embedding"] = _embedding(tr, "text_embedding", table, rows)
+            tr["hashtag_embedding"] = _embedding(tr, "hashtag_embedding", table, rows)
         except ValueError as exc:
             raise ValueError(f"tweet {k}: {exc}") from None
         tweets.append(Tweet(**tr))
@@ -320,24 +346,31 @@ def _social_graph(path, users: dict[str, User]) -> SocialGraph:
 
 
 def load_dataset(dirpath) -> tuple[SocialGraph, list[UrlStory], list[CascadeRecord]]:
-    """Read a dataset directory.  A record that cannot be read (a line that
-    is not UTF-8, a field missing or of the wrong JSON type, an integer
-    beyond the float range in a float field or beyond int64 in a count, a
-    float field that is NaN or infinite, or an embedding component that is
-    not a number, included), a repeated user,
+    """Read a dataset directory.  embeddings.jsonl is read first, and only
+    if an embedding field names a row must it exist.  A record that cannot
+    be read raises ``DatasetFormatError`` with the file and line.  That
+    includes a line that is not UTF-8, a field missing or of the wrong JSON
+    type, an integer beyond the float range in a float field or beyond int64
+    in a count, and a float field that is NaN or infinite.  It includes an
+    embedding list with a component that is not a number or is beyond the
+    float range, and an embedding row number that is negative or not below
+    the table's length (named by record line, tweet and field), or that
+    names a row of a missing table.  A table line that is not a list of
+    ``EMBEDDING_DIM`` finite numbers names its own line.  A repeated user,
     cascade, tweet or URL ID or follow row, a tweet by an unknown user, a
     cascade of an unknown story and a story whose ``cascade_ids`` disagree
-    with the cascades raise ``DatasetFormatError`` with the file and line.
-    Embeddings with the same bytes share one read-only array."""
+    with the cascades raise it too.  Embeddings with the same bytes share
+    one read-only array."""
     table = _embedding_table()
+    rows = _embedding_rows(os.path.join(dirpath, EMBEDDINGS_FILE), table)
     users = {uid: u for uid, (_, u) in
-             _records(os.path.join(dirpath, USERS_FILE), lambda rec: _user(rec, table),
+             _records(os.path.join(dirpath, USERS_FILE), lambda rec: _user(rec, table, rows),
                       "user_id").items()}
 
     social = _social_graph(os.path.join(dirpath, FOLLOWS_FILE), users)
 
     cas_path, url_path = os.path.join(dirpath, CASCADES_FILE), os.path.join(dirpath, URLS_FILE)
-    cascades = _records(cas_path, lambda rec: _cascade(rec, table), "cascade_id")
+    cascades = _records(cas_path, lambda rec: _cascade(rec, table, rows), "cascade_id")
     stories = _records(url_path, _story, "url_id")
     tweet_ids: set[str] = set()
     cascade_ids: dict[str, set[str]] = {}  # url_id -> its cascades

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import glob
+import json
 import os
 
 import numpy as np
@@ -71,6 +73,53 @@ def make_social(user_specs, follows):
 
 def make_story(url_id, label, cascade_ids, first_seen=0.0):
     return UrlStory(url_id, label, first_seen, tuple(cascade_ids))
+
+
+# -- dataset files -------------------------------------------------------------
+
+def _inline(value):
+    if isinstance(value, np.ndarray):
+        return [float(f"{x:.7g}") for x in value]
+    if isinstance(value, tuple):
+        return [_inline(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _inline(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
+
+
+def inline_json(record) -> str:
+    """A record's line as datasets held it before embeddings.jsonl: ``json.dumps``
+    of its fields in order, with every embedding inline as its components
+    rounded to 7 significant digits."""
+    return json.dumps(_inline(record))
+
+
+def inline_rows(rec: dict, rows: list) -> dict:
+    """``rec``, a users.jsonl or cascades.jsonl record, with each embedding
+    row number, in the record or its tweets, replaced by a copy of that row
+    of ``rows`` (the embeddings.jsonl lines as JSON values)."""
+    for holder in [rec] + rec.get("tweets", []):
+        for name, value in holder.items():
+            if name.endswith("_embedding") and type(value) is int:
+                holder[name] = list(rows[value])
+    return rec
+
+
+def inlined_files(dirpath) -> dict[str, bytes]:
+    """The bytes of each file of a dataset directory but embeddings.jsonl,
+    with every embedding row number inlined (``inline_rows``)."""
+    with open(os.path.join(dirpath, "embeddings.jsonl"), encoding="utf-8") as fh:
+        rows = [json.loads(text) for text in fh]
+    out = {}
+    for name in sorted(os.listdir(dirpath)):
+        with open(os.path.join(dirpath, name), "rb") as fh:
+            data = fh.read()
+        if name in ("users.jsonl", "cascades.jsonl"):
+            data = "".join(json.dumps(inline_rows(json.loads(text), rows)) + "\n"
+                           for text in data.decode("utf-8").splitlines()).encode("utf-8")
+        if name != "embeddings.jsonl":
+            out[name] = data
+    return out
 
 
 # -- tiny networks -------------------------------------------------------------

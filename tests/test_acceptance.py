@@ -323,7 +323,7 @@ def test_criterion_10_cli_determinism(tmp_path):
                      "200", "--urls", "30", "--mean-cascades", "3",
                      "--fake-fraction", "0.3"]) == 0
     for name in ("users.jsonl", "follows.csv", "cascades.jsonl", "urls.jsonl",
-                 "stats.json"):
+                 "embeddings.jsonl", "stats.json"):
         assert filecmp.cmp(data / name, data2 / name, shallow=False), name
 
     fast = ["--iterations", "40", "--jobs", "2", "--seed", "5"]

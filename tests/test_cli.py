@@ -24,7 +24,7 @@ from cascade_gnn.cli import main
 from cascade_gnn.features import default_schema
 from cascade_gnn.synthgen import GenConfig
 
-from helpers import blas_thread_getter, blas_thread_setter
+from helpers import blas_thread_getter, blas_thread_setter, inline_rows, inlined_files
 
 GEN_ARGS = ["--users", "150", "--urls", "12", "--mean-cascades", "3"]
 FIXTURE_ARGS = ["--users", "200", "--urls", "30", "--mean-cascades", "3",
@@ -62,7 +62,7 @@ class TestGenerate:
         assert main(["generate", "--seed", "42", "--out", str(a)] + GEN_ARGS) == 0
         assert main(["generate", "--seed", "42", "--out", str(b)] + GEN_ARGS) == 0
         for name in ("users.jsonl", "follows.csv", "cascades.jsonl", "urls.jsonl",
-                     "stats.json"):
+                     "embeddings.jsonl", "stats.json"):
             assert filecmp.cmp(a / name, b / name, shallow=False), name
 
     def test_single_story(self, tmp_path):
@@ -99,8 +99,9 @@ class TestGenerate:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "d").exists()
 
-    # SHA-256 of each file, recorded with the per-component writer that
-    # formatted every embedding component through float(f"{x:.7g}")
+    # SHA-256 of each file with every embedding inline, recorded with the
+    # per-component writer that formatted every embedding component through
+    # float(f"{x:.7g}") and wrote it in each record
     PINNED_FILES = {
         "users.jsonl": "98f68d0e3d4cec7e7124b6d078abc890293b4b8ab4fb327b461d991067f441dd",
         "follows.csv": "e4874b3643fa62a776abb29d6d97623ae1a0cd37311d89c10d43a10d7aafbaf9",
@@ -108,12 +109,23 @@ class TestGenerate:
         "urls.jsonl": "e1c7ccaf623f218d8db0dd3d71d63bc2f0327de45330785d3b3ee5b0a1e6bd7a",
         "stats.json": "c3a72076f3635706ed44fade1e351c6eaf8d038b1dbe43e30ff506215dc22121",
     }
+    # SHA-256 of the files as written, each embedding a row of embeddings.jsonl
+    PINNED_TABLE_FILES = {
+        "users.jsonl": "330138756d82bdcdc27dd2cbc6a8d281ce7b0607f7174bc356cf8b634fea37f5",
+        "cascades.jsonl": "4866f6bff620139c9509946685adc5bc4456c90f1aada84afe1958951bdd8dc0",
+        "embeddings.jsonl": "f77b272df51d77bf9cb4768b5c3c338a2d14c0ba15e6473252eb7718e12e83d1",
+    }
+    FILES = sorted(set(PINNED_FILES) | set(PINNED_TABLE_FILES))
 
     def test_files_are_pinned(self, tmp_path):
         assert main(["generate", "--seed", "42", "--out", str(tmp_path)] + GEN_ARGS) == 0
-        assert sorted(os.listdir(tmp_path)) == sorted(self.PINNED_FILES)
+        assert sorted(os.listdir(tmp_path)) == self.FILES
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                   for name in self.PINNED_FILES}
+                   for name in self.PINNED_TABLE_FILES}
+        assert digests == self.PINNED_TABLE_FILES
+        # with the rows inlined, every byte is the per-component writer's
+        digests = {name: hashlib.sha256(data).hexdigest()
+                   for name, data in inlined_files(tmp_path).items()}
         assert digests == self.PINNED_FILES
 
     def test_config_keys_and_flags_write_the_same_files(self, tmp_path):
@@ -123,7 +135,7 @@ class TestGenerate:
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["generate", "--seed", "42", "--out", str(a)] + GEN_ARGS) == 0
         assert main(["generate", "--seed", "42", "--out", str(b), "--config", str(cfg)]) == 0
-        for name in self.PINNED_FILES:
+        for name in self.FILES:
             assert filecmp.cmp(a / name, b / name, shallow=False), name
 
     def test_bad_config_is_usage_error(self, tmp_path):
@@ -804,10 +816,24 @@ def small_dataset(tmp_path_factory):
     return path
 
 
-def _edit_jsonl(edit):
-    def corrupt(lines):
+def _edit_jsonl(edit, inline=False):
+    """Edit line 3's record; with ``inline``, once each embedding row number
+    in it is replaced by the row."""
+    def corrupt(lines, rows):
         rec = json.loads(lines[2])
+        if inline:
+            inline_rows(rec, rows)
         edit(rec)
+        lines[2] = json.dumps(rec)
+    return corrupt
+
+
+def _past_the_table(holder, field):
+    """Point the embedding ``field`` of line 3's record, in the part that
+    ``holder`` picks, at the row one past embeddings.jsonl's last."""
+    def corrupt(lines, rows):
+        rec = json.loads(lines[2])
+        holder(rec)[field] = len(rows)
         lines[2] = json.dumps(rec)
     return corrupt
 
@@ -815,7 +841,7 @@ def _edit_jsonl(edit):
 def _repeat_id(holder, field):
     """Give line 3's record the ID ``field`` of line 1's, both found in the
     part of the record that ``holder`` picks."""
-    def corrupt(lines):
+    def corrupt(lines, rows):
         first, rec = json.loads(lines[0]), json.loads(lines[2])
         holder(rec)[field] = holder(first)[field]
         lines[2] = json.dumps(rec)
@@ -823,17 +849,17 @@ def _repeat_id(holder, field):
 
 
 def _edit_follow(make_row):
-    def corrupt(lines):
+    def corrupt(lines, rows):
         lines[2] = make_row(*lines[2].split(","))
     return corrupt
 
 
-def _repeat_follow(lines):
+def _repeat_follow(lines, rows):
     """Make line 3 of follows.csv repeat line 2."""
     lines[2] = lines[1]
 
 
-def _bad_byte(lines):
+def _bad_byte(lines, rows):
     """Put a byte that is not UTF-8 (0xff, escaped) in the middle of line 3."""
     half = len(lines[2]) // 2
     lines[2] = lines[2][:half] + "\udcff" + lines[2][half:]
@@ -866,14 +892,54 @@ class TestDatasetFormat:
          "disagree on cascade 'c00002_0006'"),
         ("urls.jsonl", _edit_jsonl(lambda r: r["cascade_ids"].append(r["cascade_ids"][0])),
          "cascade_ids lists a cascade twice"),
-        ("users.jsonl", _edit_jsonl(lambda r: r["description_embedding"].__setitem__(5, True)),
+        # a component of an inline embedding, and the same one in the table
+        ("users.jsonl",
+         _edit_jsonl(lambda r: r["description_embedding"].__setitem__(5, True), inline=True),
          "field 'description_embedding' component 5 must be a number, got a boolean"),
         ("cascades.jsonl",
-         _edit_jsonl(lambda r: r["tweets"][0]["text_embedding"].__setitem__(0, "0.5")),
+         _edit_jsonl(lambda r: r["tweets"][0]["text_embedding"].__setitem__(0, "0.5"),
+                     inline=True),
          "tweet 0: field 'text_embedding' component 0 must be a number, got a string"),
         ("users.jsonl",
-         _edit_jsonl(lambda r: r["description_embedding"].__setitem__(5, 10**400)),
+         _edit_jsonl(lambda r: r["description_embedding"].__setitem__(5, 10**400), inline=True),
          "field 'description_embedding' has a component beyond the float range"),
+        ("embeddings.jsonl", _edit_jsonl(lambda r: r.__setitem__(5, True)),
+         "embedding component 5 must be a number, got a boolean"),
+        ("embeddings.jsonl", _edit_jsonl(lambda r: r.__setitem__(0, "0.5")),
+         "embedding component 0 must be a number, got a string"),
+        ("embeddings.jsonl", _edit_jsonl(lambda r: r.__setitem__(5, 10**400)),
+         "embedding has a component beyond the float range"),
+        # a table row that is not an embedding
+        ("embeddings.jsonl", _edit_jsonl(lambda r: r.__setitem__(5, math.nan)),
+         "embedding contains non-finite components"),
+        ("embeddings.jsonl", _edit_jsonl(lambda r: r.pop()),
+         "embedding must have exactly 200 components, got shape (199,)"),
+        ("embeddings.jsonl", lambda lines, rows: lines.__setitem__(2, '{"0": 0.5}'),
+         "expected a JSON array, got an object"),
+        ("embeddings.jsonl", _bad_byte, "is a byte that is not UTF-8"),
+        ("embeddings.jsonl", lambda lines, rows: lines.__setitem__(2, "[" * 100000),
+         "maximum recursion depth exceeded"),
+        ("urls.jsonl", lambda lines, rows: lines.__setitem__(2, "[" * 100000),
+         "maximum recursion depth exceeded"),
+        # an embedding row number outside the table
+        ("users.jsonl", _edit_jsonl(lambda r: r.update(description_embedding=-1)),
+         "field 'description_embedding' names row -1, but embeddings.jsonl has"),
+        ("cascades.jsonl", _past_the_table(lambda r: r["tweets"][0], "hashtag_embedding"),
+         "tweet 0: field 'hashtag_embedding' names row "),
+        ("users.jsonl", _past_the_table(lambda r: r, "description_embedding"),
+         "field 'description_embedding' names row "),
+        ("cascades.jsonl",
+         _edit_jsonl(lambda r: r["tweets"][0].update(text_embedding=2**63)),
+         f"tweet 0: field 'text_embedding' names row {2**63}, but embeddings.jsonl has"),
+        ("users.jsonl", _edit_jsonl(lambda r: r.update(description_embedding=10**400)),
+         "field 'description_embedding' names row 1000000000"),
+        # a field that is neither an embedding nor a row number
+        ("users.jsonl", _edit_jsonl(lambda r: r.update(description_embedding=True)),
+         "field 'description_embedding' must be an array, got a boolean"),
+        ("cascades.jsonl", _edit_jsonl(lambda r: r["tweets"][0].update(text_embedding=2.5)),
+         "tweet 0: field 'text_embedding' must be an array, got a number"),
+        ("users.jsonl", _edit_jsonl(lambda r: r.update(description_embedding="3")),
+         "field 'description_embedding' must be an array, got a string"),
         # cascades.jsonl's line 3 starts kilobytes into the file
         ("urls.jsonl", _bad_byte, "is a byte that is not UTF-8"),
         ("follows.csv", _bad_byte, "is a byte that is not UTF-8"),
@@ -899,14 +965,25 @@ class TestDatasetFormat:
                                   reason):
         data = tmp_path / "ds"
         shutil.copytree(small_dataset, data)
+        rows = [json.loads(text) for text in (data / "embeddings.jsonl").read_text().splitlines()]
         lines = (data / name).read_text().splitlines()
-        corrupt(lines)
+        corrupt(lines, rows)
         (data / name).write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         code = main(["stats", "--dataset", str(data)])
         err = capsys.readouterr().err
         assert code == 2
         assert f"{data / name}, line 3: " in err and reason in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_a_row_number_without_a_table_exits_two(self, small_dataset, tmp_path, capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(small_dataset, data)
+        (data / "embeddings.jsonl").unlink()
+        code = main(["stats", "--dataset", str(data)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: {data / 'users.jsonl'}, line 1: field 'description_embedding' "
+                       "names row 0, but there is no embeddings.jsonl\n")
 
     # json reads NaN, Infinity and -Infinity; in the loaded data, -inf made
     # the feature encoder raise and a NaN source time the statistics divide by 0
@@ -957,7 +1034,12 @@ def _holder(rec, data):
     return data.draw(st.sampled_from([rec] + rec.get("tweets", [])))
 
 
-def _drop(lines, k, data):
+def _drop(lines, k, data, rows):
+    if lines[k].startswith("["):  # an embeddings.jsonl row: drop a component
+        row = json.loads(lines[k])
+        del row[data.draw(st.integers(0, len(row) - 1))]
+        lines[k] = json.dumps(row)
+        return
     if not lines[k].startswith("{"):  # a follows.csv line
         fields = lines[k].split(",")
         del fields[data.draw(st.integers(0, len(fields) - 1))]
@@ -969,7 +1051,13 @@ def _drop(lines, k, data):
     lines[k] = json.dumps(rec)
 
 
-def _retype(lines, k, data):
+def _retype(lines, k, data, rows):
+    if lines[k].startswith("["):  # an embeddings.jsonl row: retype a component
+        row = json.loads(lines[k])
+        row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.sampled_from(
+            [v for v in JSON_VALUES if _kind(v) != "number"]))
+        lines[k] = json.dumps(row)
+        return
     if not lines[k].startswith("{"):
         fields = lines[k].split(",")
         fields[data.draw(st.integers(0, len(fields) - 1))] = str(
@@ -984,22 +1072,26 @@ def _retype(lines, k, data):
     lines[k] = json.dumps(rec)
 
 
-def _truncate(lines, k, data):
+def _truncate(lines, k, data, rows):
     lines[k] = lines[k][:data.draw(st.integers(0, len(lines[k]) - 1))]
 
 
-def _recomponent(lines, k, data):
-    """Swap one embedding component for a string, a boolean or null."""
+def _recomponent(lines, k, data, rows):
+    """Swap one embedding component for a string, a boolean or null: in an
+    embeddings.jsonl row, or in a record's embedding, inlined from its row."""
     rec = json.loads(lines[k])
-    holder = data.draw(st.sampled_from([rec] if "user_id" in rec else rec["tweets"]))
-    vec = holder[data.draw(st.sampled_from([f for f in sorted(holder)
-                                            if f.endswith("_embedding")]))]
+    if type(rec) is list:
+        vec = rec
+    else:
+        holder = data.draw(st.sampled_from([rec] if "user_id" in rec else rec["tweets"]))
+        field = data.draw(st.sampled_from([f for f in sorted(holder) if f.endswith("_embedding")]))
+        vec = holder[field] = list(rows[holder[field]])
     vec[data.draw(st.integers(0, len(vec) - 1))] = data.draw(
         st.sampled_from(["0.5", "x", True, False, None]))
     lines[k] = json.dumps(rec)
 
 
-def _nonfinite(lines, k, data):
+def _nonfinite(lines, k, data, rows):
     """Set a float field (a time) of a record or tweet to NaN or an infinity."""
     rec = json.loads(lines[k])
     holder = data.draw(st.sampled_from(rec.get("tweets", [rec])))
@@ -1008,7 +1100,7 @@ def _nonfinite(lines, k, data):
     lines[k] = json.dumps(rec)
 
 
-def _repeat(lines, k, data):
+def _repeat(lines, k, data, rows):
     """Give line k the ID of another line: the whole line, in follows.csv."""
     j = data.draw(st.sampled_from([i for i in range(len(lines)) if i != k]))
     if not lines[k].startswith("{"):
@@ -1032,18 +1124,23 @@ class TestDatasetFuzz:
     def test_corrupted_dataset_exits_two(self, tiny_dataset, data):
         corrupt = data.draw(st.sampled_from([_drop, _retype, _truncate, _repeat,
                                              _recomponent, _nonfinite]))
-        # only users and tweets hold embeddings, and follows.csv holds no floats
+        # only users, tweets and the table hold embeddings, follows.csv holds
+        # no floats, and the table may repeat a row
         name = data.draw(st.sampled_from(
-            ["users.jsonl", "cascades.jsonl"] if corrupt is _recomponent else
+            ["users.jsonl", "cascades.jsonl", "embeddings.jsonl"] if corrupt is _recomponent else
             ["users.jsonl", "cascades.jsonl", "urls.jsonl"] if corrupt is _nonfinite else
-            ["users.jsonl", "follows.csv", "cascades.jsonl", "urls.jsonl"]))
+            ["users.jsonl", "follows.csv", "cascades.jsonl", "urls.jsonl"]
+            if corrupt is _repeat else
+            ["users.jsonl", "follows.csv", "cascades.jsonl", "urls.jsonl", "embeddings.jsonl"]))
         with tempfile.TemporaryDirectory() as tmp:
             copy = os.path.join(tmp, "ds")
             shutil.copytree(tiny_dataset, copy)
+            with open(os.path.join(copy, "embeddings.jsonl"), encoding="utf-8") as fh:
+                rows = [json.loads(text) for text in fh]
             path = os.path.join(copy, name)
             with open(path, encoding="utf-8") as fh:
                 lines = fh.read().splitlines()
-            corrupt(lines, data.draw(st.integers(0, len(lines) - 1)), data)
+            corrupt(lines, data.draw(st.integers(0, len(lines) - 1)), data, rows)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
             err = io.StringIO()

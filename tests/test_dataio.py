@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 from cascade_gnn import dataio
 from cascade_gnn.dataio import (DatasetNotFoundError, cascades_by_url,
                                 load_dataset, write_dataset)
+from cascade_gnn.evalharness import build_samples
+from cascade_gnn.features import default_schema
 from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_graph
 from cascade_gnn.types import EMBEDDING_DIM, CascadeRecord, UrlStory
 
-from helpers import make_tweet, make_user, social_graph
+from helpers import inline_json, inlined_files, make_tweet, make_user, social_graph
 
 CFG = GenConfig(num_users=150, num_urls=8, mean_cascades_per_url=3.0)
+FILES = ("users.jsonl", "follows.csv", "cascades.jsonl", "urls.jsonl", "embeddings.jsonl")
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +33,7 @@ def world():
 def test_round_trip_preserves_structure(tmp_path, world):
     social, stories, cascades = world
     write_dataset(tmp_path, social, stories, cascades)
-    for name in ("users.jsonl", "follows.csv", "cascades.jsonl", "urls.jsonl"):
+    for name in FILES:
         assert (tmp_path / name).is_file()
     social2, stories2, cascades2 = load_dataset(tmp_path)
     assert set(social2.users) == set(social.users)
@@ -54,7 +57,7 @@ def test_write_is_byte_deterministic(tmp_path, world):
     a, b = tmp_path / "a", tmp_path / "b"
     write_dataset(a, social, stories, cascades)
     write_dataset(b, social, stories, cascades)
-    for name in ("users.jsonl", "follows.csv", "cascades.jsonl", "urls.jsonl"):
+    for name in FILES:
         assert filecmp.cmp(a / name, b / name, shallow=False), name
 
 
@@ -129,7 +132,6 @@ def test_unit_scale_vectors_take_the_one_call_path(monkeypatch):
         raise AssertionError("took the per-component path")
     monkeypatch.setattr(dataio, "_round_vec", per_component)
     assert dataio._vector_json(vec) == expected
-    assert dataio._vector_json(np.zeros(EMBEDDING_DIM)) == json.dumps([0.0] * EMBEDDING_DIM)
 
 
 def test_all_zero_embeddings_share_one_read_only_array(tmp_path, world):
@@ -144,7 +146,7 @@ def test_all_zero_embeddings_share_one_read_only_array(tmp_path, world):
         dataio._ZERO_EMBEDDING[0] = 1.0
     # the shared array writes as the zeros it replaced
     write_dataset(tmp_path / "b", social2, stories2, cascades2)
-    for name in ("users.jsonl", "follows.csv", "cascades.jsonl", "urls.jsonl"):
+    for name in FILES:
         assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False), name
 
 
@@ -162,33 +164,6 @@ def test_an_embedding_that_differs_keeps_its_own_array(values):
     vec = dataio._embedding({"e": values}, "e")
     assert vec is not dataio._ZERO_EMBEDDING and not vec.flags.writeable
     assert np.array_equal(np.signbit(vec), np.signbit(values))
-
-
-def test_vector_texts_store_only_repeated_vectors(monkeypatch):
-    rng = np.random.default_rng(0)
-    vecs = [rng.uniform(-0.4, 0.4, EMBEDDING_DIM) for _ in range(5)]
-    order = vecs + vecs[:2] + vecs[:1] + vecs[:2]
-    expected = [dataio._vector_json(v) for v in order]
-    formatted = []
-    vector_json = dataio._vector_json
-    monkeypatch.setattr(dataio, "_vector_json", lambda v: formatted.append(v) or vector_json(v))
-    memo = dataio._VectorTexts()
-    assert [memo(v) for v in order] == expected
-    assert list(memo.texts) == [vecs[0].tobytes(), vecs[1].tobytes()]
-    # a vector is formatted at its first and second sightings, not after
-    assert len(formatted) == 7
-
-
-def test_a_hash_collision_costs_an_entry_not_a_wrong_text(monkeypatch):
-    # every vector's sightings are counted under one hash
-    monkeypatch.setattr(dataio, "hash", lambda key: 0, raising=False)
-    vecs = [np.full(EMBEDDING_DIM, 0.25), np.full(EMBEDDING_DIM, 0.125)]
-    vecs.append(vecs[0].copy())
-    vecs[2][7] = -0.0
-    memo = dataio._VectorTexts()
-    for _ in range(2):
-        assert [memo(v) for v in vecs] == [dataio._vector_json(v) for v in vecs]
-    assert set(memo.texts) == {v.tobytes() for v in vecs}
 
 
 def vector_pool(seed: int) -> list[np.ndarray]:
@@ -226,36 +201,88 @@ def repeating_datasets(draw):
     return social_graph(users, []), [story], cascades
 
 
+def _embeddings(social, cascades) -> list[np.ndarray]:
+    """Every embedding of a dataset: the users', then each tweet's two."""
+    return [u.description_embedding for u in social.users.values()] + [
+        v for cas in cascades for t in cas.tweets for v in (t.text_embedding,
+                                                            t.hashtag_embedding)]
+
+
+def _assert_same_samples(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert (x.key, x.url_id, x.label, x.times, x.authors) == (
+            y.key, y.url_id, y.label, y.times, y.authors)
+        assert x.features.dtype == y.features.dtype
+        assert x.features.tobytes() == y.features.tobytes()
+        for name in ("src", "dst", "flags", "num_nodes"):
+            assert np.array_equal(getattr(x.edges, name), getattr(y.edges, name)), name
+
+
 @settings(max_examples=150, deadline=None)
 @given(repeating_datasets())
 def test_interned_write_and_load_match_the_per_record_path(dataset):
+    """The table form loads as the inline form that every record held
+    before embeddings.jsonl (written here by the test's own copy of that
+    writer), down to the sign bits and the samples built from it."""
     social, stories, cascades = dataset
     users = [social.users[u] for u in sorted(social.users)]
-    expected_users = "".join(dataio._record_json(u, dataio._USER_FIELDS) + "\n" for u in users)
-    expected_cascades = "".join(
-        dataio._record_json(cas, dataio._CASCADE_FIELDS, tweets="[" + ", ".join(
-            dataio._record_json(t, dataio._TWEET_FIELDS) for t in cas.tweets) + "]") + "\n"
-        for cas in cascades)
+    inline_users = "".join(inline_json(u) + "\n" for u in users)
+    inline_cascades = "".join(inline_json(cas) + "\n" for cas in cascades)
     with tempfile.TemporaryDirectory() as tmp:
-        write_dataset(tmp, social, stories, cascades)
-        with open(os.path.join(tmp, "users.jsonl"), encoding="utf-8") as fh:
-            assert fh.read() == expected_users
-        with open(os.path.join(tmp, "cascades.jsonl"), encoding="utf-8") as fh:
-            assert fh.read() == expected_cascades
-        social2, _, cascades2 = load_dataset(tmp)
-    written = [u.description_embedding for u in users] + [
-        v for cas in cascades for t in cas.tweets for v in (t.text_embedding,
-                                                            t.hashtag_embedding)]
-    loaded = [u.description_embedding for u in social2.users.values()] + [
-        v for cas in cascades2 for t in cas.tweets for v in (t.text_embedding,
-                                                             t.hashtag_embedding)]
+        table, inline = os.path.join(tmp, "table"), os.path.join(tmp, "inline")
+        write_dataset(table, social, stories, cascades)
+        # the table's rows hold the inline text, byte for byte
+        files = inlined_files(table)
+        assert files["users.jsonl"].decode() == inline_users
+        assert files["cascades.jsonl"].decode() == inline_cascades
+        write_dataset(inline, social, stories, cascades)
+        os.remove(os.path.join(inline, "embeddings.jsonl"))
+        with open(os.path.join(inline, "users.jsonl"), "w", encoding="utf-8") as fh:
+            fh.write(inline_users)
+        with open(os.path.join(inline, "cascades.jsonl"), "w", encoding="utf-8") as fh:
+            fh.write(inline_cascades)
+        social_t, stories_t, cascades_t = load_dataset(table)
+        social_i, stories_i, cascades_i = load_dataset(inline)
+    loaded, expected = _embeddings(social_t, cascades_t), _embeddings(social_i, cascades_i)
+    written = _embeddings(social, cascades)  # users u0, u1, ... are in sorted order
     # each vector reads back as its rounded text, sign bits included, and
     # vectors with the same bytes, and only those, share one read-only array
-    for v, w in zip(written, loaded):
+    for v, w, x in zip(written, loaded, expected, strict=True):
+        assert np.array_equal(w, x) and np.array_equal(np.signbit(w), np.signbit(x))
         assert w.tobytes() == np.array(json.loads(dataio._vector_json(v))).tobytes()
         assert not w.flags.writeable
     for v in loaded:
         assert all((v is w) == (v.tobytes() == w.tobytes()) for w in loaded)
+    schema = default_schema()
+    for scope in ("url_wise", "cascade_wise"):
+        _assert_same_samples(build_samples(stories_t, cascades_t, social_t, schema, scope),
+                             build_samples(stories_i, cascades_i, social_i, schema, scope))
+
+
+def test_the_table_holds_each_distinct_vector_once_in_first_sighting_order(tmp_path):
+    base, big, tiny, twin, negative_twin, zeros, negative_zeros = vector_pool(0)
+    users = {"a": make_user("a", description_embedding=twin),
+             "b": make_user("b", description_embedding=base),
+             "c": make_user("c", description_embedding=twin.copy())}
+    tweets = [make_tweet("t0", "a", 0, is_source=True, text_embedding=negative_twin,
+                         hashtag_embedding=zeros),
+              make_tweet("t1", "b", 1, text_embedding=base, hashtag_embedding=negative_zeros),
+              make_tweet("t2", "c", 2, text_embedding=big, hashtag_embedding=tiny)]
+    cascades = [CascadeRecord("c0", "url0", tuple(tweets))]
+    stories = [UrlStory("url0", "true_news", 0.0, ("c0",))]
+    write_dataset(tmp_path, social_graph(users, []), stories, cascades)
+    order = [twin, base, negative_twin, zeros, negative_zeros, big, tiny]
+    rows = (tmp_path / "embeddings.jsonl").read_text().splitlines()
+    assert rows == [dataio._vector_json(v) for v in order]
+    # a signed-zero twin has other bytes, so it has its own row
+    assert len({v.tobytes() for v in order}) == len(order)
+    users_rows = [json.loads(t)["description_embedding"]
+                  for t in (tmp_path / "users.jsonl").read_text().splitlines()]
+    tweet_rows = [(t["text_embedding"], t["hashtag_embedding"])
+                  for t in json.loads((tmp_path / "cascades.jsonl").read_text())["tweets"]]
+    assert users_rows == [0, 1, 0]
+    assert tweet_rows == [(2, 3), (1, 4), (5, 6)]
 
 
 def test_repeated_embeddings_share_one_read_only_array(tmp_path, world):
@@ -274,10 +301,11 @@ def test_repeated_embeddings_share_one_read_only_array(tmp_path, world):
 
 
 def _users_with(tmp_path, embeddings):
-    """A dataset of one user per embedding (a list of JSON values), and nothing else."""
+    """A dataset of one user per embedding (a list of JSON values or a row
+    number), and nothing else but any embeddings.jsonl already there."""
     lines = []
     for k, vec in enumerate(embeddings):
-        rec = json.loads(dataio._record_json(make_user(f"u{k}"), dataio._USER_FIELDS))
+        rec = json.loads(inline_json(make_user(f"u{k}")))
         rec["description_embedding"] = vec
         lines.append(json.dumps(rec) + "\n")
     (tmp_path / "users.jsonl").write_text("".join(lines))
@@ -320,6 +348,48 @@ def test_a_bad_repeat_of_an_interned_vector_fails_on_its_line(tmp_path, k, value
     assert (err.value.line, err.value.reason) == (3, reason)
 
 
+def test_rows_and_inline_lists_share_arrays(tmp_path):
+    vec = [0.25] * EMBEDDING_DIM
+    vec[7] = -0.0
+    (tmp_path / "embeddings.jsonl").write_text(
+        "".join(json.dumps(v) + "\n" for v in ([0.0] * EMBEDDING_DIM, vec, vec)))
+    _users_with(tmp_path, [vec, 1, [0] * EMBEDDING_DIM, 0, 2])
+    a, b, zeros, zero_row, c = (u.description_embedding for u in
+                                load_dataset(tmp_path)[0].users.values())
+    assert a is b is c and np.signbit(a[7])
+    assert zeros is zero_row is dataio._ZERO_EMBEDDING
+
+
+@pytest.mark.parametrize("value", [-1, 2, 2**63, 10**400])
+def test_a_row_number_outside_the_table_fails_on_its_line(tmp_path, value):
+    (tmp_path / "embeddings.jsonl").write_text(json.dumps([0.5] * EMBEDDING_DIM) + "\n" +
+                                               json.dumps([0.25] * EMBEDDING_DIM) + "\n")
+    _users_with(tmp_path, [0, 1, value, 0])
+    with pytest.raises(dataio.DatasetFormatError) as err:
+        load_dataset(tmp_path)
+    assert (err.value.path, err.value.line, err.value.reason) == (
+        str(tmp_path / "users.jsonl"), 3, f"field 'description_embedding' names row {value}, "
+                                          "but embeddings.jsonl has 2 rows, numbered from 0")
+
+
+def test_a_bad_row_fails_on_its_table_line_before_any_record(tmp_path):
+    rows = [[0.5] * EMBEDDING_DIM, [0.25] * (EMBEDDING_DIM - 1) + [float("inf")]]
+    (tmp_path / "embeddings.jsonl").write_text("".join(json.dumps(v) + "\n" for v in rows))
+    _users_with(tmp_path, [0, "bad"])
+    with pytest.raises(dataio.DatasetFormatError) as err:
+        load_dataset(tmp_path)
+    assert (err.value.path, err.value.line, err.value.reason) == (
+        str(tmp_path / "embeddings.jsonl"), 2, "embedding contains non-finite components")
+
+
+def test_a_row_number_without_a_table_names_the_file(tmp_path):
+    _users_with(tmp_path, [[0.5] * EMBEDDING_DIM, 0])
+    with pytest.raises(dataio.DatasetFormatError) as err:
+        load_dataset(tmp_path)
+    assert (err.value.line, err.value.reason) == (
+        2, "field 'description_embedding' names row 0, but there is no embeddings.jsonl")
+
+
 def test_a_non_finite_repeat_still_fails_the_type_check():
     table = dataio._embedding_table()
     values = {"description_embedding": [0.25] * (EMBEDDING_DIM - 1) + [float("nan")]}
@@ -341,7 +411,7 @@ def test_a_non_finite_repeat_still_fails_the_type_check():
 ])
 def test_follow_rows_fail_in_file_order(tmp_path, rows, line, reason):
     (tmp_path / "users.jsonl").write_text("".join(
-        dataio._record_json(make_user(u), dataio._USER_FIELDS) + "\n" for u in "BA"))
+        inline_json(make_user(u)) + "\n" for u in "BA"))
     (tmp_path / "follows.csv").write_text("\n".join(["follower_id,followee_id"] + rows) + "\n")
     for name in ("cascades.jsonl", "urls.jsonl"):
         (tmp_path / name).write_text("")
@@ -352,7 +422,7 @@ def test_follow_rows_fail_in_file_order(tmp_path, rows, line, reason):
 
 def test_loaded_follows_name_the_rows(tmp_path):
     (tmp_path / "users.jsonl").write_text("".join(
-        dataio._record_json(make_user(u), dataio._USER_FIELDS) + "\n" for u in "CAB"))
+        inline_json(make_user(u)) + "\n" for u in "CAB"))
     (tmp_path / "follows.csv").write_text("follower_id,followee_id\nC,A\nA,B\nB,C\nA,C\n")
     for name in ("cascades.jsonl", "urls.jsonl"):
         (tmp_path / name).write_text("")
