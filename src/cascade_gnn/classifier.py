@@ -351,7 +351,7 @@ def load_checkpoint(path, config: ModelConfig, scope: str | None = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise CheckpointError(f"not a recognized checkpoint: {path} ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         found = doc.get("format") if isinstance(doc, dict) else None

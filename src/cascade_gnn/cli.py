@@ -56,7 +56,7 @@ def _load_config_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise UsageFailure(f"--config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise UsageFailure(f"--config {path}: must hold a JSON object")

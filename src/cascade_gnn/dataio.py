@@ -1,17 +1,19 @@
 """On-disk dataset formats.
 
 A dataset directory holds users.jsonl, follows.csv, cascades.jsonl,
-urls.jsonl and embeddings.jsonl.  Embedding components are rounded to 7
-significant digits on write; everything else round-trips exactly.
+urls.jsonl and embeddings.jsonl.  Each JSONL line is ``json.dumps`` of one
+record's fields in order, a cascade's tweets as a list of their records.
+Embedding components are rounded to 7 significant digits on write;
+everything else round-trips exactly.
 
 Embeddings repeat: a retweet carries its source tweet's text, so one vector
 stands in many records.  ``write_dataset`` writes each distinct vector once,
 as one line of embeddings.jsonl in first-sighting order, keyed by its
 float64 bytes; an embedding field of a user or tweet holds its vector's
-row, the 0-based line number.  An embedding field may also hold the vector itself,
-as a list of numbers, as datasets written before the table did.
+row, the 0-based line number.  An embedding field may also hold the vector
+itself, as a list of numbers, as datasets written before the table did.
 ``load_dataset`` checks each table row once and hands every embedding with
-the same bytes one shared array, so every loaded embedding is read-only.
+the same bytes, row or list, one shared read-only array per load.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from array import array
 
 import numpy as np
 
-from .types import (EMBEDDING_DIM, CascadeRecord, SocialGraph, Tweet, UrlStory, User,
+from .types import (CascadeRecord, SocialGraph, Tweet, UrlStory, User,
                     _check_embedding, first_repeat)
 
 USERS_FILE = "users.jsonl"
@@ -69,38 +71,6 @@ def _round_vec(vec: np.ndarray) -> list[float]:
     return [float(f"{x:.7g}") for x in vec]
 
 
-_VECTOR_TEMPLATE = "[" + ", ".join(["%.7g"] * EMBEDDING_DIM) + "]"
-
-
-def _vector_json(vec: np.ndarray) -> str:
-    """``json.dumps(_round_vec(vec))`` of an embedding, formatted in one ``%`` call.
-
-    ``%.7g`` prints the same digits as ``repr`` of the rounded float, except
-    for integral values (``3`` for ``3.0``), exponents from 7 up (``1e+07``)
-    and subnormals, whose repr has fewer digits; each of those needs a
-    component that is 0, at least 0.5 in magnitude, or below the smallest
-    normal float, so such a vector takes the per-component path."""
-    mag = np.abs(vec)
-    if mag.max() >= 0.5 or mag.min() < sys.float_info.min:
-        return json.dumps(_round_vec(vec))
-    return _VECTOR_TEMPLATE % tuple(vec.tolist())
-
-
-def _record_json(obj, fields: dict, row=None, **texts: str) -> str:
-    """``json.dumps`` of ``obj``'s on-disk record: its ``fields``, in order,
-    with ``row(vec)``, the text of its row number, for each embedding;
-    ``texts`` holds the JSON text of some fields."""
-    parts = []
-    for name in fields:
-        if name in texts:
-            text = texts[name]
-        else:
-            value = getattr(obj, name)
-            text = row(value) if isinstance(value, np.ndarray) else json.dumps(value)
-        parts.append(f"{_KEYS[name]}: {text}")
-    return "{" + ", ".join(parts) + "}"
-
-
 def write_dataset(dirpath, social: SocialGraph, stories: list[UrlStory],
                   cascades: list[CascadeRecord]) -> None:
     """Write a dataset directory.  Each distinct embedding, keyed by its
@@ -108,18 +78,22 @@ def write_dataset(dirpath, social: SocialGraph, stories: list[UrlStory],
     and then the cascades' tweets first hold it; each embedding field holds
     its vector's row, the 0-based line number."""
     os.makedirs(dirpath, exist_ok=True)
-    rows: dict[bytes, str] = {}  # the bytes of each vector -> its row, as text
+    rows: dict[bytes, int] = {}  # the bytes of each vector -> its row
 
-    def row(vec: np.ndarray) -> str:
-        key = vec.tobytes()
-        text = rows.get(key)
-        if text is None:
-            text = rows[key] = str(len(rows))
-        return text
+    def record(obj, fields: dict) -> dict:
+        """``obj``'s on-disk record: its ``fields`` in order, with each
+        embedding's row."""
+        rec = {}
+        for name in fields:
+            value = getattr(obj, name)
+            if isinstance(value, np.ndarray):
+                value = rows.setdefault(value.tobytes(), len(rows))
+            rec[name] = value
+        return rec
 
     with open(os.path.join(dirpath, USERS_FILE), "w", encoding="utf-8") as fh:
         for uid in sorted(social.users):
-            fh.write(_record_json(social.users[uid], _USER_FIELDS, row) + "\n")
+            fh.write(json.dumps(record(social.users[uid], _USER_FIELDS)) + "\n")
 
     with open(os.path.join(dirpath, FOLLOWS_FILE), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -128,17 +102,17 @@ def write_dataset(dirpath, social: SocialGraph, stories: list[UrlStory],
 
     with open(os.path.join(dirpath, CASCADES_FILE), "w", encoding="utf-8") as fh:
         for cas in sorted(cascades, key=lambda c: c.cascade_id):
-            tweets = "[" + ", ".join(_record_json(t, _TWEET_FIELDS, row)
-                                     for t in cas.tweets) + "]"
-            fh.write(_record_json(cas, _CASCADE_FIELDS, tweets=tweets) + "\n")
+            rec = record(cas, _CASCADE_FIELDS)
+            rec["tweets"] = [record(t, _TWEET_FIELDS) for t in cas.tweets]
+            fh.write(json.dumps(rec) + "\n")
 
     with open(os.path.join(dirpath, URLS_FILE), "w", encoding="utf-8") as fh:
         for story in sorted(stories, key=lambda s: s.url_id):
-            fh.write(_record_json(story, _STORY_FIELDS) + "\n")
+            fh.write(json.dumps(record(story, _STORY_FIELDS)) + "\n")
 
     with open(os.path.join(dirpath, EMBEDDINGS_FILE), "w", encoding="utf-8") as fh:
         for key in rows:
-            fh.write(_vector_json(np.frombuffer(key)) + "\n")
+            fh.write(json.dumps(_round_vec(np.frombuffer(key))) + "\n")
 
 
 def _require(path):
@@ -184,13 +158,6 @@ def _require_fields(rec, fields: dict) -> None:
             raise ValueError(f"field {name!r} must be finite, got {value}")
 
 
-# The all +0.0 embedding, which every ``_embedding_table`` starts with.  A
-# vector with a -0.0 component has other bytes, so it keeps its own array and
-# its sign, which the writer prints.
-_ZERO_EMBEDDING = np.zeros(EMBEDDING_DIM)
-_ZERO_EMBEDDING.flags.writeable = False
-
-
 def _vector(values: list, what: str, table: dict) -> np.ndarray:
     """The JSON list ``values`` as a read-only float64 array; a component
     that is not a JSON number raises (numpy would parse ``"0.5"`` and
@@ -216,7 +183,7 @@ def _embedding(rec, name: str, table: dict | None = None,
     """Field ``name`` of ``rec`` as a read-only float64 array: the array of
     its row in ``rows``, the embeddings.jsonl table (``None`` when the
     dataset has none), if it is an integer, else its list of numbers through
-    ``_vector`` and ``table`` (without one, a new ``_embedding_table``)."""
+    ``_vector`` and ``table`` (without one, a new empty table)."""
     value = rec[name]
     if type(value) is int:
         if rows is None:
@@ -226,12 +193,7 @@ def _embedding(rec, name: str, table: dict | None = None,
             raise ValueError(f"field {name!r} names row {value}, but {EMBEDDINGS_FILE} "
                              f"has {len(rows)} rows, numbered from 0")
         return rows[value]
-    return _vector(value, f"field {name!r}", _embedding_table() if table is None else table)
-
-
-def _embedding_table() -> dict[bytes, np.ndarray]:
-    """A new table for ``_vector``, holding the shared zero embedding."""
-    return {_ZERO_EMBEDDING.tobytes(): _ZERO_EMBEDDING}
+    return _vector(value, f"field {name!r}", {} if table is None else table)
 
 
 def _embedding_rows(path, table: dict) -> list[np.ndarray] | None:
@@ -274,9 +236,6 @@ _USER_FIELDS = _fields(User)
 _TWEET_FIELDS = _fields(Tweet)
 _CASCADE_FIELDS = _fields(CascadeRecord)
 _STORY_FIELDS = _fields(UrlStory)
-# each field's JSON key, as json.dumps writes it
-_KEYS = {name: json.dumps(name) for fields in (_USER_FIELDS, _TWEET_FIELDS, _CASCADE_FIELDS,
-                                               _STORY_FIELDS) for name in fields}
 
 
 def _user(rec, table: dict, rows: list | None) -> User:
@@ -301,6 +260,10 @@ def _cascade(rec, table: dict, rows: list | None) -> CascadeRecord:
 
 def _story(rec) -> UrlStory:
     _require_fields(rec, _STORY_FIELDS)
+    for k, cid in enumerate(rec["cascade_ids"]):
+        if type(cid) is not str:
+            raise ValueError(f"field 'cascade_ids' item {k} must be a string, "
+                             f"got {_JSON_NAMES[type(cid)]}")
     return UrlStory(rec["url_id"], rec["label"], rec["first_seen"], tuple(rec["cascade_ids"]))
 
 
@@ -350,8 +313,9 @@ def load_dataset(dirpath) -> tuple[SocialGraph, list[UrlStory], list[CascadeReco
     if an embedding field names a row must it exist.  A record that cannot
     be read raises ``DatasetFormatError`` with the file and line.  That
     includes a line that is not UTF-8, a field missing or of the wrong JSON
-    type, an integer beyond the float range in a float field or beyond int64
-    in a count, and a float field that is NaN or infinite.  It includes an
+    type, a ``cascade_ids`` item that is not a string, an integer beyond the
+    float range in a float field or beyond int64 in a count, and a float
+    field that is NaN or infinite.  It includes an
     embedding list with a component that is not a number or is beyond the
     float range, and an embedding row number that is negative or not below
     the table's length (named by record line, tweet and field), or that
@@ -361,7 +325,7 @@ def load_dataset(dirpath) -> tuple[SocialGraph, list[UrlStory], list[CascadeReco
     cascade of an unknown story and a story whose ``cascade_ids`` disagree
     with the cascades raise it too.  Embeddings with the same bytes share
     one read-only array."""
-    table = _embedding_table()
+    table: dict[bytes, np.ndarray] = {}
     rows = _embedding_rows(os.path.join(dirpath, EMBEDDINGS_FILE), table)
     users = {uid: u for uid, (_, u) in
              _records(os.path.join(dirpath, USERS_FILE), lambda rec: _user(rec, table, rows),

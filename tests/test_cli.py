@@ -389,6 +389,14 @@ class TestTrainAndExport:
         assert code == 1
         assert "mangled.json" in err and "'gc1.weight'" in err and "Traceback" not in err
 
+    def test_deeply_nested_checkpoint_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code, err = self.export_with(dataset_dir, tmp_path, path, capsys)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "deep.json" in err and "maximum recursion depth exceeded" in err
+
     def test_checkpoint_of_other_scope_is_usage_error(self, dataset_dir, tmp_path, capsys):
         path = tmp_path / "cascade.json"
         save_checkpoint(path, init_params(ModelConfig(schema=default_schema())),
@@ -707,7 +715,8 @@ class TestUsageAndSeeds:
         (b'{"seed": \xff}', "can't decode byte 0xff"),
         (b'{"seed": 1,}', "Expecting property name"),
         (b"[1]", "must hold a JSON object"),
-    ], ids=["not-utf-8", "not-json", "not-an-object"])
+        (b"[" * 100000, "maximum recursion depth exceeded"),
+    ], ids=["not-utf-8", "not-json", "not-an-object", "nested-too-deep"])
     def test_unreadable_config_is_one_error_line(self, dataset_dir, tmp_path, capsys,
                                                  content, reason):
         path = tmp_path / "cfg.json"
@@ -892,6 +901,13 @@ class TestDatasetFormat:
          "disagree on cascade 'c00002_0006'"),
         ("urls.jsonl", _edit_jsonl(lambda r: r["cascade_ids"].append(r["cascade_ids"][0])),
          "cascade_ids lists a cascade twice"),
+        # a cascade ID that is not a string
+        ("urls.jsonl", _edit_jsonl(lambda r: r.update(cascade_ids=[1])),
+         "field 'cascade_ids' item 0 must be a string, got an integer"),
+        ("urls.jsonl", _edit_jsonl(lambda r: r.update(cascade_ids=[None])),
+         "field 'cascade_ids' item 0 must be a string, got null"),
+        ("urls.jsonl", _edit_jsonl(lambda r: r.update(cascade_ids=[[1]])),
+         "field 'cascade_ids' item 0 must be a string, got an array"),
         # a component of an inline embedding, and the same one in the table
         ("users.jsonl",
          _edit_jsonl(lambda r: r["description_embedding"].__setitem__(5, True), inline=True),
