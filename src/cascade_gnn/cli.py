@@ -467,19 +467,23 @@ def stats(config_path, seed, dataset_dir, out_dir, mad_samples):
     if mad_samples:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 91)))
         by_url = cascades_by_url(cascades)
+        multi = [c for c in cascades if c.size >= 2]
+        for name, what, have in (("URL", "URLs with cascades", len(by_url)),
+                                 ("cascade", "cascades of 2 or more tweets", len(multi))):
+            if have < 2:
+                raise ProtocolError(f"--mad-samples: the {name} samples need at least two "
+                                    f"{what}, and the dataset has {have}")
         url_ids = sorted(by_url)
         pick_urls = [url_ids[i] for i in
                      rng.choice(len(url_ids), size=min(mad_samples, len(url_ids)),
                                 replace=False)]
         url_samples = [sorted({t.author for c in by_url[u] for t in c.tweets})
                        for u in pick_urls]
-        multi = [c for c in cascades if c.size >= 2]
         pick = rng.choice(len(multi), size=min(mad_samples, len(multi)), replace=False)
         cas_samples = [sorted({t.author for t in multi[i].tweets}) for i in pick]
-        adj = evalharness._undirected_adjacency(social)  # built once for all three searches
-        cap = estimate_diameter(social, adj) + 1
-        url_mm = mad_mmd(url_samples, social, unreachable_cap=cap, adj=adj)
-        cas_mm = mad_mmd(cas_samples, social, unreachable_cap=cap, adj=adj)
+        cap = estimate_diameter(social) + 1
+        url_mm = mad_mmd(url_samples, social, unreachable_cap=cap)
+        cas_mm = mad_mmd(cas_samples, social, unreachable_cap=cap)
         payload["mad_mmd"] = {"url": url_mm, "cascade": cas_mm}
     if out_dir:
         write_json_report(os.path.join(out_dir, "stats.json"), payload,

@@ -16,7 +16,6 @@ import ctypes
 import glob
 import os
 import warnings
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -505,45 +504,45 @@ def backward_feature_selection(base: list[PreparedGraph], stories: list[UrlStory
 
 # -- MAD / MMD sample-distance analysis ----------------------------------------
 
-def _undirected_adjacency(social: SocialGraph) -> dict[str, list[str]]:
-    adj: dict[str, list[str]] = {u: [] for u in social.users}
-    for a, b in social.pairs():
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
+def _undirected_edges(social: SocialGraph) -> np.ndarray:
+    """(2, 2 * len(follows)) intp: every follow once in each direction, as
+    (from, to) user indexes into ``social.ids``."""
+    pairs = social.index_pairs().T
+    return np.concatenate([pairs, pairs[::-1]], axis=1)
 
 
-def _hop_distances(adj: dict[str, list[str]], sources, targets=(),
-                  cap: int | None = None) -> dict[str, int]:
-    """Breadth-first hop distance from the nearest source to each node it
-    reaches.  The search ends once every target is reached, or when the
-    next node to expand lies ``cap`` or more hops out."""
-    dist = {u: 0 for u in sources}
-    q = deque(dist)
-    left = set(targets) - dist.keys()
-    while q and (left or not targets):
-        u = q.popleft()
-        if cap is not None and dist[u] >= cap:
+def _hop_distances(edges: np.ndarray, n: int, sources, targets=None,
+                   cap: int | None = None) -> np.ndarray:
+    """Hop distance from the nearest of ``sources`` to each of the ``n``
+    users over the undirected ``edges``, -1 where not reached.  The search
+    adds one whole level at a time, so each level it finishes is exact, and
+    it stops when a level adds no user, when every one of ``targets`` has a
+    distance, or before it would expand level ``cap``."""
+    dist = np.full(n, -1, dtype=np.intp)
+    dist[sources] = 0
+    level = 0
+    while cap is None or level < cap:
+        if targets is not None and (dist[targets] >= 0).all():
             break
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                left.discard(v)
-                q.append(v)
+        reached = edges[1][dist[edges[0]] == level]
+        reached = reached[dist[reached] < 0]
+        if not reached.size:
+            break
+        level += 1
+        dist[reached] = level
     return dist
 
 
-def estimate_diameter(social: SocialGraph, adj: dict[str, list[str]] | None = None) -> int:
-    """Double-BFS lower bound on the follow graph diameter; the second
-    search starts from the farthest node with the smallest user ID.  ``adj``
-    is the graph's ``_undirected_adjacency``, built here if not given."""
-    if adj is None:
-        adj = _undirected_adjacency(social)
-    if not adj:
+def estimate_diameter(social: SocialGraph) -> int:
+    """Double-BFS lower bound on the follow graph diameter.  The second
+    search starts from the user farthest from the smallest ID, the smallest
+    ID among ties: index order is ID order, so ``argmax`` finds it."""
+    n = len(social.ids)
+    if not n:
         return 0
-    dist = _hop_distances(adj, [min(adj)])
-    far = min(dist, key=lambda u: (-dist[u], u))
-    return max(_hop_distances(adj, [far]).values())
+    edges = _undirected_edges(social)
+    far = int(np.argmax(_hop_distances(edges, n, [0])))
+    return int(_hop_distances(edges, n, [far]).max())
 
 
 @dataclass
@@ -556,36 +555,37 @@ class MadMmdResult:
 
 
 def mad_mmd(samples: list[list[str]], social: SocialGraph,
-            unreachable_cap: int | None = None,
-            adj: dict[str, list[str]] | None = None) -> MadMmdResult:
+            unreachable_cap: int | None = None) -> MadMmdResult:
     """Hop distance from each sample's users to the nearest user of any
     other sample, aggregated as mean-of-means (MAD) and mean-of-mins (MMD).
 
     The distance metric is the undirected hop distance on the follow
-    graph; users unreachable from every other sample's users get the
-    configured cap (diameter estimate + 1 by default).  ``adj`` is the
-    graph's ``_undirected_adjacency``, built here if not given.
+    graph, clipped at the cap (diameter estimate + 1 by default), which
+    unreachable users get too.  Each search stops once the sample's users
+    all have a distance, or before it expands level ``cap``; a user left
+    out then lies ``cap`` or more hops away, so either way the clipped
+    distances are exact.
     """
+    index = {u: k for k, u in enumerate(social.ids)}
     kept = []
     for idx, sample in enumerate(samples):
-        users = [u for u in sample if u in social.users]
+        users = [index[u] for u in sample if u in index]
         if not users:
             warnings.warn(f"sample {idx} is empty or has no known users; skipped")
             continue
-        kept.append(users)
+        kept.append(np.array(users, dtype=np.intp))
     if len(kept) < 2:
         raise ProtocolError("need at least two non-empty samples")
-    if adj is None:
-        adj = _undirected_adjacency(social)
     if unreachable_cap is None:
-        unreachable_cap = estimate_diameter(social, adj) + 1
+        unreachable_cap = estimate_diameter(social) + 1
 
+    edges = _undirected_edges(social)
     per_sample_mean = []
     per_sample_min = []
     for t, users in enumerate(kept):
-        sources = {u for o, other in enumerate(kept) if o != t for u in other}
-        dist = _hop_distances(adj, sources, users, unreachable_cap)
-        ds = [min(dist.get(u, unreachable_cap), unreachable_cap) for u in users]
+        sources = np.concatenate(kept[:t] + kept[t + 1:])
+        ds = _hop_distances(edges, len(index), sources, users, unreachable_cap)[users]
+        ds = np.where(ds < 0, unreachable_cap, np.minimum(ds, unreachable_cap))
         per_sample_mean.append(float(np.mean(ds)))
         per_sample_min.append(float(np.min(ds)))
     return MadMmdResult(

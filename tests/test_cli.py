@@ -518,18 +518,53 @@ class TestLayoutAndStats:
         assert "mad_mmd" in doc
         assert doc["mad_mmd"]["url"]["mad"] >= 0.0
 
-    def test_stats_builds_the_follow_adjacency_once(self, dataset_dir, tmp_path, monkeypatch):
-        builds = []
-        build = evalharness._undirected_adjacency
+    # SHA-256 of stats.json from ``stats --mad-samples 6`` on the fixture,
+    # recorded with the dict-of-lists breadth-first search
+    PINNED_STATS = {
+        2: "1b95e46bc83052bc8fd23ac3d2618cecf27647e32ddea8025d4223002c49b782",
+        5: "c9283bd6fef776e3cddf93e5fa082ac0dce5c57405ce6ef5f68d25b7fbd3e87a",
+    }
 
-        def counting(social):
-            builds.append(social)
-            return build(social)
+    @pytest.mark.parametrize("seed", sorted(PINNED_STATS))
+    def test_stats_report_is_pinned(self, dataset_dir, tmp_path, seed):
+        out = tmp_path / "stats"
+        assert main(["stats", "--dataset", str(dataset_dir), "--out", str(out),
+                     "--seed", str(seed), "--mad-samples", "6"]) == 0
+        digest = hashlib.sha256((out / "stats.json").read_bytes()).hexdigest()
+        assert digest == self.PINNED_STATS[seed]
 
-        monkeypatch.setattr(evalharness, "_undirected_adjacency", counting)
-        assert main(["stats", "--dataset", str(dataset_dir), "--out", str(tmp_path / "s"),
-                     "--seed", "2", "--mad-samples", "5"]) == 0
-        assert len(builds) == 1
+    @staticmethod
+    def _one_url(urls, cascades):
+        keep = json.loads(urls[0])["url_id"]
+        return urls[:1], [line for line in cascades if json.loads(line)["url_id"] == keep]
+
+    @staticmethod
+    def _one_long_cascade(urls, cascades):
+        recs = [json.loads(line) for line in cascades]
+        longs = [rec for rec in recs if len(rec["tweets"]) >= 2]
+        for rec in longs[1:]:
+            rec["tweets"] = [t for t in rec["tweets"] if t["is_source"]]
+        return urls, [json.dumps(rec) for rec in recs]
+
+    @pytest.mark.parametrize("cut, message", [
+        (_one_url, "the URL samples need at least two URLs with cascades, "
+                   "and the dataset has 1"),
+        (_one_long_cascade, "the cascade samples need at least two cascades of 2 or "
+                            "more tweets, and the dataset has 1"),
+    ], ids=["one-url", "one-long-cascade"])
+    def test_stats_with_too_few_samples_is_one_error_line(self, dataset_dir, tmp_path,
+                                                          capsys, cut, message):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data)
+        urls, cascades = cut(*((data / name).read_text().splitlines()
+                               for name in ("urls.jsonl", "cascades.jsonl")))
+        for name, lines in (("urls.jsonl", urls), ("cascades.jsonl", cascades)):
+            (data / name).write_text("".join(line + "\n" for line in lines))
+        code = main(["stats", "--dataset", str(data), "--out", str(tmp_path / "o"),
+                     "--seed", "2", "--mad-samples", "5"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: --mad-samples: {message}"]
+        assert not (tmp_path / "o").exists()
 
     def test_stats_independent_of_string_hashing(self, tmp_path):
         # under string-hash seeds 0 and 2 the follow set iterates in orders

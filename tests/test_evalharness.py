@@ -535,43 +535,68 @@ class TestMadMmd:
 
     def test_random_graphs_match_all_pairs_oracle(self):
         # oracle: all-pairs BFS, each user's distance to the nearest user of
-        # another sample clipped at the cap (unreachable counts as the cap)
+        # another sample clipped at the cap (unreachable counts as the cap),
+        # and a double BFS that restarts from the farthest user with the
+        # smallest ID.  Up to 40 users, so IDs sort as "u1" < "u10" < "u2"
+        # and index order is not creation order.
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            n = int(rng.integers(2, 12))
+        seen = dict.fromkeys(["no follows", "isolated", "components", "tied far",
+                              "5+ levels", "shared user", "cap hit"], 0)
+        for _ in range(300):
+            n = int(rng.integers(2, 41))
             users = [f"u{i}" for i in range(n)]
-            follows = {(users[a], users[b]) for a, b in rng.integers(0, n, size=(n, 2))
+            # follows among ``linked`` users only: the rest are isolated
+            linked = rng.permutation(n)[:n if rng.random() < 0.5 else int(rng.integers(1, n))]
+            m = 0 if rng.random() < 0.05 else int(rng.integers(linked.size // 2, 2 * linked.size))
+            follows = {(users[a], users[b]) for a, b in rng.choice(linked, size=(m, 2))
                        if a != b}
             social = make_social(dict.fromkeys(users, 0), follows)
-            samples = [[users[k] for k in sorted(set(rng.integers(0, n, size=3)))]
-                       for _ in range(int(rng.integers(2, 5)))]
-            cap = None if rng.random() < 0.5 else int(rng.integers(1, 6))
+            pool = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
+            samples = [[users[k] for k in sorted(set(rng.choice(pool, size=rng.integers(1, 6))))]
+                       for _ in range(int(rng.integers(2, 6)))]
+            cap = None if rng.random() < 0.3 else int(rng.integers(0, 7))
             res = mad_mmd(samples, social, unreachable_cap=cap)
 
-            hops = np.full((n, n), np.inf)
-            for src in range(n):
-                hops[src, src], frontier, d = 0, [src], 0
-                while frontier:
-                    d += 1
-                    frontier = [v for u in frontier for v in range(n)
-                                if hops[src, v] == np.inf and
-                                ((users[u], users[v]) in follows or
-                                 (users[v], users[u]) in follows)]
-                    hops[src, frontier] = d
-            diameter = int(hops[np.isfinite(hops)].max())
-            assert 0 <= estimate_diameter(social) <= diameter
-            if cap is None:
-                cap = estimate_diameter(social) + 1
             index = {u: i for i, u in enumerate(users)}
+            adj = np.zeros((n, n), dtype=np.int64)
+            for a, b in follows:
+                adj[index[a], index[b]] = adj[index[b], index[a]] = 1
+            hops = np.where(np.eye(n, dtype=bool), 0.0, np.inf)
+            d = 0
+            while True:
+                d += 1
+                new = ((hops == d - 1) @ adj > 0) & np.isinf(hops)
+                if not new.any():
+                    break
+                hops[new] = d
+            diameter = int(hops[np.isfinite(hops)].max())
+
+            start = index[min(users)]
+            reached = [u for u in users if np.isfinite(hops[start, index[u]])]
+            far = min(reached, key=lambda u: (-hops[start, index[u]], u))
+            row = hops[index[far]]
+            double_bfs = int(row[np.isfinite(row)].max())
+            assert estimate_diameter(social) == double_bfs <= diameter
+            if cap is None:
+                cap = double_bfs + 1
             means, mins = [], []
             for t, sample in enumerate(samples):
                 others = [index[u] for o, s in enumerate(samples) if o != t for u in s]
-                ds = [min(hops[index[u], others].min(), cap) for u in sample]
+                true = hops[[index[u] for u in sample]][:, others].min(axis=1)
+                seen["shared user"] += int((true == 0).any())
+                seen["cap hit"] += int((np.isfinite(true) & (true > cap)).any())
+                ds = np.minimum(true, cap)
                 means.append(np.mean(ds))
                 mins.append(min(ds))
             assert res.unreachable_cap == cap
             assert res.mad == pytest.approx(np.mean(means))
             assert res.mmd == pytest.approx(np.mean(mins))
+            seen["no follows"] += not follows
+            seen["isolated"] += int((adj.sum(axis=1) == 0).any())
+            seen["components"] += int(np.isinf(hops[start]).any())
+            seen["tied far"] += int((hops[start] == hops[start, index[far]]).sum() > 1)
+            seen["5+ levels"] += int(diameter >= 5)
+        assert min(seen.values()) >= 10, seen
 
     def test_cascades_more_dispersed_than_urls(self):
         # directional reproduction: single-cascade samples sit farther from
