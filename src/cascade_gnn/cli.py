@@ -172,7 +172,7 @@ class Run:
                                "a command builds its samples once")
         # temporaries, not locals: a local would keep the dataset alive
         return build_samples(self.stories, self._give_up("cascades"), self._give_up("social"),
-                             self.model.schema, scope or self.scope,
+                             scope or self.scope,
                              hours=self.last_hour if hours is None else hours,
                              min_cascade_size=self.min_cascade_size,
                              active_groups=active_groups or self.model.active_groups)

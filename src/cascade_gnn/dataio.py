@@ -315,15 +315,16 @@ def load_dataset(dirpath) -> tuple[SocialGraph, list[UrlStory], list[CascadeReco
     includes a line that is not UTF-8, a field missing or of the wrong JSON
     type, a ``cascade_ids`` item that is not a string, an integer beyond the
     float range in a float field or beyond int64 in a count, and a float
-    field that is NaN or infinite.  It includes an
-    embedding list with a component that is not a number or is beyond the
-    float range, and an embedding row number that is negative or not below
-    the table's length (named by record line, tweet and field), or that
-    names a row of a missing table.  A table line that is not a list of
-    ``EMBEDDING_DIM`` finite numbers names its own line.  A repeated user,
-    cascade, tweet or URL ID or follow row, a tweet by an unknown user, a
-    cascade of an unknown story and a story whose ``cascade_ids`` disagree
-    with the cascades raise it too.  Embeddings with the same bytes share
+    field that is NaN or infinite.  It includes a tweet whose author's
+    account age or whose delay from its cascade's source overflows the
+    float range, an embedding list with a component that is not a number
+    or is beyond the float range, and an embedding row number that is
+    negative or not below the table's length (named by record line, tweet
+    and field), or that names a row of a missing table.  A table line that
+    is not a list of ``EMBEDDING_DIM`` finite numbers names its own line.
+    A repeated user, cascade, tweet or URL ID or follow row, a tweet by an
+    unknown user, a cascade of an unknown story and a story whose
+    ``cascade_ids`` disagree with the cascades raise it too.  Embeddings with the same bytes share
     one read-only array."""
     table: dict[bytes, np.ndarray] = {}
     rows = _embedding_rows(os.path.join(dirpath, EMBEDDINGS_FILE), table)
@@ -345,6 +346,12 @@ def load_dataset(dirpath) -> tuple[SocialGraph, list[UrlStory], list[CascadeReco
             if t.author not in users:
                 raise DatasetFormatError(cas_path, line, f"tweet {t.tweet_id!r}: unknown "
                                          f"author {t.author!r}")
+            if t.timestamp - users[t.author].created_at == math.inf:
+                raise DatasetFormatError(cas_path, line, f"tweet {t.tweet_id!r} by "
+                                         f"{t.author!r}: the account age overflows")
+            if t.timestamp - cas.source.timestamp == math.inf:
+                raise DatasetFormatError(cas_path, line, f"tweet {t.tweet_id!r}: the delay "
+                                         f"from the cascade's source overflows")
             tweet_ids.add(t.tweet_id)
         if cas.url_id not in stories:
             raise DatasetFormatError(cas_path, line, f"url_id {cas.url_id!r} names no story")

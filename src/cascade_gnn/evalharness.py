@@ -25,7 +25,7 @@ import numpy as np
 from .classifier import (ModelConfig, PreparedGraph, TrainResult, fake_score, forward,
                          prepare_graph, train)
 from .dataio import cascades_by_url
-from .features import FEATURE_GROUPS, GROUP_CONTENT, FeatureSchema
+from .features import FEATURE_GROUPS, GROUP_CONTENT, SCHEMA
 from .metrics import auc_or_none, roc_auc
 from .propagation import build_propagation_graph, truncate
 from .types import (CascadeRecord, SCOPE_CASCADE, SCOPE_URL, SocialGraph,
@@ -95,12 +95,13 @@ def filter_min_cascade_size(cascades: list[CascadeRecord],
 # -- sample construction ------------------------------------------------------
 
 def build_samples(stories: list[UrlStory], cascades: list[CascadeRecord],
-                  social: SocialGraph, schema: FeatureSchema, scope: str,
-                  hours: float = DEFAULT_DIFFUSION_HOURS,
+                  social: SocialGraph, scope: str, hours: float = DEFAULT_DIFFUSION_HOURS,
                   min_cascade_size: int = 1,
                   active_groups=None) -> list[PreparedGraph]:
     """Every sample at the given diffusion time, masked to ``active_groups``,
-    in sample order: stories (one per URL) by URL, cascades by ID.
+    in sample order: stories (one per URL) by URL, cascades by ID.  Each
+    sample's features have the columns of ``features.BLOCKS`` and come from
+    one ``encode_node_features`` call over its nodes.
 
     Cascade eligibility (the minimum-size filter) is decided on the full
     cascades; truncation to ``hours`` happens afterwards.  URL-wise
@@ -122,13 +123,13 @@ def build_samples(stories: list[UrlStory], cascades: list[CascadeRecord],
     del cascades
     samples = []
     for story in sorted(stories, key=lambda s: s.url_id):
-        samples += _story_samples(story, by_url.pop(story.url_id, []), social, schema, scope,
-                                  hours, min_cascade_size, active_groups)
+        samples += _story_samples(story, by_url.pop(story.url_id, []), social, scope, hours,
+                                  min_cascade_size, active_groups)
     return samples
 
 
 def _story_samples(story: UrlStory, cascades: list[CascadeRecord], social: SocialGraph,
-                   schema: FeatureSchema, scope: str, hours: float, min_cascade_size: int,
+                   scope: str, hours: float, min_cascade_size: int,
                    active_groups) -> list[PreparedGraph]:
     """The samples of one story, built from its cascades, in cascade ID order."""
     full = sorted(cascades, key=lambda c: c.cascade_id)
@@ -137,8 +138,8 @@ def _story_samples(story: UrlStory, cascades: list[CascadeRecord], social: Socia
     else:
         groups = [truncate([cas], hours, reference="cascade")
                   for cas in filter_min_cascade_size(full, min_cascade_size)]
-    return [prepare_graph(build_propagation_graph(story, kept, social, scope, schema),
-                          schema, active_groups)
+    return [prepare_graph(build_propagation_graph(story, kept, social, scope), SCHEMA,
+                          active_groups)
             for kept in groups if kept]
 
 

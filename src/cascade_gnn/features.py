@@ -1,10 +1,14 @@
-"""Node feature schema and encoders.
+"""Node features: the column table and the per-graph encoder.
 
-The node vector layout groups 22 named slices into four ablation groups:
-user_profile (214), user_activity (3), network_spreading (16) and
-content (400), for a total width of 633.  Categorical strings (lang,
-source device) are mapped to a stable 8-bucket hash one-hot; counts are
-compressed with log(1 + x).
+``BLOCKS`` lists each of the node vector's 22 blocks once, in column order:
+its name, its ablation group, its width and how its rows are computed.
+``default_schema()`` lays the blocks end to end: user_profile (214),
+user_activity (3), network_spreading (16) and content (400), 633 columns
+in all.  ``encode_node_features`` fills a whole graph's matrix in one call,
+one block at a time.  Booleans map to {0, 1} and counts to log(1 + x);
+categorical strings (lang, source device) to a stable 8-bucket hash one-hot;
+account age to years at tweet time, and a tweet's delay from its cascade's
+source to log(1 + hours).  Embeddings are copied verbatim.
 """
 from __future__ import annotations
 
@@ -42,18 +46,6 @@ class FeatureSchema:
 
     slices: tuple[FeatureSlice, ...]
 
-    def __post_init__(self):
-        pos = 0
-        for s in self.slices:
-            if s.start != pos or s.stop <= s.start:
-                raise ValueError(f"slice {s.name!r} does not tile the feature vector")
-            if s.group not in FEATURE_GROUPS:
-                raise ValueError(f"slice {s.name!r} has unknown group {s.group!r}")
-            pos = s.stop
-        names = [s.name for s in self.slices]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate slice names")
-
     @property
     def width(self) -> int:
         return self.slices[-1].stop
@@ -66,39 +58,74 @@ class FeatureSchema:
         return np.asarray(cols, dtype=np.intp)
 
 
-def _layout(spec: list[tuple[str, str, int]]) -> tuple[FeatureSlice, ...]:
-    out, pos = [], 0
-    for name, group, width in spec:
-        out.append(FeatureSlice(name, group, pos, pos + width))
-        pos += width
-    return tuple(out)
+def _one_hot(values) -> np.ndarray:
+    return np.eye(HASH_BINS)[[stable_hash_bin(v) for v in values]]
+
+
+def _user(encode):
+    """The block's namesake field of each node's author, through ``encode``."""
+    return lambda name, tweets, users, root_times: encode([getattr(u, name) for u in users])
+
+
+def _tweet(encode):
+    """The block's namesake field of each node's tweet, through ``encode``."""
+    return lambda name, tweets, users, root_times: encode([getattr(t, name) for t in tweets])
+
+
+def _since(tweets, starts) -> np.ndarray:
+    """Each tweet's time minus its start, with a negative or -0.0 difference
+    as 0.0."""
+    delta = np.array([t.timestamp for t in tweets], dtype=float) - starts
+    return np.where(delta > 0.0, delta, 0.0)
+
+
+def _account_age_years(name, tweets, users, root_times) -> np.ndarray:
+    return _since(tweets, [u.created_at for u in users]) / SECONDS_PER_YEAR
+
+
+def _time_delta(name, tweets, users, root_times) -> np.ndarray:
+    return np.log1p(_since(tweets, root_times) / SECONDS_PER_HOUR)
+
+
+# The node vector, block by block in column order: name, ablation group,
+# width, and how the block's rows are computed from the nodes' tweets, their
+# authors and their cascades' root times.
+BLOCKS = (
+    ("geo_enabled", GROUP_USER_PROFILE, 1, _user(np.array)),
+    ("background_picture", GROUP_USER_PROFILE, 1, _user(np.array)),
+    ("default_profile", GROUP_USER_PROFILE, 1, _user(np.array)),
+    ("default_profile_image", GROUP_USER_PROFILE, 1, _user(np.array)),
+    ("verified", GROUP_USER_PROFILE, 1, _user(np.array)),
+    ("lang", GROUP_USER_PROFILE, HASH_BINS, _user(_one_hot)),
+    ("description_embedding", GROUP_USER_PROFILE, EMBEDDING_DIM, _user(np.array)),
+    ("account_age_years", GROUP_USER_PROFILE, 1, _account_age_years),
+    ("statuses_count", GROUP_USER_ACTIVITY, 1, _user(np.log1p)),
+    ("favourites_count", GROUP_USER_ACTIVITY, 1, _user(np.log1p)),
+    ("listed_count", GROUP_USER_ACTIVITY, 1, _user(np.log1p)),
+    ("followers_count", GROUP_NETWORK_SPREADING, 1, _user(np.log1p)),
+    ("friends_count", GROUP_NETWORK_SPREADING, 1, _user(np.log1p)),
+    ("is_source", GROUP_NETWORK_SPREADING, 1, _tweet(np.array)),
+    ("time_delta", GROUP_NETWORK_SPREADING, 1, _time_delta),
+    ("retweeted_reply_count", GROUP_NETWORK_SPREADING, 1, _tweet(np.log1p)),
+    ("retweeted_quote_count", GROUP_NETWORK_SPREADING, 1, _tweet(np.log1p)),
+    ("retweeted_favorite_count", GROUP_NETWORK_SPREADING, 1, _tweet(np.log1p)),
+    ("retweeted_retweet_count", GROUP_NETWORK_SPREADING, 1, _tweet(np.log1p)),
+    ("source_device", GROUP_NETWORK_SPREADING, HASH_BINS, _tweet(_one_hot)),
+    ("text_embedding", GROUP_CONTENT, EMBEDDING_DIM, _tweet(np.array)),
+    ("hashtag_embedding", GROUP_CONTENT, EMBEDDING_DIM, _tweet(np.array)),
+)
 
 
 def default_schema() -> FeatureSchema:
-    return FeatureSchema(_layout([
-        ("geo_enabled", GROUP_USER_PROFILE, 1),
-        ("background_picture", GROUP_USER_PROFILE, 1),
-        ("default_profile", GROUP_USER_PROFILE, 1),
-        ("default_profile_image", GROUP_USER_PROFILE, 1),
-        ("verified", GROUP_USER_PROFILE, 1),
-        ("lang", GROUP_USER_PROFILE, HASH_BINS),
-        ("description_embedding", GROUP_USER_PROFILE, EMBEDDING_DIM),
-        ("account_age_years", GROUP_USER_PROFILE, 1),
-        ("statuses_count", GROUP_USER_ACTIVITY, 1),
-        ("favourites_count", GROUP_USER_ACTIVITY, 1),
-        ("listed_count", GROUP_USER_ACTIVITY, 1),
-        ("followers_count", GROUP_NETWORK_SPREADING, 1),
-        ("friends_count", GROUP_NETWORK_SPREADING, 1),
-        ("is_source", GROUP_NETWORK_SPREADING, 1),
-        ("time_delta", GROUP_NETWORK_SPREADING, 1),
-        ("retweeted_reply_count", GROUP_NETWORK_SPREADING, 1),
-        ("retweeted_quote_count", GROUP_NETWORK_SPREADING, 1),
-        ("retweeted_favorite_count", GROUP_NETWORK_SPREADING, 1),
-        ("retweeted_retweet_count", GROUP_NETWORK_SPREADING, 1),
-        ("source_device", GROUP_NETWORK_SPREADING, HASH_BINS),
-        ("text_embedding", GROUP_CONTENT, EMBEDDING_DIM),
-        ("hashtag_embedding", GROUP_CONTENT, EMBEDDING_DIM),
-    ]))
+    """The slices of ``BLOCKS``, laid end to end."""
+    slices, pos = [], 0
+    for name, group, width, _ in BLOCKS:
+        slices.append(FeatureSlice(name, group, pos, pos + width))
+        pos += width
+    return FeatureSchema(tuple(slices))
+
+
+SCHEMA = default_schema()  # the columns encode_node_features fills
 
 
 def stable_hash_bin(value: str, bins: int = HASH_BINS) -> int:
@@ -106,48 +133,15 @@ def stable_hash_bin(value: str, bins: int = HASH_BINS) -> int:
     return zlib.crc32(value.encode("utf-8")) % bins
 
 
-def _one_hot(value: str, bins: int) -> np.ndarray:
-    v = np.zeros(bins)
-    v[stable_hash_bin(value, bins)] = 1.0
-    return v
-
-
-def encode_node_features(tweet: Tweet, user: User, cascade_root_time: float,
-                         schema: FeatureSchema) -> np.ndarray:
-    """Encode one tweet+author into the schema's node vector.
-
-    Booleans map to {0,1}, counts to log(1+x), account age to years at
-    tweet time, and the tweet's delay from its cascade root to
-    log(1 + seconds/3600).  Embedding slices are copied verbatim.
-    """
-    values = {
-        "geo_enabled": float(user.geo_enabled),
-        "background_picture": float(user.background_picture),
-        "default_profile": float(user.default_profile),
-        "default_profile_image": float(user.default_profile_image),
-        "verified": float(user.verified),
-        "lang": _one_hot(user.lang, HASH_BINS),
-        "description_embedding": user.description_embedding,
-        "account_age_years": max(0.0, tweet.timestamp - user.created_at) / SECONDS_PER_YEAR,
-        "statuses_count": np.log1p(user.statuses_count),
-        "favourites_count": np.log1p(user.favourites_count),
-        "listed_count": np.log1p(user.listed_count),
-        "followers_count": np.log1p(user.followers_count),
-        "friends_count": np.log1p(user.friends_count),
-        "is_source": float(tweet.is_source),
-        "time_delta": np.log1p(max(0.0, tweet.timestamp - cascade_root_time) / SECONDS_PER_HOUR),
-        "retweeted_reply_count": np.log1p(tweet.retweeted_reply_count),
-        "retweeted_quote_count": np.log1p(tweet.retweeted_quote_count),
-        "retweeted_favorite_count": np.log1p(tweet.retweeted_favorite_count),
-        "retweeted_retweet_count": np.log1p(tweet.retweeted_retweet_count),
-        "source_device": _one_hot(tweet.source_device, HASH_BINS),
-        "text_embedding": tweet.text_embedding,
-        "hashtag_embedding": tweet.hashtag_embedding,
-    }
-    out = np.zeros(schema.width)
-    for s in schema.slices:
-        out[s.start:s.stop] = values[s.name]
-
+def encode_node_features(tweets: list[Tweet], users: list[User],
+                         root_times) -> np.ndarray:
+    """The (n, 633) feature matrix of n nodes: node k is ``tweets[k]`` by
+    ``users[k]`` in a cascade whose source was published at
+    ``root_times[k]``.  Each block of ``BLOCKS`` is computed for all nodes
+    at once, and the blocks are joined in column order."""
+    with np.errstate(over="ignore"):  # an overflow to inf fails the check below
+        out = np.concatenate([rows(name, tweets, users, root_times).reshape(-1, width)
+                              for name, _, width, rows in BLOCKS], axis=1, dtype=float)
     if not np.isfinite(out).all():
         raise ValueError("encoded node features contain non-finite values")
     return out

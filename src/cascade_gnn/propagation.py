@@ -3,17 +3,21 @@
 The spreading rules assign each retweet an estimated predecessor: the
 latest preceding tweet whose author the retweeter follows, falling back
 to the preceding tweet whose author has the most followers.  A cascade's
-spreading tree is the map from each retweet's ID to its predecessor's.
-Who follows whom comes from one ``SocialGraph.follow_matrix`` lookup per
-graph (or per cascade, for a tree estimated on its own): a binary search of
-the nodes' author pairs in the graph's sorted follow array.
+spreading tree is the map from each retweet's ID to its predecessor's; the
+build reads it as positions instead, through a rank array from the one sort
+that puts a graph's tweets in node order.  Who follows whom comes from one
+``SocialGraph.follow_matrix`` lookup per graph (or per cascade, for a tree
+estimated on its own), and the node features from one
+``encode_node_features`` call per graph.
 """
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
 from .classifier import PreparedGraph
-from .features import FeatureSchema, encode_node_features
+from .features import encode_node_features
 from .nn import build_edge_arrays
 from .types import CascadeRecord, SCOPE_CASCADE, SCOPE_URL, SCOPES, SocialGraph, UrlStory
 
@@ -32,26 +36,27 @@ def estimate_spreading_tree(cascade: CascadeRecord, social: SocialGraph) -> dict
     for t in cascade.tweets:
         if t.author not in social.users:
             raise KeyError(f"cascade {cascade.cascade_id!r} references unknown user {t.author!r}")
-    return _spreading_tree(cascade, social.follow_matrix([t.author for t in cascade.tweets]),
-                           social)
+    tweets = cascade.tweets
+    parents = _spreading_tree(cascade, social.follow_matrix([t.author for t in tweets]), social)
+    return {t.tweet_id: tweets[j].tweet_id for t, j in zip(tweets[1:], parents)}
 
 
 def _spreading_tree(cascade: CascadeRecord, follows: np.ndarray,
-                    social: SocialGraph) -> dict[str, str]:
-    """``estimate_spreading_tree`` given the cascade's follow matrix: entry
-    [k, j] says tweet k's author follows tweet j's."""
+                    social: SocialGraph) -> np.ndarray:
+    """The position in the cascade of each retweet's parent, retweets in
+    cascade order, given the cascade's follow matrix: entry [k, j] says
+    tweet k's author follows tweet j's."""
     tweets = cascade.tweets
     rows = follows.tolist()
     followers = [social.users[t.author].followers_count for t in tweets]
-    parent: dict[str, str] = {}
+    parents = []
     most = 0  # the earliest tweet before k whose author has the most followers
     for k in range(1, len(tweets)):
         if followers[k - 1] > followers[most]:
             most = k - 1
         earlier = rows[k][k - 1::-1]  # does k's author follow that of tweet k - 1, ..., 0
-        j = k - 1 - earlier.index(True) if True in earlier else most
-        parent[tweets[k].tweet_id] = tweets[j].tweet_id
-    return parent
+        parents.append(k - 1 - earlier.index(True) if True in earlier else most)
+    return np.array(parents, dtype=np.intp)
 
 
 def truncate(cascades: list[CascadeRecord], d_hours: float,
@@ -113,15 +118,15 @@ def credibility_scores(stories, cascades_by_url) -> dict[str, float]:
 
 
 def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
-                            social: SocialGraph, scope: str,
-                            schema: FeatureSchema) -> PreparedGraph:
+                            social: SocialGraph, scope: str) -> PreparedGraph:
     """The story's sample, features unmasked: tweets as nodes in (timestamp,
     tweet ID) order, and the messages that ``nn.build_edge_arrays`` makes
     of the nodes' pair relations.  The relation array's entry [i, j] holds
     (i_follows_j, j_follows_i, spread_i_to_j, spread_j_to_i): follow flags
     from one ``follow_matrix`` lookup over the nodes' authors, spread flags
     from the per-cascade spreading trees, which read their cascade's block
-    of that matrix.
+    of that matrix.  The features come from one ``encode_node_features``
+    call over all nodes.
 
     ``scope="url_wise"`` takes all given cascades of the story and is keyed
     by its URL, ``scope="cascade_wise"`` exactly one, keyed by its ID.
@@ -138,41 +143,38 @@ def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
     if not cascades:
         raise ValueError("no cascades given")
 
-    # canonical node order: (timestamp, tweet_id), independent of cascade ordering
-    entries = []
-    for cas in cascades:
-        for t in cas.tweets:
-            if t.author not in social.users:
-                raise KeyError(f"tweet {t.tweet_id!r} references unknown user {t.author!r}")
-            entries.append((t, cas))
-    entries.sort(key=lambda e: (e[0].timestamp, e[0].tweet_id))
-    index: dict[str, int] = {}
-    for k, (t, _) in enumerate(entries):
-        if index.setdefault(t.tweet_id, k) != k:
-            raise ValueError(f"duplicate tweet id {t.tweet_id!r} in story {story.url_id!r}")
+    tweets = [t for cas in cascades for t in cas.tweets]  # in cascade order
+    roots = [cas.source.timestamp for cas in cascades for _ in cas.tweets]
+    for t in tweets:
+        if t.author not in social.users:
+            raise KeyError(f"tweet {t.tweet_id!r} references unknown user {t.author!r}")
+    # canonical node order: (timestamp, tweet_id), independent of cascade
+    # ordering; tweets[k] is node rank[k]
+    n = len(tweets)
+    order = sorted(range(n), key=lambda k: (tweets[k].timestamp, tweets[k].tweet_id))
+    rank = np.argsort(order)
+    nodes = [tweets[k] for k in order]
+    repeated = [i for i, count in Counter(t.tweet_id for t in nodes).items() if count > 1]
+    if repeated:
+        raise ValueError(f"duplicate tweet id {repeated[0]!r} in story {story.url_id!r}")
 
-    n = len(entries)
     # follows[i, j]: node i's author follows node j's
-    authors = [t.author for t, _ in entries]
+    authors = [t.author for t in nodes]
     follows = social.follow_matrix(authors)
     # spread[i, j]: node i is node j's spreading-tree parent
     spread = np.zeros((n, n), dtype=bool)
-    for cas in cascades:
-        nodes = np.array([index[t.tweet_id] for t in cas.tweets])
-        for child, parent in _spreading_tree(cas, follows[nodes[:, None], nodes], social).items():
-            spread[index[parent], index[child]] = True
+    ends = np.cumsum([cas.size for cas in cascades])
+    for cas, at in zip(cascades, np.split(rank, ends[:-1])):  # at: the cascade's nodes
+        spread[at[_spreading_tree(cas, follows[at[:, None], at], social)], at[1:]] = True
     relation = np.stack([follows, follows.T, spread, spread.T], axis=2)
-
-    feats = np.empty((n, schema.width))
-    for k, (t, cas) in enumerate(entries):
-        feats[k] = encode_node_features(t, social.users[t.author], cas.source.timestamp, schema)
 
     return PreparedGraph(
         key=story.url_id if scope == SCOPE_URL else cascades[0].cascade_id,
         url_id=story.url_id,
-        features=feats,
+        features=encode_node_features(nodes, [social.users[a] for a in authors],
+                                      [roots[k] for k in order]),
         edges=build_edge_arrays(relation),
         label=int(story.is_fake),
-        times=tuple(t.timestamp for t, _ in entries),
+        times=tuple(t.timestamp for t in nodes),
         authors=tuple(authors),
     )

@@ -358,7 +358,12 @@ def generate_dataset(cfg: GenConfig, social: SocialGraph) -> tuple[list[UrlStory
     first_seen = EPOCH + rng_urls.random(cfg.num_urls) * cfg.time_horizon_days * 86400.0
     raw = rng_urls.lognormal(mean=0.0, sigma=1.0, size=cfg.num_urls)
     scale = cfg.mean_cascades_per_url / np.exp(0.5)  # lognormal(0,1) mean is e^0.5
-    counts = np.maximum(1, np.round(raw * scale).astype(np.int64))
+    with np.errstate(over="ignore"):  # inf fails the check below
+        counts = np.round(raw * scale)
+    if not counts.max() < 2.0 ** 63:
+        raise ConfigError(f"mean_cascades_per_url: {cfg.mean_cascades_per_url} at seed "
+                          f"{cfg.seed} draws more cascades for a URL than int64 holds")
+    counts = np.maximum(1, counts.astype(np.int64))
 
     size_probs = _cascade_size_probs(cfg)
     device_p = _device_probabilities(cfg.profile_signal_strength)

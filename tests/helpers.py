@@ -11,9 +11,12 @@ import numpy as np
 
 from cascade_gnn.autograd import Tensor
 from cascade_gnn.classifier import PreparedGraph
-from cascade_gnn.features import FEATURE_GROUPS, FeatureSchema, FeatureSlice
+from cascade_gnn.features import (FEATURE_GROUPS, HASH_BINS, SECONDS_PER_HOUR,
+                                  SECONDS_PER_YEAR, FeatureSchema, FeatureSlice,
+                                  default_schema, stable_hash_bin)
 from cascade_gnn.nn import NUM_EDGE_FLAGS, EdgeArrays, build_edge_arrays, glorot
-from cascade_gnn.types import (CascadeRecord, EMBEDDING_DIM, SocialGraph,
+from cascade_gnn.propagation import estimate_spreading_tree
+from cascade_gnn.types import (CascadeRecord, EMBEDDING_DIM, SCOPE_URL, SocialGraph,
                                Tweet, UrlStory, User)
 
 ZERO_EMB = np.zeros(EMBEDDING_DIM)
@@ -346,6 +349,85 @@ def reference_fr_layout(social: SocialGraph, iterations: int = 60, seed: int = 0
         pos += disp / length[:, None] * np.minimum(length, temp)[:, None]
         temp = max(temp - dt, 0.0)
     return {u: (float(pos[i, 0]), float(pos[i, 1])) for u, i in index.items()}
+
+
+# -- reference build -------------------------------------------------------------
+
+def _one_hot(value: str, bins: int) -> np.ndarray:
+    v = np.zeros(bins)
+    v[stable_hash_bin(value, bins)] = 1.0
+    return v
+
+
+def reference_node_features(tweet: Tweet, user: User, cascade_root_time: float,
+                            schema: FeatureSchema) -> np.ndarray:
+    """The per-node encoder that the per-graph ``encode_node_features``
+    replaced: one tweet+author into the schema's node vector.
+
+    Booleans map to {0,1}, counts to log(1+x), account age to years at
+    tweet time, and the tweet's delay from its cascade root to
+    log(1 + seconds/3600).  Embedding slices are copied verbatim.
+    """
+    values = {
+        "geo_enabled": float(user.geo_enabled),
+        "background_picture": float(user.background_picture),
+        "default_profile": float(user.default_profile),
+        "default_profile_image": float(user.default_profile_image),
+        "verified": float(user.verified),
+        "lang": _one_hot(user.lang, HASH_BINS),
+        "description_embedding": user.description_embedding,
+        "account_age_years": max(0.0, tweet.timestamp - user.created_at) / SECONDS_PER_YEAR,
+        "statuses_count": np.log1p(user.statuses_count),
+        "favourites_count": np.log1p(user.favourites_count),
+        "listed_count": np.log1p(user.listed_count),
+        "followers_count": np.log1p(user.followers_count),
+        "friends_count": np.log1p(user.friends_count),
+        "is_source": float(tweet.is_source),
+        "time_delta": np.log1p(max(0.0, tweet.timestamp - cascade_root_time) / SECONDS_PER_HOUR),
+        "retweeted_reply_count": np.log1p(tweet.retweeted_reply_count),
+        "retweeted_quote_count": np.log1p(tweet.retweeted_quote_count),
+        "retweeted_favorite_count": np.log1p(tweet.retweeted_favorite_count),
+        "retweeted_retweet_count": np.log1p(tweet.retweeted_retweet_count),
+        "source_device": _one_hot(tweet.source_device, HASH_BINS),
+        "text_embedding": tweet.text_embedding,
+        "hashtag_embedding": tweet.hashtag_embedding,
+    }
+    out = np.zeros(schema.width)
+    for s in schema.slices:
+        out[s.start:s.stop] = values[s.name]
+
+    if not np.isfinite(out).all():
+        raise ValueError("encoded node features contain non-finite values")
+    return out
+
+
+def reference_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
+                                social: SocialGraph, scope: str) -> PreparedGraph:
+    """``build_propagation_graph`` as it was before it worked on node
+    positions: a tweet ID -> node index dict, the ID -> ID map of
+    ``estimate_spreading_tree`` per cascade, and the per-node encoder."""
+    entries = sorted(((t, cas) for cas in cascades for t in cas.tweets),
+                     key=lambda e: (e[0].timestamp, e[0].tweet_id))
+    index = {t.tweet_id: k for k, (t, _) in enumerate(entries)}
+    assert len(index) == len(entries)
+    n = len(entries)
+    authors = [t.author for t, _ in entries]
+    follows = social.follow_matrix(authors)
+    spread = np.zeros((n, n), dtype=bool)
+    for cas in cascades:
+        for child, parent in estimate_spreading_tree(cas, social).items():
+            spread[index[parent], index[child]] = True
+    relation = np.stack([follows, follows.T, spread, spread.T], axis=2)
+    schema = default_schema()
+    feats = np.empty((n, schema.width))
+    for k, (t, cas) in enumerate(entries):
+        feats[k] = reference_node_features(t, social.users[t.author], cas.source.timestamp,
+                                           schema)
+    return PreparedGraph(
+        key=story.url_id if scope == SCOPE_URL else cascades[0].cascade_id,
+        url_id=story.url_id, features=feats, edges=build_edge_arrays(relation),
+        label=int(story.is_fake), times=tuple(t.timestamp for t, _ in entries),
+        authors=tuple(authors))
 
 
 def blas_thread_getter():

@@ -262,7 +262,7 @@ def test_criterion_07_end_to_end_trends(default_world):
     aucs = {}
     for scope, min_size, iters in (("url_wise", 1, 3000), ("cascade_wise", 6, 4000)):
         for hours in (24.0, 0.0):
-            samples = build_samples(stories, cascades, social, SCHEMA, scope,
+            samples = build_samples(stories, cascades, social, scope,
                                     hours=hours, min_cascade_size=min_size)
             mc = ModelConfig(schema=SCHEMA, iterations=iters, seed=1)
             cv = cross_validate(samples, plan, mc, jobs=2)
@@ -293,7 +293,7 @@ def test_criterion_09_ablation_sanity(default_world):
     cfg, social, stories, cascades = default_world
     plan = make_folds(stories, seed=0)
     inert = tuple(g for g in FEATURE_GROUPS if g not in PLANTED_SIGNAL_GROUPS)
-    samples = build_samples(stories, cascades, social, SCHEMA, "url_wise",
+    samples = build_samples(stories, cascades, social, "url_wise",
                             hours=24.0, active_groups=inert)
     mc = ModelConfig(schema=SCHEMA, iterations=3000, seed=1, active_groups=inert)
     cv = cross_validate(samples, plan, mc, jobs=2)
@@ -301,7 +301,7 @@ def test_criterion_09_ablation_sanity(default_world):
 
     # structure: exactly 4 subset levels, deterministic ordering given the seed
     fast = ModelConfig(schema=SCHEMA, iterations=300, seed=2)
-    base = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+    base = build_samples(stories, cascades, social, "url_wise", hours=24.0)
     r1 = backward_feature_selection(base, stories, fast)
     r2 = backward_feature_selection(base, stories, fast)
     assert [len(l.active_groups) for l in r1.levels] == [4, 3, 2, 1]

@@ -78,8 +78,8 @@ def test_random_graphs_match_tape():
 def test_every_world_sample_matches_tape(small_world):
     stories, cascades, social = small_world
     params = init_params(ModelConfig(schema=SCHEMA, seed=3))
-    samples = (build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
-               + build_samples(stories, cascades, social, SCHEMA, "cascade_wise", hours=24.0))
+    samples = (build_samples(stories, cascades, social, "url_wise", hours=24.0)
+               + build_samples(stories, cascades, social, "cascade_wise", hours=24.0))
     assert len(samples) > 20
     for sample in samples:
         assert_matches_tape(sample, params)
@@ -176,7 +176,7 @@ def test_train_matches_tape_loop(small_world, monkeypatch, scope):
     # cascade-wise samples are masked, url-wise ones keep every group; the
     # reference steps on explicit zeros where train() passes None
     stories, cascades, social = small_world
-    samples = build_samples(stories, cascades, social, SCHEMA, scope, hours=24.0)
+    samples = build_samples(stories, cascades, social, scope, hours=24.0)
     first_of_label = {}
     for s in samples:
         first_of_label.setdefault(s.label, s.url_id)

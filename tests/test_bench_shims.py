@@ -69,7 +69,7 @@ def test_counter_hooks_read_real_calls(monkeypatch):
     config = classifier.ModelConfig(schema=schema, hidden=8, fc1=4, iterations=1)
 
     builds = _recording(monkeypatch, evalharness, "build_propagation_graph")
-    samples = evalharness.build_samples(stories, cascades, social, schema, "url_wise")
+    samples = evalharness.build_samples(stories, cascades, social, "url_wise")
     assert len(builds) == len(samples) > 0
     for (args, kwargs), sample in zip(builds, samples):
         n = len(sample.times)

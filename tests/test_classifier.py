@@ -36,7 +36,7 @@ def tiny_graph(label="true_news", n_users=3, seed=0, random_embeddings=False):
     social = social_graph(users, follows)
     cas = make_cascade([(f"u{i}", 30.0 * i) for i in range(n_users)], "c0", "url0")
     story = make_story("url0", label, ["c0"])
-    return build_propagation_graph(story, [cas], social, "cascade_wise", SCHEMA)
+    return build_propagation_graph(story, [cas], social, "cascade_wise")
 
 
 def small_config(**kw):
@@ -70,7 +70,7 @@ class TestForward:
         times = [0.0, 10.0, 20.0, 30.0, 40.0]
         cas = make_cascade(list(zip(users, times)), "c0", "url0")
         story = make_story("url0", "fake_news", ["c0"])
-        g = build_propagation_graph(story, [cas], social, "cascade_wise", SCHEMA)
+        g = build_propagation_graph(story, [cas], social, "cascade_wise")
         params = init_params(small_config(seed=5))
         base, _, _ = forward(prepare_graph(g, SCHEMA), params)
 

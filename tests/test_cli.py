@@ -724,6 +724,9 @@ class TestUsageAndSeeds:
         (["generate", "--urls", "2", "--users", "1" + "0" * 400], None, "--users"),
         (["generate", "--users", "60"], {"max_cascade_size": 2**63},
          "config key 'max_cascade_size'"),
+        # a drawn per-URL cascade count beyond int64
+        (["generate", "--mean-cascades", "1e300", "--urls", "2", "--users", "50"], None,
+         "mean_cascades_per_url"),
     ])
     def test_bad_value_is_one_error_line(self, dataset_dir, tmp_path, capsys,
                                          args, config, named):
@@ -1062,6 +1065,37 @@ class TestDatasetFormat:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"error: {data / name}, line 1: {reason}\n"
+
+    # finite fields whose difference overflows: the account age of a tweet
+    # after an account made at -1.79e308, and a delay from a source at -1.7e308
+    @pytest.mark.parametrize("ages, times, reason", [
+        (-1.79e308, [1e307] * 99, "tweet '{0}' by '{1}': the account age overflows"),
+        (None, [-1.7e308] + [1.7e308] * 99,
+         "tweet '{2}': the delay from the cascade's source overflows"),
+    ])
+    def test_overflowing_feature_exits_two(self, small_dataset, tmp_path, capsys, ages,
+                                           times, reason):
+        data = tmp_path / "ds"
+        shutil.copytree(small_dataset, data)
+        if ages is not None:
+            users = [json.loads(text) for text in (data / "users.jsonl").read_text().splitlines()]
+            (data / "users.jsonl").write_text(
+                "".join(json.dumps({**u, "created_at": ages}) + "\n" for u in users))
+        lines = (data / "cascades.jsonl").read_text().splitlines()
+        rec = json.loads(lines[0])
+        for tweet, t in zip(rec["tweets"], times):
+            tweet["timestamp"] = t
+        lines[0] = json.dumps(rec)
+        (data / "cascades.jsonl").write_text("\n".join(lines) + "\n")
+        tweets = rec["tweets"]
+        code = main(["cv", "--dataset", str(data), "--out", str(tmp_path / "cv"),
+                     "--scope", "cascade", "--min-cascade-size", "1", "--iterations", "5",
+                     "--jobs", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: {data / 'cascades.jsonl'}, line 1: "
+                       + reason.format(tweets[0]["tweet_id"], tweets[0]["author"],
+                                       tweets[1]["tweet_id"]) + "\n")
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,6 @@ from cascade_gnn import dataio
 from cascade_gnn.dataio import (DatasetNotFoundError, cascades_by_url,
                                 load_dataset, write_dataset)
 from cascade_gnn.evalharness import build_samples
-from cascade_gnn.features import default_schema
 from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_graph
 from cascade_gnn.types import EMBEDDING_DIM, CascadeRecord, UrlStory
 
@@ -210,10 +209,9 @@ def test_interned_write_and_load_match_the_per_record_path(dataset):
         assert not w.flags.writeable
     for v in loaded:
         assert all((v is w) == (v.tobytes() == w.tobytes()) for w in loaded)
-    schema = default_schema()
     for scope in ("url_wise", "cascade_wise"):
-        _assert_same_samples(build_samples(stories_t, cascades_t, social_t, schema, scope),
-                             build_samples(stories_i, cascades_i, social_i, schema, scope))
+        _assert_same_samples(build_samples(stories_t, cascades_t, social_t, scope),
+                             build_samples(stories_i, cascades_i, social_i, scope))
 
 
 def test_the_table_holds_each_distinct_vector_once_in_first_sighting_order(tmp_path):

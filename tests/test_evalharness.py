@@ -23,7 +23,7 @@ from cascade_gnn.features import FEATURE_GROUPS, default_schema
 from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_graph
 
 from helpers import (blas_thread_getter, blas_thread_setter, make_cascade, make_social,
-                     make_story, reference_fr_layout)
+                     make_story, reference_fr_layout, reference_propagation_graph)
 
 SCHEMA = default_schema()
 TILE = evalharness.REPULSION_TILE
@@ -161,7 +161,7 @@ class TestDefaultGroups:
 class TestCrossValidate:
     def test_runs_and_pools_scores(self, world):
         _, social, stories, cascades = world
-        samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        samples = build_samples(stories, cascades, social, "url_wise", hours=24.0)
         plan = make_folds(stories, seed=0)
         cv = cross_validate(samples, plan, fast_config(), jobs=1)
         assert len(cv.fold_aucs) == 5
@@ -171,7 +171,7 @@ class TestCrossValidate:
 
     def test_parallel_matches_sequential(self, world):
         _, social, stories, cascades = world
-        samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        samples = build_samples(stories, cascades, social, "url_wise", hours=24.0)
         plan = make_folds(stories, seed=0)
         a = cross_validate(samples, plan, fast_config(), jobs=1)
         b = cross_validate(samples, plan, fast_config(), jobs=2)
@@ -185,7 +185,7 @@ class TestWorkerPool:
     @pytest.fixture
     def cv_rounds(self, world):
         _, social, stories, cascades = world
-        samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        samples = build_samples(stories, cascades, social, "url_wise", hours=24.0)
         return evalharness._cv_rounds(samples, make_folds(stories, seed=0),
                                       fast_config(iterations=20))
 
@@ -261,10 +261,10 @@ class TestSampleKeys:
         _, social, stories, cascades = world
         by_url = cascades_by_url(cascades)
         fake = {s.url_id: int(s.is_fake) for s in stories}
-        url_wise = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        url_wise = build_samples(stories, cascades, social, "url_wise", hours=24.0)
         assert [(s.key, s.url_id) for s in url_wise] == [(u, u) for u in sorted(by_url)]
         for min_size in (1, 6):
-            cascade_wise = build_samples(stories, cascades, social, SCHEMA, "cascade_wise",
+            cascade_wise = build_samples(stories, cascades, social, "cascade_wise",
                                          hours=24.0, min_cascade_size=min_size)
             assert [(s.key, s.url_id) for s in cascade_wise] == [
                 (c.cascade_id, u) for u in sorted(by_url)
@@ -279,11 +279,28 @@ class TestBuildSamples:
         _, social, stories, cascades = world
         before = [(c, c.tweets) for c in cascades]
         for scope in ("url_wise", "cascade_wise"):
-            first = build_samples(stories, cascades, social, SCHEMA, scope)
+            first = build_samples(stories, cascades, social, scope)
             assert [(c, c.tweets) for c in cascades] == before
-            for a, b in zip(first, build_samples(stories, cascades, social, SCHEMA, scope),
+            for a, b in zip(first, build_samples(stories, cascades, social, scope),
                             strict=True):
                 assert_same_sample(a, b)
+
+    @pytest.mark.parametrize("scope", ["url_wise", "cascade_wise"])
+    def test_samples_match_the_reference_build(self, world, monkeypatch, scope):
+        # the reference encodes node by node and places the spreading trees'
+        # ID -> ID maps through a tweet ID -> node index dict
+        _, social, stories, cascades = world
+        hours = (0.0, 7.0, 24.0)
+        built = {d: build_samples(stories, cascades, social, scope, hours=d,
+                                  active_groups=FEATURE_GROUPS) for d in hours}
+        monkeypatch.setattr(evalharness, "build_propagation_graph", reference_propagation_graph)
+        for d in hours:
+            reference = build_samples(stories, cascades, social, scope, hours=d,
+                                      active_groups=FEATURE_GROUPS)
+            assert len(reference) > 20
+            for sample, cut, ref in zip(built[d], built[24.0], reference, strict=True):
+                assert_bit_identical(sample, ref)
+                assert_bit_identical(cut.prefix(d), ref)
 
 
 def assert_same_sample(cut, fresh):
@@ -294,16 +311,21 @@ def assert_same_sample(cut, fresh):
         assert np.array_equal(getattr(cut.edges, name), getattr(fresh.edges, name)), name
 
 
+def assert_bit_identical(a, b):
+    assert_same_sample(a, b)
+    assert np.array_equal(np.signbit(a.features), np.signbit(b.features))
+
+
 class TestPrefix:
     """A sample cut to d hours by ``prefix`` is the sample built at d."""
 
     @pytest.mark.parametrize("scope", ["url_wise", "cascade_wise"])
     def test_prefix_equals_fresh_build(self, world, scope):
         _, social, stories, cascades = world
-        base = build_samples(stories, cascades, social, SCHEMA, scope, hours=24.0)
+        base = build_samples(stories, cascades, social, scope, hours=24.0)
         cut_nodes = 0
         for d in range(25):
-            fresh = build_samples(stories, cascades, social, SCHEMA, scope, hours=float(d))
+            fresh = build_samples(stories, cascades, social, scope, hours=float(d))
             assert len(fresh) == len(base)
             for sample, built in zip(base, fresh):
                 assert_same_sample(sample.prefix(d), built)
@@ -323,20 +345,20 @@ class TestPrefix:
                                   ("J", 10000)], "c1")]
         stories = [make_story("url0", "fake_news", ["c0", "c1"])]
         for scope in ("url_wise", "cascade_wise"):
-            base = build_samples(stories, cascades, social, SCHEMA, scope, hours=24.0)
+            base = build_samples(stories, cascades, social, scope, hours=24.0)
             for d in (0, 1, 2, 2.5, 3, 24):
-                fresh = build_samples(stories, cascades, social, SCHEMA, scope, hours=d)
+                fresh = build_samples(stories, cascades, social, scope, hours=d)
                 assert len(fresh) == len(base)
                 for sample, built in zip(base, fresh):
                     assert_same_sample(sample.prefix(d), built)
-        url_sample = build_samples(stories, cascades, social, SCHEMA, "url_wise")[0]
+        url_sample = build_samples(stories, cascades, social, "url_wise")[0]
         assert url_sample.prefix(2).authors == ("A", "B", "C", "D", "E", "F")
 
 
 class TestDiffusionSweep:
     def test_sweep_nested_coverage_and_structure(self, world):
         _, social, stories, cascades = world
-        samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        samples = build_samples(stories, cascades, social, "url_wise", hours=24.0)
         points = diffusion_sweep(samples, stories, fast_config(), d_values=[0, 3, 24], jobs=2)
         hours = [p.hours for p in points]
         assert hours == [0.0, 3.0, 24.0]
@@ -350,7 +372,7 @@ class TestDiffusionSweep:
         _, social, stories, cascades = world
         # the sweep's own plan: folds drawn with the config's seed (0)
         plan = make_folds(stories, seed=0)
-        samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        samples = build_samples(stories, cascades, social, "url_wise", hours=24.0)
         points = diffusion_sweep(samples, stories, fast_config(), d_values=[0, 3, 24], jobs=2)
         assert pools == [2]
         for d, point in zip((0, 3, 24), points):
@@ -360,7 +382,7 @@ class TestDiffusionSweep:
 
     def test_one_job_opens_no_pool(self, world, pools):
         _, social, stories, cascades = world
-        samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        samples = build_samples(stories, cascades, social, "url_wise", hours=24.0)
         diffusion_sweep(samples, stories, fast_config(iterations=2), d_values=[0, 3, 24], jobs=1)
         assert pools == []
 
@@ -368,7 +390,7 @@ class TestDiffusionSweep:
         # every hour's rounds carry the same sample objects and cut them
         # themselves, so the main process holds one sample set at any hours
         _, social, stories, cascades = world
-        samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        samples = build_samples(stories, cascades, social, "url_wise", hours=24.0)
         diffusion_sweep(samples, stories, fast_config(iterations=2), d_values=[0, 3, 24], jobs=1)
         (payloads,) = dispatched
         assert [p[0] for p in payloads] == [(d, r) for d in (0, 3, 24) for r in range(5)]
@@ -408,7 +430,7 @@ class TestAging:
 
     def test_protocol_reports_three_series(self, world):
         _, social, stories, cascades = world
-        samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        samples = build_samples(stories, cascades, social, "url_wise", hours=24.0)
         result = aging_protocol(samples, stories, fast_config(), jobs=2)
         assert len(result.windows) >= 1
         w = result.windows[0]
@@ -421,7 +443,7 @@ class TestAging:
 
     def test_one_pool_and_same_result_at_any_jobs(self, world, pools):
         _, social, stories, cascades = world
-        samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        samples = build_samples(stories, cascades, social, "url_wise", hours=24.0)
         runs = [aging_protocol(samples, stories, fast_config(), jobs=jobs) for jobs in (1, 2)]
         assert pools == [2]  # the two temporal rounds and the five folds together
         assert runs[0] == runs[1]
@@ -435,7 +457,7 @@ class TestAging:
 class TestBackwardSelection:
     def test_four_levels_and_deterministic_order(self, world):
         _, social, stories, cascades = world
-        base = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        base = build_samples(stories, cascades, social, "url_wise", hours=24.0)
         r1 = backward_feature_selection(base, stories, fast_config())
         r2 = backward_feature_selection(base, stories, fast_config())
         assert [len(l.active_groups) for l in r1.levels] == [4, 3, 2, 1]
@@ -448,7 +470,7 @@ class TestBackwardSelection:
     def test_one_job_trains_one_candidate_at_a_time(self, world, ablation_rounds):
         # so only one candidate's masked copy of the samples exists at a time
         _, social, stories, cascades = world
-        samples = build_samples(stories, cascades, social, SCHEMA, "url_wise", hours=24.0)
+        samples = build_samples(stories, cascades, social, "url_wise", hours=24.0)
         backward_feature_selection(samples, stories, fast_config(iterations=2))
         assert ablation_rounds == [0] * 10
 

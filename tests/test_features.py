@@ -1,12 +1,15 @@
 """Feature schema layout and node encoders."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cascade_gnn.features import (FEATURE_GROUPS, default_schema, embed_tokens,
                                   encode_node_features, load_word_vectors,
                                   stable_hash_bin)
+from cascade_gnn.types import EMBEDDING_DIM
 
-from helpers import make_tweet, make_user
+from helpers import make_tweet, make_user, reference_node_features
 
 SCHEMA = default_schema()
 
@@ -29,12 +32,16 @@ class TestSchemaLayout:
         for s in SCHEMA.slices:
             assert s.group in FEATURE_GROUPS
 
+    def test_slice_names_are_unique(self):
+        names = [s.name for s in SCHEMA.slices]
+        assert len(set(names)) == len(names) == 22
+
 
 class TestNodeEncoding:
     def encode(self, tweet=None, user=None, root_time=0.0):
         tweet = tweet or make_tweet("t0", "A", 0.0, is_source=True)
         user = user or make_user("A")
-        return encode_node_features(tweet, user, root_time, SCHEMA)
+        return encode_node_features([tweet], [user], [root_time])[0]
 
     def slot(self, vec, name):
         s = next(s for s in SCHEMA.slices if s.name == name)
@@ -81,9 +88,75 @@ class TestNodeEncoding:
     def test_deterministic_bit_identical(self):
         tweet = make_tweet("t0", "A", 123.0, is_source=True)
         user = make_user("A", followers=7, lang="es")
-        a = encode_node_features(tweet, user, 0.0, SCHEMA)
-        b = encode_node_features(tweet, user, 0.0, SCHEMA)
+        a = encode_node_features([tweet], [user], [0.0])
+        b = encode_node_features([tweet], [user], [0.0])
         assert (a == b).all()
+
+    def test_an_overflowing_account_age_is_rejected(self):
+        tweet = make_tweet("t0", "A", 1e308, is_source=True)
+        user = make_user("A", created_at=-1e308)
+        with pytest.raises(ValueError, match="encoded node features contain non-finite values"):
+            encode_node_features([tweet], [user], [1e308])
+
+
+def _embedding(seed):
+    """0: all +0.0, 1: all -0.0, else normal components with -0.0 sprinkled in."""
+    if seed < 2:
+        return np.full(EMBEDDING_DIM, (0.0, -0.0)[seed])
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=EMBEDDING_DIM)
+    v[rng.random(EMBEDDING_DIM) < 0.2] = -0.0
+    return v
+
+
+_times = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e10, 1e10))
+_counts = st.one_of(st.sampled_from([0, 2**63 - 1]), st.integers(0, 2**63 - 1))
+# strings that hash to a bucket like any other: seen, empty and unseen ones
+_labels = st.one_of(st.sampled_from(["en", "es", "web", "android", ""]), st.text(max_size=8))
+_embeddings = st.integers(0, 6).map(_embedding)
+
+
+@st.composite
+def _nodes(draw):
+    """One node: its tweet, its author and its cascade's root time."""
+    user = make_user("A", followers=draw(_counts), friends=draw(_counts),
+                     statuses_count=draw(_counts), favourites_count=draw(_counts),
+                     listed_count=draw(_counts), created_at=draw(_times),
+                     geo_enabled=draw(st.booleans()), verified=draw(st.booleans()),
+                     background_picture=draw(st.booleans()),
+                     default_profile=draw(st.booleans()),
+                     default_profile_image=draw(st.booleans()),
+                     lang=draw(_labels), description_embedding=draw(_embeddings))
+    tweet = make_tweet("t", "A", draw(_times), is_source=draw(st.booleans()),
+                       retweeted_reply_count=draw(_counts),
+                       retweeted_quote_count=draw(_counts),
+                       retweeted_favorite_count=draw(_counts),
+                       retweeted_retweet_count=draw(_counts),
+                       source_device=draw(_labels), text_embedding=draw(_embeddings),
+                       hashtag_embedding=draw(_embeddings))
+    return tweet, user, draw(_times)
+
+
+class TestGraphEncoding:
+    """The per-graph encoder fills each node's row as the per-node reference does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_nodes(), min_size=1, max_size=6))
+    # one-node graphs: a -0.0 time and delay, counts at the int64 edge, a
+    # tweet a year before its account was made, lang and device strings
+    # that no generated dataset holds
+    @example([(make_tweet("t", "A", -0.0, text_embedding=_embedding(1)),
+               make_user("A", created_at=0.0, description_embedding=_embedding(3)), 0.0)])
+    @example([(make_tweet("t", "A", 5.0, retweeted_retweet_count=2**63 - 1,
+                          source_device="\u00e9\x00"),
+               make_user("A", followers=2**63 - 1, listed_count=0, lang="zz-unseen",
+                         created_at=5.0 + 365 * 86400.0), 7.0)])
+    def test_matches_the_per_node_reference(self, nodes):
+        tweets, users, root_times = zip(*nodes)
+        got = encode_node_features(list(tweets), list(users), list(root_times))
+        want = np.array([reference_node_features(t, u, r, SCHEMA) for t, u, r in nodes])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestWordVectors:
