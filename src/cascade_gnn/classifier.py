@@ -1,5 +1,7 @@
 """The four-layer propagation classifier, its checkpoints, and its sample type
 ``PreparedGraph``, built by ``propagation.build_propagation_graph``.
+``prepare_graph`` masks a sample's inactive feature groups, zeroing each
+group's one column range of ``features.GROUP_COLUMNS``.
 
 Pipeline: GC1(F->hidden)+SELU -> channel-pair mean pool (hidden->hidden/2)
 -> GC2+SELU -> global mean pool -> FC1+SELU -> FC2 -> 2 raw scores.
@@ -18,7 +20,7 @@ from . import autograd as ag
 from . import nn
 from .autograd import Tensor
 from .dataio import _embedding
-from .features import FEATURE_GROUPS, FeatureSchema
+from .features import FEATURE_GROUPS, GROUP_COLUMNS, WIDTH
 # roc_auc stays a module global: perfbench/traced.py times it through this module
 from .metrics import auc_or_none, roc_auc  # noqa: F401
 from .nn import EdgeArrays
@@ -43,12 +45,14 @@ def feature_groups(value) -> tuple[str, ...]:
                          f"choose from {', '.join(FEATURE_GROUPS)}")
     if not groups:
         raise ValueError("no feature group given")
+    repeated = sorted({g for g in groups if groups.count(g) > 1})
+    if repeated:
+        raise ValueError(f"feature groups given more than once: {', '.join(repeated)}")
     return groups
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    schema: FeatureSchema
     hidden: int = 64
     fc1: int = 32
     out: int = 2
@@ -69,11 +73,12 @@ class ModelConfig:
             raise ConfigError("hidden width must be even for channel-pair pooling")
 
 
-def param_shapes(config: ModelConfig) -> tuple[tuple[str, tuple[int, int]], ...]:
-    """Each parameter's name and shape, in the order ``init_params`` draws
-    them, which is also their order in ``ModelParams.flat``, in the gradient
-    vector, in ``OptimizerState.layout`` and in a checkpoint."""
-    f_in, hidden, fc1 = config.schema.width, config.hidden, config.fc1
+def param_shapes(config: ModelConfig, f_in: int) -> tuple[tuple[str, tuple[int, int]], ...]:
+    """Each parameter's name and shape for ``f_in`` input features, in the
+    order ``init_params`` draws them, which is also their order in
+    ``ModelParams.flat``, in the gradient vector, in ``OptimizerState.layout``
+    and in a checkpoint."""
+    hidden, fc1 = config.hidden, config.fc1
     attn = (2 * hidden + nn.NUM_EDGE_FLAGS, 1)
     return (("gc1.weight", (f_in, hidden)), ("gc1.attn", attn), ("gc1.bias", (1, hidden)),
             ("gc2.weight", (hidden // 2, hidden)), ("gc2.attn", attn),
@@ -91,10 +96,11 @@ class ModelParams:
     named: dict[str, np.ndarray]
 
 
-def init_params(config: ModelConfig) -> ModelParams:
-    """Glorot-uniform weights and attention vectors and zero biases."""
+def init_params(config: ModelConfig, f_in: int) -> ModelParams:
+    """Glorot-uniform weights and attention vectors and zero biases, for
+    ``f_in`` input features."""
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 71)))
-    shapes = param_shapes(config)
+    shapes = param_shapes(config, f_in)
     flat = np.zeros(sum(rows * cols for _, (rows, cols) in shapes))
     named, start = {}, 0
     for name, shape in shapes:
@@ -136,23 +142,16 @@ class PreparedGraph:
                        times=self.times[:n], authors=self.authors[:n])
 
 
-def mask_columns(features: np.ndarray, schema: FeatureSchema,
-                 active_groups) -> np.ndarray:
-    """``features`` with the columns of inactive groups zeroed: a new array
-    if a group is inactive, else ``features`` itself, not a copy."""
-    if all(group in active_groups for group in FEATURE_GROUPS):
-        return features
-    out = features.copy()
-    for group in FEATURE_GROUPS:
-        if group not in active_groups:
-            out[:, schema.group_columns(group)] = 0.0
-    return out
-
-
-def prepare_graph(sample: PreparedGraph, schema: FeatureSchema,
-                  active_groups=FEATURE_GROUPS) -> PreparedGraph:
-    """The sample with the columns of inactive feature groups zeroed."""
-    return replace(sample, features=mask_columns(sample.features, schema, active_groups))
+def prepare_graph(sample: PreparedGraph, active_groups) -> PreparedGraph:
+    """The sample with the columns of inactive feature groups zeroed, on a
+    copy of its features; ``sample`` itself when every group is active."""
+    inactive = [group for group in FEATURE_GROUPS if group not in active_groups]
+    if not inactive:
+        return sample
+    features = sample.features.copy()
+    for group in inactive:
+        features[:, GROUP_COLUMNS[group]] = 0.0
+    return replace(sample, features=features)
 
 
 def _forward_tensors(features: Tensor, edges: EdgeArrays,
@@ -263,7 +262,7 @@ def train(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
     """
     if not train_set:
         raise ValueError("empty training set")
-    params = init_params(config)
+    params = init_params(config, train_set[0].features.shape[1])
     state = OptimizerState(learning_rate=config.learning_rate,
                            layout=tuple((k, v.size) for k, v in params.named.items()))
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 11)))
@@ -339,7 +338,8 @@ class CheckpointError(ValueError):
 
 def load_checkpoint(path, config: ModelConfig, scope: str | None = None
                     ) -> tuple[ModelParams, int | None]:
-    """Read a checkpoint into parameters shaped by ``config``, and its seed.
+    """Read a checkpoint into parameters shaped by ``config`` for ``WIDTH``
+    input features, and its seed.
 
     A given ``scope`` must match the one the checkpoint's ``meta`` records,
     if it records one, and ``config.active_groups`` must be the set of
@@ -372,7 +372,7 @@ def load_checkpoint(path, config: ModelConfig, scope: str | None = None
     stored = doc.get("params")
     if not isinstance(stored, dict):
         raise CheckpointError(f"checkpoint {path}: field 'params' is missing or not a mapping")
-    params = init_params(config)
+    params = init_params(config, WIDTH)
     for k, view in params.named.items():
         entry = stored.get(k)
         if entry is None:

@@ -33,7 +33,7 @@ from .evalharness import (DEFAULT_MIN_CASCADE_SIZE, ProtocolError, aging_protoco
                           diffusion_sweep, estimate_diameter,
                           fold_label_fractions, fr_layout, mad_mmd, make_folds,
                           split_by_url, sweep_hours, train_and_score)
-from .features import FEATURE_GROUPS, default_schema
+from .features import FEATURE_GROUPS
 from .metrics import auc_or_none
 from .optim import NumericError
 from .propagation import credibility_scores
@@ -180,10 +180,9 @@ class Run:
     def echo(self, command: str, **fields) -> dict:
         """Config echo for report hashing; filesystem paths stay out so the
         hash depends only on the experiment parameters."""
-        model = {f.name: getattr(self.model, f.name)
-                 for f in dataclasses.fields(self.model) if f.name != "schema"}
         return {"command": command, "scope": self.scope, "hours": self.last_hour,
-                "min_cascade_size": self.min_cascade_size, "model": model,
+                "min_cascade_size": self.min_cascade_size,
+                "model": dataclasses.asdict(self.model),
                 "seed": self.model.seed, **fields}
 
 
@@ -200,7 +199,7 @@ def _resolve_run(config_path, seed, dataset_dir, scope, hours, min_cascade_size,
     fc, seed = _config_and_seed(config_path, seed)
     scope = SCOPE_URL if scope == "url" else SCOPE_CASCADE
     model = ModelConfig(
-        schema=default_schema(), seed=seed,
+        seed=seed,
         iterations=_resolve(iterations, fc, "iterations", DEFAULT_ITERATIONS[scope],
                             "--iterations"),
         learning_rate=_resolve(lr, fc, "learning_rate", 5e-4, "--lr"),

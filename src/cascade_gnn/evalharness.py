@@ -25,7 +25,7 @@ import numpy as np
 from .classifier import (ModelConfig, PreparedGraph, TrainResult, fake_score, forward,
                          prepare_graph, train)
 from .dataio import cascades_by_url
-from .features import FEATURE_GROUPS, GROUP_CONTENT, SCHEMA
+from .features import FEATURE_GROUPS, GROUP_CONTENT
 from .metrics import auc_or_none, roc_auc
 from .propagation import build_propagation_graph, truncate
 from .types import (CascadeRecord, SCOPE_CASCADE, SCOPE_URL, SocialGraph,
@@ -138,8 +138,7 @@ def _story_samples(story: UrlStory, cascades: list[CascadeRecord], social: Socia
     else:
         groups = [truncate([cas], hours, reference="cascade")
                   for cas in filter_min_cascade_size(full, min_cascade_size)]
-    return [prepare_graph(build_propagation_graph(story, kept, social, scope), SCHEMA,
-                          active_groups)
+    return [prepare_graph(build_propagation_graph(story, kept, social, scope), active_groups)
             for kept in groups if kept]
 
 
@@ -480,7 +479,7 @@ def backward_feature_selection(base: list[PreparedGraph], stories: list[UrlStory
 
     def evaluate(active, seed: int):
         """(validation AUC, test AUC) of one model trained on the ``active`` groups."""
-        masked = [[prepare_graph(s, config.schema, active) for s in part] for part in parts]
+        masked = [[prepare_graph(s, active) for s in part] for part in parts]
         _, scored, val_auc = _run_cv_round(
             ("ablate", *masked, replace(config, seed=seed, active_groups=active)))
         return val_auc, _test_auc(scored)

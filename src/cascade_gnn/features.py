@@ -2,9 +2,10 @@
 
 ``BLOCKS`` lists each of the node vector's 22 blocks once, in column order:
 its name, its ablation group, its width and how its rows are computed.
-``default_schema()`` lays the blocks end to end: user_profile (214),
-user_activity (3), network_spreading (16) and content (400), 633 columns
-in all.  ``encode_node_features`` fills a whole graph's matrix in one call,
+Each group's blocks are contiguous, so ``GROUP_COLUMNS`` maps each group to
+one column range: user_profile (214), user_activity (3), network_spreading
+(16) and content (400), ``WIDTH`` = 633 columns in all.
+``encode_node_features`` fills a whole graph's matrix in one call,
 one block at a time.  Booleans map to {0, 1} and counts to log(1 + x);
 categorical strings (lang, source device) to a stable 8-bucket hash one-hot;
 account age to years at tweet time, and a tweet's delay from its cascade's
@@ -13,7 +14,6 @@ source to log(1 + hours).  Embeddings are copied verbatim.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,32 +30,6 @@ FEATURE_GROUPS = (GROUP_USER_PROFILE, GROUP_USER_ACTIVITY,
 HASH_BINS = 8
 SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_YEAR = 365.0 * 86400.0
-
-
-@dataclass(frozen=True)
-class FeatureSlice:
-    name: str
-    group: str
-    start: int
-    stop: int
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureSchema:
-    """Ordered, disjoint feature slices covering [0, width)."""
-
-    slices: tuple[FeatureSlice, ...]
-
-    @property
-    def width(self) -> int:
-        return self.slices[-1].stop
-
-    def group_columns(self, group: str) -> np.ndarray:
-        cols = []
-        for s in self.slices:
-            if s.group == group:
-                cols.extend(range(s.start, s.stop))
-        return np.asarray(cols, dtype=np.intp)
 
 
 def _one_hot(values) -> np.ndarray:
@@ -116,16 +90,19 @@ BLOCKS = (
 )
 
 
-def default_schema() -> FeatureSchema:
-    """The slices of ``BLOCKS``, laid end to end."""
-    slices, pos = [], 0
-    for name, group, width, _ in BLOCKS:
-        slices.append(FeatureSlice(name, group, pos, pos + width))
-        pos += width
-    return FeatureSchema(tuple(slices))
+def _group_ranges() -> dict[str, slice]:
+    """Each group's columns, as the one range from its first block's start
+    to its last block's stop: ``BLOCKS`` keeps a group's blocks together."""
+    columns, stop = {}, 0
+    for _, group, width, _ in BLOCKS:
+        start = columns[group].start if group in columns else stop
+        stop += width
+        columns[group] = slice(start, stop)
+    return columns
 
 
-SCHEMA = default_schema()  # the columns encode_node_features fills
+GROUP_COLUMNS = _group_ranges()  # group -> the slice of its columns
+WIDTH = sum(width for _, _, width, _ in BLOCKS)  # the columns encode_node_features fills
 
 
 def stable_hash_bin(value: str, bins: int = HASH_BINS) -> int:

@@ -11,9 +11,8 @@ import numpy as np
 
 from cascade_gnn.autograd import Tensor
 from cascade_gnn.classifier import PreparedGraph
-from cascade_gnn.features import (FEATURE_GROUPS, HASH_BINS, SECONDS_PER_HOUR,
-                                  SECONDS_PER_YEAR, FeatureSchema, FeatureSlice,
-                                  default_schema, stable_hash_bin)
+from cascade_gnn.features import (BLOCKS, HASH_BINS, SECONDS_PER_HOUR, SECONDS_PER_YEAR,
+                                  WIDTH, stable_hash_bin)
 from cascade_gnn.nn import NUM_EDGE_FLAGS, EdgeArrays, build_edge_arrays, glorot
 from cascade_gnn.propagation import estimate_spreading_tree
 from cascade_gnn.types import (CascadeRecord, EMBEDDING_DIM, SCOPE_URL, SocialGraph,
@@ -127,16 +126,11 @@ def inlined_files(dirpath) -> dict[str, bytes]:
 
 # -- tiny networks -------------------------------------------------------------
 
-def tiny_schema(width_per_group=3) -> FeatureSchema:
-    slices, pos = [], 0
-    for g in FEATURE_GROUPS:
-        slices.append(FeatureSlice(f"{g}_block", g, pos, pos + width_per_group))
-        pos += width_per_group
-    return FeatureSchema(tuple(slices))
+TINY_WIDTH = 12  # the input width of the tiny networks
 
 
-def random_graph_sample(rng, n_nodes, schema, label=None):
-    feats = rng.normal(size=(n_nodes, schema.width))
+def random_graph_sample(rng, n_nodes, width, label=None):
+    feats = rng.normal(size=(n_nodes, width))
     edges = []
     for i in range(n_nodes):
         for j in range(i + 1, n_nodes):
@@ -359,10 +353,19 @@ def _one_hot(value: str, bins: int) -> np.ndarray:
     return v
 
 
-def reference_node_features(tweet: Tweet, user: User, cascade_root_time: float,
-                            schema: FeatureSchema) -> np.ndarray:
+def block_ranges():
+    """Each block of ``BLOCKS``: its name, its group and its columns, laid
+    out from the block widths."""
+    start = 0
+    for name, group, width, _ in BLOCKS:
+        yield name, group, range(start, start + width)
+        start += width
+
+
+def reference_node_features(tweet: Tweet, user: User, cascade_root_time: float) -> np.ndarray:
     """The per-node encoder that the per-graph ``encode_node_features``
-    replaced: one tweet+author into the schema's node vector.
+    replaced: one tweet+author into the node vector, block by block in the
+    column order and widths of ``BLOCKS``.
 
     Booleans map to {0,1}, counts to log(1+x), account age to years at
     tweet time, and the tweet's delay from its cascade root to
@@ -392,9 +395,8 @@ def reference_node_features(tweet: Tweet, user: User, cascade_root_time: float,
         "text_embedding": tweet.text_embedding,
         "hashtag_embedding": tweet.hashtag_embedding,
     }
-    out = np.zeros(schema.width)
-    for s in schema.slices:
-        out[s.start:s.stop] = values[s.name]
+    out = np.concatenate([np.reshape(values[name], width) for name, _, width, _ in BLOCKS],
+                         dtype=float)
 
     if not np.isfinite(out).all():
         raise ValueError("encoded node features contain non-finite values")
@@ -418,11 +420,9 @@ def reference_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
         for child, parent in estimate_spreading_tree(cas, social).items():
             spread[index[parent], index[child]] = True
     relation = np.stack([follows, follows.T, spread, spread.T], axis=2)
-    schema = default_schema()
-    feats = np.empty((n, schema.width))
+    feats = np.empty((n, WIDTH))
     for k, (t, cas) in enumerate(entries):
-        feats[k] = reference_node_features(t, social.users[t.author], cas.source.timestamp,
-                                           schema)
+        feats[k] = reference_node_features(t, social.users[t.author], cas.source.timestamp)
     return PreparedGraph(
         key=story.url_id if scope == SCOPE_URL else cascades[0].cascade_id,
         url_id=story.url_id, features=feats, edges=build_edge_arrays(relation),

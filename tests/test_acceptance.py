@@ -18,7 +18,7 @@ from cascade_gnn.classifier import (ModelConfig, _forward_tensors, forward,
 from cascade_gnn.cli import main as cli_main
 from cascade_gnn.evalharness import (backward_feature_selection, build_samples,
                                      cross_validate, make_folds)
-from cascade_gnn.features import FEATURE_GROUPS, default_schema
+from cascade_gnn.features import FEATURE_GROUPS
 from cascade_gnn.metrics import roc_auc
 from cascade_gnn.nn import build_edge_arrays, hinge_loss
 from cascade_gnn.optim import OptimizerState, amsgrad_step
@@ -27,11 +27,9 @@ from cascade_gnn.synthgen import (PLANTED_SIGNAL_GROUPS, GenConfig,
                                   generate_dataset, generate_social_graph,
                                   summary_stats)
 
-from helpers import (central_difference_grads, edge_relation, gat_params, make_cascade,
-                     pairwise_auc_oracle, random_graph_sample, relative_error,
-                     tape_tensors, tiny_schema)
-
-SCHEMA = default_schema()
+from helpers import (TINY_WIDTH, central_difference_grads, edge_relation, gat_params,
+                     make_cascade, pairwise_auc_oracle, random_graph_sample,
+                     relative_error, tape_tensors)
 
 
 @pytest.fixture(scope="module")
@@ -92,12 +90,11 @@ def test_criterion_01_gradient_correctness():
         assert err <= tol, f"op {name}: relative error {err}"
 
     # full composed network on 5-node random graphs, 10 seeds
-    schema = tiny_schema()
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
-        sample = random_graph_sample(rng, 5, schema)
-        config = ModelConfig(schema=schema, hidden=6, fc1=4, iterations=1, seed=seed)
-        params = init_params(config)
+        sample = random_graph_sample(rng, 5, TINY_WIDTH)
+        config = ModelConfig(hidden=6, fc1=4, iterations=1, seed=seed)
+        params = init_params(config, TINY_WIDTH)
         arrays = params.named
         tensors = tape_tensors(params)
 
@@ -173,14 +170,13 @@ def test_criterion_03_roc_auc_oracle():
 
 
 def test_criterion_04_permutation_equivariance_invariance():
-    schema = tiny_schema()
-    config = ModelConfig(schema=schema, hidden=6, fc1=4, iterations=1, seed=0)
+    config = ModelConfig(hidden=6, fc1=4, iterations=1, seed=0)
     for g_idx in range(100):
         rng = np.random.default_rng(2000 + g_idx)
         n = int(rng.integers(2, 9))
-        sample = random_graph_sample(rng, n, schema)
-        params = init_params(config)
-        gat = gat_params(rng, schema.width, 6)
+        sample = random_graph_sample(rng, n, TINY_WIDTH)
+        params = init_params(config, TINY_WIDTH)
+        gat = gat_params(rng, TINY_WIDTH, 6)
         gat_tensors = [Tensor(a) for a in gat]
         base_layer = nn.gat_forward(Tensor(sample.features), sample.edges, *gat_tensors).data
         base_array_layer, _ = nn.gat_layer(sample.features, sample.edges, *gat)
@@ -264,7 +260,7 @@ def test_criterion_07_end_to_end_trends(default_world):
         for hours in (24.0, 0.0):
             samples = build_samples(stories, cascades, social, scope,
                                     hours=hours, min_cascade_size=min_size)
-            mc = ModelConfig(schema=SCHEMA, iterations=iters, seed=1)
+            mc = ModelConfig(iterations=iters, seed=1)
             cv = cross_validate(samples, plan, mc, jobs=2)
             aucs[(scope, hours)] = cv.mean_auc
     elapsed = time.time() - start
@@ -295,12 +291,12 @@ def test_criterion_09_ablation_sanity(default_world):
     inert = tuple(g for g in FEATURE_GROUPS if g not in PLANTED_SIGNAL_GROUPS)
     samples = build_samples(stories, cascades, social, "url_wise",
                             hours=24.0, active_groups=inert)
-    mc = ModelConfig(schema=SCHEMA, iterations=3000, seed=1, active_groups=inert)
+    mc = ModelConfig(iterations=3000, seed=1, active_groups=inert)
     cv = cross_validate(samples, plan, mc, jobs=2)
     assert 0.4 <= cv.mean_auc <= 0.6, f"masked-signal AUC {cv.mean_auc:.4f}"
 
     # structure: exactly 4 subset levels, deterministic ordering given the seed
-    fast = ModelConfig(schema=SCHEMA, iterations=300, seed=2)
+    fast = ModelConfig(iterations=300, seed=2)
     base = build_samples(stories, cascades, social, "url_wise", hours=24.0)
     r1 = backward_feature_selection(base, stories, fast)
     r2 = backward_feature_selection(base, stories, fast)

@@ -6,20 +6,18 @@ import pytest
 
 import cascade_gnn.classifier as classifier_mod
 from cascade_gnn.autograd import Tensor
-from cascade_gnn.classifier import (ModelConfig, PreparedGraph, _forward_tensors,
-                                    fake_score, forward, init_params,
-                                    loss_and_grads, mask_columns, train)
+from cascade_gnn.classifier import (ModelConfig, _forward_tensors, fake_score, forward,
+                                    init_params, loss_and_grads, prepare_graph, train)
 from cascade_gnn.evalharness import build_samples
-from cascade_gnn.features import FEATURE_GROUPS, default_schema
+from cascade_gnn.features import FEATURE_GROUPS, WIDTH
 from cascade_gnn.metrics import roc_auc
 from cascade_gnn.nn import hinge_loss
 from cascade_gnn.optim import OptimizerState
 from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_graph
 
-from helpers import (central_difference_grads, named_views, random_graph_sample,
-                     relative_error, tape_tensors, tiny_schema)
+from helpers import (TINY_WIDTH, central_difference_grads, named_views,
+                     random_graph_sample, relative_error, tape_tensors)
 
-SCHEMA = default_schema()
 MASKED = ("user_profile", "network_spreading")
 
 
@@ -63,11 +61,10 @@ def test_random_graphs_match_tape():
     active = {True: 0, False: 0}
     for k in range(60):
         n = int(rng.integers(1, 13))
-        sample = random_graph_sample(rng, n, SCHEMA, label=k % 2)
+        sample = random_graph_sample(rng, n, WIDTH, label=k % 2)
         groups = MASKED if k % 4 >= 2 else FEATURE_GROUPS
-        sample = PreparedGraph("g", "u", mask_columns(sample.features, SCHEMA, groups),
-                               sample.edges, sample.label)
-        params = init_params(ModelConfig(schema=SCHEMA, seed=k, active_groups=groups))
+        sample = prepare_graph(sample, groups)
+        params = init_params(ModelConfig(seed=k, active_groups=groups), WIDTH)
         if k % 3 == 0:
             # a wide margin for the correct class switches the hinge off
             params.named["fc2.bias"][0, sample.label] += 10.0
@@ -77,7 +74,7 @@ def test_random_graphs_match_tape():
 
 def test_every_world_sample_matches_tape(small_world):
     stories, cascades, social = small_world
-    params = init_params(ModelConfig(schema=SCHEMA, seed=3))
+    params = init_params(ModelConfig(seed=3), WIDTH)
     samples = (build_samples(stories, cascades, social, "url_wise", hours=24.0)
                + build_samples(stories, cascades, social, "cascade_wise", hours=24.0))
     assert len(samples) > 20
@@ -91,12 +88,11 @@ def test_every_world_sample_matches_tape(small_world):
 
 
 def test_finite_differences_on_criterion_one_graphs():
-    schema = tiny_schema()
     active = 0
     for seed in range(10):
-        sample = random_graph_sample(np.random.default_rng(1000 + seed), 5, schema)
-        params = init_params(ModelConfig(schema=schema, hidden=6, fc1=4, iterations=1,
-                                         seed=seed))
+        sample = random_graph_sample(np.random.default_rng(1000 + seed), 5, TINY_WIDTH)
+        params = init_params(ModelConfig(hidden=6, fc1=4, iterations=1, seed=seed),
+                             TINY_WIDTH)
         arrays = params.named
         _, grads = loss_and_grads(sample, params)
         active += grads is not None
@@ -109,15 +105,15 @@ def test_finite_differences_on_criterion_one_graphs():
 
 
 def test_single_node_graph_without_edges():
-    params = init_params(ModelConfig(schema=SCHEMA, seed=1))
+    params = init_params(ModelConfig(seed=1), WIDTH)
     for label in (0, 1):
-        sample = random_graph_sample(np.random.default_rng(label), 1, SCHEMA, label=label)
+        sample = random_graph_sample(np.random.default_rng(label), 1, WIDTH, label=label)
         assert_matches_tape(sample, params)
 
 
 def test_zero_loss_over_non_finite_forward_raises():
-    params = init_params(ModelConfig(schema=SCHEMA, seed=2))
-    sample = random_graph_sample(np.random.default_rng(4), 4, SCHEMA, label=0)
+    params = init_params(ModelConfig(seed=2), WIDTH)
+    sample = random_graph_sample(np.random.default_rng(4), 4, WIDTH, label=0)
     params.named["gc2.weight"][0, 0] = np.nan
     # the tape scores NaN as a zero hinge loss with a NaN gradient
     loss, grads = tape_loss_and_grads(sample, params)
@@ -146,7 +142,7 @@ def reference_amsgrad(params, grads, state):
 
 
 def tape_train(train_set, val_set, config):
-    params = init_params(config)
+    params = init_params(config, train_set[0].features.shape[1])
     arrays = params.named
     # the reference keeps its moments per name, in dicts
     state = OptimizerState(learning_rate=config.learning_rate, m={}, v={}, v_hat={})
@@ -184,8 +180,7 @@ def test_train_matches_tape_loop(small_world, monkeypatch, scope):
     tr = [s for s in samples if s not in val]
     assert len(first_of_label) == 2 and len(tr) >= 10
     monkeypatch.setattr(classifier_mod, "VALIDATION_EVERY", 50)
-    config = ModelConfig(schema=SCHEMA, hidden=16, fc1=8, iterations=200, seed=6,
-                         learning_rate=5e-3)
+    config = ModelConfig(hidden=16, fc1=8, iterations=200, seed=6, learning_rate=5e-3)
     result = train(tr, val, config)
     params, loss_trace, val_trace, state = tape_train(tr, val, config)
 

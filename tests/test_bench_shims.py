@@ -13,7 +13,7 @@ import pytest
 
 from cascade_gnn import classifier, evalharness, nn
 from cascade_gnn.autograd import Tensor
-from cascade_gnn.features import default_schema
+from cascade_gnn.features import WIDTH
 from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_graph
 
 from helpers import tape_tensors
@@ -65,8 +65,7 @@ def test_counter_hooks_read_real_calls(monkeypatch):
     cfg = GenConfig(num_users=150, num_urls=10, mean_cascades_per_url=3.0)
     social = generate_social_graph(cfg)
     stories, cascades = generate_dataset(cfg, social)
-    schema = default_schema()
-    config = classifier.ModelConfig(schema=schema, hidden=8, fc1=4, iterations=1)
+    config = classifier.ModelConfig(hidden=8, fc1=4, iterations=1)
 
     builds = _recording(monkeypatch, evalharness, "build_propagation_graph")
     samples = evalharness.build_samples(stories, cascades, social, "url_wise")
@@ -75,7 +74,7 @@ def test_counter_hooks_read_real_calls(monkeypatch):
         n = len(sample.times)
         assert TRACED_MODULE._nodes(args, kwargs) == {"propagation.node_pairs": n * (n - 1) // 2}
 
-    params = classifier.init_params(config)
+    params = classifier.init_params(config, WIDTH)
     # the reference layer on the tape, and the layer that training runs
     tape_layers = _recording(monkeypatch, nn, "gat_forward")
     classifier._forward_tensors(Tensor(samples[0].features), samples[0].edges,

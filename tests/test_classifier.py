@@ -1,4 +1,5 @@
 """Network assembly, training loop, masking, checkpoints."""
+import itertools
 import json
 from dataclasses import replace
 
@@ -6,20 +7,17 @@ import numpy as np
 import pytest
 
 from cascade_gnn.classifier import (CheckpointError, ModelConfig, fake_score, forward,
-                                    init_params, load_checkpoint, mask_columns,
-                                    param_shapes, prepare_graph, save_checkpoint, train,
-                                    user_embeddings)
-from cascade_gnn.features import FEATURE_GROUPS, default_schema
+                                    init_params, load_checkpoint, param_shapes,
+                                    prepare_graph, save_checkpoint, train, user_embeddings)
+from cascade_gnn.features import FEATURE_GROUPS, WIDTH
 from cascade_gnn.nn import hinge_loss
 from cascade_gnn.optim import NumericError, OptimizerState, amsgrad_step
 from cascade_gnn.propagation import build_propagation_graph
 from cascade_gnn.autograd import Tensor
 import cascade_gnn.classifier as classifier_mod
 
-from helpers import (edge_relation, make_cascade, make_social, make_story, make_user,
-                     social_graph, tape_tensors)
-
-SCHEMA = default_schema()
+from helpers import (block_ranges, edge_relation, make_cascade, make_social, make_story,
+                     make_user, random_graph_sample, social_graph, tape_tensors)
 
 
 def tiny_graph(label="true_news", n_users=3, seed=0, random_embeddings=False):
@@ -40,7 +38,7 @@ def tiny_graph(label="true_news", n_users=3, seed=0, random_embeddings=False):
 
 
 def small_config(**kw):
-    defaults = dict(schema=SCHEMA, hidden=8, fc1=4, iterations=10, seed=0)
+    defaults = dict(hidden=8, fc1=4, iterations=10, seed=0)
     defaults.update(kw)
     return ModelConfig(**defaults)
 
@@ -48,17 +46,17 @@ def small_config(**kw):
 class TestForward:
     def test_single_node_graph_runs(self):
         g = tiny_graph(n_users=1)
-        params = init_params(small_config())
-        scores, probs, emb = forward(prepare_graph(g, SCHEMA), params)
+        params = init_params(small_config(), WIDTH)
+        scores, probs, emb = forward(g, params)
         assert scores.shape == (2,) and np.isfinite(scores).all()
         assert emb.shape == (1, 8)
 
     def test_probabilities_sum_to_one(self):
-        params = init_params(small_config())
+        params = init_params(small_config(), WIDTH)
         for seed in range(100):
             g = tiny_graph(n_users=int(np.random.default_rng(seed).integers(1, 5)),
                            seed=seed)
-            _, probs, _ = forward(prepare_graph(g, SCHEMA), params)
+            _, probs, _ = forward(g, params)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_node_permutation_leaves_scores(self):
@@ -71,8 +69,8 @@ class TestForward:
         cas = make_cascade(list(zip(users, times)), "c0", "url0")
         story = make_story("url0", "fake_news", ["c0"])
         g = build_propagation_graph(story, [cas], social, "cascade_wise")
-        params = init_params(small_config(seed=5))
-        base, _, _ = forward(prepare_graph(g, SCHEMA), params)
+        params = init_params(small_config(seed=5), WIDTH)
+        base, _, _ = forward(g, params)
 
         n = g.edges.num_nodes
         for k in range(10):
@@ -87,54 +85,53 @@ class TestForward:
 
     def test_width_mismatch_raises(self):
         g = tiny_graph()
-        params = init_params(ModelConfig(schema=SCHEMA, hidden=8, fc1=4,
-                                         iterations=1, seed=0))
-        bad = prepare_graph(g, SCHEMA)
-        bad = type(bad)(bad.key, bad.url_id, bad.features[:, :100], bad.edges, bad.label)
+        params = init_params(ModelConfig(hidden=8, fc1=4, iterations=1, seed=0), WIDTH)
+        bad = type(g)(g.key, g.url_id, g.features[:, :100], g.edges, g.label)
         with pytest.raises(ValueError):
             forward(bad, params)
 
 
+# every non-empty set of active groups
+GROUP_SETS = [groups for k in range(1, len(FEATURE_GROUPS) + 1)
+              for groups in itertools.combinations(FEATURE_GROUPS, k)]
+
+
+def block_columns(groups) -> np.ndarray:
+    """The columns of the blocks of ``groups``."""
+    return np.array([c for _, group, cols in block_ranges() if group in groups for c in cols],
+                    dtype=np.intp)
+
+
 class TestMasking:
-    def test_all_groups_active_is_identity(self):
-        g = tiny_graph()
-        masked = mask_columns(g.features, SCHEMA, FEATURE_GROUPS)
-        assert (masked == g.features).all()
-
-    def test_all_groups_active_returns_the_input(self):
-        g = tiny_graph()
-        assert mask_columns(g.features, SCHEMA, FEATURE_GROUPS) is g.features
-
-    def test_a_masked_group_copies_and_leaves_the_input(self):
-        g = tiny_graph(seed=3)
-        before = g.features.copy()
-        masked = mask_columns(g.features, SCHEMA, ("user_profile", "content"))
-        assert masked is not g.features and not np.shares_memory(masked, g.features)
-        assert (g.features == before).all()
-        assert (masked[:, SCHEMA.group_columns("user_activity")] == 0).all()
-
-    def test_content_masked_zeroes_400_columns(self):
-        g = tiny_graph(seed=7)
-        active = tuple(gr for gr in FEATURE_GROUPS if gr != "content")
-        masked = mask_columns(g.features, SCHEMA, active)
-        cols = SCHEMA.group_columns("content")
-        assert cols.size == 400
-        assert (masked[:, cols] == 0).all()
-        others = np.setdiff1d(np.arange(SCHEMA.width), cols)
-        assert (masked[:, others] == g.features[:, others]).all()
+    @pytest.mark.parametrize("active", GROUP_SETS, ids="|".join)
+    def test_zeroes_exactly_the_inactive_groups(self, active):
+        # normal features hold no zero, so a stray zeroed column shows
+        sample = random_graph_sample(np.random.default_rng(len(active)), 4, WIDTH)
+        before = sample.features.copy()
+        masked = prepare_graph(sample, active)
+        kept = block_columns(active)
+        zeroed = block_columns([g for g in FEATURE_GROUPS if g not in active])
+        assert kept.size + zeroed.size == WIDTH
+        assert masked.features[:, zeroed].tobytes() == bytes(8 * 4 * zeroed.size)
+        assert masked.features[:, kept].tobytes() == before[:, kept].tobytes()
+        assert sample.features.tobytes() == before.tobytes()
+        if zeroed.size == 0:
+            assert masked is sample
+        else:
+            assert not np.shares_memory(masked.features, sample.features)
+            assert masked.edges is sample.edges and masked.label == sample.label
 
     def test_masked_features_get_zero_gradient(self):
         g = tiny_graph(label="fake_news", seed=9)
         active = ("user_profile", "network_spreading")
-        sample = prepare_graph(g, SCHEMA, active)
+        sample = prepare_graph(g, active)
         config = small_config(active_groups=active)
-        tensors = tape_tensors(init_params(config))
+        tensors = tape_tensors(init_params(config, WIDTH))
         scores, _ = classifier_mod._forward_tensors(
             Tensor(sample.features), sample.edges, tensors)
         hinge_loss(scores, sample.label).backward()
         grad = tensors["gc1.weight"].grad
-        masked_rows = np.concatenate([SCHEMA.group_columns("user_activity"),
-                                      SCHEMA.group_columns("content")])
+        masked_rows = block_columns(("user_activity", "content"))
         assert (grad[masked_rows] == 0.0).all()
         assert np.abs(grad).sum() > 0.0
 
@@ -146,8 +143,7 @@ class TestTrain:
             label = "fake_news" if (k % 2 == 0 and balanced) else "true_news"
             g = tiny_graph(label=label, n_users=2 + k % 3, seed=seed * 100 + k,
                            random_embeddings=random_embeddings)
-            samples.append(replace(prepare_graph(g, SCHEMA, FEATURE_GROUPS),
-                                   key=f"g{k}", url_id=f"url{k}"))
+            samples.append(replace(g, key=f"g{k}", url_id=f"url{k}"))
         return samples
 
     def test_empty_training_set_rejected(self):
@@ -160,7 +156,7 @@ class TestTrain:
         result = train(samples, [], config)
 
         # replay: same init, same sampled graph, one manual step
-        params = init_params(config)
+        params = init_params(config, WIDTH)
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, 11)))
         sample = samples[rng.integers(len(samples))]
         tensors = tape_tensors(params)
@@ -176,7 +172,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("name", ["gc1.weight", "gc2.attn", "fc2.bias"])
     def test_non_finite_gradient_names_its_parameter(self, monkeypatch, name):
-        params = init_params(small_config())
+        params = init_params(small_config(), WIDTH)
         start = 0
         for k, view in params.named.items():
             if k == name:
@@ -210,7 +206,7 @@ class TestTrain:
     def test_no_signal_gives_chance_auc(self):
         # identical features for both classes: AUC must hover near 0.5
         g = tiny_graph(label="true_news", seed=11)
-        base = replace(prepare_graph(g, SCHEMA, FEATURE_GROUPS), key="g", url_id="u")
+        base = replace(g, key="g", url_id="u")
         rng = np.random.default_rng(0)
         samples = []
         for k in range(40):
@@ -251,10 +247,10 @@ class TestTrain:
 
 class TestParams:
     def test_named_arrays_tile_the_flat_vector(self, tmp_path):
-        config = ModelConfig(schema=SCHEMA)
-        params = init_params(config)
+        config = ModelConfig()
+        params = init_params(config, WIDTH)
         assert params.flat.dtype == np.float64 and params.flat.ndim == 1
-        assert [(k, v.shape) for k, v in params.named.items()] == list(param_shapes(config))
+        assert [(k, v.shape) for k, v in params.named.items()] == list(param_shapes(config, WIDTH))
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, params)
         stored = json.loads(path.read_text())["params"]
@@ -323,7 +319,7 @@ class TestCheckpoint:
     def test_malformed_field_names_file_and_field(self, tmp_path, field, mangle):
         config = small_config()
         path = tmp_path / "mangled.json"
-        save_checkpoint(path, init_params(config))
+        save_checkpoint(path, init_params(config, WIDTH))
         doc = json.loads(path.read_text())
         mangle(doc)
         path.write_text(json.dumps(doc))
@@ -349,11 +345,11 @@ class TestUserEmbeddings:
     def test_mean_over_graphs(self):
         g1 = tiny_graph(seed=1)
         g2 = tiny_graph(seed=2)
-        params = init_params(small_config())
-        table = user_embeddings([prepare_graph(g1, SCHEMA), prepare_graph(g2, SCHEMA)], params)
+        params = init_params(small_config(), WIDTH)
+        table = user_embeddings([g1, g2], params)
         assert set(table) == set(g1.authors) | set(g2.authors)
-        _, _, emb1 = forward(prepare_graph(g1, SCHEMA), params)
-        _, _, emb2 = forward(prepare_graph(g2, SCHEMA), params)
+        _, _, emb1 = forward(g1, params)
+        _, _, emb2 = forward(g2, params)
         manual = {}
         counts = {}
         for authors, emb in ((g1.authors, emb1), (g2.authors, emb2)):
@@ -365,21 +361,30 @@ class TestUserEmbeddings:
 
 
 class TestModelConfig:
+    def test_equal_fields_make_equal_configs(self):
+        assert ModelConfig() == ModelConfig()
+        assert hash(ModelConfig()) == hash(ModelConfig())
+        assert ModelConfig(seed=1) != ModelConfig()
+
+    def test_rejects_a_repeated_group(self):
+        with pytest.raises(ValueError, match="more than once: content$"):
+            ModelConfig(active_groups=("content", "user_profile", "content"))
+
     def test_requires_active_groups(self):
         with pytest.raises(ValueError):
-            ModelConfig(schema=SCHEMA, active_groups=())
+            ModelConfig(active_groups=())
 
     def test_rejects_unknown_group(self):
         with pytest.raises(ValueError):
-            ModelConfig(schema=SCHEMA, active_groups=("bogus",))
+            ModelConfig(active_groups=("bogus",))
 
     def test_rejects_zero_iterations(self):
         with pytest.raises(ValueError):
-            ModelConfig(schema=SCHEMA, iterations=0)
+            ModelConfig(iterations=0)
 
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", -1.0), ("learning_rate", float("nan")), ("iterations", 2.5),
     ])
     def test_rejects_what_the_cli_rejects(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}: must be "):
-            ModelConfig(schema=SCHEMA, **{field: value})
+            ModelConfig(**{field: value})

@@ -21,7 +21,7 @@ from cascade_gnn import cli, evalharness
 from cascade_gnn.classifier import (CheckpointError, ModelConfig, init_params,
                                     load_checkpoint, save_checkpoint)
 from cascade_gnn.cli import main
-from cascade_gnn.features import default_schema
+from cascade_gnn.features import WIDTH
 from cascade_gnn.synthgen import GenConfig
 
 from helpers import blas_thread_getter, blas_thread_setter, inline_rows, inlined_files
@@ -373,15 +373,15 @@ class TestTrainAndExport:
 
     def test_wrong_shape_checkpoint_is_usage_error(self, dataset_dir, tmp_path, capsys):
         path = tmp_path / "narrow.json"
-        config = ModelConfig(schema=default_schema(), hidden=8, fc1=4)
-        save_checkpoint(path, init_params(config), meta={"scope": "url_wise"})
+        config = ModelConfig(hidden=8, fc1=4)
+        save_checkpoint(path, init_params(config, WIDTH), meta={"scope": "url_wise"})
         code, err = self.export_with(dataset_dir, tmp_path, path, capsys)
         assert code == 1
         assert "narrow.json" in err and "'gc1.weight'" in err
 
     def test_malformed_checkpoint_is_usage_error(self, dataset_dir, tmp_path, capsys):
         path = tmp_path / "mangled.json"
-        save_checkpoint(path, init_params(ModelConfig(schema=default_schema())))
+        save_checkpoint(path, init_params(ModelConfig(), WIDTH))
         doc = json.loads(path.read_text())
         doc["params"]["gc1.weight"] = {"data": []}
         path.write_text(json.dumps(doc))
@@ -399,7 +399,7 @@ class TestTrainAndExport:
 
     def test_checkpoint_of_other_scope_is_usage_error(self, dataset_dir, tmp_path, capsys):
         path = tmp_path / "cascade.json"
-        save_checkpoint(path, init_params(ModelConfig(schema=default_schema())),
+        save_checkpoint(path, init_params(ModelConfig(), WIDTH),
                         meta={"scope": "cascade_wise", "hours": 24.0})
         code, err = self.export_with(dataset_dir, tmp_path, path, capsys)
         assert code == 1
@@ -661,6 +661,11 @@ class TestUsageAndSeeds:
         (["cv"], {"jobs": "x"}, "config key 'jobs'"),
         (["cv"], {"hours": 12.5}, "config key 'hours'"),
         (["cv"], {"active_groups": ["bogus"]}, "config key 'active_groups'"),
+        # a group named twice would hash and record as a different group set
+        (["cv", "--groups", "content,user_profile,content"], None,
+         "--groups: feature groups given more than once: content"),
+        (["cv"], {"active_groups": ["content", "content"]},
+         "config key 'active_groups': feature groups given more than once: content"),
         (["cv"], {"seed": "s"}, "config key 'seed'"),
         (["stats", "--mad-samples", "-2"], None, "--mad-samples"),
         (["stats", "--mad-samples", "1"], None, "--mad-samples"),
@@ -1249,13 +1254,13 @@ def _containers(inner):
 
 
 _JSON = st.recursive(_JSON_SCALARS, _containers, max_leaves=6)
-_SMALL_MODEL = ModelConfig(schema=default_schema(), hidden=2, fc1=2)
+_SMALL_MODEL = ModelConfig(hidden=2, fc1=2)
 
 
 @pytest.fixture(scope="module")
 def checkpoint_text(tmp_path_factory):
     path = tmp_path_factory.mktemp("checkpoint") / "checkpoint.json"
-    save_checkpoint(path, init_params(_SMALL_MODEL),
+    save_checkpoint(path, init_params(_SMALL_MODEL, WIDTH),
                     meta={"scope": "url_wise", "active_groups": list(_SMALL_MODEL.active_groups)})
     return path.read_text()
 
@@ -1273,8 +1278,7 @@ class TestConfigFuzz:
                 passed[key] = cli._resolve(None, config, key, None)
         # what passed the rules, the config classes take; only a check
         # across GenConfig's fields can still fail
-        ModelConfig(schema=_SMALL_MODEL.schema,
-                    **{k: v for k, v in passed.items() if k in ModelConfig.RULES})
+        ModelConfig(**{k: v for k, v in passed.items() if k in ModelConfig.RULES})
         try:
             GenConfig(**{k: v for k, v in passed.items() if k in GenConfig.RULES})
         except ValueError as exc:

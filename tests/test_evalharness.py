@@ -19,13 +19,12 @@ from cascade_gnn.evalharness import (aging_protocol, backward_feature_selection,
                                      estimate_diameter, filter_min_cascade_size,
                                      fold_label_fractions, fr_layout, mad_mmd,
                                      make_aging_plan, make_folds, repulsion)
-from cascade_gnn.features import FEATURE_GROUPS, default_schema
+from cascade_gnn.features import FEATURE_GROUPS
 from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_graph
 
 from helpers import (blas_thread_getter, blas_thread_setter, make_cascade, make_social,
                      make_story, reference_fr_layout, reference_propagation_graph)
 
-SCHEMA = default_schema()
 TILE = evalharness.REPULSION_TILE
 
 
@@ -39,7 +38,7 @@ def world():
 
 
 def fast_config(**kw):
-    defaults = dict(schema=SCHEMA, hidden=8, fc1=4, iterations=60, seed=0)
+    defaults = dict(hidden=8, fc1=4, iterations=60, seed=0)
     defaults.update(kw)
     return ModelConfig(**defaults)
 

@@ -1,39 +1,46 @@
-"""Feature schema layout and node encoders."""
+"""Feature layout and node encoders."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cascade_gnn.features import (FEATURE_GROUPS, default_schema, embed_tokens,
-                                  encode_node_features, load_word_vectors,
+from cascade_gnn.features import (BLOCKS, FEATURE_GROUPS, GROUP_COLUMNS, WIDTH,
+                                  embed_tokens, encode_node_features, load_word_vectors,
                                   stable_hash_bin)
 from cascade_gnn.types import EMBEDDING_DIM
 
-from helpers import make_tweet, make_user, reference_node_features
-
-SCHEMA = default_schema()
+from helpers import block_ranges, make_tweet, make_user, reference_node_features
 
 
-class TestSchemaLayout:
+class TestLayout:
     def test_total_width(self):
-        assert SCHEMA.width == 633
+        assert WIDTH == sum(width for _, _, width, _ in BLOCKS) == 633
 
     def test_group_widths(self):
-        assert SCHEMA.group_columns("user_profile").size == 214
-        assert SCHEMA.group_columns("user_activity").size == 3
-        assert SCHEMA.group_columns("network_spreading").size == 16
-        assert SCHEMA.group_columns("content").size == 400
+        widths = {g: len(range(WIDTH)[GROUP_COLUMNS[g]]) for g in FEATURE_GROUPS}
+        assert widths == {"user_profile": 214, "user_activity": 3,
+                          "network_spreading": 16, "content": 400}
 
-    def test_slices_disjoint_and_cover(self):
-        cols = np.concatenate([SCHEMA.group_columns(g) for g in FEATURE_GROUPS])
-        assert sorted(cols.tolist()) == list(range(SCHEMA.width))
+    def test_groups_are_contiguous_and_in_order(self):
+        # each group's blocks fill its one range, and the ranges follow
+        # each other in FEATURE_GROUPS order
+        runs = []
+        for _, group, cols in block_ranges():
+            if runs and runs[-1][0] == group:
+                runs[-1][1].extend(cols)
+            else:
+                runs.append((group, list(cols)))
+        assert [g for g, _ in runs] == list(FEATURE_GROUPS)
+        for group, cols in runs:
+            assert cols == list(range(WIDTH)[GROUP_COLUMNS[group]])
+        assert list(GROUP_COLUMNS) == list(FEATURE_GROUPS)
 
-    def test_every_slice_has_one_group(self):
-        for s in SCHEMA.slices:
-            assert s.group in FEATURE_GROUPS
+    def test_every_block_has_one_group(self):
+        for _, group, _, _ in BLOCKS:
+            assert group in FEATURE_GROUPS
 
-    def test_slice_names_are_unique(self):
-        names = [s.name for s in SCHEMA.slices]
+    def test_block_names_are_unique(self):
+        names = [name for name, _, _, _ in BLOCKS]
         assert len(set(names)) == len(names) == 22
 
 
@@ -44,8 +51,8 @@ class TestNodeEncoding:
         return encode_node_features([tweet], [user], [root_time])[0]
 
     def slot(self, vec, name):
-        s = next(s for s in SCHEMA.slices if s.name == name)
-        return vec[s.start:s.stop]
+        cols = next(cols for block, _, cols in block_ranges() if block == name)
+        return vec[cols.start:cols.stop]
 
     def test_boolean_and_zero_count_slots(self):
         vec = self.encode(user=make_user("A", followers=0, verified=False))
@@ -154,7 +161,7 @@ class TestGraphEncoding:
     def test_matches_the_per_node_reference(self, nodes):
         tweets, users, root_times = zip(*nodes)
         got = encode_node_features(list(tweets), list(users), list(root_times))
-        want = np.array([reference_node_features(t, u, r, SCHEMA) for t, u, r in nodes])
+        want = np.array([reference_node_features(t, u, r) for t, u, r in nodes])
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
