@@ -32,7 +32,7 @@ from .evalharness import (DEFAULT_MIN_CASCADE_SIZE, ProtocolError, aging_protoco
                           cross_validate, default_active_groups,
                           diffusion_sweep, estimate_diameter,
                           fold_label_fractions, fr_layout, mad_mmd, make_folds,
-                          split_by_url, sweep_hours, train_and_score)
+                          sweep_hours, train_and_score)
 from .features import FEATURE_GROUPS
 from .metrics import auc_or_none
 from .optim import NumericError
@@ -364,10 +364,8 @@ def aging(run: Run, out_dir, window_frac, min_gap_days):
 @experiment_command()
 def ablate(run: Run, out_dir):
     """Backward feature selection over the four groups; writes ablation.csv."""
-    # trains in process, whatever --jobs: a level depends on the one before,
-    # and a pool per level, with the level's masked copies, cost memory and gained no time
     result = backward_feature_selection(run.build(active_groups=FEATURE_GROUPS), run.stories,
-                                        run.model)
+                                        run.model, run.jobs)
     echo = run.echo("ablate")
     rows = [(len(l.active_groups), "|".join(l.active_groups), l.val_auc, l.test_auc)
             for l in result.levels]
@@ -383,17 +381,17 @@ def ablate(run: Run, out_dir):
 @experiment_command("train")
 def train_cmd(run: Run, out_dir):
     """Train one model on fold round 0; writes checkpoint.json."""
-    plan = make_folds(run.stories, seed=run.model.seed)
-    tr, va, te = split_by_url(run.build(), *plan.round(0))
-    result, scores = train_and_score(tr, va, te, run.model)
-    test_auc = auc_or_none(scores, [s.label for s in te])
+    fold = evalharness._fold_round(run.build(), make_folds(run.stories, seed=run.model.seed),
+                                   0, run.model)
+    result, scores = train_and_score(fold.train, fold.val, fold.test, fold.config)
+    test_auc = auc_or_none(scores, [s.label for s in fold.test])
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, "checkpoint.json"), result.params,
                     seed=run.model.seed,
                     meta={"scope": run.scope, "hours": run.last_hour,
                           "active_groups": list(run.model.active_groups)})
     write_json_report(os.path.join(out_dir, "report.json"), {
-        "train_size": len(tr), "val_size": len(va), "test_size": len(te),
+        "train_size": len(fold.train), "val_size": len(fold.val), "test_size": len(fold.test),
         "best_iteration": result.best_iteration,
         "best_val_auc": result.best_val_auc,
         "test_auc": test_auc,

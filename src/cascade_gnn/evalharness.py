@@ -2,8 +2,9 @@
 aging windows, backward feature selection, sample-distance analysis and
 force-directed layout export.
 
-All protocols are seed-deterministic.  CV, sweep and aging rounds run in one
-process pool when ``jobs > 1``, merged in round order; ablation runs in process.
+All protocols are seed-deterministic.  Each trains its models as ``Round``s
+through ``_run_jobs``, in one process pool when ``jobs > 1``, merged in round
+order; ablation opens one pool per level, as a level depends on the last.
 
 The protocols take samples, not the dataset: ``build_samples`` builds them
 once, and a caller that hands it the only reference to its cascade list has
@@ -19,6 +20,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,14 +174,31 @@ class CvResult:
     fold_val_aucs: list[float | None]
 
 
-def _run_cv_round(payload) -> tuple[object, list[tuple[str, float, int]], float | None]:
-    """Train and score one round.  A sweep round, labelled ``(hours, r)``, cuts its
-    samples here, so the main process holds no cut copy of them."""
-    label, *parts, config = payload
-    if isinstance(label, tuple):
-        parts = [[s.prefix(label[0]) for s in part] for part in parts]
-    result, scores = train_and_score(*parts, config)
-    return label, [(s.key, sc, s.label) for s, sc in zip(parts[2], scores)], result.best_val_auc
+class Round(NamedTuple):
+    """One model to train and score on a train/validation/test split.  The
+    worker cuts each part to ``hours`` and masks it to ``groups`` where they
+    are set, so the main process holds only the samples the rounds share.
+    The benchmark's dispatch hook reads ``[1:4]`` as the parts."""
+
+    label: object
+    train: list[PreparedGraph]
+    val: list[PreparedGraph]
+    test: list[PreparedGraph]
+    config: ModelConfig
+    hours: float | None = None
+    groups: tuple[str, ...] | None = None
+
+
+def _run_cv_round(rnd: Round) -> tuple[object, list[tuple[str, float, int]], float | None]:
+    """Train and score one round: its label, (key, fake score, label) per
+    test sample, and the best validation AUC."""
+    parts = rnd[1:4]
+    if rnd.hours is not None:
+        parts = [[s.prefix(rnd.hours) for s in part] for part in parts]
+    if rnd.groups is not None:
+        parts = [[prepare_graph(s, rnd.groups) for s in part] for part in parts]
+    result, scores = train_and_score(*parts, rnd.config)
+    return rnd.label, [(s.key, sc, s.label) for s, sc in zip(parts[2], scores)], result.best_val_auc
 
 
 def _test_auc(scored) -> float | None:
@@ -244,15 +263,17 @@ def _run_jobs(payloads, jobs: int):
         return list(pool.map(_run_round, range(len(payloads))))
 
 
-def _cv_rounds(samples: list[PreparedGraph], plan: FoldPlan, config: ModelConfig) -> list:
-    """One payload per fold round r, its model seeded ``config.seed + r``."""
-    payloads = []
-    for r in range(plan.k):
-        train_set, val_set, test_set = split_by_url(samples, *plan.round(r))
-        if not train_set or not test_set:
-            raise ProtocolError(f"round {r} has no train or test sample; lower --min-cascade-size")
-        payloads.append((r, train_set, val_set, test_set, replace(config, seed=config.seed + r)))
-    return payloads
+def _fold_round(samples: list[PreparedGraph], plan: FoldPlan, r: int,
+                config: ModelConfig) -> Round:
+    """Fold round r of ``plan``, its model seeded ``config.seed + r``."""
+    train_set, val_set, test_set = split_by_url(samples, *plan.round(r))
+    if not train_set or not test_set:
+        raise ProtocolError(f"round {r} has no train or test sample; lower --min-cascade-size")
+    return Round(r, train_set, val_set, test_set, replace(config, seed=config.seed + r))
+
+
+def _cv_rounds(samples: list[PreparedGraph], plan: FoldPlan, config: ModelConfig) -> list[Round]:
+    return [_fold_round(samples, plan, r, config) for r in range(plan.k)]
 
 
 def _cv_result(results) -> CvResult:
@@ -307,7 +328,8 @@ def diffusion_sweep(base: list[PreparedGraph], stories: list[UrlStory], config: 
     total_24h = sum(len(s.prefix(DEFAULT_DIFFUSION_HOURS).times) for s in base)
 
     rounds = _cv_rounds(base, plan, config)
-    results = _run_jobs([((d, r), *rest) for d in d_values for r, *rest in rounds], jobs)
+    results = _run_jobs([rnd._replace(label=(d, rnd.label), hours=d)
+                         for d in d_values for rnd in rounds], jobs)
     cvs = [_cv_result(results[i:i + plan.k]) for i in range(0, len(results), plan.k)]
     return [SweepPoint(hours=float(d), mean_auc=cv.mean_auc, std_auc=cv.std_auc,
                        coverage=sum(len(s.prefix(d).times) for s in base) / total_24h
@@ -401,13 +423,13 @@ def aging_protocol(diffused: list[PreparedGraph], stories: list[UrlStory],
     plan = make_aging_plan(stories, window_frac=window_frac,
                            min_gap_days=min_gap_days, seed=config.seed)
     first_seen = {s.url_id: s.first_seen for s in stories}
-    url_sets = [set(urls) for urls in (plan.train_urls, plan.val_urls, plan.test_urls)]
-    temporal = [(label, *split_by_url(samples, *url_sets), config)
-                for label, samples in (("diffused", diffused),
-                                       ("source_only", [s.prefix(0.0) for s in diffused]))]
-    if not all(tr and te for _, tr, _, te, _ in temporal):
+    parts = split_by_url(diffused, *(set(urls) for urls in
+                                     (plan.train_urls, plan.val_urls, plan.test_urls)))
+    if not (parts[0] and parts[2]):
         raise ProtocolError("temporal split left no train or test sample; "
                             "lower --min-cascade-size")
+    temporal = [Round("diffused", *parts, config),
+                Round("source_only", *parts, config, hours=0.0)]
     cv_plan = make_folds(stories, seed=config.seed)
     results = _run_jobs(temporal + _cv_rounds(diffused, cv_plan, config), jobs)
     scores = {label: {key: (sc, lab) for key, sc, lab in scored}  # key -> (fake score, label)
@@ -465,33 +487,32 @@ class AblationResult:
 
 
 def backward_feature_selection(base: list[PreparedGraph], stories: list[UrlStory],
-                               config: ModelConfig) -> AblationResult:
+                               config: ModelConfig, jobs: int = 1) -> AblationResult:
     """Iteratively drop the group whose removal hurts validation AUC least,
     from the ``base`` samples of ``stories``, built with every group active.
 
     Uses round 0 of the fold plan: selection on the validation fold, the
-    reported AUC on the test fold.  Emits one level per subset size; the
-    candidates of a level are seeded in candidate order and train one at a
-    time, in process, so one masked copy of the samples exists at a time.
+    reported AUC on the test fold.  Emits one level per subset size; a
+    level's candidates are seeded in candidate order and go to ``_run_jobs``
+    together, each masking its own copy of the samples: at one job, one
+    masked copy exists at a time.
     """
-    plan = make_folds(stories, seed=config.seed)
-    parts = split_by_url(base, *plan.round(0))
+    fold = _fold_round(base, make_folds(stories, seed=config.seed), 0, config)
 
-    def evaluate(active, seed: int):
-        """(validation AUC, test AUC) of one model trained on the ``active`` groups."""
-        masked = [[prepare_graph(s, active) for s in part] for part in parts]
-        _, scored, val_auc = _run_cv_round(
-            ("ablate", *masked, replace(config, seed=seed, active_groups=active)))
-        return val_auc, _test_auc(scored)
+    def train_level(candidates, seed: int) -> list[tuple[float | None, float | None]]:
+        """(validation AUC, test AUC) of a model per candidate group set."""
+        rounds = [fold._replace(label=groups, groups=groups,
+                                config=replace(config, seed=seed + k, active_groups=groups))
+                  for k, groups in enumerate(candidates)]
+        return [(val_auc, _test_auc(scored)) for _, scored, val_auc in _run_jobs(rounds, jobs)]
 
     active = FEATURE_GROUPS
-    levels = [AblationLevel(active, *evaluate(active, config.seed))]
+    levels = [AblationLevel(active, *train_level([active], config.seed)[0])]
     removal_order: list[str] = []
     seed = config.seed + 1
     while len(active) > 1:
         reduced = [tuple(x for x in active if x != g) for g in active]
-        candidates = [(g, r, evaluate(r, seed + k))
-                      for k, (g, r) in enumerate(zip(active, reduced))]
+        candidates = list(zip(active, reduced, train_level(reduced, seed)))
         seed += len(active)
         dropped, active, (v, t) = min(candidates, key=lambda c: (
             -(c[2][0] if c[2][0] is not None else -1.0), FEATURE_GROUPS.index(c[0])))

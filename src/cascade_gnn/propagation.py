@@ -3,12 +3,11 @@
 The spreading rules assign each retweet an estimated predecessor: the
 latest preceding tweet whose author the retweeter follows, falling back
 to the preceding tweet whose author has the most followers.  A cascade's
-spreading tree is the map from each retweet's ID to its predecessor's; the
-build reads it as positions instead, through a rank array from the one sort
-that puts a graph's tweets in node order.  Who follows whom comes from one
-``SocialGraph.follow_matrix`` lookup per graph (or per cascade, for a tree
-estimated on its own), and the node features from one
-``encode_node_features`` call per graph.
+spreading tree gives each retweet its predecessor's position in the
+cascade; the build places it through a rank array from the one sort that
+puts a graph's tweets in node order.  Who follows whom comes from one
+``SocialGraph.follow_matrix`` lookup per graph, and the node features from
+one ``encode_node_features`` call per graph.
 """
 from __future__ import annotations
 
@@ -20,25 +19,6 @@ from .classifier import PreparedGraph
 from .features import encode_node_features
 from .nn import build_edge_arrays
 from .types import CascadeRecord, SCOPE_CASCADE, SCOPE_URL, SCOPES, SocialGraph, UrlStory
-
-
-def estimate_spreading_tree(cascade: CascadeRecord, social: SocialGraph) -> dict[str, str]:
-    """Assign every retweet its estimated diffusion predecessor: the map
-    from each retweet's ID to its parent's.  Each parent is an earlier
-    tweet of the cascade, and the first tweet is the source, so the map is
-    a tree rooted at the source.
-
-    Rule 1: if the retweeter follows at least one earlier author, the
-    parent is the latest preceding tweet with a followed author.
-    Rule 2: otherwise the parent is the preceding tweet whose author has
-    the largest followers_count (earliest such tweet on ties).
-    """
-    for t in cascade.tweets:
-        if t.author not in social.users:
-            raise KeyError(f"cascade {cascade.cascade_id!r} references unknown user {t.author!r}")
-    tweets = cascade.tweets
-    parents = _spreading_tree(cascade, social.follow_matrix([t.author for t in tweets]), social)
-    return {t.tweet_id: tweets[j].tweet_id for t, j in zip(tweets[1:], parents)}
 
 
 def _spreading_tree(cascade: CascadeRecord, follows: np.ndarray,

@@ -14,7 +14,7 @@ from cascade_gnn.classifier import PreparedGraph
 from cascade_gnn.features import (BLOCKS, HASH_BINS, SECONDS_PER_HOUR, SECONDS_PER_YEAR,
                                   WIDTH, stable_hash_bin)
 from cascade_gnn.nn import NUM_EDGE_FLAGS, EdgeArrays, build_edge_arrays, glorot
-from cascade_gnn.propagation import estimate_spreading_tree
+from cascade_gnn.propagation import _spreading_tree
 from cascade_gnn.types import (CascadeRecord, EMBEDDING_DIM, SCOPE_URL, SocialGraph,
                                Tweet, UrlStory, User)
 
@@ -401,6 +401,26 @@ def reference_node_features(tweet: Tweet, user: User, cascade_root_time: float) 
     if not np.isfinite(out).all():
         raise ValueError("encoded node features contain non-finite values")
     return out
+
+
+def estimate_spreading_tree(cascade: CascadeRecord, social: SocialGraph) -> dict[str, str]:
+    """The spreading rules as the tests state them, over the package's
+    ``_spreading_tree``: the map from each retweet's ID to its estimated
+    diffusion predecessor's.  Each parent is an earlier tweet of the
+    cascade, and the first tweet is the source, so the map is a tree rooted
+    at the source.
+
+    Rule 1: if the retweeter follows at least one earlier author, the
+    parent is the latest preceding tweet with a followed author.
+    Rule 2: otherwise the parent is the preceding tweet whose author has
+    the largest followers_count (earliest such tweet on ties).
+    """
+    for t in cascade.tweets:
+        if t.author not in social.users:
+            raise KeyError(f"cascade {cascade.cascade_id!r} references unknown user {t.author!r}")
+    tweets = cascade.tweets
+    parents = _spreading_tree(cascade, social.follow_matrix([t.author for t in tweets]), social)
+    return {t.tweet_id: tweets[j].tweet_id for t, j in zip(tweets[1:], parents)}
 
 
 def reference_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],

@@ -22,14 +22,14 @@ from cascade_gnn.features import FEATURE_GROUPS
 from cascade_gnn.metrics import roc_auc
 from cascade_gnn.nn import build_edge_arrays, hinge_loss
 from cascade_gnn.optim import OptimizerState, amsgrad_step
-from cascade_gnn.propagation import estimate_spreading_tree, truncate
+from cascade_gnn.propagation import truncate
 from cascade_gnn.synthgen import (PLANTED_SIGNAL_GROUPS, GenConfig,
                                   generate_dataset, generate_social_graph,
                                   summary_stats)
 
-from helpers import (TINY_WIDTH, central_difference_grads, edge_relation, gat_params,
-                     make_cascade, pairwise_auc_oracle, random_graph_sample,
-                     relative_error, tape_tensors)
+from helpers import (TINY_WIDTH, central_difference_grads, edge_relation,
+                     estimate_spreading_tree, gat_params, make_cascade, pairwise_auc_oracle,
+                     random_graph_sample, relative_error, tape_tensors)
 
 
 @pytest.fixture(scope="module")

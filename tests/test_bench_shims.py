@@ -87,9 +87,30 @@ def test_counter_hooks_read_real_calls(monkeypatch):
             assert TRACED_MODULE._messages(args, kwargs) == {
                 "nn.messages": samples[0].edges.src.size}
 
-    payloads = evalharness._cv_rounds(samples, evalharness.make_folds(stories), config)
-    nbytes = sum(s.features.nbytes + s.edges.src.nbytes + s.edges.dst.nbytes
-                 + s.edges.flags.nbytes for p in payloads for part in p[1:4] for s in part)
-    assert nbytes > 0
-    assert TRACED_MODULE._dispatch((payloads, 2), {}) == {
-        "evalharness.dispatch_bytes": nbytes, "evalharness.rounds_dispatched": len(payloads)}
+    # the cv rounds, a sweep's rounds (cut to their hour) and an ablation
+    # level's rounds (masked to their groups): the hook reads p[1:4] as the parts
+    class Dispatched(Exception):
+        """Carries the first list of more than one round a protocol dispatches."""
+
+    def dispatch(payloads, jobs):
+        if len(payloads) > 1:
+            raise Dispatched(payloads)
+        return [(p.label, [], None) for p in payloads]  # an untrained round
+
+    monkeypatch.setattr(evalharness, "_run_jobs", dispatch)
+    rounds = []
+    for protocol, kwargs in ((evalharness.diffusion_sweep, {"d_values": [0, 3]}),
+                             (evalharness.backward_feature_selection, {})):
+        with pytest.raises(Dispatched) as caught:
+            protocol(samples, stories, config, **kwargs)
+        rounds.append(caught.value.args[0])
+    sweep, ablation_level = rounds
+    assert [p.hours for p in sweep] == [0] * 5 + [3] * 5
+    assert [len(p.groups) for p in ablation_level] == [3] * 4
+    cv = evalharness._cv_rounds(samples, evalharness.make_folds(stories), config)
+    for payloads in (cv, sweep, ablation_level):
+        nbytes = sum(s.features.nbytes + s.edges.src.nbytes + s.edges.dst.nbytes
+                     + s.edges.flags.nbytes for p in payloads for part in p[1:4] for s in part)
+        assert nbytes > 0
+        assert TRACED_MODULE._dispatch((payloads, 2), {}) == {
+            "evalharness.dispatch_bytes": nbytes, "evalharness.rounds_dispatched": len(payloads)}

@@ -329,16 +329,15 @@ class TestAblate:
         report = json.loads((out / "report.json").read_text())
         assert len(report["importance_order"]) == 4
 
-    def test_trains_in_process_at_any_jobs(self, dataset_dir, tmp_path, monkeypatch):
-        # a pool per level, with the level's masked copies, gained no time
-        def no_pool(*args, **kwargs):
-            raise AssertionError("ablate opened a process pool")
-
-        monkeypatch.setattr(evalharness, "ProcessPoolExecutor", no_pool)
-        code = main(["ablate", "--dataset", str(dataset_dir), "--out", str(tmp_path / "abl"),
-                     "--scope", "url", "--hours", "24", "--seed", "3",
-                     "--iterations", "2", "--jobs", "2"])
-        assert code == 0
+    def test_two_jobs_write_the_files_of_one(self, dataset_dir, tmp_path):
+        # each level's candidates train in one pool, merged in candidate order
+        for jobs in ("1", "2"):
+            code = main(["ablate", "--dataset", str(dataset_dir), "--out", str(tmp_path / jobs),
+                         "--scope", "url", "--hours", "24", "--seed", "3",
+                         "--iterations", "10", "--jobs", jobs])
+            assert code == 0
+        for name in ("ablation.csv", "report.json"):
+            assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name, shallow=False), name
 
 
 class TestTrainAndExport:
@@ -732,6 +731,15 @@ class TestUsageAndSeeds:
         # a drawn per-URL cascade count beyond int64
         (["generate", "--mean-cascades", "1e300", "--urls", "2", "--users", "50"], None,
          "mean_cascades_per_url"),
+        # fold round 0 with no training sample (60), or no test sample (9)
+        (["ablate", "--scope", "cascade", "--min-cascade-size", "60", "--iterations", "1"], None,
+         "--min-cascade-size"),
+        (["ablate", "--scope", "cascade", "--min-cascade-size", "9", "--iterations", "1"], None,
+         "--min-cascade-size"),
+        (["train", "--scope", "cascade", "--min-cascade-size", "60", "--iterations", "1"], None,
+         "--min-cascade-size"),
+        (["train", "--scope", "cascade", "--min-cascade-size", "9", "--iterations", "1"], None,
+         "--min-cascade-size"),
     ])
     def test_bad_value_is_one_error_line(self, dataset_dir, tmp_path, capsys,
                                          args, config, named):

@@ -5,12 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascade_gnn.propagation import (build_propagation_graph, credibility_score,
-                                     credibility_scores, estimate_spreading_tree,
-                                     truncate)
+                                     credibility_scores, truncate)
 from cascade_gnn.types import CascadeRecord, SCOPE_CASCADE, SCOPE_URL, SocialGraph, first_repeat
 
-from helpers import (assert_spreading_tree, make_cascade, make_social, make_story, make_tweet,
-                     make_user, pair_flags)
+from helpers import (assert_spreading_tree, estimate_spreading_tree, make_cascade, make_social,
+                     make_story, make_tweet, make_user, pair_flags)
 
 
 def brute_force_tree(cascade, social):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cascade_gnn import evalharness
-from cascade_gnn.classifier import ModelConfig, PreparedGraph
+from cascade_gnn.classifier import ModelConfig, PreparedGraph, prepare_graph
 from cascade_gnn.dataio import cascades_by_url
 from cascade_gnn.evalharness import (aging_protocol, backward_feature_selection,
                                      build_samples, cross_validate,
@@ -74,19 +74,24 @@ def dispatched(monkeypatch):
 @pytest.fixture
 def ablation_rounds(monkeypatch):
     """One entry per round trained in process through ``_run_cv_round``: how
-    many earlier rounds' masked training samples were still alive when it
-    started.  A round with every group active trains on the samples
-    themselves, not on a masked copy."""
+    many masked copies that ``prepare_graph`` made for earlier rounds were
+    still alive when it started.  A round with every group active trains on
+    the samples themselves, not on a masked copy."""
     alive, refs = [], []
-    run_round = evalharness._run_cv_round
+    run_round, prepare = evalharness._run_cv_round, evalharness.prepare_graph
 
-    def recording(payload):
+    def recording(rnd):
         alive.append(sum(ref() is not None for ref in refs))
-        if payload[-1].active_groups != FEATURE_GROUPS:
-            refs.append(weakref.ref(payload[1][0].features))
-        return run_round(payload)
+        return run_round(rnd)
+
+    def masking(sample, groups):
+        masked = prepare(sample, groups)
+        if masked is not sample:
+            refs.append(weakref.ref(masked.features))
+        return masked
 
     monkeypatch.setattr(evalharness, "_run_cv_round", recording)
+    monkeypatch.setattr(evalharness, "prepare_graph", masking)
     return alive
 
 
@@ -231,7 +236,7 @@ class TestWorkerPool:
         before = get_threads()
         set_threads(2)
         try:
-            rounds = [(r, [], [], [], fast_config()) for r in range(3)]
+            rounds = [evalharness.Round(r, [], [], [], fast_config()) for r in range(3)]
             assert evalharness._run_jobs(rounds, 1) == [(r, [], None) for r in range(3)]
             assert get_threads() == 2
         finally:
@@ -251,6 +256,22 @@ class TestWorkerPool:
         evalharness._start_worker(["round"])
         assert evalharness._ROUNDS == ["round"]
         assert (get_threads() if get_threads else None) == before
+
+
+class TestRound:
+    def test_a_round_cuts_and_masks_its_own_samples(self, world):
+        # the worker's copy equals samples cut and masked before dispatch
+        _, social, stories, cascades = world
+        samples = build_samples(stories, cascades, social, "url_wise", hours=24.0,
+                                active_groups=FEATURE_GROUPS)
+        rnd = evalharness._fold_round(samples, make_folds(stories, seed=0), 0,
+                                      fast_config(iterations=20))
+        groups = ("user_profile", "network_spreading")
+        ready = [[prepare_graph(s.prefix(3), groups) for s in part] for part in rnd[1:4]]
+        expected = evalharness._run_cv_round(rnd._replace(train=ready[0], val=ready[1],
+                                                          test=ready[2]))
+        assert evalharness._run_cv_round(rnd._replace(hours=3, groups=groups)) == expected
+        assert evalharness._run_cv_round(rnd) != expected
 
 
 class TestSampleKeys:
@@ -387,16 +408,23 @@ class TestDiffusionSweep:
 
     def test_rounds_share_the_uncut_samples(self, world, dispatched):
         # every hour's rounds carry the same sample objects and cut them
-        # themselves, so the main process holds one sample set at any hours
+        # themselves, so the main process holds one sample set at any hours;
+        # so does aging's source-only round, cut to 0 h
         _, social, stories, cascades = world
         samples = build_samples(stories, cascades, social, "url_wise", hours=24.0)
         diffusion_sweep(samples, stories, fast_config(iterations=2), d_values=[0, 3, 24], jobs=1)
-        (payloads,) = dispatched
-        assert [p[0] for p in payloads] == [(d, r) for d in (0, 3, 24) for r in range(5)]
-        for label, *parts, _ in payloads:
-            _, *first, _ = payloads[label[1]]
-            assert all(a is b for part, part0 in zip(parts, first)
+        aging_protocol(samples, stories, fast_config(iterations=2), jobs=1)
+        sweep, aging = dispatched
+        assert [(p.label, p.hours) for p in sweep] == [((d, r), d) for d in (0, 3, 24)
+                                                      for r in range(5)]
+        diffused, source_only = aging[:2]
+        assert (diffused.label, diffused.hours) == ("diffused", None)
+        assert (source_only.label, source_only.hours) == ("source_only", 0.0)
+        built = {id(s) for s in samples}
+        for rnd, first in [(p, sweep[p.label[1]]) for p in sweep] + [(source_only, diffused)]:
+            assert all(a is b for part, part0 in zip(rnd[1:4], first[1:4])
                        for a, b in zip(part, part0, strict=True))
+            assert all(id(s) in built for part in rnd[1:4] for s in part)
 
 
 class TestAging:
@@ -472,6 +500,16 @@ class TestBackwardSelection:
         samples = build_samples(stories, cascades, social, "url_wise", hours=24.0)
         backward_feature_selection(samples, stories, fast_config(iterations=2))
         assert ablation_rounds == [0] * 10
+
+    def test_one_pool_per_level_and_same_result_at_any_jobs(self, world, pools):
+        # the levels of 4, 3 and 2 candidates each open a pool; the first
+        # level's single round trains in process
+        _, social, stories, cascades = world
+        samples = build_samples(stories, cascades, social, "url_wise", hours=24.0)
+        runs = [backward_feature_selection(samples, stories, fast_config(iterations=20),
+                                           jobs=jobs) for jobs in (1, 2)]
+        assert pools == [2, 2, 2]
+        assert runs[0] == runs[1]
 
 
 class TestMadMmd:

@@ -7,12 +7,11 @@ acceptance suite.
 import numpy as np
 import pytest
 
-from cascade_gnn.propagation import estimate_spreading_tree
 from cascade_gnn.synthgen import (GenConfig, _cascade_size_probs, community_assignments,
                                   generate_dataset, generate_social_graph, summary_stats)
 from cascade_gnn.types import CascadeRecord, SocialGraph, UrlStory
 
-from helpers import assert_spreading_tree
+from helpers import assert_spreading_tree, estimate_spreading_tree
 
 SMALL = GenConfig(num_users=800, num_urls=40, mean_cascades_per_url=6.0)
 
