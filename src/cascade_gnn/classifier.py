@@ -1,7 +1,12 @@
 """The four-layer propagation classifier, its checkpoints, and its sample type
-``PreparedGraph``, built by ``propagation.build_propagation_graph``.
-``prepare_graph`` masks a sample's inactive feature groups, zeroing each
-group's one column range of ``features.GROUP_COLUMNS``.
+``PreparedGraph``, built by ``propagation.build_propagation_graph``.  A
+sample holds its nodes compactly: 33 dense columns, and row numbers into
+its build's one embedding table for the three embedding blocks.  The
+(n, 633) matrix the network reads, ``PreparedGraph.features``, is laid out
+from them once per forward pass.  ``prepare_graph`` masks a sample's
+inactive feature groups: it zeroes their dense columns and points their
+embedding blocks at the table's zero row 0, which gives the bytes of the
+matrix with each inactive group's column range zeroed.
 
 Pipeline: GC1(F->hidden)+SELU -> channel-pair mean pool (hidden->hidden/2)
 -> GC2+SELU -> global mean pool -> FC1+SELU -> FC2 -> 2 raw scores.
@@ -20,12 +25,14 @@ from . import autograd as ag
 from . import nn
 from .autograd import Tensor
 from .dataio import _embedding
-from .features import FEATURE_GROUPS, GROUP_COLUMNS, WIDTH
+from .features import (DENSE_GROUP_COLUMNS, FEATURE_GROUPS, GROUP_COLUMNS, GROUP_ROWS, WIDTH,
+                       node_matrix)
 # roc_auc stays a module global: perfbench/traced.py times it through this module
 from .metrics import auc_or_none, roc_auc  # noqa: F401
 from .nn import EdgeArrays
 from .optim import NumericError, OptimizerState, amsgrad_step
-from .types import ConfigError, check_fields, positive_int, positive_number, rng_seed
+from .types import (EMBEDDING_DIM, ConfigError, check_fields, positive_int, positive_number,
+                    rng_seed)
 
 VALIDATION_EVERY = 500
 
@@ -118,40 +125,76 @@ def _gat(named: dict, layer: str) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class PreparedGraph:
-    """One sample, keyed by URL (url-wise) or cascade ID: features, messages, times, authors."""
+    """One sample, keyed by URL (url-wise) or cascade ID: node features,
+    messages, label, node times and authors.
+
+    The build holds the node features as ``encode_node_features`` returns
+    them: ``dense``, the (n, 33) columns of the computed blocks, and
+    ``rows``, each node's (n, 3) rows of ``table``, the build's one
+    read-only embedding table, which every sample of the build shares.  A
+    sample made from a plain (n, F) matrix holds all of it in ``dense``,
+    with no ``rows`` and no ``table``."""
 
     key: str
     url_id: str
-    features: np.ndarray
+    dense: np.ndarray
     edges: EdgeArrays
     label: int  # 0 true, 1 fake
     times: tuple[float, ...] = ()
     authors: tuple[str, ...] = ()
+    rows: np.ndarray | None = None
+    table: np.ndarray | None = None
+
+    @property
+    def features(self) -> np.ndarray:
+        """The (n, width) matrix the network reads: laid out anew from the
+        dense columns and the table rows at each call, or the plain matrix."""
+        if self.rows is None:
+            return self.dense
+        return node_matrix(self.dense, self.rows, self.table)
+
+    @property
+    def width(self) -> int:
+        """The columns of ``features``, read without laying it out."""
+        return self.dense.shape[1] + (0 if self.rows is None else
+                                      EMBEDDING_DIM * self.rows.shape[1])
 
     def prefix(self, hours: float) -> PreparedGraph:
         """The sample cut ``hours`` after ``times[0]``, the time ``truncate`` measures
         from: nodes are in time order, so the cut is a node prefix and equals
-        a fresh build at ``hours``."""
+        a fresh build at ``hours``.  Its arrays are views of this sample's."""
         n = bisect.bisect_right(self.times, self.times[0] + hours * 3600.0)
         if n == len(self.times):
             return self
         e = self.edges
         keep = (e.src < n) & (e.dst < n)
-        return replace(self, features=self.features[:n],
+        return replace(self, dense=self.dense[:n],
+                       rows=None if self.rows is None else self.rows[:n],
                        edges=EdgeArrays(e.src[keep], e.dst[keep], e.flags[keep], n),
                        times=self.times[:n], authors=self.authors[:n])
 
 
 def prepare_graph(sample: PreparedGraph, active_groups) -> PreparedGraph:
-    """The sample with the columns of inactive feature groups zeroed, on a
-    copy of its features; ``sample`` itself when every group is active."""
+    """The sample with its inactive feature groups masked, on copies of its
+    ``dense`` and ``rows``: each group's dense columns are zeroed and its
+    embedding blocks point at the table's zero row, so its columns of
+    ``features`` are zero; a plain matrix has each group's column range
+    zeroed.  ``sample`` itself when every group is active.  Masking needs
+    the full layout: a sample of another width raises ``ValueError``."""
     inactive = [group for group in FEATURE_GROUPS if group not in active_groups]
     if not inactive:
         return sample
-    features = sample.features.copy()
+    if sample.width != WIDTH:
+        raise ValueError(f"cannot mask a sample of {sample.width} feature columns: "
+                         f"the feature layout has {WIDTH}")
+    dense = sample.dense.copy()
+    rows = None if sample.rows is None else sample.rows.copy()
+    columns = GROUP_COLUMNS if rows is None else DENSE_GROUP_COLUMNS
     for group in inactive:
-        features[:, GROUP_COLUMNS[group]] = 0.0
-    return replace(sample, features=features)
+        dense[:, columns[group]] = 0.0
+        if rows is not None:
+            rows[:, GROUP_ROWS[group]] = 0
+    return replace(sample, dense=dense, rows=rows)
 
 
 def _forward_tensors(features: Tensor, edges: EdgeArrays,
@@ -262,7 +305,7 @@ def train(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
     """
     if not train_set:
         raise ValueError("empty training set")
-    params = init_params(config, train_set[0].features.shape[1])
+    params = init_params(config, train_set[0].width)
     state = OptimizerState(learning_rate=config.learning_rate,
                            layout=tuple((k, v.size) for k, v in params.named.items()))
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 11)))

@@ -27,7 +27,7 @@ import numpy as np
 from .classifier import (ModelConfig, PreparedGraph, TrainResult, fake_score, forward,
                          prepare_graph, train)
 from .dataio import cascades_by_url
-from .features import FEATURE_GROUPS, GROUP_CONTENT
+from .features import FEATURE_GROUPS, GROUP_CONTENT, EmbeddingTable
 from .metrics import auc_or_none, roc_auc
 from .propagation import build_propagation_graph, truncate
 from .types import (CascadeRecord, SCOPE_CASCADE, SCOPE_URL, SocialGraph,
@@ -103,7 +103,12 @@ def build_samples(stories: list[UrlStory], cascades: list[CascadeRecord],
     """Every sample at the given diffusion time, masked to ``active_groups``,
     in sample order: stories (one per URL) by URL, cascades by ID.  Each
     sample's features have the columns of ``features.BLOCKS`` and come from
-    one ``encode_node_features`` call over its nodes.
+    one ``encode_node_features`` call over its nodes.  A sample holds 33
+    dense columns per node and three row numbers into one read-only
+    ``EmbeddingTable`` array, made before the first graph from every
+    embedding of the cascades and the users and shared by all the samples:
+    the 600 embedding columns of a node are laid out from the table only
+    where the network reads them.
 
     Cascade eligibility (the minimum-size filter) is decided on the full
     cascades; truncation to ``hours`` happens afterwards.  URL-wise
@@ -115,24 +120,27 @@ def build_samples(stories: list[UrlStory], cascades: list[CascadeRecord],
     by URL, and each story's group once that story's samples are built: a
     caller that holds no other reference to the list (it passes it
     straight into the call) has each story's cascades freed as the build
-    moves on.  A caller that keeps its list finds it unchanged.
+    moves on.  A caller that keeps its list finds it unchanged.  A graph
+    too large for memory raises ``ProtocolError`` naming its story, or
+    cascade, and its node count.
     """
     if scope not in (SCOPE_URL, SCOPE_CASCADE):
         raise ValueError(f"unknown scope {scope!r}")
     if active_groups is None:
         active_groups = default_active_groups(scope)
+    table = EmbeddingTable([t for c in cascades for t in c.tweets], list(social.users.values()))
     by_url = cascades_by_url(cascades)
     del cascades
     samples = []
     for story in sorted(stories, key=lambda s: s.url_id):
         samples += _story_samples(story, by_url.pop(story.url_id, []), social, scope, hours,
-                                  min_cascade_size, active_groups)
+                                  min_cascade_size, active_groups, table)
     return samples
 
 
 def _story_samples(story: UrlStory, cascades: list[CascadeRecord], social: SocialGraph,
                    scope: str, hours: float, min_cascade_size: int,
-                   active_groups) -> list[PreparedGraph]:
+                   active_groups, table: EmbeddingTable) -> list[PreparedGraph]:
     """The samples of one story, built from its cascades, in cascade ID order."""
     full = sorted(cascades, key=lambda c: c.cascade_id)
     if scope == SCOPE_URL:
@@ -140,8 +148,17 @@ def _story_samples(story: UrlStory, cascades: list[CascadeRecord], social: Socia
     else:
         groups = [truncate([cas], hours, reference="cascade")
                   for cas in filter_min_cascade_size(full, min_cascade_size)]
-    return [prepare_graph(build_propagation_graph(story, kept, social, scope), active_groups)
-            for kept in groups if kept]
+    samples = []
+    for kept in filter(None, groups):
+        try:
+            samples.append(prepare_graph(build_propagation_graph(story, kept, social, scope,
+                                                                 table), active_groups))
+        except MemoryError:
+            name = (f"story {story.url_id!r}" if scope == SCOPE_URL
+                    else f"cascade {kept[0].cascade_id!r}")
+            raise ProtocolError(f"{name}: its graph of {sum(c.size for c in kept)} nodes "
+                                "does not fit in memory") from None
+    return samples
 
 
 def split_by_url(samples: list[PreparedGraph], *url_sets) -> tuple[list[PreparedGraph], ...]:

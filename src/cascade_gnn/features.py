@@ -5,11 +5,18 @@ its name, its ablation group, its width and how its rows are computed.
 Each group's blocks are contiguous, so ``GROUP_COLUMNS`` maps each group to
 one column range: user_profile (214), user_activity (3), network_spreading
 (16) and content (400), ``WIDTH`` = 633 columns in all.
-``encode_node_features`` fills a whole graph's matrix in one call,
-one block at a time.  Booleans map to {0, 1} and counts to log(1 + x);
-categorical strings (lang, source device) to a stable 8-bucket hash one-hot;
-account age to years at tweet time, and a tweet's delay from its cascade's
-source to log(1 + hours).  Embeddings are copied verbatim.
+
+A sample holds its nodes compactly.  The 19 blocks the encoder computes
+fill 33 dense columns, in column order.  The three embedding blocks
+(``EMBEDDINGS``, 600 columns) are held as row numbers into one read-only
+``EmbeddingTable`` per build, which keeps each distinct vector once.
+``encode_node_features`` encodes a whole graph in one call, one block at
+a time.  Booleans map to {0, 1} and counts to log(1 + x); categorical
+strings (lang, source device) to a stable 8-bucket hash one-hot; account
+age to years at tweet time, and a tweet's delay from its cascade's source
+to log(1 + hours).  ``node_matrix`` lays the dense columns and the table
+rows out as the (n, 633) matrix, whose embedding columns are the
+vectors' bytes.
 """
 from __future__ import annotations
 
@@ -71,7 +78,7 @@ BLOCKS = (
     ("default_profile_image", GROUP_USER_PROFILE, 1, _user(np.array)),
     ("verified", GROUP_USER_PROFILE, 1, _user(np.array)),
     ("lang", GROUP_USER_PROFILE, HASH_BINS, _user(_one_hot)),
-    ("description_embedding", GROUP_USER_PROFILE, EMBEDDING_DIM, _user(np.array)),
+    ("description_embedding", GROUP_USER_PROFILE, EMBEDDING_DIM, _user(list)),
     ("account_age_years", GROUP_USER_PROFILE, 1, _account_age_years),
     ("statuses_count", GROUP_USER_ACTIVITY, 1, _user(np.log1p)),
     ("favourites_count", GROUP_USER_ACTIVITY, 1, _user(np.log1p)),
@@ -85,24 +92,78 @@ BLOCKS = (
     ("retweeted_favorite_count", GROUP_NETWORK_SPREADING, 1, _tweet(np.log1p)),
     ("retweeted_retweet_count", GROUP_NETWORK_SPREADING, 1, _tweet(np.log1p)),
     ("source_device", GROUP_NETWORK_SPREADING, HASH_BINS, _tweet(_one_hot)),
-    ("text_embedding", GROUP_CONTENT, EMBEDDING_DIM, _tweet(np.array)),
-    ("hashtag_embedding", GROUP_CONTENT, EMBEDDING_DIM, _tweet(np.array)),
+    ("text_embedding", GROUP_CONTENT, EMBEDDING_DIM, _tweet(list)),
+    ("hashtag_embedding", GROUP_CONTENT, EMBEDDING_DIM, _tweet(list)),
 )
+# the blocks a sample holds as rows of its build's EmbeddingTable; their
+# rows functions give each node's vector
+EMBEDDINGS = ("description_embedding", "text_embedding", "hashtag_embedding")
+DENSE_BLOCKS = tuple(b for b in BLOCKS if b[0] not in EMBEDDINGS)
+EMBEDDED_BLOCKS = tuple(b for b in BLOCKS if b[0] in EMBEDDINGS)
 
 
-def _group_ranges() -> dict[str, slice]:
-    """Each group's columns, as the one range from its first block's start
-    to its last block's stop: ``BLOCKS`` keeps a group's blocks together."""
+def _group_ranges(blocks) -> dict[str, slice]:
+    """Each group's columns among ``blocks`` laid side by side, as the one
+    range from its first block's start to its last block's stop (``BLOCKS``
+    keeps a group's blocks together), and an empty range for a group
+    without blocks; ``blocks`` are (group, width) pairs in column order."""
     columns, stop = {}, 0
-    for _, group, width, _ in BLOCKS:
+    for group, width in blocks:
         start = columns[group].start if group in columns else stop
         stop += width
         columns[group] = slice(start, stop)
-    return columns
+    return {group: columns.get(group, slice(0, 0)) for group in FEATURE_GROUPS}
 
 
-GROUP_COLUMNS = _group_ranges()  # group -> the slice of its columns
-WIDTH = sum(width for _, _, width, _ in BLOCKS)  # the columns encode_node_features fills
+GROUP_COLUMNS = _group_ranges((g, w) for _, g, w, _ in BLOCKS)  # group -> the slice of its columns
+WIDTH = sum(width for _, _, width, _ in BLOCKS)  # the columns of node_matrix
+# group -> its slice of the dense columns, and of the embedding row numbers
+DENSE_GROUP_COLUMNS = _group_ranges((g, w) for _, g, w, _ in DENSE_BLOCKS)
+GROUP_ROWS = _group_ranges((g, 1) for _, g, _, _ in EMBEDDED_BLOCKS)
+
+
+def _matrix_layout() -> tuple[tuple, tuple]:
+    """Where ``node_matrix`` puts its parts: the (matrix columns, dense
+    columns) of each run of dense blocks, and the matrix columns of each
+    embedding block, in column order."""
+    runs, embedded, column, dense = [], [], 0, 0  # runs: [matrix start, dense start, width]
+    for name, _, width, _ in BLOCKS:
+        if name in EMBEDDINGS:
+            embedded.append(slice(column, column + width))
+        else:
+            if not runs or runs[-1][0] + runs[-1][2] != column:
+                runs.append([column, dense, 0])
+            runs[-1][2] += width
+            dense += width
+        column += width
+    return tuple((slice(c, c + w), slice(d, d + w)) for c, d, w in runs), tuple(embedded)
+
+
+DENSE_RUNS, EMBEDDED_COLUMNS = _matrix_layout()
+
+
+class EmbeddingTable:
+    """The distinct embedding vectors of one build, one row each, in
+    ``array``: (R, EMBEDDING_DIM) float64 and read-only.  Rows are keyed by
+    their float64 bytes, so equal bytes share a row and -0.0 keeps apart
+    from +0.0.  Row 0 is all +0.0: masking points inactive blocks at it.
+
+    The table is made up front from every vector the build may encode: the
+    embedding blocks of ``tweets`` and ``users``.  It holds no reference to
+    them."""
+
+    def __init__(self, tweets, users):
+        index = {bytes(8 * EMBEDDING_DIM): 0}
+        for name, _, _, vectors in EMBEDDED_BLOCKS:
+            for vec in vectors(name, tweets, users, None):
+                index.setdefault(vec.tobytes(), len(index))
+        self._index = index
+        self.array = np.frombuffer(b"".join(index)).reshape(len(index), EMBEDDING_DIM)
+
+    def rows(self, vectors) -> list[int]:
+        """The row of each of ``vectors``."""
+        index = self._index
+        return [index[vec.tobytes()] for vec in vectors]
 
 
 def stable_hash_bin(value: str, bins: int = HASH_BINS) -> int:
@@ -110,17 +171,35 @@ def stable_hash_bin(value: str, bins: int = HASH_BINS) -> int:
     return zlib.crc32(value.encode("utf-8")) % bins
 
 
-def encode_node_features(tweets: list[Tweet], users: list[User],
-                         root_times) -> np.ndarray:
-    """The (n, 633) feature matrix of n nodes: node k is ``tweets[k]`` by
+def encode_node_features(tweets: list[Tweet], users: list[User], root_times,
+                         table: EmbeddingTable) -> tuple[np.ndarray, np.ndarray]:
+    """The compact features of n nodes: node k is ``tweets[k]`` by
     ``users[k]`` in a cascade whose source was published at
-    ``root_times[k]``.  Each block of ``BLOCKS`` is computed for all nodes
-    at once, and the blocks are joined in column order."""
+    ``root_times[k]``.  Returns the (n, 33) float64 columns of the 19
+    computed blocks, joined in column order, and the (n, 3) intp rows of
+    ``table`` that hold each node's embedding blocks, in column order.
+    Each block is computed for all nodes at once."""
     with np.errstate(over="ignore"):  # an overflow to inf fails the check below
-        out = np.concatenate([rows(name, tweets, users, root_times).reshape(-1, width)
-                              for name, _, width, rows in BLOCKS], axis=1, dtype=float)
-    if not np.isfinite(out).all():
+        dense = np.concatenate([rows(name, tweets, users, root_times).reshape(-1, width)
+                                for name, _, width, rows in DENSE_BLOCKS], axis=1, dtype=float)
+    if not np.isfinite(dense).all():
         raise ValueError("encoded node features contain non-finite values")
+    rows = np.empty((len(tweets), len(EMBEDDED_BLOCKS)), dtype=np.intp)
+    for k, (name, _, _, vectors) in enumerate(EMBEDDED_BLOCKS):
+        rows[:, k] = table.rows(vectors(name, tweets, users, root_times))
+    return dense, rows
+
+
+def node_matrix(dense: np.ndarray, rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The (n, WIDTH) C-contiguous float64 feature matrix of nodes held as
+    ``encode_node_features`` returns them, with ``table`` the array of their
+    ``EmbeddingTable``: the dense runs and the gathered table rows written
+    into one new array, each in its columns."""
+    out = np.empty((len(dense), WIDTH))
+    for columns, part in DENSE_RUNS:
+        out[:, columns] = dense[:, part]
+    for k, columns in enumerate(EMBEDDED_COLUMNS):
+        out[:, columns] = table[rows[:, k]]
     return out
 
 

@@ -7,7 +7,8 @@ spreading tree gives each retweet its predecessor's position in the
 cascade; the build places it through a rank array from the one sort that
 puts a graph's tweets in node order.  Who follows whom comes from one
 ``SocialGraph.follow_matrix`` lookup per graph, and the node features from
-one ``encode_node_features`` call per graph.
+one ``encode_node_features`` call per graph: 33 dense columns per node, and
+its rows of the build's ``EmbeddingTable`` for the three embedding blocks.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from collections import Counter
 import numpy as np
 
 from .classifier import PreparedGraph
-from .features import encode_node_features
+from .features import EmbeddingTable, encode_node_features
 from .nn import build_edge_arrays
 from .types import CascadeRecord, SCOPE_CASCADE, SCOPE_URL, SCOPES, SocialGraph, UrlStory
 
@@ -98,7 +99,8 @@ def credibility_scores(stories, cascades_by_url) -> dict[str, float]:
 
 
 def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
-                            social: SocialGraph, scope: str) -> PreparedGraph:
+                            social: SocialGraph, scope: str,
+                            table: EmbeddingTable | None = None) -> PreparedGraph:
     """The story's sample, features unmasked: tweets as nodes in (timestamp,
     tweet ID) order, and the messages that ``nn.build_edge_arrays`` makes
     of the nodes' pair relations.  The relation array's entry [i, j] holds
@@ -106,7 +108,9 @@ def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
     from one ``follow_matrix`` lookup over the nodes' authors, spread flags
     from the per-cascade spreading trees, which read their cascade's block
     of that matrix.  The features come from one ``encode_node_features``
-    call over all nodes.
+    call over all nodes, with their embedding blocks as rows of ``table``,
+    which must hold every embedding of the nodes and their authors; by
+    default, a table of those alone.
 
     ``scope="url_wise"`` takes all given cascades of the story and is keyed
     by its URL, ``scope="cascade_wise"`` exactly one, keyed by its ID.
@@ -140,6 +144,9 @@ def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
 
     # follows[i, j]: node i's author follows node j's
     authors = [t.author for t in nodes]
+    users = [social.users[a] for a in authors]
+    if table is None:
+        table = EmbeddingTable(nodes, users)
     follows = social.follow_matrix(authors)
     # spread[i, j]: node i is node j's spreading-tree parent
     spread = np.zeros((n, n), dtype=bool)
@@ -148,13 +155,15 @@ def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
         spread[at[_spreading_tree(cas, follows[at[:, None], at], social)], at[1:]] = True
     relation = np.stack([follows, follows.T, spread, spread.T], axis=2)
 
+    dense, rows = encode_node_features(nodes, users, [roots[k] for k in order], table)
     return PreparedGraph(
         key=story.url_id if scope == SCOPE_URL else cascades[0].cascade_id,
         url_id=story.url_id,
-        features=encode_node_features(nodes, [social.users[a] for a in authors],
-                                      [roots[k] for k in order]),
+        dense=dense,
         edges=build_edge_arrays(relation),
         label=int(story.is_fake),
         times=tuple(t.timestamp for t in nodes),
         authors=tuple(authors),
+        rows=rows,
+        table=table.array,
     )

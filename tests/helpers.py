@@ -424,10 +424,11 @@ def estimate_spreading_tree(cascade: CascadeRecord, social: SocialGraph) -> dict
 
 
 def reference_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
-                                social: SocialGraph, scope: str) -> PreparedGraph:
+                                social: SocialGraph, scope: str, table=None) -> PreparedGraph:
     """``build_propagation_graph`` as it was before it worked on node
     positions: a tweet ID -> node index dict, the ID -> ID map of
-    ``estimate_spreading_tree`` per cascade, and the per-node encoder."""
+    ``estimate_spreading_tree`` per cascade, and the per-node encoder.  It
+    builds a sample from the plain feature matrix and ignores ``table``."""
     entries = sorted(((t, cas) for cas in cascades for t in cas.tweets),
                      key=lambda e: (e[0].timestamp, e[0].tweet_id))
     index = {t.tweet_id: k for k, (t, _) in enumerate(entries)}
@@ -445,7 +446,7 @@ def reference_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
         feats[k] = reference_node_features(t, social.users[t.author], cas.source.timestamp)
     return PreparedGraph(
         key=story.url_id if scope == SCOPE_URL else cascades[0].cascade_id,
-        url_id=story.url_id, features=feats, edges=build_edge_arrays(relation),
+        url_id=story.url_id, dense=feats, edges=build_edge_arrays(relation),
         label=int(story.is_fake), times=tuple(t.timestamp for t, _ in entries),
         authors=tuple(authors))
 

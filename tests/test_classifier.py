@@ -16,8 +16,8 @@ from cascade_gnn.propagation import build_propagation_graph
 from cascade_gnn.autograd import Tensor
 import cascade_gnn.classifier as classifier_mod
 
-from helpers import (block_ranges, edge_relation, make_cascade, make_social, make_story,
-                     make_user, random_graph_sample, social_graph, tape_tensors)
+from helpers import (TINY_WIDTH, block_ranges, edge_relation, make_cascade, make_social,
+                     make_story, make_user, random_graph_sample, social_graph, tape_tensors)
 
 
 def tiny_graph(label="true_news", n_users=3, seed=0, random_embeddings=False):
@@ -120,6 +120,15 @@ class TestMasking:
         else:
             assert not np.shares_memory(masked.features, sample.features)
             assert masked.edges is sample.edges and masked.label == sample.label
+
+    @pytest.mark.parametrize("width", [TINY_WIDTH, WIDTH - 1, WIDTH + 1])
+    def test_a_sample_of_another_width_is_refused(self, width):
+        # a clipped or missing column range would mask some other columns, or none
+        sample = random_graph_sample(np.random.default_rng(width), 3, width)
+        assert prepare_graph(sample, FEATURE_GROUPS) is sample
+        with pytest.raises(ValueError, match=f"sample of {width} feature columns: "
+                                             f"the feature layout has {WIDTH}"):
+            prepare_graph(sample, ("user_profile", "network_spreading", "content"))
 
     def test_masked_features_get_zero_gradient(self):
         g = tiny_graph(label="fake_news", seed=9)

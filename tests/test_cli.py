@@ -306,6 +306,43 @@ class TestDatasetHandOver:
             run.build()
 
 
+class TestSampleFootprint:
+    def test_samples_hold_row_numbers_and_share_one_table(self, dataset_dir):
+        # 33 dense float64 columns and 3 intp rows per node: 288 B, where a
+        # copy of each node's 633 columns took 5,064 B
+        run = cli._resolve_run(None, 1, str(dataset_dir), "url", None, None, None, None,
+                               None, 1, "24")
+        samples = run.build()
+        assert len(samples) > 1 and len({id(s.table) for s in samples}) == 1
+        table = samples[0].table
+        assert table.shape[1] == 200 and not table.flags.writeable
+        for s in samples:
+            assert s.dense.nbytes + s.rows.nbytes <= 300 * len(s.times)
+            assert s.features.shape == (len(s.times), WIDTH)
+
+    @pytest.mark.parametrize("scope", ["url", "cascade"])
+    def test_a_graph_too_large_for_memory_is_one_error_line(self, dataset_dir, tmp_path,
+                                                            monkeypatch, capsys, scope):
+        # the third graph's build runs out of memory
+        build, calls, failed = evalharness.build_propagation_graph, [], []
+
+        def building(story, cascades, *args):
+            calls.append(story)
+            if len(calls) != 3:
+                return build(story, cascades, *args)
+            failed.append((story.url_id, cascades[0].cascade_id, sum(c.size for c in cascades)))
+            raise MemoryError
+
+        monkeypatch.setattr(evalharness, "build_propagation_graph", building)
+        code = main(["cv", "--dataset", str(dataset_dir), "--out", str(tmp_path / "o"),
+                     "--scope", scope, "--min-cascade-size", "1", "--seed", "1"] + FAST)
+        err = capsys.readouterr().err
+        url_id, cascade_id, nodes = failed[0]
+        name = f"story {url_id!r}" if scope == "url" else f"cascade {cascade_id!r}"
+        assert code == 1
+        assert err == f"error: {name}: its graph of {nodes} nodes does not fit in memory\n"
+
+
 class TestAging:
     def test_writes_windows(self, dataset_dir, tmp_path):
         out = tmp_path / "aging"

@@ -1,8 +1,10 @@
 """Folds, sweeps, aging windows, ablation, MAD/MMD, and layout."""
 import ctypes
+import itertools
 import multiprocessing
 import os
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -87,7 +89,7 @@ def ablation_rounds(monkeypatch):
     def masking(sample, groups):
         masked = prepare(sample, groups)
         if masked is not sample:
-            refs.append(weakref.ref(masked.features))
+            refs.append(weakref.ref(masked.dense))
         return masked
 
     monkeypatch.setattr(evalharness, "_run_cv_round", recording)
@@ -321,6 +323,21 @@ class TestBuildSamples:
             for sample, cut, ref in zip(built[d], built[24.0], reference, strict=True):
                 assert_bit_identical(sample, ref)
                 assert_bit_identical(cut.prefix(d), ref)
+
+
+    @pytest.mark.parametrize("active", [groups for k in range(1, len(FEATURE_GROUPS) + 1)
+                                        for groups in itertools.combinations(FEATURE_GROUPS, k)],
+                             ids="|".join)
+    def test_masked_samples_match_their_masked_matrices(self, world, active):
+        # masking points inactive embedding blocks at the table's zero row:
+        # the bytes are those of the plain matrix with the groups' columns zeroed
+        _, social, stories, cascades = world
+        full = build_samples(stories, cascades, social, "url_wise", active_groups=FEATURE_GROUPS)
+        masked = build_samples(stories, cascades, social, "url_wise", active_groups=active)
+        for sample, got in zip(full, masked, strict=True):
+            plain = replace(sample, dense=sample.features, rows=None, table=None)
+            assert_bit_identical(got, prepare_graph(plain, active))
+        assert len({id(s.table) for s in masked}) == 1
 
 
 def assert_same_sample(cut, fresh):

@@ -4,12 +4,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cascade_gnn.features import (BLOCKS, FEATURE_GROUPS, GROUP_COLUMNS, WIDTH,
-                                  embed_tokens, encode_node_features, load_word_vectors,
+from cascade_gnn.features import (BLOCKS, EMBEDDINGS, FEATURE_GROUPS,
+                                  GROUP_COLUMNS, WIDTH, EmbeddingTable, embed_tokens,
+                                  encode_node_features, load_word_vectors, node_matrix,
                                   stable_hash_bin)
 from cascade_gnn.types import EMBEDDING_DIM
 
 from helpers import block_ranges, make_tweet, make_user, reference_node_features
+
+
+def encode_matrix(tweets, users, root_times):
+    """The nodes' (n, WIDTH) matrix, laid out from their compact encoding
+    against a table of their own embeddings."""
+    table = EmbeddingTable(tweets, users)
+    return node_matrix(*encode_node_features(tweets, users, root_times, table), table.array)
 
 
 class TestLayout:
@@ -43,12 +51,48 @@ class TestLayout:
         names = [name for name, _, _, _ in BLOCKS]
         assert len(set(names)) == len(names) == 22
 
+    def test_node_matrix_places_each_block_in_its_columns(self):
+        # dense column d holds d, and the node's k-th table row holds
+        # 1000 * (k + 1) + its component index
+        table = np.vstack([1000.0 * k + np.arange(EMBEDDING_DIM) for k in range(4)])
+        got = node_matrix(np.arange(33.0)[None],
+                          np.array([[1, 2, 3]], dtype=np.intp), table)[0]
+        want, dense = [], 0
+        for name, _, cols in block_ranges():
+            if name in EMBEDDINGS:
+                want.extend(1000.0 * (EMBEDDINGS.index(name) + 1) + np.arange(EMBEDDING_DIM))
+            else:
+                want.extend(range(dense, dense + len(cols)))
+                dense += len(cols)
+        assert dense == 33
+        assert got.tolist() == want
+
+
+class TestEmbeddingTable:
+    def test_rows_are_keyed_by_bytes(self):
+        # equal bytes share a row, -0.0 keeps apart from +0.0, and row 0 is
+        # the all +0.0 vector whether or not a node holds it
+        a, b = np.linspace(-1.0, 1.0, EMBEDDING_DIM), np.full(EMBEDDING_DIM, -0.0)
+        users = [make_user("A", description_embedding=a)]
+        tweets = [make_tweet("t0", "A", 0.0, text_embedding=a.copy(), hashtag_embedding=b),
+                  make_tweet("t1", "A", 1.0, text_embedding=b.copy())]
+        table = EmbeddingTable(tweets, users)
+        assert table.array.shape == (3, EMBEDDING_DIM)
+        assert table.array[0].tobytes() == bytes(8 * EMBEDDING_DIM)
+        assert table.rows([a.copy(), b, np.zeros(EMBEDDING_DIM)]) == [1, 2, 0]
+        assert not table.array.flags.writeable
+
+    def test_an_embedding_outside_the_table_is_not_looked_up(self):
+        table = EmbeddingTable([make_tweet("t0", "A", 0.0)], [make_user("A")])
+        with pytest.raises(KeyError):
+            table.rows([np.ones(EMBEDDING_DIM)])
+
 
 class TestNodeEncoding:
     def encode(self, tweet=None, user=None, root_time=0.0):
         tweet = tweet or make_tweet("t0", "A", 0.0, is_source=True)
         user = user or make_user("A")
-        return encode_node_features([tweet], [user], [root_time])[0]
+        return encode_matrix([tweet], [user], [root_time])[0]
 
     def slot(self, vec, name):
         cols = next(cols for block, _, cols in block_ranges() if block == name)
@@ -95,15 +139,15 @@ class TestNodeEncoding:
     def test_deterministic_bit_identical(self):
         tweet = make_tweet("t0", "A", 123.0, is_source=True)
         user = make_user("A", followers=7, lang="es")
-        a = encode_node_features([tweet], [user], [0.0])
-        b = encode_node_features([tweet], [user], [0.0])
+        a = encode_matrix([tweet], [user], [0.0])
+        b = encode_matrix([tweet], [user], [0.0])
         assert (a == b).all()
 
     def test_an_overflowing_account_age_is_rejected(self):
         tweet = make_tweet("t0", "A", 1e308, is_source=True)
         user = make_user("A", created_at=-1e308)
         with pytest.raises(ValueError, match="encoded node features contain non-finite values"):
-            encode_node_features([tweet], [user], [1e308])
+            encode_matrix([tweet], [user], [1e308])
 
 
 def _embedding(seed):
@@ -145,7 +189,9 @@ def _nodes(draw):
 
 
 class TestGraphEncoding:
-    """The per-graph encoder fills each node's row as the per-node reference does."""
+    """The per-graph encoder fills each node's row as the per-node reference
+    does: its dense columns, and the embedding rows of a table whose rows
+    repeat across nodes and blocks, laid out as one matrix."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_nodes(), min_size=1, max_size=6))
@@ -160,10 +206,11 @@ class TestGraphEncoding:
                          created_at=5.0 + 365 * 86400.0), 7.0)])
     def test_matches_the_per_node_reference(self, nodes):
         tweets, users, root_times = zip(*nodes)
-        got = encode_node_features(list(tweets), list(users), list(root_times))
+        got = encode_matrix(list(tweets), list(users), list(root_times))
         want = np.array([reference_node_features(t, u, r) for t, u, r in nodes])
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert got.flags.c_contiguous and got.dtype == np.float64
 
 
 class TestWordVectors:
