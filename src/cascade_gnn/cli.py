@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dataio, evalharness
 from .classifier import (DEFAULT_ITERATIONS, CheckpointError, ModelConfig, PreparedGraph,
-                         load_checkpoint, save_checkpoint, user_embeddings)
+                         load_checkpoint, prepare_graph, save_checkpoint, user_embeddings)
 from .dataio import DatasetFormatError, DatasetNotFoundError, cascades_by_url, load_dataset
 from .evalharness import (DEFAULT_MIN_CASCADE_SIZE, ProtocolError, aging_protocol,
                           backward_feature_selection, build_samples,
@@ -33,7 +33,6 @@ from .evalharness import (DEFAULT_MIN_CASCADE_SIZE, ProtocolError, aging_protoco
                           diffusion_sweep, estimate_diameter,
                           fold_label_fractions, fr_layout, mad_mmd, make_folds,
                           sweep_hours, train_and_score)
-from .features import FEATURE_GROUPS
 from .metrics import auc_or_none
 from .optim import NumericError
 from .propagation import credibility_scores
@@ -162,11 +161,12 @@ class Run:
         setattr(self, name, None)
         return value
 
-    def build(self, hours: float | None = None, scope: str | None = None,
-              active_groups=None) -> list[PreparedGraph]:
-        """The command's samples, at ``hours`` (default ``last_hour``), in
-        ``scope`` and with ``active_groups`` (default the Run's).  The
-        dataset goes to this build, so a Run builds once."""
+    def build(self, hours: float | None = None, scope: str | None = None
+              ) -> list[PreparedGraph]:
+        """The command's samples, unmasked, at ``hours`` (default
+        ``last_hour``) and in ``scope`` (default the Run's); training masks
+        them to the model's groups.  The dataset goes to this build, so a
+        Run builds once."""
         if self.cascades is None:
             raise RuntimeError("this Run's dataset went to its first build; "
                                "a command builds its samples once")
@@ -174,8 +174,7 @@ class Run:
         return build_samples(self.stories, self._give_up("cascades"), self._give_up("social"),
                              scope or self.scope,
                              hours=self.last_hour if hours is None else hours,
-                             min_cascade_size=self.min_cascade_size,
-                             active_groups=active_groups or self.model.active_groups)
+                             min_cascade_size=self.min_cascade_size)
 
     def echo(self, command: str, **fields) -> dict:
         """Config echo for report hashing; filesystem paths stay out so the
@@ -364,8 +363,7 @@ def aging(run: Run, out_dir, window_frac, min_gap_days):
 @experiment_command()
 def ablate(run: Run, out_dir):
     """Backward feature selection over the four groups; writes ablation.csv."""
-    result = backward_feature_selection(run.build(active_groups=FEATURE_GROUPS), run.stories,
-                                        run.model, run.jobs)
+    result = backward_feature_selection(run.build(), run.stories, run.model, run.jobs)
     echo = run.echo("ablate")
     rows = [(len(l.active_groups), "|".join(l.active_groups), l.val_auc, l.test_auc)
             for l in result.levels]
@@ -416,7 +414,8 @@ def export_embeddings(run: Run, out_dir, checkpoint_path):
     credibility = credibility_scores(run.stories, cascades_by_url(run.cascades))
     # one BLAS thread, as in training, so the digits do not depend on the core count
     with evalharness._one_blas_thread():
-        embeddings = user_embeddings(run.build(scope=SCOPE_URL), params)
+        embeddings = user_embeddings([prepare_graph(s, run.model.active_groups)
+                                      for s in run.build(scope=SCOPE_URL)], params)
     echo = run.echo("export-embeddings")
     del echo["min_cascade_size"]  # the export builds url-wise graphs, whatever the scope
     header = ["user_id", "credibility"] + [f"e{k:02d}" for k in range(run.model.hidden)]

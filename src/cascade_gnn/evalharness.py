@@ -9,7 +9,8 @@ order; ablation opens one pool per level, as a level depends on the last.
 The protocols take samples, not the dataset: ``build_samples`` builds them
 once, and a caller that hands it the only reference to its cascade list has
 the loaded cascades freed during the build, so only the samples and the
-stories stay resident while the protocol trains.
+stories stay resident while the protocol trains.  ``train_and_score``
+masks the unmasked samples to each model's own ``config.active_groups``.
 """
 from __future__ import annotations
 
@@ -98,10 +99,9 @@ def filter_min_cascade_size(cascades: list[CascadeRecord],
 
 def build_samples(stories: list[UrlStory], cascades: list[CascadeRecord],
                   social: SocialGraph, scope: str, hours: float = DEFAULT_DIFFUSION_HOURS,
-                  min_cascade_size: int = 1,
-                  active_groups=None) -> list[PreparedGraph]:
-    """Every sample at the given diffusion time, masked to ``active_groups``,
-    in sample order: stories (one per URL) by URL, cascades by ID.  Each
+                  min_cascade_size: int = 1) -> list[PreparedGraph]:
+    """Every sample at the given diffusion time, unmasked (training masks
+    it), in sample order: stories (one per URL) by URL, cascades by ID.  Each
     sample's features have the columns of ``features.BLOCKS`` and come from
     one ``encode_node_features`` call over its nodes.  A sample holds 33
     dense columns per node and three row numbers into one read-only
@@ -126,21 +126,19 @@ def build_samples(stories: list[UrlStory], cascades: list[CascadeRecord],
     """
     if scope not in (SCOPE_URL, SCOPE_CASCADE):
         raise ValueError(f"unknown scope {scope!r}")
-    if active_groups is None:
-        active_groups = default_active_groups(scope)
     table = EmbeddingTable([t for c in cascades for t in c.tweets], list(social.users.values()))
     by_url = cascades_by_url(cascades)
     del cascades
     samples = []
     for story in sorted(stories, key=lambda s: s.url_id):
         samples += _story_samples(story, by_url.pop(story.url_id, []), social, scope, hours,
-                                  min_cascade_size, active_groups, table)
+                                  min_cascade_size, table)
     return samples
 
 
 def _story_samples(story: UrlStory, cascades: list[CascadeRecord], social: SocialGraph,
                    scope: str, hours: float, min_cascade_size: int,
-                   active_groups, table: EmbeddingTable) -> list[PreparedGraph]:
+                   table: EmbeddingTable) -> list[PreparedGraph]:
     """The samples of one story, built from its cascades, in cascade ID order."""
     full = sorted(cascades, key=lambda c: c.cascade_id)
     if scope == SCOPE_URL:
@@ -151,8 +149,7 @@ def _story_samples(story: UrlStory, cascades: list[CascadeRecord], social: Socia
     samples = []
     for kept in filter(None, groups):
         try:
-            samples.append(prepare_graph(build_propagation_graph(story, kept, social, scope,
-                                                                 table), active_groups))
+            samples.append(build_propagation_graph(story, kept, social, scope, table))
         except MemoryError:
             name = (f"story {story.url_id!r}" if scope == SCOPE_URL
                     else f"cascade {kept[0].cascade_id!r}")
@@ -169,9 +166,12 @@ def split_by_url(samples: list[PreparedGraph], *url_sets) -> tuple[list[Prepared
 def train_and_score(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
                     test_set: list[PreparedGraph], config: ModelConfig
                     ) -> tuple[TrainResult, list[float]]:
-    """Train one model and return it with the fake score of every test sample.
-    BLAS runs on one thread, as in a pool worker: at these graph sizes a
-    second thread saves no wall time and costs CPU time."""
+    """Train one model on the parts masked to ``config.active_groups`` and
+    return it with the fake score of every test sample.  BLAS runs on one
+    thread, as in a pool worker: at these graph sizes a second thread saves
+    no wall time and costs CPU time."""
+    train_set, val_set, test_set = ([prepare_graph(s, config.active_groups) for s in part]
+                                    for part in (train_set, val_set, test_set))
     with _one_blas_thread():
         result = train(train_set, val_set, config)
         with np.errstate(all="ignore"):  # fake_score rejects a non-finite score
@@ -193,9 +193,9 @@ class CvResult:
 
 class Round(NamedTuple):
     """One model to train and score on a train/validation/test split.  The
-    worker cuts each part to ``hours`` and masks it to ``groups`` where they
-    are set, so the main process holds only the samples the rounds share.
-    The benchmark's dispatch hook reads ``[1:4]`` as the parts."""
+    worker cuts each part to ``hours`` where it is set, and training masks
+    it, so the main process holds only the samples the rounds share.  The
+    benchmark's dispatch hook reads ``[1:4]`` as the parts."""
 
     label: object
     train: list[PreparedGraph]
@@ -203,17 +203,14 @@ class Round(NamedTuple):
     test: list[PreparedGraph]
     config: ModelConfig
     hours: float | None = None
-    groups: tuple[str, ...] | None = None
 
 
 def _run_cv_round(rnd: Round) -> tuple[object, list[tuple[str, float, int]], float | None]:
-    """Train and score one round: its label, (key, fake score, label) per
-    test sample, and the best validation AUC."""
+    """Train and score one round, its parts cut to ``hours``: its label,
+    (key, fake score, label) per test sample, and the best validation AUC."""
     parts = rnd[1:4]
     if rnd.hours is not None:
         parts = [[s.prefix(rnd.hours) for s in part] for part in parts]
-    if rnd.groups is not None:
-        parts = [[prepare_graph(s, rnd.groups) for s in part] for part in parts]
     result, scores = train_and_score(*parts, rnd.config)
     return rnd.label, [(s.key, sc, s.label) for s, sc in zip(parts[2], scores)], result.best_val_auc
 
@@ -506,19 +503,19 @@ class AblationResult:
 def backward_feature_selection(base: list[PreparedGraph], stories: list[UrlStory],
                                config: ModelConfig, jobs: int = 1) -> AblationResult:
     """Iteratively drop the group whose removal hurts validation AUC least,
-    from the ``base`` samples of ``stories``, built with every group active.
+    from the unmasked ``base`` samples of ``stories``.
 
     Uses round 0 of the fold plan: selection on the validation fold, the
     reported AUC on the test fold.  Emits one level per subset size; a
-    level's candidates are seeded in candidate order and go to ``_run_jobs``
-    together, each masking its own copy of the samples: at one job, one
-    masked copy exists at a time.
+    level's candidates, each a config of its groups, are seeded in candidate
+    order and go to ``_run_jobs`` together, each training on its own masked
+    copy of the samples: at one job, one masked copy exists at a time.
     """
     fold = _fold_round(base, make_folds(stories, seed=config.seed), 0, config)
 
     def train_level(candidates, seed: int) -> list[tuple[float | None, float | None]]:
         """(validation AUC, test AUC) of a model per candidate group set."""
-        rounds = [fold._replace(label=groups, groups=groups,
+        rounds = [fold._replace(label=groups,
                                 config=replace(config, seed=seed + k, active_groups=groups))
                   for k, groups in enumerate(candidates)]
         return [(val_auc, _test_auc(scored)) for _, scored, val_auc in _run_jobs(rounds, jobs)]

@@ -100,7 +100,7 @@ def credibility_scores(stories, cascades_by_url) -> dict[str, float]:
 
 def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
                             social: SocialGraph, scope: str,
-                            table: EmbeddingTable | None = None) -> PreparedGraph:
+                            table: EmbeddingTable) -> PreparedGraph:
     """The story's sample, features unmasked: tweets as nodes in (timestamp,
     tweet ID) order, and the messages that ``nn.build_edge_arrays`` makes
     of the nodes' pair relations.  The relation array's entry [i, j] holds
@@ -109,8 +109,7 @@ def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
     from the per-cascade spreading trees, which read their cascade's block
     of that matrix.  The features come from one ``encode_node_features``
     call over all nodes, with their embedding blocks as rows of ``table``,
-    which must hold every embedding of the nodes and their authors; by
-    default, a table of those alone.
+    which must hold every embedding of the nodes and their authors.
 
     ``scope="url_wise"`` takes all given cascades of the story and is keyed
     by its URL, ``scope="cascade_wise"`` exactly one, keyed by its ID.
@@ -145,8 +144,6 @@ def build_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
     # follows[i, j]: node i's author follows node j's
     authors = [t.author for t in nodes]
     users = [social.users[a] for a in authors]
-    if table is None:
-        table = EmbeddingTable(nodes, users)
     follows = social.follow_matrix(authors)
     # spread[i, j]: node i is node j's spreading-tree parent
     spread = np.zeros((n, n), dtype=bool)

@@ -12,7 +12,7 @@ import numpy as np
 from cascade_gnn.autograd import Tensor
 from cascade_gnn.classifier import PreparedGraph
 from cascade_gnn.features import (BLOCKS, HASH_BINS, SECONDS_PER_HOUR, SECONDS_PER_YEAR,
-                                  WIDTH, stable_hash_bin)
+                                  WIDTH, EmbeddingTable, stable_hash_bin)
 from cascade_gnn.nn import NUM_EDGE_FLAGS, EdgeArrays, build_edge_arrays, glorot
 from cascade_gnn.propagation import _spreading_tree
 from cascade_gnn.types import (CascadeRecord, EMBEDDING_DIM, SCOPE_URL, SocialGraph,
@@ -423,8 +423,14 @@ def estimate_spreading_tree(cascade: CascadeRecord, social: SocialGraph) -> dict
     return {t.tweet_id: tweets[j].tweet_id for t, j in zip(tweets[1:], parents)}
 
 
+def world_table(social: SocialGraph, cascades: list[CascadeRecord]) -> EmbeddingTable:
+    """The embedding table a build makes: every tweet of ``cascades`` and
+    every user of ``social``."""
+    return EmbeddingTable([t for c in cascades for t in c.tweets], list(social.users.values()))
+
+
 def reference_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
-                                social: SocialGraph, scope: str, table=None) -> PreparedGraph:
+                                social: SocialGraph, scope: str, table) -> PreparedGraph:
     """``build_propagation_graph`` as it was before it worked on node
     positions: a tweet ID -> node index dict, the ID -> ID map of
     ``estimate_spreading_tree`` per cascade, and the per-node encoder.  It

@@ -17,7 +17,7 @@ from cascade_gnn.classifier import (ModelConfig, _forward_tensors, forward,
                                     init_params)
 from cascade_gnn.cli import main as cli_main
 from cascade_gnn.evalharness import (backward_feature_selection, build_samples,
-                                     cross_validate, make_folds)
+                                     cross_validate, default_active_groups, make_folds)
 from cascade_gnn.features import FEATURE_GROUPS
 from cascade_gnn.metrics import roc_auc
 from cascade_gnn.nn import build_edge_arrays, hinge_loss
@@ -260,7 +260,7 @@ def test_criterion_07_end_to_end_trends(default_world):
         for hours in (24.0, 0.0):
             samples = build_samples(stories, cascades, social, scope,
                                     hours=hours, min_cascade_size=min_size)
-            mc = ModelConfig(iterations=iters, seed=1)
+            mc = ModelConfig(iterations=iters, seed=1, active_groups=default_active_groups(scope))
             cv = cross_validate(samples, plan, mc, jobs=2)
             aucs[(scope, hours)] = cv.mean_auc
     elapsed = time.time() - start
@@ -289,17 +289,15 @@ def test_criterion_09_ablation_sanity(default_world):
     cfg, social, stories, cascades = default_world
     plan = make_folds(stories, seed=0)
     inert = tuple(g for g in FEATURE_GROUPS if g not in PLANTED_SIGNAL_GROUPS)
-    samples = build_samples(stories, cascades, social, "url_wise",
-                            hours=24.0, active_groups=inert)
+    samples = build_samples(stories, cascades, social, "url_wise", hours=24.0)
     mc = ModelConfig(iterations=3000, seed=1, active_groups=inert)
     cv = cross_validate(samples, plan, mc, jobs=2)
     assert 0.4 <= cv.mean_auc <= 0.6, f"masked-signal AUC {cv.mean_auc:.4f}"
 
     # structure: exactly 4 subset levels, deterministic ordering given the seed
     fast = ModelConfig(iterations=300, seed=2)
-    base = build_samples(stories, cascades, social, "url_wise", hours=24.0)
-    r1 = backward_feature_selection(base, stories, fast)
-    r2 = backward_feature_selection(base, stories, fast)
+    r1 = backward_feature_selection(samples, stories, fast)
+    r2 = backward_feature_selection(samples, stories, fast)
     assert [len(l.active_groups) for l in r1.levels] == [4, 3, 2, 1]
     assert r1.removal_order == r2.removal_order
     assert r1.importance_order == r2.importance_order

@@ -8,7 +8,7 @@ import cascade_gnn.classifier as classifier_mod
 from cascade_gnn.autograd import Tensor
 from cascade_gnn.classifier import (ModelConfig, _forward_tensors, fake_score, forward,
                                     init_params, loss_and_grads, prepare_graph, train)
-from cascade_gnn.evalharness import build_samples
+from cascade_gnn.evalharness import build_samples, default_active_groups
 from cascade_gnn.features import FEATURE_GROUPS, WIDTH
 from cascade_gnn.metrics import roc_auc
 from cascade_gnn.nn import hinge_loss
@@ -75,8 +75,10 @@ def test_random_graphs_match_tape():
 def test_every_world_sample_matches_tape(small_world):
     stories, cascades, social = small_world
     params = init_params(ModelConfig(seed=3), WIDTH)
+    masked = default_active_groups("cascade_wise")
     samples = (build_samples(stories, cascades, social, "url_wise", hours=24.0)
-               + build_samples(stories, cascades, social, "cascade_wise", hours=24.0))
+               + [prepare_graph(s, masked) for s in
+                  build_samples(stories, cascades, social, "cascade_wise", hours=24.0)])
     assert len(samples) > 20
     for sample in samples:
         assert_matches_tape(sample, params)
@@ -172,7 +174,8 @@ def test_train_matches_tape_loop(small_world, monkeypatch, scope):
     # cascade-wise samples are masked, url-wise ones keep every group; the
     # reference steps on explicit zeros where train() passes None
     stories, cascades, social = small_world
-    samples = build_samples(stories, cascades, social, scope, hours=24.0)
+    samples = [prepare_graph(s, default_active_groups(scope))
+               for s in build_samples(stories, cascades, social, scope, hours=24.0)]
     first_of_label = {}
     for s in samples:
         first_of_label.setdefault(s.label, s.url_id)

@@ -106,7 +106,7 @@ def test_counter_hooks_read_real_calls(monkeypatch):
         rounds.append(caught.value.args[0])
     sweep, ablation_level = rounds
     assert [p.hours for p in sweep] == [0] * 5 + [3] * 5
-    assert [len(p.groups) for p in ablation_level] == [3] * 4
+    assert [len(p.config.active_groups) for p in ablation_level] == [3] * 4
     cv = evalharness._cv_rounds(samples, evalharness.make_folds(stories), config)
     for payloads in (cv, sweep, ablation_level):
         nbytes = sum(s.features.nbytes + s.edges.src.nbytes + s.edges.dst.nbytes

@@ -17,7 +17,8 @@ from cascade_gnn.autograd import Tensor
 import cascade_gnn.classifier as classifier_mod
 
 from helpers import (TINY_WIDTH, block_ranges, edge_relation, make_cascade, make_social,
-                     make_story, make_user, random_graph_sample, social_graph, tape_tensors)
+                     make_story, make_user, random_graph_sample, social_graph, tape_tensors,
+                     world_table)
 
 
 def tiny_graph(label="true_news", n_users=3, seed=0, random_embeddings=False):
@@ -34,7 +35,8 @@ def tiny_graph(label="true_news", n_users=3, seed=0, random_embeddings=False):
     social = social_graph(users, follows)
     cas = make_cascade([(f"u{i}", 30.0 * i) for i in range(n_users)], "c0", "url0")
     story = make_story("url0", label, ["c0"])
-    return build_propagation_graph(story, [cas], social, "cascade_wise")
+    return build_propagation_graph(story, [cas], social, "cascade_wise",
+                                   world_table(social, [cas]))
 
 
 def small_config(**kw):
@@ -68,7 +70,8 @@ class TestForward:
         times = [0.0, 10.0, 20.0, 30.0, 40.0]
         cas = make_cascade(list(zip(users, times)), "c0", "url0")
         story = make_story("url0", "fake_news", ["c0"])
-        g = build_propagation_graph(story, [cas], social, "cascade_wise")
+        g = build_propagation_graph(story, [cas], social, "cascade_wise",
+                                   world_table(social, [cas]))
         params = init_params(small_config(seed=5), WIDTH)
         base, _, _ = forward(g, params)
 

@@ -13,14 +13,18 @@ import sys
 import tempfile
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascade_gnn import cli, evalharness
 from cascade_gnn.classifier import (CheckpointError, ModelConfig, init_params,
-                                    load_checkpoint, save_checkpoint)
+                                    load_checkpoint, prepare_graph, save_checkpoint,
+                                    user_embeddings)
 from cascade_gnn.cli import main
+from cascade_gnn.dataio import load_dataset
+from cascade_gnn.evalharness import build_samples, default_active_groups
 from cascade_gnn.features import WIDTH
 from cascade_gnn.synthgen import GenConfig
 
@@ -393,6 +397,28 @@ class TestTrainAndExport:
         assert lines[1].split(",")[:2] == ["user_id", "credibility"]
         assert len(lines[1].split(",")) == 2 + 64
         assert len(lines) > 2
+
+    def test_cascade_scope_export_masks_to_the_models_groups(self, dataset_dir, tmp_path):
+        # the export scores url-wise samples masked to the groups the
+        # cascade-wise model was trained on: every group but content
+        args = ["--dataset", str(dataset_dir), "--scope", "cascade", "--min-cascade-size", "1",
+                "--seed", "3"] + FAST
+        checkpoint = tmp_path / "model" / "checkpoint.json"
+        assert main(["train", "--out", str(tmp_path / "model")] + args) == 0
+        assert main(["export-embeddings", "--out", str(tmp_path / "emb"),
+                     "--checkpoint", str(checkpoint)] + args) == 0
+        groups = default_active_groups("cascade_wise")
+        params, _ = load_checkpoint(checkpoint, ModelConfig(active_groups=groups))
+        social, stories, cascades = load_dataset(str(dataset_dir))
+        samples = build_samples(stories, cascades, social, "url_wise")
+        with evalharness._one_blas_thread():
+            masked = user_embeddings([prepare_graph(s, groups) for s in samples], params)
+            unmasked = user_embeddings(samples, params)
+        lines = (tmp_path / "emb" / "embeddings.csv").read_text().splitlines()[2:]
+        assert len(lines) > 2
+        for uid, _, *values in (line.split(",") for line in lines):
+            assert [float(v) for v in values] == masked[uid].tolist()
+        assert any(not np.array_equal(masked[u], unmasked[u]) for u in masked)
 
     def export_with(self, dataset_dir, tmp_path, checkpoint, capsys, scope="url"):
         code = main(["export-embeddings", "--dataset", str(dataset_dir),

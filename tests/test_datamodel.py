@@ -9,7 +9,7 @@ from cascade_gnn.propagation import (build_propagation_graph, credibility_score,
 from cascade_gnn.types import CascadeRecord, SCOPE_CASCADE, SCOPE_URL, SocialGraph, first_repeat
 
 from helpers import (assert_spreading_tree, estimate_spreading_tree, make_cascade, make_social,
-                     make_story, make_tweet, make_user, pair_flags)
+                     make_story, make_tweet, make_user, pair_flags, world_table)
 
 
 def brute_force_tree(cascade, social):
@@ -177,14 +177,14 @@ class TestBuildPropagationGraph:
         social = make_social({"A": 1}, set())
         cas = make_cascade([("A", 0)], "c0", "url0")
         story = make_story("url0", "true_news", ["c0"])
-        g = build_propagation_graph(story, [cas], social, SCOPE_CASCADE)
+        g = build_propagation_graph(story, [cas], social, SCOPE_CASCADE, world_table(social, [cas]))
         assert g.edges.num_nodes == 1 and pair_flags(g) == {}
 
     def test_two_tweets_merge_follow_and_spread(self):
         social = make_social({"A": 10, "B": 1}, {("B", "A")})
         cas = make_cascade([("A", 0), ("B", 10)], "c0", "url0")
         story = make_story("url0", "true_news", ["c0"])
-        g = build_propagation_graph(story, [cas], social, SCOPE_CASCADE)
+        g = build_propagation_graph(story, [cas], social, SCOPE_CASCADE, world_table(social, [cas]))
         pairs = pair_flags(g)
         assert len(pairs) == 1
         ((i, j), flags), = pairs.items()
@@ -203,7 +203,8 @@ class TestBuildPropagationGraph:
         c1 = make_cascade([("u1", 5), ("u2", 15)], "c1", "url0")
         c2 = make_cascade([("u3", 2), ("u4", 9), ("u5", 30)], "c2", "url0")
         story = make_story("url0", "fake_news", ["c0", "c1", "c2"])
-        g = build_propagation_graph(story, [c0, c1, c2], social, SCOPE_URL)
+        g = build_propagation_graph(story, [c0, c1, c2], social, SCOPE_URL,
+                                    world_table(social, [c0, c1, c2]))
         assert g.edges.num_nodes == 6
 
         # oracle: order the tweets, enumerate all node pairs and recompute every relation
@@ -234,7 +235,7 @@ class TestBuildPropagationGraph:
         cas = CascadeRecord("c0", "url0", (make_tweet("z_src", "A", 5, is_source=True),
                                            make_tweet("a_rt", "B", 5)))
         story = make_story("url0", "true_news", ["c0"])
-        g = build_propagation_graph(story, [cas], social, SCOPE_CASCADE)
+        g = build_propagation_graph(story, [cas], social, SCOPE_CASCADE, world_table(social, [cas]))
         assert (g.authors, g.times) == (("B", "A"), (5.0, 5.0))  # a_rt, then z_src
         assert pair_flags(g) == {(0, 1): (True, False, False, True)}
 
@@ -245,8 +246,9 @@ class TestBuildPropagationGraph:
         c0 = make_cascade([("u0", 0), ("u1", 4)], "c0", "url0")
         c1 = make_cascade([("u2", 1), ("u3", 6), ("u4", 9)], "c1", "url0")
         story = make_story("url0", "true_news", ["c0", "c1"])
-        g1 = build_propagation_graph(story, [c0, c1], social, SCOPE_URL)
-        g2 = build_propagation_graph(story, [c1, c0], social, SCOPE_URL)
+        table = world_table(social, [c0, c1])
+        g1 = build_propagation_graph(story, [c0, c1], social, SCOPE_URL, table)
+        g2 = build_propagation_graph(story, [c1, c0], social, SCOPE_URL, table)
         assert (g1.authors, g1.times) == (g2.authors, g2.times)
         for name in ("src", "dst", "flags", "num_nodes"):
             assert np.array_equal(getattr(g1.edges, name), getattr(g2.edges, name)), name
@@ -257,7 +259,7 @@ class TestBuildPropagationGraph:
         cas = make_cascade([("A", 0), ("Z", 1)], "c0", "url0")
         story = make_story("url0", "true_news", ["c0"])
         with pytest.raises(KeyError):
-            build_propagation_graph(story, [cas], social, SCOPE_CASCADE)
+            build_propagation_graph(story, [cas], social, SCOPE_CASCADE, world_table(social, [cas]))
 
     def test_duplicate_tweet_id_raises(self):
         # two cascades of one story sharing a tweet ID used to merge two nodes
@@ -267,14 +269,15 @@ class TestBuildPropagationGraph:
                                           make_tweet("c0_t1", "B", 3)))
         story = make_story("url0", "true_news", ["c0", "c1"])
         with pytest.raises(ValueError, match="duplicate tweet id 'c0_t1'"):
-            build_propagation_graph(story, [c0, c1], social, SCOPE_URL)
+            build_propagation_graph(story, [c0, c1], social, SCOPE_URL,
+                                    world_table(social, [c0, c1]))
 
     def test_unknown_scope_rejected(self):
         social = make_social({"A": 1}, set())
         c0 = make_cascade([("A", 0)], "c0", "url0")
         story = make_story("url0", "true_news", ["c0"])
         with pytest.raises(ValueError, match="scope must be one of"):
-            build_propagation_graph(story, [c0], social, "story_wise")
+            build_propagation_graph(story, [c0], social, "story_wise", world_table(social, [c0]))
 
     def test_cascade_scope_needs_exactly_one(self):
         social = make_social({"A": 1}, set())
@@ -282,7 +285,8 @@ class TestBuildPropagationGraph:
         c1 = make_cascade([("A", 0)], "c1", "url0")
         story = make_story("url0", "true_news", ["c0", "c1"])
         with pytest.raises(ValueError):
-            build_propagation_graph(story, [c0, c1], social, SCOPE_CASCADE)
+            build_propagation_graph(story, [c0, c1], social, SCOPE_CASCADE,
+                                    world_table(social, [c0, c1]))
 
 
 class TestTypeInvariants:

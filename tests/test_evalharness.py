@@ -262,18 +262,30 @@ class TestWorkerPool:
 
 class TestRound:
     def test_a_round_cuts_and_masks_its_own_samples(self, world):
-        # the worker's copy equals samples cut and masked before dispatch
+        # the worker's copy equals samples cut and masked before dispatch;
+        # the round's config names the groups
         _, social, stories, cascades = world
-        samples = build_samples(stories, cascades, social, "url_wise", hours=24.0,
-                                active_groups=FEATURE_GROUPS)
-        rnd = evalharness._fold_round(samples, make_folds(stories, seed=0), 0,
-                                      fast_config(iterations=20))
+        samples = build_samples(stories, cascades, social, "url_wise", hours=24.0)
         groups = ("user_profile", "network_spreading")
+        rnd = evalharness._fold_round(samples, make_folds(stories, seed=0), 0,
+                                      fast_config(iterations=20, active_groups=groups))
         ready = [[prepare_graph(s.prefix(3), groups) for s in part] for part in rnd[1:4]]
         expected = evalharness._run_cv_round(rnd._replace(train=ready[0], val=ready[1],
                                                           test=ready[2]))
-        assert evalharness._run_cv_round(rnd._replace(hours=3, groups=groups)) == expected
+        assert evalharness._run_cv_round(rnd._replace(hours=3)) == expected
         assert evalharness._run_cv_round(rnd) != expected
+
+    def test_the_configs_groups_decide_what_a_round_trains_on(self, world):
+        # unmasked samples and a config of two groups train as the samples
+        # masked to those groups do; every group is a different model
+        _, social, stories, cascades = world
+        samples = build_samples(stories, cascades, social, "url_wise", hours=24.0)
+        plan = make_folds(stories, seed=0)
+        groups = ("user_activity", "content")
+        config = fast_config(iterations=40, active_groups=groups)
+        masked = cross_validate([prepare_graph(s, groups) for s in samples], plan, config)
+        assert cross_validate(samples, plan, config).scores == masked.scores
+        assert cross_validate(samples, plan, fast_config(iterations=40)).scores != masked.scores
 
 
 class TestSampleKeys:
@@ -313,12 +325,10 @@ class TestBuildSamples:
         # ID -> ID maps through a tweet ID -> node index dict
         _, social, stories, cascades = world
         hours = (0.0, 7.0, 24.0)
-        built = {d: build_samples(stories, cascades, social, scope, hours=d,
-                                  active_groups=FEATURE_GROUPS) for d in hours}
+        built = {d: build_samples(stories, cascades, social, scope, hours=d) for d in hours}
         monkeypatch.setattr(evalharness, "build_propagation_graph", reference_propagation_graph)
         for d in hours:
-            reference = build_samples(stories, cascades, social, scope, hours=d,
-                                      active_groups=FEATURE_GROUPS)
+            reference = build_samples(stories, cascades, social, scope, hours=d)
             assert len(reference) > 20
             for sample, cut, ref in zip(built[d], built[24.0], reference, strict=True):
                 assert_bit_identical(sample, ref)
@@ -332,8 +342,8 @@ class TestBuildSamples:
         # masking points inactive embedding blocks at the table's zero row:
         # the bytes are those of the plain matrix with the groups' columns zeroed
         _, social, stories, cascades = world
-        full = build_samples(stories, cascades, social, "url_wise", active_groups=FEATURE_GROUPS)
-        masked = build_samples(stories, cascades, social, "url_wise", active_groups=active)
+        full = build_samples(stories, cascades, social, "url_wise")
+        masked = [prepare_graph(s, active) for s in full]
         for sample, got in zip(full, masked, strict=True):
             plain = replace(sample, dense=sample.features, rows=None, table=None)
             assert_bit_identical(got, prepare_graph(plain, active))
