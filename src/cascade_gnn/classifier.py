@@ -4,9 +4,8 @@ sample holds its nodes compactly: 33 dense columns, and row numbers into
 its build's one embedding table for the three embedding blocks.  The
 (n, 633) matrix the network reads, ``PreparedGraph.features``, is laid out
 from them once per forward pass.  ``prepare_graph`` masks a sample's
-inactive feature groups: it zeroes their dense columns and points their
-embedding blocks at the table's zero row 0, which gives the bytes of the
-matrix with each inactive group's column range zeroed.
+inactive feature groups by recording them on a sample that shares its
+arrays; the layout writes their column ranges +0.0.
 
 Pipeline: GC1(F->hidden)+SELU -> channel-pair mean pool (hidden->hidden/2)
 -> GC2+SELU -> global mean pool -> FC1+SELU -> FC2 -> 2 raw scores.
@@ -25,8 +24,7 @@ from . import autograd as ag
 from . import nn
 from .autograd import Tensor
 from .dataio import _embedding
-from .features import (DENSE_GROUP_COLUMNS, FEATURE_GROUPS, GROUP_COLUMNS, GROUP_ROWS, WIDTH,
-                       node_matrix)
+from .features import FEATURE_GROUPS, WIDTH, node_matrix
 # roc_auc stays a module global: perfbench/traced.py times it through this module
 from .metrics import auc_or_none, roc_auc  # noqa: F401
 from .nn import EdgeArrays
@@ -133,7 +131,9 @@ class PreparedGraph:
     ``rows``, each node's (n, 3) rows of ``table``, the build's one
     read-only embedding table, which every sample of the build shares.  A
     sample made from a plain (n, F) matrix holds all of it in ``dense``,
-    with no ``rows`` and no ``table``."""
+    with no ``rows`` and no ``table``.  ``masked`` names the feature groups
+    whose columns ``features`` lays out as +0.0, in ``FEATURE_GROUPS``
+    order; the arrays hold them unmasked."""
 
     key: str
     url_id: str
@@ -144,14 +144,16 @@ class PreparedGraph:
     authors: tuple[str, ...] = ()
     rows: np.ndarray | None = None
     table: np.ndarray | None = None
+    masked: tuple[str, ...] = ()
 
     @property
     def features(self) -> np.ndarray:
-        """The (n, width) matrix the network reads: laid out anew from the
-        dense columns and the table rows at each call, or the plain matrix."""
-        if self.rows is None:
+        """The (n, width) matrix the network reads, its masked groups'
+        columns +0.0: laid out anew from the dense columns and the table rows
+        at each call, or the plain matrix, copied when masked."""
+        if self.rows is None and not self.masked:
             return self.dense
-        return node_matrix(self.dense, self.rows, self.table)
+        return node_matrix(self.dense, self.rows, self.table, self.masked)
 
     @property
     def width(self) -> int:
@@ -162,7 +164,8 @@ class PreparedGraph:
     def prefix(self, hours: float) -> PreparedGraph:
         """The sample cut ``hours`` after ``times[0]``, the time ``truncate`` measures
         from: nodes are in time order, so the cut is a node prefix and equals
-        a fresh build at ``hours``.  Its arrays are views of this sample's."""
+        a fresh build at ``hours``.  Its arrays are views of this sample's,
+        and it masks the same groups."""
         n = bisect.bisect_right(self.times, self.times[0] + hours * 3600.0)
         if n == len(self.times):
             return self
@@ -175,26 +178,18 @@ class PreparedGraph:
 
 
 def prepare_graph(sample: PreparedGraph, active_groups) -> PreparedGraph:
-    """The sample with its inactive feature groups masked, on copies of its
-    ``dense`` and ``rows``: each group's dense columns are zeroed and its
-    embedding blocks point at the table's zero row, so its columns of
-    ``features`` are zero; a plain matrix has each group's column range
-    zeroed.  ``sample`` itself when every group is active.  Masking needs
-    the full layout: a sample of another width raises ``ValueError``."""
-    inactive = [group for group in FEATURE_GROUPS if group not in active_groups]
-    if not inactive:
+    """The sample with its inactive feature groups masked, and the groups it
+    masks already: a sample that shares its arrays and records the groups,
+    whose columns of ``features`` are +0.0.  ``sample`` itself when that
+    masks no new group.  Masking needs the full layout: a sample of another
+    width raises ``ValueError``."""
+    masked = tuple(g for g in FEATURE_GROUPS if g in sample.masked or g not in active_groups)
+    if masked == sample.masked:
         return sample
     if sample.width != WIDTH:
         raise ValueError(f"cannot mask a sample of {sample.width} feature columns: "
                          f"the feature layout has {WIDTH}")
-    dense = sample.dense.copy()
-    rows = None if sample.rows is None else sample.rows.copy()
-    columns = GROUP_COLUMNS if rows is None else DENSE_GROUP_COLUMNS
-    for group in inactive:
-        dense[:, columns[group]] = 0.0
-        if rows is not None:
-            rows[:, GROUP_ROWS[group]] = 0
-    return replace(sample, dense=dense, rows=rows)
+    return replace(sample, masked=masked)
 
 
 def _forward_tensors(features: Tensor, edges: EdgeArrays,

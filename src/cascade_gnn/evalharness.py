@@ -10,7 +10,9 @@ The protocols take samples, not the dataset: ``build_samples`` builds them
 once, and a caller that hands it the only reference to its cascade list has
 the loaded cascades freed during the build, so only the samples and the
 stories stay resident while the protocol trains.  ``train_and_score``
-masks the unmasked samples to each model's own ``config.active_groups``.
+masks the unmasked samples to each model's own ``config.active_groups``:
+a masked sample shares its input's arrays and records the groups, so
+masking copies no sample.
 """
 from __future__ import annotations
 
@@ -508,8 +510,8 @@ def backward_feature_selection(base: list[PreparedGraph], stories: list[UrlStory
     Uses round 0 of the fold plan: selection on the validation fold, the
     reported AUC on the test fold.  Emits one level per subset size; a
     level's candidates, each a config of its groups, are seeded in candidate
-    order and go to ``_run_jobs`` together, each training on its own masked
-    copy of the samples: at one job, one masked copy exists at a time.
+    order and go to ``_run_jobs`` together, each training on the samples
+    masked to its groups, which share the arrays of ``base``.
     """
     fold = _fold_round(base, make_folds(stories, seed=config.seed), 0, config)
 

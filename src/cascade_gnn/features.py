@@ -16,7 +16,8 @@ strings (lang, source device) to a stable 8-bucket hash one-hot; account
 age to years at tweet time, and a tweet's delay from its cascade's source
 to log(1 + hours).  ``node_matrix`` lays the dense columns and the table
 rows out as the (n, 633) matrix, whose embedding columns are the
-vectors' bytes.
+vectors' bytes.  It masks there too: a masked group's columns are
+written +0.0, and its embedding blocks are not gathered.
 """
 from __future__ import annotations
 
@@ -102,58 +103,44 @@ DENSE_BLOCKS = tuple(b for b in BLOCKS if b[0] not in EMBEDDINGS)
 EMBEDDED_BLOCKS = tuple(b for b in BLOCKS if b[0] in EMBEDDINGS)
 
 
-def _group_ranges(blocks) -> dict[str, slice]:
-    """Each group's columns among ``blocks`` laid side by side, as the one
+def _matrix_layout() -> tuple[dict, tuple, tuple]:
+    """Where ``node_matrix`` puts its parts: each group's columns, as the one
     range from its first block's start to its last block's stop (``BLOCKS``
-    keeps a group's blocks together), and an empty range for a group
-    without blocks; ``blocks`` are (group, width) pairs in column order."""
-    columns, stop = {}, 0
-    for group, width in blocks:
-        start = columns[group].start if group in columns else stop
-        stop += width
-        columns[group] = slice(start, stop)
-    return {group: columns.get(group, slice(0, 0)) for group in FEATURE_GROUPS}
-
-
-GROUP_COLUMNS = _group_ranges((g, w) for _, g, w, _ in BLOCKS)  # group -> the slice of its columns
-WIDTH = sum(width for _, _, width, _ in BLOCKS)  # the columns of node_matrix
-# group -> its slice of the dense columns, and of the embedding row numbers
-DENSE_GROUP_COLUMNS = _group_ranges((g, w) for _, g, w, _ in DENSE_BLOCKS)
-GROUP_ROWS = _group_ranges((g, 1) for _, g, _, _ in EMBEDDED_BLOCKS)
-
-
-def _matrix_layout() -> tuple[tuple, tuple]:
-    """Where ``node_matrix`` puts its parts: the (matrix columns, dense
-    columns) of each run of dense blocks, and the matrix columns of each
+    keeps a group's blocks together); the (matrix columns, dense columns) of
+    each run of dense blocks; and the (group, matrix columns) of each
     embedding block, in column order."""
-    runs, embedded, column, dense = [], [], 0, 0  # runs: [matrix start, dense start, width]
-    for name, _, width, _ in BLOCKS:
+    groups, embedded, column, dense = {}, [], 0, 0
+    runs = []  # [matrix start, dense start, width]
+    for name, group, width, _ in BLOCKS:
+        groups[group] = slice(groups[group].start if group in groups else column, column + width)
         if name in EMBEDDINGS:
-            embedded.append(slice(column, column + width))
+            embedded.append((group, slice(column, column + width)))
         else:
             if not runs or runs[-1][0] + runs[-1][2] != column:
                 runs.append([column, dense, 0])
             runs[-1][2] += width
             dense += width
         column += width
-    return tuple((slice(c, c + w), slice(d, d + w)) for c, d, w in runs), tuple(embedded)
+    return groups, tuple((slice(c, c + w), slice(d, d + w)) for c, d, w in runs), tuple(embedded)
 
 
-DENSE_RUNS, EMBEDDED_COLUMNS = _matrix_layout()
+# GROUP_COLUMNS maps each group to the slice of its columns
+GROUP_COLUMNS, DENSE_RUNS, EMBEDDED_COLUMNS = _matrix_layout()
+WIDTH = sum(width for _, _, width, _ in BLOCKS)  # the columns of node_matrix
 
 
 class EmbeddingTable:
     """The distinct embedding vectors of one build, one row each, in
     ``array``: (R, EMBEDDING_DIM) float64 and read-only.  Rows are keyed by
     their float64 bytes, so equal bytes share a row and -0.0 keeps apart
-    from +0.0.  Row 0 is all +0.0: masking points inactive blocks at it.
+    from +0.0.
 
     The table is made up front from every vector the build may encode: the
     embedding blocks of ``tweets`` and ``users``.  It holds no reference to
     them."""
 
     def __init__(self, tweets, users):
-        index = {bytes(8 * EMBEDDING_DIM): 0}
+        index = {}
         for name, _, _, vectors in EMBEDDED_BLOCKS:
             for vec in vectors(name, tweets, users, None):
                 index.setdefault(vec.tobytes(), len(index))
@@ -190,16 +177,25 @@ def encode_node_features(tweets: list[Tweet], users: list[User], root_times,
     return dense, rows
 
 
-def node_matrix(dense: np.ndarray, rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+def node_matrix(dense: np.ndarray, rows: np.ndarray | None, table: np.ndarray | None,
+                masked: tuple[str, ...]) -> np.ndarray:
     """The (n, WIDTH) C-contiguous float64 feature matrix of nodes held as
     ``encode_node_features`` returns them, with ``table`` the array of their
-    ``EmbeddingTable``: the dense runs and the gathered table rows written
-    into one new array, each in its columns."""
-    out = np.empty((len(dense), WIDTH))
-    for columns, part in DENSE_RUNS:
-        out[:, columns] = dense[:, part]
-    for k, columns in enumerate(EMBEDDED_COLUMNS):
-        out[:, columns] = table[rows[:, k]]
+    ``EmbeddingTable``, and the columns of the ``masked`` groups +0.0: the
+    dense runs and the gathered table rows of the other groups written into
+    one new array, each in its columns.  Without ``rows``, ``dense`` is the
+    whole matrix, copied."""
+    if rows is None:
+        out = dense.copy()
+    else:
+        out = np.empty((len(dense), WIDTH))
+        for columns, part in DENSE_RUNS:
+            out[:, columns] = dense[:, part]
+        for k, (group, columns) in enumerate(EMBEDDED_COLUMNS):
+            if group not in masked:
+                out[:, columns] = table[rows[:, k]]
+    for group in masked:
+        out[:, GROUP_COLUMNS[group]] = 0.0
     return out
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import glob
+import itertools
 import json
 import os
 
@@ -11,14 +12,17 @@ import numpy as np
 
 from cascade_gnn.autograd import Tensor
 from cascade_gnn.classifier import PreparedGraph
-from cascade_gnn.features import (BLOCKS, HASH_BINS, SECONDS_PER_HOUR, SECONDS_PER_YEAR,
-                                  WIDTH, EmbeddingTable, stable_hash_bin)
+from cascade_gnn.features import (BLOCKS, FEATURE_GROUPS, HASH_BINS, SECONDS_PER_HOUR,
+                                  SECONDS_PER_YEAR, WIDTH, EmbeddingTable, stable_hash_bin)
 from cascade_gnn.nn import NUM_EDGE_FLAGS, EdgeArrays, build_edge_arrays, glorot
 from cascade_gnn.propagation import _spreading_tree
 from cascade_gnn.types import (CascadeRecord, EMBEDDING_DIM, SCOPE_URL, SocialGraph,
                                Tweet, UrlStory, User)
 
 ZERO_EMB = np.zeros(EMBEDDING_DIM)
+# every non-empty set of active groups
+GROUP_SETS = [groups for k in range(1, len(FEATURE_GROUPS) + 1)
+              for groups in itertools.combinations(FEATURE_GROUPS, k)]
 
 
 def make_user(uid, followers=0, friends=0, **kw):

@@ -1,5 +1,4 @@
 """Network assembly, training loop, masking, checkpoints."""
-import itertools
 import json
 from dataclasses import replace
 
@@ -16,9 +15,9 @@ from cascade_gnn.propagation import build_propagation_graph
 from cascade_gnn.autograd import Tensor
 import cascade_gnn.classifier as classifier_mod
 
-from helpers import (TINY_WIDTH, block_ranges, edge_relation, make_cascade, make_social,
-                     make_story, make_user, random_graph_sample, social_graph, tape_tensors,
-                     world_table)
+from helpers import (GROUP_SETS, TINY_WIDTH, block_ranges, edge_relation, make_cascade,
+                     make_social, make_story, make_user, random_graph_sample, social_graph,
+                     tape_tensors, world_table)
 
 
 def tiny_graph(label="true_news", n_users=3, seed=0, random_embeddings=False):
@@ -92,11 +91,6 @@ class TestForward:
         bad = type(g)(g.key, g.url_id, g.features[:, :100], g.edges, g.label)
         with pytest.raises(ValueError):
             forward(bad, params)
-
-
-# every non-empty set of active groups
-GROUP_SETS = [groups for k in range(1, len(FEATURE_GROUPS) + 1)
-              for groups in itertools.combinations(FEATURE_GROUPS, k)]
 
 
 def block_columns(groups) -> np.ndarray:

@@ -3,7 +3,6 @@ import ctypes
 import itertools
 import multiprocessing
 import os
-import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -23,9 +22,10 @@ from cascade_gnn.evalharness import (aging_protocol, backward_feature_selection,
                                      make_aging_plan, make_folds, repulsion)
 from cascade_gnn.features import FEATURE_GROUPS
 from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_graph
+from cascade_gnn.types import EMBEDDING_DIM, SocialGraph
 
-from helpers import (blas_thread_getter, blas_thread_setter, make_cascade, make_social,
-                     make_story, reference_fr_layout, reference_propagation_graph)
+from helpers import (GROUP_SETS, blas_thread_getter, blas_thread_setter, make_cascade,
+                     make_social, make_story, reference_fr_layout, reference_propagation_graph)
 
 TILE = evalharness.REPULSION_TILE
 
@@ -71,30 +71,6 @@ def dispatched(monkeypatch):
 
     monkeypatch.setattr(evalharness, "_run_jobs", recording)
     return calls
-
-
-@pytest.fixture
-def ablation_rounds(monkeypatch):
-    """One entry per round trained in process through ``_run_cv_round``: how
-    many masked copies that ``prepare_graph`` made for earlier rounds were
-    still alive when it started.  A round with every group active trains on
-    the samples themselves, not on a masked copy."""
-    alive, refs = [], []
-    run_round, prepare = evalharness._run_cv_round, evalharness.prepare_graph
-
-    def recording(rnd):
-        alive.append(sum(ref() is not None for ref in refs))
-        return run_round(rnd)
-
-    def masking(sample, groups):
-        masked = prepare(sample, groups)
-        if masked is not sample:
-            refs.append(weakref.ref(masked.dense))
-        return masked
-
-    monkeypatch.setattr(evalharness, "_run_cv_round", recording)
-    monkeypatch.setattr(evalharness, "prepare_graph", masking)
-    return alive
 
 
 class TestFolds:
@@ -350,6 +326,54 @@ class TestBuildSamples:
         assert len({id(s.table) for s in masked}) == 1
 
 
+def signed_zeros(vec):
+    """``vec`` with every third component -0.0."""
+    return np.where(np.arange(EMBEDDING_DIM) % 3 == 0, -0.0, vec)
+
+
+def same_features(a, b):
+    fa, fb = a.features, b.features
+    assert fa.shape == fb.shape and fa.tobytes() == fb.tobytes()
+
+
+class TestMaskComposition:
+    """Masks compose: a mask on a masked sample adds its groups, and masking
+    commutes with a cut by time."""
+
+    @pytest.fixture(scope="class")
+    def samples(self, world):
+        # the largest url-wise sample of a world whose embeddings hold -0.0,
+        # as built and as a plain 633-column matrix
+        _, social, stories, cascades = world
+        users = {u: replace(user, description_embedding=signed_zeros(user.description_embedding))
+                 for u, user in social.users.items()}
+        signed = [replace(c, tweets=[replace(t, text_embedding=signed_zeros(t.text_embedding),
+                                             hashtag_embedding=np.full(EMBEDDING_DIM, -0.0))
+                                     for t in c.tweets]) for c in cascades]
+        built = build_samples(stories, signed, SocialGraph(users, social.follows), "url_wise")
+        sample = max(built, key=lambda s: len(s.times))
+        assert sample.rows is not None and np.signbit(sample.features).any()
+        return {"built": sample, "plain": replace(sample, dense=sample.features, rows=None,
+                                                  table=None)}
+
+    @pytest.mark.parametrize("kind", ["built", "plain"])
+    @pytest.mark.parametrize("active", GROUP_SETS, ids="|".join)
+    def test_masks_compose(self, samples, kind, active):
+        sample = samples[kind]
+        masked = prepare_graph(sample, active)
+        assert prepare_graph(sample, FEATURE_GROUPS) is sample
+        assert prepare_graph(masked, FEATURE_GROUPS) is masked
+        for more in GROUP_SETS:
+            both = tuple(g for g in active if g in more)
+            same_features(prepare_graph(masked, more), prepare_graph(sample, both))
+        cuts = 0
+        for hours in (0.0, 1.0, 6.0):
+            cut = sample.prefix(hours)
+            cuts += cut is not sample
+            same_features(masked.prefix(hours), prepare_graph(cut, active))
+        assert cuts
+
+
 def assert_same_sample(cut, fresh):
     assert (cut.key, cut.url_id, cut.label) == (fresh.key, fresh.url_id, fresh.label)
     assert (cut.times, cut.authors) == (fresh.times, fresh.authors)
@@ -521,12 +545,25 @@ class TestBackwardSelection:
                                             "network_spreading", "content"}
         assert r1.importance_order[0] == r1.levels[-1].active_groups[0]
 
-    def test_one_job_trains_one_candidate_at_a_time(self, world, ablation_rounds):
-        # so only one candidate's masked copy of the samples exists at a time
+    def test_candidates_mask_the_samples_own_arrays(self, world, monkeypatch):
+        # a candidate's masked sample records its groups and shares the
+        # arrays of the sample it masks: masking copies nothing
         _, social, stories, cascades = world
         samples = build_samples(stories, cascades, social, "url_wise", hours=24.0)
+        pairs, prepare = [], evalharness.prepare_graph
+
+        def recording(sample, groups):
+            masked = prepare(sample, groups)
+            pairs.append((sample, masked))
+            return masked
+
+        monkeypatch.setattr(evalharness, "prepare_graph", recording)
         backward_feature_selection(samples, stories, fast_config(iterations=2))
-        assert ablation_rounds == [0] * 10
+        masked = [(sample, m) for sample, m in pairs if m is not sample]
+        assert len(masked) == len(pairs) - len(samples)  # every candidate but all four groups
+        for sample, m in masked:
+            for name in ("dense", "rows", "table", "edges"):
+                assert getattr(m, name) is getattr(sample, name), name
 
     def test_one_pool_per_level_and_same_result_at_any_jobs(self, world, pools):
         # the levels of 4, 3 and 2 candidates each open a pool; the first

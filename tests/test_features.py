@@ -17,7 +17,7 @@ def encode_matrix(tweets, users, root_times):
     """The nodes' (n, WIDTH) matrix, laid out from their compact encoding
     against a table of their own embeddings."""
     table = EmbeddingTable(tweets, users)
-    return node_matrix(*encode_node_features(tweets, users, root_times, table), table.array)
+    return node_matrix(*encode_node_features(tweets, users, root_times, table), table.array, ())
 
 
 class TestLayout:
@@ -56,7 +56,7 @@ class TestLayout:
         # 1000 * (k + 1) + its component index
         table = np.vstack([1000.0 * k + np.arange(EMBEDDING_DIM) for k in range(4)])
         got = node_matrix(np.arange(33.0)[None],
-                          np.array([[1, 2, 3]], dtype=np.intp), table)[0]
+                          np.array([[1, 2, 3]], dtype=np.intp), table, ())[0]
         want, dense = [], 0
         for name, _, cols in block_ranges():
             if name in EMBEDDINGS:
@@ -70,16 +70,14 @@ class TestLayout:
 
 class TestEmbeddingTable:
     def test_rows_are_keyed_by_bytes(self):
-        # equal bytes share a row, -0.0 keeps apart from +0.0, and row 0 is
-        # the all +0.0 vector whether or not a node holds it
+        # equal bytes share a row, and -0.0 keeps apart from +0.0
         a, b = np.linspace(-1.0, 1.0, EMBEDDING_DIM), np.full(EMBEDDING_DIM, -0.0)
         users = [make_user("A", description_embedding=a)]
         tweets = [make_tweet("t0", "A", 0.0, text_embedding=a.copy(), hashtag_embedding=b),
                   make_tweet("t1", "A", 1.0, text_embedding=b.copy())]
         table = EmbeddingTable(tweets, users)
         assert table.array.shape == (3, EMBEDDING_DIM)
-        assert table.array[0].tobytes() == bytes(8 * EMBEDDING_DIM)
-        assert table.rows([a.copy(), b, np.zeros(EMBEDDING_DIM)]) == [1, 2, 0]
+        assert table.rows([a.copy(), b, np.zeros(EMBEDDING_DIM)]) == [0, 1, 2]
         assert not table.array.flags.writeable
 
     def test_an_embedding_outside_the_table_is_not_looked_up(self):
