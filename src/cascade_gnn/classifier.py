@@ -1,11 +1,15 @@
 """The four-layer propagation classifier, its checkpoints, and its sample type
 ``PreparedGraph``, built by ``propagation.build_propagation_graph``.  A
 sample holds its nodes compactly: 33 dense columns, and row numbers into
-its build's one embedding table for the three embedding blocks.  The
-(n, 633) matrix the network reads, ``PreparedGraph.features``, is laid out
-from them once per forward pass.  ``prepare_graph`` masks a sample's
-inactive feature groups by recording them on a sample that shares its
-arrays; the layout writes their column ranges +0.0.
+its build's one embedding table for the three embedding blocks.
+``prepare_graph`` masks a sample's inactive feature groups by recording
+them on a sample that shares its arrays.
+
+The network reads arrays: ``loss_and_grads(features, edges, label,
+params)`` and ``forward(features, edges, params)`` take the (n, F) node
+matrix and the messages.  ``train``, the scorers and ``user_embeddings``
+lay each sample's (n, 633) matrix out, ``PreparedGraph.features``, once
+per forward pass; the layout writes masked groups' columns +0.0.
 
 Pipeline: GC1(F->hidden)+SELU -> channel-pair mean pool (hidden->hidden/2)
 -> GC2+SELU -> global mean pool -> FC1+SELU -> FC2 -> 2 raw scores.
@@ -29,8 +33,7 @@ from .features import FEATURE_GROUPS, WIDTH, node_matrix
 from .metrics import auc_or_none, roc_auc  # noqa: F401
 from .nn import EdgeArrays
 from .optim import NumericError, OptimizerState, amsgrad_step
-from .types import (EMBEDDING_DIM, ConfigError, check_fields, positive_int, positive_number,
-                    rng_seed)
+from .types import ConfigError, check_fields, positive_int, positive_number, rng_seed
 
 VALIDATION_EVERY = 500
 
@@ -126,40 +129,30 @@ class PreparedGraph:
     """One sample, keyed by URL (url-wise) or cascade ID: node features,
     messages, label, node times and authors.
 
-    The build holds the node features as ``encode_node_features`` returns
-    them: ``dense``, the (n, 33) columns of the computed blocks, and
-    ``rows``, each node's (n, 3) rows of ``table``, the build's one
-    read-only embedding table, which every sample of the build shares.  A
-    sample made from a plain (n, F) matrix holds all of it in ``dense``,
-    with no ``rows`` and no ``table``.  ``masked`` names the feature groups
-    whose columns ``features`` lays out as +0.0, in ``FEATURE_GROUPS``
-    order; the arrays hold them unmasked."""
+    It holds the node features as ``encode_node_features`` returns them:
+    ``dense``, the (n, 33) columns of the computed blocks, and ``rows``,
+    each node's (n, 3) rows of ``table``, the build's one read-only
+    embedding table, which every sample of the build shares.  ``masked``
+    names the feature groups whose columns ``features`` lays out as +0.0,
+    in ``FEATURE_GROUPS`` order; the arrays hold them unmasked."""
 
     key: str
     url_id: str
     dense: np.ndarray
     edges: EdgeArrays
     label: int  # 0 true, 1 fake
-    times: tuple[float, ...] = ()
-    authors: tuple[str, ...] = ()
-    rows: np.ndarray | None = None
-    table: np.ndarray | None = None
+    times: tuple[float, ...]
+    authors: tuple[str, ...]
+    rows: np.ndarray
+    table: np.ndarray
     masked: tuple[str, ...] = ()
 
     @property
     def features(self) -> np.ndarray:
-        """The (n, width) matrix the network reads, its masked groups'
+        """The (n, 633) matrix the network reads, its masked groups'
         columns +0.0: laid out anew from the dense columns and the table rows
-        at each call, or the plain matrix, copied when masked."""
-        if self.rows is None and not self.masked:
-            return self.dense
+        at each call."""
         return node_matrix(self.dense, self.rows, self.table, self.masked)
-
-    @property
-    def width(self) -> int:
-        """The columns of ``features``, read without laying it out."""
-        return self.dense.shape[1] + (0 if self.rows is None else
-                                      EMBEDDING_DIM * self.rows.shape[1])
 
     def prefix(self, hours: float) -> PreparedGraph:
         """The sample cut ``hours`` after ``times[0]``, the time ``truncate`` measures
@@ -171,8 +164,7 @@ class PreparedGraph:
             return self
         e = self.edges
         keep = (e.src < n) & (e.dst < n)
-        return replace(self, dense=self.dense[:n],
-                       rows=None if self.rows is None else self.rows[:n],
+        return replace(self, dense=self.dense[:n], rows=self.rows[:n],
                        edges=EdgeArrays(e.src[keep], e.dst[keep], e.flags[keep], n),
                        times=self.times[:n], authors=self.authors[:n])
 
@@ -181,14 +173,10 @@ def prepare_graph(sample: PreparedGraph, active_groups) -> PreparedGraph:
     """The sample with its inactive feature groups masked, and the groups it
     masks already: a sample that shares its arrays and records the groups,
     whose columns of ``features`` are +0.0.  ``sample`` itself when that
-    masks no new group.  Masking needs the full layout: a sample of another
-    width raises ``ValueError``."""
+    masks no new group."""
     masked = tuple(g for g in FEATURE_GROUPS if g in sample.masked or g not in active_groups)
     if masked == sample.masked:
         return sample
-    if sample.width != WIDTH:
-        raise ValueError(f"cannot mask a sample of {sample.width} feature columns: "
-                         f"the feature layout has {WIDTH}")
     return replace(sample, masked=masked)
 
 
@@ -220,20 +208,21 @@ def _network_forward(features: np.ndarray, edges: EdgeArrays, params: ModelParam
     return scores, h2, cache
 
 
-def loss_and_grads(sample: PreparedGraph, params: ModelParams
+def loss_and_grads(features: np.ndarray, edges: EdgeArrays, label: int, params: ModelParams
                    ) -> tuple[float, np.ndarray | None]:
-    """Hinge loss of one sample and the gradient of every parameter, as one
-    vector laid out as ``ModelParams.flat``.
+    """Hinge loss of one graph, its (n, F) node matrix ``features`` and its
+    messages ``edges``, and the gradient of every parameter, as one vector
+    laid out as ``ModelParams.flat``.
 
     The gradient is None when the hinge is inactive: it is then exactly
     zero, so no backward pass runs, and ``amsgrad_step`` takes None as that
     zero.  A zero loss over a non-finite forward pass raises
     ``NumericError``, as the tape's NaN gradient would.
     """
-    edges, p = sample.edges, params.named
-    scores, h2, cache = _network_forward(sample.features, edges, params)
+    p = params.named
+    scores, h2, cache = _network_forward(features, edges, params)
     gat1, selu1, gat2, selu2, readout, pre_fc1, selu3, fc1 = cache
-    loss, g_scores = nn.hinge(scores, sample.label)
+    loss, g_scores = nn.hinge(scores, label)
     if g_scores is None:
         # the tape multiplies its zero gradient by the activations, and
         # 0 * inf is NaN, which amsgrad_step rejects: keep rejecting it
@@ -255,9 +244,10 @@ def loss_and_grads(sample: PreparedGraph, params: ModelParams
     return loss, np.concatenate([g[name] for name in p], axis=None)
 
 
-def forward(sample: PreparedGraph, params: ModelParams):
-    """Run the network; returns (scores, probabilities, node_embeddings)."""
-    scores, h2, _ = _network_forward(sample.features, sample.edges, params)
+def forward(features: np.ndarray, edges: EdgeArrays, params: ModelParams):
+    """Run the network on one graph's (n, F) node matrix and messages;
+    returns (scores, probabilities, node_embeddings)."""
+    scores, h2, _ = _network_forward(features, edges, params)
     scores = scores.reshape(2)
     return scores, nn.softmax(scores), h2
 
@@ -285,7 +275,7 @@ class TrainResult:
 
 
 def _validation_auc(val: list[PreparedGraph], params: ModelParams) -> float | None:
-    return auc_or_none((fake_score(forward(s, params)[0]) for s in val),
+    return auc_or_none((fake_score(forward(s.features, s.edges, params)[0]) for s in val),
                        [s.label for s in val])
 
 
@@ -300,7 +290,7 @@ def train(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
     """
     if not train_set:
         raise ValueError("empty training set")
-    params = init_params(config, train_set[0].width)
+    params = init_params(config, WIDTH)
     state = OptimizerState(learning_rate=config.learning_rate,
                            layout=tuple((k, v.size) for k, v in params.named.items()))
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 11)))
@@ -316,7 +306,7 @@ def train(train_set: list[PreparedGraph], val_set: list[PreparedGraph],
     with np.errstate(all="ignore"):
         for it in range(1, config.iterations + 1):
             sample = train_set[rng.integers(len(train_set))]
-            loss, grads = loss_and_grads(sample, params)
+            loss, grads = loss_and_grads(sample.features, sample.edges, sample.label, params)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at iteration {it}")
             loss_trace.append(loss)
@@ -343,7 +333,7 @@ def user_embeddings(samples: list[PreparedGraph], params: ModelParams) -> dict[s
     sums: dict[str, np.ndarray] = {}
     counts: dict[str, int] = {}
     for sample in samples:
-        _, _, emb = forward(sample, params)
+        _, _, emb = forward(sample.features, sample.edges, params)
         for author, row in zip(sample.authors, emb):
             sums[author] = sums[author] + row if author in sums else row
             counts[author] = counts.get(author, 0) + 1

@@ -179,20 +179,20 @@ def _vector(values: list, what: str, table: dict) -> np.ndarray:
 
 
 def _embedding(rec, name: str, table: dict | None = None,
-               rows: list | None = None) -> np.ndarray:
+               lines: list | None = None) -> np.ndarray:
     """Field ``name`` of ``rec`` as a read-only float64 array: the array of
-    its row in ``rows``, the embeddings.jsonl table (``None`` when the
+    its row in ``lines``, the embeddings.jsonl table (``None`` when the
     dataset has none), if it is an integer, else its list of numbers through
     ``_vector`` and ``table`` (without one, a new empty table)."""
     value = rec[name]
     if type(value) is int:
-        if rows is None:
+        if lines is None:
             raise ValueError(f"field {name!r} names row {value}, but there is no "
                              f"{EMBEDDINGS_FILE}")
-        if not 0 <= value < len(rows):
+        if not 0 <= value < len(lines):
             raise ValueError(f"field {name!r} names row {value}, but {EMBEDDINGS_FILE} "
-                             f"has {len(rows)} rows, numbered from 0")
-        return rows[value]
+                             f"has {len(lines)} rows, numbered from 0")
+        return lines[value]
     return _vector(value, f"field {name!r}", {} if table is None else table)
 
 

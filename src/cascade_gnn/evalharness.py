@@ -177,7 +177,8 @@ def train_and_score(train_set: list[PreparedGraph], val_set: list[PreparedGraph]
     with _one_blas_thread():
         result = train(train_set, val_set, config)
         with np.errstate(all="ignore"):  # fake_score rejects a non-finite score
-            return result, [fake_score(forward(s, result.params)[0]) for s in test_set]
+            return result, [fake_score(forward(s.features, s.edges, result.params)[0])
+                            for s in test_set]
 
 
 # -- cross-validation ---------------------------------------------------------

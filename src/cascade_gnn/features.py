@@ -177,23 +177,19 @@ def encode_node_features(tweets: list[Tweet], users: list[User], root_times,
     return dense, rows
 
 
-def node_matrix(dense: np.ndarray, rows: np.ndarray | None, table: np.ndarray | None,
+def node_matrix(dense: np.ndarray, rows: np.ndarray, table: np.ndarray,
                 masked: tuple[str, ...]) -> np.ndarray:
     """The (n, WIDTH) C-contiguous float64 feature matrix of nodes held as
     ``encode_node_features`` returns them, with ``table`` the array of their
     ``EmbeddingTable``, and the columns of the ``masked`` groups +0.0: the
     dense runs and the gathered table rows of the other groups written into
-    one new array, each in its columns.  Without ``rows``, ``dense`` is the
-    whole matrix, copied."""
-    if rows is None:
-        out = dense.copy()
-    else:
-        out = np.empty((len(dense), WIDTH))
-        for columns, part in DENSE_RUNS:
-            out[:, columns] = dense[:, part]
-        for k, (group, columns) in enumerate(EMBEDDED_COLUMNS):
-            if group not in masked:
-                out[:, columns] = table[rows[:, k]]
+    one new array, each in its columns."""
+    out = np.empty((len(dense), WIDTH))
+    for columns, part in DENSE_RUNS:
+        out[:, columns] = dense[:, part]
+    for k, (group, columns) in enumerate(EMBEDDED_COLUMNS):
+        if group not in masked:
+            out[:, columns] = table[rows[:, k]]
     for group in masked:
         out[:, GROUP_COLUMNS[group]] = 0.0
     return out

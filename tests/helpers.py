@@ -7,11 +7,11 @@ import glob
 import itertools
 import json
 import os
+from typing import NamedTuple
 
 import numpy as np
 
 from cascade_gnn.autograd import Tensor
-from cascade_gnn.classifier import PreparedGraph
 from cascade_gnn.features import (BLOCKS, FEATURE_GROUPS, HASH_BINS, SECONDS_PER_HOUR,
                                   SECONDS_PER_YEAR, WIDTH, EmbeddingTable, stable_hash_bin)
 from cascade_gnn.nn import NUM_EDGE_FLAGS, EdgeArrays, build_edge_arrays, glorot
@@ -133,7 +133,16 @@ def inlined_files(dirpath) -> dict[str, bytes]:
 TINY_WIDTH = 12  # the input width of the tiny networks
 
 
-def random_graph_sample(rng, n_nodes, width, label=None):
+class RandomGraph(NamedTuple):
+    """A graph as the network reads it: ``loss_and_grads(*graph, params)``."""
+    features: np.ndarray
+    edges: EdgeArrays
+    label: int
+
+
+def random_graph_sample(rng, n_nodes, width, label=None) -> RandomGraph:
+    """Normal (n_nodes, width) features, each node pair related with
+    probability 1/2 by random flags, and a random label unless given."""
     feats = rng.normal(size=(n_nodes, width))
     edges = []
     for i in range(n_nodes):
@@ -143,8 +152,8 @@ def random_graph_sample(rng, n_nodes, width, label=None):
                 if not any(flags):
                     flags = (True, False, False, False)
                 edges.append((i, j, flags))
-    return PreparedGraph("g", "u", feats, build_edge_arrays(relation(n_nodes, edges)),
-                         int(label if label is not None else rng.integers(0, 2)))
+    return RandomGraph(feats, build_edge_arrays(relation(n_nodes, edges)),
+                       int(label if label is not None else rng.integers(0, 2)))
 
 
 # -- pair relations ------------------------------------------------------------
@@ -366,6 +375,12 @@ def block_ranges():
         start += width
 
 
+def block_columns(groups) -> np.ndarray:
+    """The columns of the blocks of ``groups``."""
+    return np.array([c for _, group, cols in block_ranges() if group in groups for c in cols],
+                    dtype=np.intp)
+
+
 def reference_node_features(tweet: Tweet, user: User, cascade_root_time: float) -> np.ndarray:
     """The per-node encoder that the per-graph ``encode_node_features``
     replaced: one tweet+author into the node vector, block by block in the
@@ -433,12 +448,34 @@ def world_table(social: SocialGraph, cascades: list[CascadeRecord]) -> Embedding
     return EmbeddingTable([t for c in cascades for t in c.tweets], list(social.users.values()))
 
 
+class ReferenceSample(NamedTuple):
+    """A sample as the reference build makes it: the fields of
+    ``PreparedGraph`` that the tests compare, with ``features`` the whole
+    (n, 633) matrix."""
+    key: str
+    url_id: str
+    features: np.ndarray
+    edges: EdgeArrays
+    label: int
+    times: tuple[float, ...]
+    authors: tuple[str, ...]
+
+
+def masked_reference(sample, active_groups) -> ReferenceSample:
+    """``sample`` with a copy of its whole matrix, the columns of every group
+    not in ``active_groups`` written +0.0."""
+    features = sample.features.copy()
+    features[:, block_columns([g for g in FEATURE_GROUPS if g not in active_groups])] = 0.0
+    return ReferenceSample(sample.key, sample.url_id, features, sample.edges, sample.label,
+                           sample.times, sample.authors)
+
+
 def reference_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
-                                social: SocialGraph, scope: str, table) -> PreparedGraph:
+                                social: SocialGraph, scope: str, table) -> ReferenceSample:
     """``build_propagation_graph`` as it was before it worked on node
     positions: a tweet ID -> node index dict, the ID -> ID map of
     ``estimate_spreading_tree`` per cascade, and the per-node encoder.  It
-    builds a sample from the plain feature matrix and ignores ``table``."""
+    encodes each node's whole 633-column row and ignores ``table``."""
     entries = sorted(((t, cas) for cas in cascades for t in cas.tweets),
                      key=lambda e: (e[0].timestamp, e[0].tweet_id))
     index = {t.tweet_id: k for k, (t, _) in enumerate(entries)}
@@ -454,9 +491,9 @@ def reference_propagation_graph(story: UrlStory, cascades: list[CascadeRecord],
     feats = np.empty((n, WIDTH))
     for k, (t, cas) in enumerate(entries):
         feats[k] = reference_node_features(t, social.users[t.author], cas.source.timestamp)
-    return PreparedGraph(
+    return ReferenceSample(
         key=story.url_id if scope == SCOPE_URL else cascades[0].cascade_id,
-        url_id=story.url_id, dense=feats, edges=build_edge_arrays(relation),
+        url_id=story.url_id, features=feats, edges=build_edge_arrays(relation),
         label=int(story.is_fake), times=tuple(t.timestamp for t, _ in entries),
         authors=tuple(authors))
 

@@ -180,7 +180,7 @@ def test_criterion_04_permutation_equivariance_invariance():
         gat_tensors = [Tensor(a) for a in gat]
         base_layer = nn.gat_forward(Tensor(sample.features), sample.edges, *gat_tensors).data
         base_array_layer, _ = nn.gat_layer(sample.features, sample.edges, *gat)
-        base_scores, _, _ = forward(sample, params)
+        base_scores, _, _ = forward(sample.features, sample.edges, params)
 
         for p_idx in range(10):
             perm = np.random.default_rng(3000 + g_idx * 10 + p_idx).permutation(n)
@@ -193,9 +193,7 @@ def test_criterion_04_permutation_equivariance_invariance():
             array_layer, _ = nn.gat_layer(feats, ea, *gat)
             assert np.abs(array_layer[perm] - base_array_layer).max() <= 1e-9
 
-            from cascade_gnn.classifier import PreparedGraph
-            permuted = PreparedGraph("g", "u", feats, ea, sample.label)
-            scores, _, _ = forward(permuted, params)
+            scores, _, _ = forward(feats, ea, params)
             assert np.abs(scores - base_scores).max() <= 1e-9
     print("ACCEPTANCE 4 permutation equivariance/invariance (100 graphs x 10): PASS")
 

@@ -15,7 +15,7 @@ from cascade_gnn.nn import hinge_loss
 from cascade_gnn.optim import OptimizerState
 from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_graph
 
-from helpers import (TINY_WIDTH, central_difference_grads, named_views,
+from helpers import (TINY_WIDTH, block_columns, central_difference_grads, named_views,
                      random_graph_sample, relative_error, tape_tensors)
 
 MASKED = ("user_profile", "network_spreading")
@@ -33,7 +33,7 @@ def tape_loss_and_grads(sample, params):
 def assert_matches_tape(sample, params) -> bool:
     """Compares loss and all gradients bit for bit; returns whether the
     hinge was active."""
-    loss, grads = loss_and_grads(sample, params)
+    loss, grads = loss_and_grads(sample.features, sample.edges, sample.label, params)
     ref_loss, ref = tape_loss_and_grads(sample, params)
     assert loss == ref_loss
     if grads is None:
@@ -63,7 +63,8 @@ def test_random_graphs_match_tape():
         n = int(rng.integers(1, 13))
         sample = random_graph_sample(rng, n, WIDTH, label=k % 2)
         groups = MASKED if k % 4 >= 2 else FEATURE_GROUPS
-        sample = prepare_graph(sample, groups)
+        # the features of a sample masked to ``groups``
+        sample.features[:, block_columns([g for g in FEATURE_GROUPS if g not in groups])] = 0.0
         params = init_params(ModelConfig(seed=k, active_groups=groups), WIDTH)
         if k % 3 == 0:
             # a wide margin for the correct class switches the hinge off
@@ -82,7 +83,7 @@ def test_every_world_sample_matches_tape(small_world):
     assert len(samples) > 20
     for sample in samples:
         assert_matches_tape(sample, params)
-        scores, _, emb = forward(sample, params)
+        scores, _, emb = forward(sample.features, sample.edges, params)
         ref_scores, ref_emb = _forward_tensors(Tensor(sample.features), sample.edges,
                                                tape_tensors(params))
         assert np.array_equal(scores, ref_scores.data.reshape(2))
@@ -96,10 +97,10 @@ def test_finite_differences_on_criterion_one_graphs():
         params = init_params(ModelConfig(hidden=6, fc1=4, iterations=1, seed=seed),
                              TINY_WIDTH)
         arrays = params.named
-        _, grads = loss_and_grads(sample, params)
+        _, grads = loss_and_grads(*sample, params)
         active += grads is not None
         grads = named_views(params, np.zeros_like(params.flat) if grads is None else grads)
-        numeric = central_difference_grads(lambda: loss_and_grads(sample, params)[0],
+        numeric = central_difference_grads(lambda: loss_and_grads(*sample, params)[0],
                                            arrays, h=1e-5)
         err = relative_error([grads[k] for k in arrays], [numeric[k] for k in arrays])
         assert err <= 1e-4, f"seed {seed}: relative error {err}"
@@ -121,7 +122,7 @@ def test_zero_loss_over_non_finite_forward_raises():
     loss, grads = tape_loss_and_grads(sample, params)
     assert loss == 0.0 and not np.isfinite(grads["gc1.weight"]).all()
     with pytest.raises(classifier_mod.NumericError):
-        loss_and_grads(sample, params)
+        loss_and_grads(*sample, params)
 
 
 # -- the training loop as it ran on the tape ------------------------------------

@@ -80,7 +80,7 @@ def test_counter_hooks_read_real_calls(monkeypatch):
     classifier._forward_tensors(Tensor(samples[0].features), samples[0].edges,
                                 tape_tensors(params))
     array_layers = _recording(monkeypatch, nn, "gat_layer")
-    classifier.loss_and_grads(samples[0], params)
+    classifier.loss_and_grads(samples[0].features, samples[0].edges, samples[0].label, params)
     for layers in (tape_layers, array_layers):
         assert len(layers) == 2
         for args, kwargs in layers:

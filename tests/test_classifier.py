@@ -15,9 +15,8 @@ from cascade_gnn.propagation import build_propagation_graph
 from cascade_gnn.autograd import Tensor
 import cascade_gnn.classifier as classifier_mod
 
-from helpers import (GROUP_SETS, TINY_WIDTH, block_ranges, edge_relation, make_cascade,
-                     make_social, make_story, make_user, random_graph_sample, social_graph,
-                     tape_tensors, world_table)
+from helpers import (GROUP_SETS, block_columns, edge_relation, make_cascade, make_social,
+                     make_story, make_user, social_graph, tape_tensors, world_table)
 
 
 def tiny_graph(label="true_news", n_users=3, seed=0, random_embeddings=False):
@@ -48,7 +47,7 @@ class TestForward:
     def test_single_node_graph_runs(self):
         g = tiny_graph(n_users=1)
         params = init_params(small_config(), WIDTH)
-        scores, probs, emb = forward(g, params)
+        scores, probs, emb = forward(g.features, g.edges, params)
         assert scores.shape == (2,) and np.isfinite(scores).all()
         assert emb.shape == (1, 8)
 
@@ -57,7 +56,7 @@ class TestForward:
         for seed in range(100):
             g = tiny_graph(n_users=int(np.random.default_rng(seed).integers(1, 5)),
                            seed=seed)
-            _, probs, _ = forward(g, params)
+            _, probs, _ = forward(g.features, g.edges, params)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_node_permutation_leaves_scores(self):
@@ -72,38 +71,32 @@ class TestForward:
         g = build_propagation_graph(story, [cas], social, "cascade_wise",
                                    world_table(social, [cas]))
         params = init_params(small_config(seed=5), WIDTH)
-        base, _, _ = forward(g, params)
+        base, _, _ = forward(g.features, g.edges, params)
 
         n = g.edges.num_nodes
         for k in range(10):
             perm = np.random.default_rng(k).permutation(n)
             feats = g.features[perm]
             from cascade_gnn.nn import build_edge_arrays
-            from cascade_gnn.classifier import PreparedGraph, _forward_tensors
-            sample = PreparedGraph("k", "url0", feats,
-                                   build_edge_arrays(edge_relation(g.edges)[perm][:, perm]), 1)
-            scores, _, _ = forward(sample, params)
+            scores, _, _ = forward(feats, build_edge_arrays(edge_relation(g.edges)[perm][:, perm]),
+                                   params)
             np.testing.assert_allclose(scores, base, atol=1e-9)
 
     def test_width_mismatch_raises(self):
         g = tiny_graph()
         params = init_params(ModelConfig(hidden=8, fc1=4, iterations=1, seed=0), WIDTH)
-        bad = type(g)(g.key, g.url_id, g.features[:, :100], g.edges, g.label)
         with pytest.raises(ValueError):
-            forward(bad, params)
-
-
-def block_columns(groups) -> np.ndarray:
-    """The columns of the blocks of ``groups``."""
-    return np.array([c for _, group, cols in block_ranges() if group in groups for c in cols],
-                    dtype=np.intp)
+            forward(g.features[:, :100], g.edges, params)
 
 
 class TestMasking:
     @pytest.mark.parametrize("active", GROUP_SETS, ids="|".join)
     def test_zeroes_exactly_the_inactive_groups(self, active):
         # normal features hold no zero, so a stray zeroed column shows
-        sample = random_graph_sample(np.random.default_rng(len(active)), 4, WIDTH)
+        rng = np.random.default_rng(len(active))
+        built = tiny_graph(n_users=4)
+        sample = replace(built, dense=rng.normal(size=built.dense.shape),
+                         table=rng.normal(size=built.table.shape))
         before = sample.features.copy()
         masked = prepare_graph(sample, active)
         kept = block_columns(active)
@@ -117,15 +110,6 @@ class TestMasking:
         else:
             assert not np.shares_memory(masked.features, sample.features)
             assert masked.edges is sample.edges and masked.label == sample.label
-
-    @pytest.mark.parametrize("width", [TINY_WIDTH, WIDTH - 1, WIDTH + 1])
-    def test_a_sample_of_another_width_is_refused(self, width):
-        # a clipped or missing column range would mask some other columns, or none
-        sample = random_graph_sample(np.random.default_rng(width), 3, width)
-        assert prepare_graph(sample, FEATURE_GROUPS) is sample
-        with pytest.raises(ValueError, match=f"sample of {width} feature columns: "
-                                             f"the feature layout has {WIDTH}"):
-            prepare_graph(sample, ("user_profile", "network_spreading", "content"))
 
     def test_masked_features_get_zero_gradient(self):
         g = tiny_graph(label="fake_news", seed=9)
@@ -186,8 +170,8 @@ class TestTrain:
             start += view.size
         loss_and_grads = classifier_mod.loss_and_grads
 
-        def poisoned(sample, params):
-            loss, grads = loss_and_grads(sample, params)
+        def poisoned(features, edges, label, params):
+            loss, grads = loss_and_grads(features, edges, label, params)
             grads = np.zeros_like(params.flat) if grads is None else grads
             grads[start + 1] = np.nan
             return loss, grads
@@ -205,7 +189,7 @@ class TestTrain:
         result = train(samples, [], config)
         losses = []
         for s in samples:
-            scores, _, _ = forward(s, result.params)
+            scores, _, _ = forward(s.features, s.edges, result.params)
             losses.append(max(0.0, 1.0 - (scores[s.label] - scores[1 - s.label])))
         assert np.mean(losses) < 0.05
 
@@ -217,13 +201,13 @@ class TestTrain:
         samples = []
         for k in range(40):
             label = int(k % 2 == 0)
-            samples.append(type(base)(f"g{k}", f"url{k}", base.features.copy(),
-                                      base.edges, label))
+            samples.append(replace(base, key=f"g{k}", url_id=f"url{k}", label=label))
         config = small_config(iterations=600, seed=7)
         result = train(samples[:24], samples[24:], config)
         assert result.best_val_auc is None or abs(result.best_val_auc - 0.5) <= 0.25
         from cascade_gnn.metrics import roc_auc
-        scores = [fake_score(forward(s, result.params)[0]) for s in samples[24:]]
+        scores = [fake_score(forward(s.features, s.edges, result.params)[0])
+                  for s in samples[24:]]
         labels = [s.label for s in samples[24:]]
         auc = roc_auc(scores, labels)[1]
         assert abs(auc - 0.5) <= 0.1
@@ -285,7 +269,7 @@ class TestParams:
         monkeypatch.setattr(Tensor, "__init__", no_tensor)
         result = train(samples[:4], samples[4:], config)
         assert result.val_auc_trace and max(result.loss_trace) > 0.0
-        forward(samples[0], result.params)
+        forward(samples[0].features, samples[0].edges, result.params)
         assert user_embeddings(samples, result.params)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, result.params, seed=4)
@@ -354,8 +338,8 @@ class TestUserEmbeddings:
         params = init_params(small_config(), WIDTH)
         table = user_embeddings([g1, g2], params)
         assert set(table) == set(g1.authors) | set(g2.authors)
-        _, _, emb1 = forward(g1, params)
-        _, _, emb2 = forward(g2, params)
+        _, _, emb1 = forward(g1.features, g1.edges, params)
+        _, _, emb2 = forward(g2.features, g2.edges, params)
         manual = {}
         counts = {}
         for authors, emb in ((g1.authors, emb1), (g2.authors, emb2)):

@@ -25,7 +25,8 @@ from cascade_gnn.synthgen import GenConfig, generate_dataset, generate_social_gr
 from cascade_gnn.types import EMBEDDING_DIM, SocialGraph
 
 from helpers import (GROUP_SETS, blas_thread_getter, blas_thread_setter, make_cascade,
-                     make_social, make_story, reference_fr_layout, reference_propagation_graph)
+                     make_social, make_story, masked_reference, reference_fr_layout,
+                     reference_propagation_graph)
 
 TILE = evalharness.REPULSION_TILE
 
@@ -315,14 +316,13 @@ class TestBuildSamples:
                                         for groups in itertools.combinations(FEATURE_GROUPS, k)],
                              ids="|".join)
     def test_masked_samples_match_their_masked_matrices(self, world, active):
-        # masking points inactive embedding blocks at the table's zero row:
-        # the bytes are those of the plain matrix with the groups' columns zeroed
+        # the bytes are those of the full matrix with the inactive groups'
+        # columns zeroed
         _, social, stories, cascades = world
         full = build_samples(stories, cascades, social, "url_wise")
         masked = [prepare_graph(s, active) for s in full]
         for sample, got in zip(full, masked, strict=True):
-            plain = replace(sample, dense=sample.features, rows=None, table=None)
-            assert_bit_identical(got, prepare_graph(plain, active))
+            assert_bit_identical(got, masked_reference(sample, active))
         assert len({id(s.table) for s in masked}) == 1
 
 
@@ -338,12 +338,13 @@ def same_features(a, b):
 
 class TestMaskComposition:
     """Masks compose: a mask on a masked sample adds its groups, and masking
-    commutes with a cut by time."""
+    commutes with a cut by time.  Each masked matrix is compared with the
+    sample masked at once (``built``) and with the full matrix, its
+    inactive columns zeroed (``plain``)."""
 
     @pytest.fixture(scope="class")
-    def samples(self, world):
-        # the largest url-wise sample of a world whose embeddings hold -0.0,
-        # as built and as a plain 633-column matrix
+    def sample(self, world):
+        # the largest url-wise sample of a world whose embeddings hold -0.0
         _, social, stories, cascades = world
         users = {u: replace(user, description_embedding=signed_zeros(user.description_embedding))
                  for u, user in social.users.items()}
@@ -352,25 +353,41 @@ class TestMaskComposition:
                                      for t in c.tweets]) for c in cascades]
         built = build_samples(stories, signed, SocialGraph(users, social.follows), "url_wise")
         sample = max(built, key=lambda s: len(s.times))
-        assert sample.rows is not None and np.signbit(sample.features).any()
-        return {"built": sample, "plain": replace(sample, dense=sample.features, rows=None,
-                                                  table=None)}
+        assert np.signbit(sample.features).any()
+        return sample
 
     @pytest.mark.parametrize("kind", ["built", "plain"])
     @pytest.mark.parametrize("active", GROUP_SETS, ids="|".join)
-    def test_masks_compose(self, samples, kind, active):
-        sample = samples[kind]
+    def test_masks_compose(self, sample, kind, active):
+        reference = {"built": prepare_graph, "plain": masked_reference}[kind]
         masked = prepare_graph(sample, active)
         assert prepare_graph(sample, FEATURE_GROUPS) is sample
         assert prepare_graph(masked, FEATURE_GROUPS) is masked
         for more in GROUP_SETS:
             both = tuple(g for g in active if g in more)
-            same_features(prepare_graph(masked, more), prepare_graph(sample, both))
+            same_features(prepare_graph(masked, more), reference(sample, both))
         cuts = 0
         for hours in (0.0, 1.0, 6.0):
             cut = sample.prefix(hours)
             cuts += cut is not sample
-            same_features(masked.prefix(hours), prepare_graph(cut, active))
+            same_features(masked.prefix(hours), reference(cut, active))
+        assert cuts
+
+    def test_masks_and_cuts_share_the_samples_arrays(self, world):
+        # masking copies nothing, and a cut's arrays are views of the sample's
+        _, social, stories, cascades = world
+        cuts = 0
+        for s in build_samples(stories, cascades, social, "url_wise"):
+            for active in GROUP_SETS:
+                masked = prepare_graph(s, active)
+                assert masked.dense is s.dense and masked.rows is s.rows
+                assert masked.table is s.table and masked.edges is s.edges
+            cut = s.prefix(0.0)
+            if cut is not s:
+                cuts += 1
+                assert np.shares_memory(cut.dense, s.dense)
+                assert np.shares_memory(cut.rows, s.rows)
+                assert cut.table is s.table
         assert cuts
 
 
