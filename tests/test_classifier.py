@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from cascade_gnn.classifier import (CheckpointError, ModelConfig, fake_score, forward,
-                                    init_params, load_checkpoint, param_shapes,
-                                    prepare_graph, save_checkpoint, train, user_embeddings)
+                                    init_params, load_checkpoint, loss_and_grads,
+                                    param_shapes, prepare_graph, save_checkpoint, train,
+                                    user_embeddings)
 from cascade_gnn.features import FEATURE_GROUPS, WIDTH
 from cascade_gnn.nn import hinge_loss
 from cascade_gnn.optim import NumericError, OptimizerState, amsgrad_step
@@ -81,6 +82,24 @@ class TestForward:
             scores, _, _ = forward(feats, build_edge_arrays(edge_relation(g.edges)[perm][:, perm]),
                                    params)
             np.testing.assert_allclose(scores, base, atol=1e-9)
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_loss_is_the_hinge_of_the_forward_scores(self, label):
+        # the label is an argument, not the graph's own: a true-news graph
+        # is scored against either class
+        g = tiny_graph(seed=3)
+        params = init_params(small_config(seed=2), WIDTH)
+        for shift in (0.0, 0.5, 5.0, -5.0):
+            # shifting fc2's bias towards ``label`` walks the margin past 1
+            params.named["fc2.bias"][...] = 0.0
+            params.named["fc2.bias"][..., label] = shift
+            scores, _, _ = forward(g.features, g.edges, params)
+            loss, grads = loss_and_grads(g.features, g.edges, label, params)
+            assert loss == max(0.0, 1.0 - (scores[label] - scores[1 - label]))
+            assert (grads is None) == (loss == 0.0)
+            if grads is not None:
+                assert grads.shape == params.flat.shape and np.isfinite(grads).all()
+        assert loss > 0.0
 
     def test_width_mismatch_raises(self):
         g = tiny_graph()

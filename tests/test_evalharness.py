@@ -373,11 +373,12 @@ class TestMaskComposition:
             same_features(masked.prefix(hours), reference(cut, active))
         assert cuts
 
-    def test_masks_and_cuts_share_the_samples_arrays(self, world):
+    @pytest.mark.parametrize("scope", ["url_wise", "cascade_wise"])
+    def test_masks_and_cuts_share_the_samples_arrays(self, world, scope):
         # masking copies nothing, and a cut's arrays are views of the sample's
         _, social, stories, cascades = world
         cuts = 0
-        for s in build_samples(stories, cascades, social, "url_wise"):
+        for s in build_samples(stories, cascades, social, scope):
             for active in GROUP_SETS:
                 masked = prepare_graph(s, active)
                 assert masked.dense is s.dense and masked.rows is s.rows
